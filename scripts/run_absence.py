@@ -4,7 +4,7 @@ small third angle: no Rayleigh quotient should undercut the threshold."""
 
 import argparse
 
-from polylayer.analysis import WaveguideNumerics, absence_experiment, cached_alpha_star
+from polylayer.analysis import WaveguideNumerics, absence_experiment, alpha_star
 
 
 def main():
@@ -15,7 +15,7 @@ def main():
     ap.add_argument("--levels", type=int, default=2)
     args = ap.parse_args()
 
-    star = cached_alpha_star()
+    star = alpha_star()
     print(f"alpha_star in [{star.lo:.4f}, {star.hi:.4f}]")
     cert = absence_experiment(
         args.alpha,

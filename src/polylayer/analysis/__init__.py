@@ -1,6 +1,7 @@
 """Paper-facing analysis layer: thresholds, scans, counting, certificates,
 the Hardy-type inequality check, and Weyl-sequence residuals."""
 
+from ..errors import AnalysisError
 from .certificates import (
     ABSENT_CONSISTENT,
     INCONCLUSIVE,
@@ -9,7 +10,6 @@ from .certificates import (
     Certificate,
     absence_experiment,
     alpha_star,
-    cached_alpha_star,
     certify_discrete,
     veps_certificate,
 )
@@ -25,7 +25,6 @@ from .scans import (
     scan_truncation,
 )
 from .waveguide import (
-    AnalysisError,
     ThresholdResult,
     WaveguideMode,
     WaveguideNumerics,
@@ -56,7 +55,6 @@ __all__ = [
     "WeylElement",
     "absence_experiment",
     "alpha_star",
-    "cached_alpha_star",
     "certify_discrete",
     "count_below_threshold",
     "hardy_check",

@@ -18,12 +18,12 @@ import numpy as np
 
 from ..assembly import assemble_q1, rayleigh_quotient
 from ..eigensolve import SolverConfig, smallest_eigenpairs
+from ..errors import AnalysisError
 from ..geometry import GeometryError, LayerGeometry, build_trihedral, make_layer
 from ..grid3d import voxelize
 from ..mesh2d import segment_quadrature
 from .waveguide import (
     PI2,
-    AnalysisError,
     WaveguideNumerics,
     lambda1_waveguide,
     solve_waveguide_mode,
@@ -68,6 +68,39 @@ class Certificate:
 THRESHOLD_NUMERICS = WaveguideNumerics(h=0.05, levels=3)
 
 
+def voxel_upper_bounds(
+    layer: LayerGeometry, R: float, h: float, levels: int, seed: int
+) -> list:
+    """Rayleigh-quotient upper bounds on ``levels`` inscribed voxel grids.
+
+    The grids approach the stated cell size from above (h * 2^(levels-1),
+    ..., 2h, h), all with Dirichlet conditions; the active sets are nested,
+    so the per-level bounds are monotone nonincreasing.  The recomputed
+    Rayleigh quotient of the first discrete eigenvector is an upper bound
+    for lambda_1 of the full layer by extension by zero.  Returns one record
+    per level, coarsest first.
+    """
+    records = []
+    for lev in range(levels):
+        h_lev = h * 2 ** (levels - 1 - lev)
+        grid = voxelize(layer, R=R, h=h_lev, cut_bc="dirichlet")
+        problem = assemble_q1(grid)
+        result = smallest_eigenpairs(problem, SolverConfig(num_pairs=1, seed=seed))
+        if not result.all_converged:
+            raise AnalysisError(f"3D eigensolve did not converge at level {lev}")
+        records.append(
+            {
+                "h": h_lev,
+                "upper_bound": rayleigh_quotient(problem, result.eigenvectors[:, 0]),
+                "residual": float(result.residuals[0]),
+                "cells": grid.num_active_cells,
+                "volume": grid.volume,
+                "dofs": problem.n,
+            }
+        )
+    return records
+
+
 def certify_discrete(
     layer: LayerGeometry,
     R: float = 6.0,
@@ -78,38 +111,13 @@ def certify_discrete(
 ) -> Certificate:
     """Existence certificate from inscribed-domain Rayleigh quotients.
 
-    ``levels`` voxel grids approach the stated cell size from above
-    (h * 2^(levels-1), ..., 2h, h), all with Dirichlet conditions; the active
-    sets are nested, so the per-level bounds are monotone nonincreasing.
-    The recomputed Rayleigh quotient of the first discrete eigenvector is an
-    upper bound for lambda_1 of the full layer by extension by zero.
-    Verdict NONEMPTY iff the best bound undercuts the threshold by more than
-    the combined error indicator.  INCONCLUSIVE is a valid outcome, not an
-    error.
+    The bounds come from ``voxel_upper_bounds``.  Verdict NONEMPTY iff the
+    best bound undercuts the threshold by more than the combined error
+    indicator.  INCONCLUSIVE is a valid outcome, not an error.
     """
     thr = threshold(layer, threshold_numerics)
-    bounds = []
-    details = []
-    for lev in range(levels):
-        h_lev = h * 2 ** (levels - 1 - lev)
-        grid = voxelize(layer, R=R, h=h_lev, cut_bc="dirichlet")
-        problem = assemble_q1(grid)
-        result = smallest_eigenpairs(problem, SolverConfig(num_pairs=1, seed=seed))
-        if not result.all_converged:
-            raise AnalysisError(f"3D eigensolve did not converge at level {lev}")
-        ub = rayleigh_quotient(problem, result.eigenvectors[:, 0])
-        bounds.append(ub)
-        details.append(
-            {
-                "h": h_lev,
-                "upper_bound": ub,
-                "residual": float(result.residuals[0]),
-                "cells": grid.num_active_cells,
-                "volume": grid.volume,
-                "dofs": problem.n,
-            }
-        )
-    best = float(min(bounds))
+    details = voxel_upper_bounds(layer, R, h, levels, seed)
+    best = float(min(d["upper_bound"] for d in details))
     solver_slack = 1e-9 * abs(best)
     combined = thr.error_indicator + solver_slack
     margin = thr.extrapolated - best
@@ -345,17 +353,6 @@ def alpha_star(
     return AlphaStar(lo=lo, hi=hi, evaluations=evals)
 
 
-_ALPHA_STAR_CACHE: dict = {}
-
-
-def cached_alpha_star(tol: float = 5e-3) -> AlphaStar:
-    hit = _ALPHA_STAR_CACHE.get(tol)
-    if hit is None:
-        hit = alpha_star(tol)
-        _ALPHA_STAR_CACHE[tol] = hit
-    return hit
-
-
 def absence_experiment(
     alpha: float,
     R: float = 4.0,
@@ -373,7 +370,7 @@ def absence_experiment(
     drops below 0.999 * threshold, the verdict is ABSENT_CONSISTENT, which is
     explicitly not a proof of absence.
     """
-    star = cached_alpha_star(star_tol)
+    star = alpha_star(star_tol)
     if not alpha < star.lo - 0.05:
         raise AnalysisError(
             f"alpha = {alpha} is not below alpha_star - 0.05 "
@@ -382,20 +379,11 @@ def absence_experiment(
     layer = make_layer(build_trihedral((math.pi / 2, alpha, math.pi / 2)))
     thr = threshold(layer, threshold_numerics)
     cutoff = 0.999 * thr.extrapolated
-    details = []
-    dipped = False
-    for lev in range(levels):
-        h_lev = h * 2 ** (levels - 1 - lev)
-        grid = voxelize(layer, R=R, h=h_lev, cut_bc="dirichlet")
-        problem = assemble_q1(grid)
-        result = smallest_eigenpairs(problem, SolverConfig(num_pairs=1, seed=seed))
-        if not result.all_converged:
-            raise AnalysisError(f"3D eigensolve did not converge at level {lev}")
-        ub = rayleigh_quotient(problem, result.eigenvectors[:, 0])
-        dipped = dipped or ub < cutoff
-        details.append(
-            {"h": h_lev, "upper_bound": ub, "cells": grid.num_active_cells}
-        )
+    details = [
+        {key: d[key] for key in ("h", "upper_bound", "cells")}
+        for d in voxel_upper_bounds(layer, R, h, levels, seed)
+    ]
+    dipped = any(d["upper_bound"] < cutoff for d in details)
     verdict = NONEMPTY if dipped else ABSENT_CONSISTENT
     margin = min(d["upper_bound"] for d in details) - thr.extrapolated
     return Certificate(

@@ -18,8 +18,10 @@ from typing import Callable
 
 import numpy as np
 
+from ..errors import PolylayerError
 
-class HardyError(ValueError):
+
+class HardyError(PolylayerError, ValueError):
     """Raised for malformed samples."""
 
 

@@ -9,10 +9,10 @@ from typing import Optional
 
 import numpy as np
 
+from ..errors import AnalysisError
 from ..extrapolate import richardson
 from .waveguide import (
     PI2,
-    AnalysisError,
     WaveguideNumerics,
     lambda1_waveguide,
     solve_waveguide_mode,

@@ -18,15 +18,12 @@ import numpy as np
 
 from ..assembly import assemble_p1
 from ..eigensolve import SolverConfig, smallest_eigenpairs
+from ..errors import AnalysisError
 from ..extrapolate import richardson
 from ..geometry import GeometryError, LayerGeometry, lshape_profile
 from ..mesh2d import TriMesh, mesh_lshape, refine
 
 PI2 = math.pi**2
-
-
-class AnalysisError(RuntimeError):
-    """Raised when an analysis operation cannot meet its contract."""
 
 
 @dataclass(frozen=True)
@@ -199,23 +196,27 @@ def _validate_threshold(result: ThresholdResult) -> None:
         raise AnalysisError("per-level estimates are not monotone nonincreasing")
 
 
+# the package's only result memo; scans, thresholds and the alpha_star
+# bisection share it
 _WAVEGUIDE_CACHE: dict = {}
 
 
 def lambda1_waveguide(
     theta: float, numerics: WaveguideNumerics = WaveguideNumerics()
 ) -> ThresholdResult:
-    """Extrapolated first waveguide eigenvalue (cached, deterministic)."""
+    """Extrapolated first waveguide eigenvalue (cached, deterministic).
+
+    Every caller of one key shares the cached result, so its arrays are
+    read-only.
+    """
     key = (round(float(theta), 14), numerics)
     hit = _WAVEGUIDE_CACHE.get(key)
     if hit is None:
         hit = solve_waveguide_mode(theta, numerics).threshold
+        hit.lambda_estimates.flags.writeable = False
+        hit.extrapolated_all.flags.writeable = False
         _WAVEGUIDE_CACHE[key] = hit
     return hit
-
-
-def clear_cache() -> None:
-    _WAVEGUIDE_CACHE.clear()
 
 
 def threshold(

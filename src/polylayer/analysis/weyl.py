@@ -17,9 +17,10 @@ from typing import Optional
 
 import numpy as np
 
+from ..errors import AnalysisError
 from ..geometry import LayerGeometry
 from ..mesh2d import evaluate_batch
-from .waveguide import AnalysisError, WaveguideMode, WaveguideNumerics, solve_waveguide_mode
+from .waveguide import WaveguideMode, WaveguideNumerics, solve_waveguide_mode
 
 
 def smoothstep(t):

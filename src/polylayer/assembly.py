@@ -20,11 +20,12 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import PolylayerError
 from .grid3d import GridError, VoxelGrid
 from .mesh2d import TriMesh
 
 
-class AssemblyError(ValueError):
+class AssemblyError(PolylayerError, ValueError):
     """Raised for degenerate elements or empty problems."""
 
 
@@ -100,23 +101,16 @@ class DiscreteProblem:
         return out
 
 
-def _emit_upper(global_ids: np.ndarray, element: np.ndarray):
-    """COO triplets of element contributions mapped to the global upper
-    triangle; (rows, cols, vals) with rows <= cols."""
-    n_loc = element.shape[0]
-    ii, jj = np.triu_indices(n_loc)
-    # element matrix symmetric: entry (a, b) with a <= b locally covers both
-    ga = global_ids[:, ii]
-    gb = global_ids[:, jj]
-    rows = np.minimum(ga, gb).ravel()
-    cols = np.maximum(ga, gb).ravel()
-    vals = np.broadcast_to(element[ii, jj], ga.shape).ravel()
-    return rows, cols, vals
-
-
 def _emit_upper_varying(global_ids: np.ndarray, elements: np.ndarray):
+    """COO triplets of per-element matrices (n_elements, n_loc, n_loc) mapped
+    to the global upper triangle; (rows, cols, vals) with rows <= cols.
+
+    A matrix shared by every element is passed as a broadcast view, which
+    the indexing below reads without copying it out in full.
+    """
     n_loc = elements.shape[1]
     ii, jj = np.triu_indices(n_loc)
+    # element matrices symmetric: entry (a, b) with a <= b locally covers both
     ga = global_ids[:, ii]
     gb = global_ids[:, jj]
     rows = np.minimum(ga, gb).ravel()
@@ -161,18 +155,12 @@ def assemble_p1(mesh: TriMesh) -> DiscreteProblem:
     return _reduce(K_raw, M_raw, fixed, provenance=f"p1:{n}nodes")
 
 
-_Q1_CACHE: dict = {}
-
-
 def q1_element_matrices(h: float):
     """Closed-form 8x8 trilinear stiffness/mass for a cube of side h.
 
     Local node order follows the Kronecker convention: index = 4*ix + 2*iy
     + iz over corner offsets (ix, iy, iz).
     """
-    cached = _Q1_CACHE.get(h)
-    if cached is not None:
-        return cached
     s1 = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
     m1 = h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     K8 = (
@@ -181,7 +169,6 @@ def q1_element_matrices(h: float):
         + np.kron(np.kron(m1, m1), s1)
     )
     M8 = np.kron(np.kron(m1, m1), m1)
-    _Q1_CACHE[h] = (K8, M8)
     return K8, M8
 
 
@@ -192,8 +179,13 @@ def assemble_q1(grid: VoxelGrid) -> DiscreteProblem:
         raise GridError("no active cells to assemble")
     K8, M8 = q1_element_matrices(grid.h)
     n = grid.num_nodes
-    K_raw = SparseSymmetric.from_upper_coo(n, *_emit_upper(cells, K8))
-    M_raw = SparseSymmetric.from_upper_coo(n, *_emit_upper(cells, M8))
+    shape = (len(cells), 8, 8)
+    K_raw = SparseSymmetric.from_upper_coo(
+        n, *_emit_upper_varying(cells, np.broadcast_to(K8, shape))
+    )
+    M_raw = SparseSymmetric.from_upper_coo(
+        n, *_emit_upper_varying(cells, np.broadcast_to(M8, shape))
+    )
     fixed = grid.dirichlet.copy()
     if not (~fixed).any():
         raise AssemblyError("all nodes are Dirichlet: empty problem")

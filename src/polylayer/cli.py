@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
+from .errors import PolylayerError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,7 +46,7 @@ _THREADS_SENTINEL = "POLYLAYER_THREADS_APPLIED"
 KNOWN_FORMATS = ("json", "csv", "svg", "pgm")
 
 
-class ConfigError(ValueError):
+class ConfigError(PolylayerError, ValueError):
     """Invalid command-line or file configuration."""
 
 
@@ -361,9 +361,6 @@ def run(config: RunConfig) -> tuple:
         alpha_star,
         certify_discrete,
         count_below_threshold,
-        hardy_check,
-        random_decaying_sample,
-        sample_from_function,
         scan_theta,
         scan_truncation,
         solve_waveguide_mode,
@@ -373,7 +370,6 @@ def run(config: RunConfig) -> tuple:
     from .geometry import make_layer
 
     files: dict = {}
-    code = EXIT_OK
 
     if config.subcommand == "angle":
         payload = _build_angle(config).to_report()
@@ -451,7 +447,6 @@ def run(config: RunConfig) -> tuple:
             seed=config.seed,
         )
         payload = cert.to_json()
-        code = EXIT_INCONCLUSIVE if cert.verdict == INCONCLUSIVE else EXIT_OK
 
     elif config.subcommand == "certify-veps":
         layer = make_layer(_build_angle(config))
@@ -464,7 +459,6 @@ def run(config: RunConfig) -> tuple:
             ),
         )
         payload = cert.to_json()
-        code = EXIT_INCONCLUSIVE if cert.verdict == INCONCLUSIVE else EXIT_OK
         if "csv" in config.formats:
             files["veps_terms.csv"] = (
                 ["eps", "T1", "T2", "T3", "value"],
@@ -485,7 +479,6 @@ def run(config: RunConfig) -> tuple:
             seed=config.seed,
         )
         payload = cert.to_json()
-        code = EXIT_INCONCLUSIVE if cert.verdict == INCONCLUSIVE else EXIT_OK
 
     elif config.subcommand == "hardy":
         payload = _run_hardy(config)
@@ -517,6 +510,7 @@ def run(config: RunConfig) -> tuple:
     else:  # pragma: no cover - argparse guards this
         raise ConfigError(f"unknown subcommand {config.subcommand}")
 
+    code = EXIT_INCONCLUSIVE if payload.get("verdict") == INCONCLUSIVE else EXIT_OK
     return payload, code, files
 
 
@@ -600,33 +594,20 @@ def _apply_threads(argv, threads: Optional[int]) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.subcommand == "absence":
             args.alpha_value = args.alpha  # scalar angle, not a geometry list
         config = config_from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    _apply_threads(argv, config.threads)
-    started = time.time()
-    try:
+        _apply_threads(argv, config.threads)
+        started = time.time()
         payload, code, files = run(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:  # geometry/analysis/solver failures
-        from .analysis import AnalysisError
-        from .geometry import GeometryError
-
-        if isinstance(exc, (GeometryError, ValueError)):
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        if isinstance(exc, AnalysisError):
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NONCONVERGED
-        raise
+    except (PolylayerError, ValueError) as exc:
+        # a ValueError from numpy/scipy is bad input as well
+        code = getattr(exc, "exit_code", EXIT_CONFIG)
+        label = "numerical failure" if code == EXIT_NONCONVERGED else "config error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     bundle = _write_outputs(config, payload, files, started)
     print(bundle)
     return code

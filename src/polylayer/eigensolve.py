@@ -16,13 +16,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
 from .assembly import DiscreteProblem, rayleigh_quotient
+from .errors import AnalysisError, PolylayerError
 
 # above this dimension the direct factorization is replaced by
 # ILU-preconditioned CG inner solves (memory, not accuracy)
 DIRECT_SOLVE_LIMIT = 300_000
 
 
-class SolverError(RuntimeError):
+class SolverError(PolylayerError, RuntimeError):
     """Raised for invalid solver input (not for slow convergence)."""
 
 
@@ -34,15 +35,12 @@ class SolverConfig:
     tol: float = 1e-8
     maxiter: int = 20_000
     seed: int = 0
-    preconditioner: str = "jacobi"  # inner-CG preconditioner: jacobi | none
 
     def __post_init__(self):
         if self.num_pairs < 1:
             raise SolverError("num_pairs must be >= 1")
         if not 0.0 < self.tol <= 1e-2:
             raise SolverError("tolerance must lie in (0, 1e-2]")
-        if self.preconditioner not in ("jacobi", "none"):
-            raise SolverError("preconditioner must be 'jacobi' or 'none'")
 
 
 @dataclass(eq=False)
@@ -75,7 +73,7 @@ class EigenResult:
 class _CountingSolver:
     """Wraps an inner solver for K x = b, counting applications."""
 
-    def __init__(self, K: sp.csr_matrix, preconditioner: str):
+    def __init__(self, K: sp.csr_matrix):
         self.count = 0
         n = K.shape[0]
         if n <= DIRECT_SOLVE_LIMIT:
@@ -85,15 +83,11 @@ class _CountingSolver:
         else:
             ilu = sla.spilu(K.tocsc(), drop_tol=1e-4, fill_factor=12.0)
             M_ilu = sla.LinearOperator((n, n), matvec=ilu.solve)
-            M_pre = M_ilu
-            if preconditioner == "none":
-                M_pre = None
 
             def solve(b):
-                x, info = sla.cg(K, b, rtol=1e-12, atol=0.0, M=M_pre, maxiter=4000)
+                x, info = sla.cg(K, b, rtol=1e-12, atol=0.0, M=M_ilu, maxiter=4000)
                 if info != 0:
-                    # fall back to a tighter, unpreconditioned run before failing
-                    x, info = sla.cg(K, b, rtol=1e-12, atol=0.0, maxiter=20000)
+                    raise AnalysisError(f"inner CG solve failed (info = {info})")
                 return x
 
             self._solve = solve
@@ -159,7 +153,7 @@ def smallest_eigenpairs(
     rng = np.random.default_rng(config.seed)
     v0 = rng.standard_normal(n)
 
-    inner = _CountingSolver(K, config.preconditioner)
+    inner = _CountingSolver(K)
     op_inv = sla.LinearOperator((n, n), matvec=inner)
 
     try:
@@ -209,23 +203,3 @@ def smallest_eigenpairs(
         ortho_defect=defect,
         seed=config.seed,
     )
-
-
-def deflate_and_continue(
-    problem: DiscreteProblem, result: EigenResult, extra: int
-) -> EigenResult:
-    """Extend a converged result by ``extra`` further pairs.
-
-    Deterministic recomputation with the same seed and the enlarged block;
-    the previously reported eigenvalues must be reproduced, and the combined
-    set satisfies the same orthonormality and residual contracts.
-    """
-    if not result.all_converged:
-        raise SolverError("cannot continue from a non-converged result")
-    m_old = result.eigenvalues.shape[0]
-    config = SolverConfig(num_pairs=m_old + extra, seed=result.seed)
-    combined = smallest_eigenpairs(problem, config)
-    scale = max(1.0, float(np.abs(result.eigenvalues).max()))
-    if np.max(np.abs(combined.eigenvalues[:m_old] - result.eigenvalues)) > 1e-8 * scale:
-        raise SolverError("continuation failed to reproduce the initial pairs")
-    return combined

@@ -1,0 +1,19 @@
+"""The common base of every polylayer exception.
+
+Each exception class carries the CLI exit code its failures map to, so the
+error -> exit-code map lives on the classes themselves: 2 (configuration
+error: invalid input, infeasible geometry, degenerate problems) for all of
+them except ``AnalysisError``, which maps to 3 (numerical non-convergence).
+"""
+
+
+class PolylayerError(Exception):
+    """Base of every exception raised by polylayer."""
+
+    exit_code = 2
+
+
+class AnalysisError(PolylayerError, RuntimeError):
+    """Raised when an analysis operation cannot meet its contract."""
+
+    exit_code = 3

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PolylayerError
+
 TWO_PI = 2.0 * math.pi
 
 # Feasibility tolerance for the inscribed-ball residual: distinguishes exact
@@ -19,7 +21,7 @@ TWO_PI = 2.0 * math.pi
 INSCRIBED_BALL_TOL = 1e-8
 
 
-class GeometryError(ValueError):
+class GeometryError(PolylayerError, ValueError):
     """Raised for infeasible or out-of-scope geometric input."""
 
 

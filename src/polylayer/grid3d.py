@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 
+from .errors import PolylayerError
 from .geometry import LayerGeometry
 
 # Corner tests run against the closed cone and the open shifted cone, with a
@@ -29,7 +30,7 @@ from .geometry import LayerGeometry
 BOUNDARY_TOL = 1e-12
 
 
-class GridError(ValueError):
+class GridError(PolylayerError, ValueError):
     """Raised for invalid voxelization input or empty active sets."""
 
 
@@ -123,6 +124,21 @@ def _coordinate_bounds(layer: LayerGeometry, R: float) -> tuple:
     return lo, hi
 
 
+def _number_nodes(active: np.ndarray) -> tuple:
+    """Active cells per lattice node, and contiguous ids (C order) of the
+    nodes touched by an active cell, -1 elsewhere."""
+    nx, ny, nz = active.shape
+    node_of_cell = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.int32)
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                node_of_cell[dx : nx + dx, dy : ny + dy, dz : nz + dz] += active
+    used = node_of_cell > 0
+    node_ids = np.full(used.shape, -1, dtype=np.int64)
+    node_ids[used] = np.arange(int(used.sum()))
+    return node_of_cell, node_ids
+
+
 def voxelize(
     layer: LayerGeometry, R: float, h: float, cut_bc: str = "dirichlet"
 ) -> VoxelGrid:
@@ -179,16 +195,8 @@ def voxelize(
     if not active.any():
         raise GridError("voxelization produced an empty active set")
 
-    node_of_cell = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.int32)
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                node_of_cell[dx : nx + dx, dy : ny + dy, dz : nz + dz] += active
-
-    used = node_of_cell > 0
-    node_ids = np.full(used.shape, -1, dtype=np.int64)
-    node_ids[used] = np.arange(int(used.sum()))
-
+    node_of_cell, node_ids = _number_nodes(active)
+    used = node_ids >= 0
     boundary = used & (node_of_cell < 8)
     if cut_bc == "neumann":
         on_cut = np.zeros_like(used)
@@ -223,20 +231,11 @@ def box_grid(extent, h: float, dirichlet_boundary: bool = True) -> VoxelGrid:
     n_cells = np.round(extent / h).astype(int)
     if not np.allclose(n_cells * h, extent, atol=1e-12):
         raise GridError("box extents must be integer multiples of h")
-    nx, ny, nz = (int(v) for v in n_cells)
-    active = np.ones((nx, ny, nz), dtype=bool)
-    node_of_cell = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.int32)
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                node_of_cell[dx : nx + dx, dy : ny + dy, dz : nz + dz] += active
-    node_ids = np.arange((nx + 1) * (ny + 1) * (nz + 1), dtype=np.int64).reshape(
-        nx + 1, ny + 1, nz + 1
-    )
+    active = np.ones(tuple(int(v) for v in n_cells), dtype=bool)
+    node_of_cell, node_ids = _number_nodes(active)
     dirichlet = np.zeros(node_ids.size, dtype=bool)
     if dirichlet_boundary:
-        boundary = node_of_cell < 8
-        dirichlet[node_ids[boundary]] = True
+        dirichlet[node_ids[node_of_cell < 8]] = True
     return VoxelGrid(
         h=float(h),
         origin=np.zeros(3),

@@ -19,13 +19,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import PolylayerError
 from .geometry import LShapeProfile
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
 
-class MeshError(ValueError):
+class MeshError(PolylayerError, ValueError):
     """Raised for invalid meshing input or broken mesh structure."""
 
 

@@ -55,6 +55,8 @@ def test_threshold_uses_smallest_dihedral(lam_right_angle):
     fichera = make_layer(fichera_angle())
     thr = threshold(fichera, MEDIUM)
     assert thr.extrapolated == lam_right_angle.extrapolated
+    with pytest.raises(ValueError, match="read-only"):  # shared cached result
+        thr.lambda_estimates[0, 0] = 0.0
     assert thr.theta_used == pytest.approx(PI / 2, abs=1e-12)
 
     alpha = 0.8

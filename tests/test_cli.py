@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -9,6 +12,7 @@ import pytest
 from polylayer.cli import (
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,
+    EXIT_NONCONVERGED,
     EXIT_OK,
     ConfigError,
     RunConfig,
@@ -284,3 +288,58 @@ def test_threads_flag_reexec(tmp_path):
     )
     bundle = json.loads((out / "angle.json").read_text())
     assert bundle["meta"]["config"]["threads"] == 1
+
+
+FICHERA = ["--kind", "trihedral", "--alpha", "90deg,90deg,90deg"]
+SMALL_CERTIFY = ["certify", *FICHERA, "--R", "3", "--h", "0.25", "--thr-h", "0.25",
+                 "--thr-levels", "2"]
+SMALL_COUNT = ["count", "--theta", "90deg", "--h", "0.25", "--levels", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected, stderr_prefix",
+    [
+        (["layer", "--kind", "regular", "--n", "3", "--alpha", "60deg"], EXIT_OK, ""),
+        # infeasible geometry, solver input, and a stray ValueError (no levels)
+        (["angle", "--kind", "trihedral", "--alpha", "170deg,10deg,10deg"],
+         EXIT_CONFIG, "config error:"),
+        ([*SMALL_COUNT, "--pairs", "400"], EXIT_CONFIG, "config error:"),
+        ([*SMALL_COUNT, "--pairs", "0"], EXIT_CONFIG, "config error:"),
+        ([*SMALL_CERTIFY, "--levels", "0"], EXIT_CONFIG, "config error:"),
+        (["waveguide", "--theta", "90deg", "--h", "0.25", "--levels", "1"],
+         EXIT_NONCONVERGED, "numerical failure:"),
+        ([*SMALL_CERTIFY, "--levels", "1"], EXIT_INCONCLUSIVE, ""),
+    ],
+    ids=["ok", "config-geometry", "config-pairs-400", "config-pairs-0",
+         "config-levels-0", "nonconverged", "inconclusive"],
+)
+def test_exit_codes(argv, expected, stderr_prefix, tmp_path, capsys):
+    code = main([*argv, "--out", str(tmp_path)])
+    assert code == expected
+    err = capsys.readouterr().err
+    assert err.startswith(stderr_prefix)
+    assert "Traceback" not in err
+    assert (tmp_path / f"{argv[0]}.json").exists() == (not stderr_prefix)
+
+
+def test_every_exception_derives_from_the_common_base():
+    # the CLI maps errors to exit codes through this base alone
+    import polylayer
+    from polylayer.errors import PolylayerError
+
+    classes = []
+    for info in pkgutil.walk_packages(polylayer.__path__, "polylayer."):
+        if info.name == "polylayer.__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if (
+                inspect.isclass(obj)
+                and issubclass(obj, Exception)
+                and obj.__module__ == info.name
+            ):
+                classes.append(obj)
+    assert len(classes) >= 9
+    stray = [c.__qualname__ for c in classes if not issubclass(c, PolylayerError)]
+    assert not stray
+    assert {c.exit_code for c in classes} == {EXIT_CONFIG, EXIT_NONCONVERGED}
