@@ -18,7 +18,7 @@ import numpy as np
 
 from ..assembly import assemble_q1, rayleigh_quotient
 from ..eigensolve import SolverConfig, smallest_eigenpairs
-from ..errors import AnalysisError
+from ..errors import AnalysisError, ConfigError
 from ..geometry import GeometryError, LayerGeometry, build_trihedral, make_layer
 from ..grid3d import voxelize
 from ..mesh2d import segment_quadrature
@@ -115,6 +115,8 @@ def certify_discrete(
     best bound undercuts the threshold by more than the combined error
     indicator.  INCONCLUSIVE is a valid outcome, not an error.
     """
+    if levels < 1:  # before the threshold chain, which would run in vain
+        raise ConfigError(f"levels = {levels}: the voxel bounds need levels >= 1")
     thr = threshold(layer, threshold_numerics)
     details = voxel_upper_bounds(layer, R, h, levels, seed)
     best = float(min(d["upper_bound"] for d in details))
@@ -237,7 +239,7 @@ def veps_certificate(
         eps_grid = np.geomspace(1e-3, 1.0, 13)
     numerics = mode_numerics or WaveguideNumerics(h=0.05, levels=3)
     if numerics.levels < 3:
-        raise AnalysisError("the 2D eigenfunction needs at least 3 levels")
+        raise ConfigError("the 2D eigenfunction needs at least 3 levels")
     mode = solve_waveguide_mode(beta, numerics)
 
     rows = [_veps_terms(mode, alpha, beta, float(e)) for e in eps_grid]
@@ -331,7 +333,7 @@ def alpha_star(
 ) -> AlphaStar:
     """Bisection for lambda_1(omega(alpha)) = pi^2 / 2 on the monotone curve."""
     if tol < 1e-3:
-        raise AnalysisError("alpha_star tolerance below 1e-3 is not supported")
+        raise ConfigError("alpha_star tolerance below 1e-3 is not supported")
     target = PI2 / 2.0
     lo, hi = (float(b) for b in bracket)
     evals = []
@@ -370,9 +372,11 @@ def absence_experiment(
     drops below 0.999 * threshold, the verdict is ABSENT_CONSISTENT, which is
     explicitly not a proof of absence.
     """
+    if levels < 1:  # before the threshold chain, which would run in vain
+        raise ConfigError(f"levels = {levels}: the voxel bounds need levels >= 1")
     star = alpha_star(star_tol)
     if not alpha < star.lo - 0.05:
-        raise AnalysisError(
+        raise ConfigError(
             f"alpha = {alpha} is not below alpha_star - 0.05 "
             f"(alpha_star in [{star.lo:.4f}, {star.hi:.4f}])"
         )

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import AnalysisError
+from ..errors import ConfigError
 from ..extrapolate import richardson
 from .waveguide import (
     PI2,
@@ -66,7 +66,7 @@ def scan_theta(
     """
     thetas = [float(t) for t in theta_list]
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
-        raise AnalysisError("theta values must be strictly ascending")
+        raise ConfigError("theta values must be strictly ascending")
     records = []
     for theta in thetas:
         res = lambda1_waveguide(theta, numerics)
@@ -162,11 +162,11 @@ def scan_truncation(
     """
     Rs = [float(R) for R in R_list]
     if any(b <= a for a, b in zip(Rs, Rs[1:])):
-        raise AnalysisError("R values must be strictly ascending")
+        raise ConfigError("R values must be strictly ascending")
     for R in Rs:
         ratio = R / numerics.h
         if abs(ratio - round(ratio)) > 1e-9:
-            raise AnalysisError(
+            raise ConfigError(
                 f"R = {R} is not an integer multiple of h = {numerics.h}; "
                 "the outlet meshes would not be nested across R"
             )
@@ -263,7 +263,7 @@ def count_below_threshold(
     theta: float, numerics: WaveguideNumerics = WaveguideNumerics(), num_pairs: int = 6
 ) -> CountResult:
     """Number of extrapolated eigenvalues below pi^2 minus the guard band."""
-    mode = solve_waveguide_mode(theta, numerics.with_pairs(num_pairs))
+    mode = solve_waveguide_mode(theta, replace(numerics, num_pairs=num_pairs))
     res = mode.threshold
     values = res.extrapolated_all
     indicators = np.empty(num_pairs)

@@ -11,19 +11,21 @@ angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..assembly import assemble_p1
 from ..eigensolve import SolverConfig, smallest_eigenpairs
-from ..errors import AnalysisError
+from ..errors import AnalysisError, ConfigError
 from ..extrapolate import richardson
 from ..geometry import GeometryError, LayerGeometry, lshape_profile
 from ..mesh2d import TriMesh, mesh_lshape, refine
 
 PI2 = math.pi**2
+
+R_CAP = 12.0  # longest outlet the automatic truncation rule selects
 
 
 @dataclass(frozen=True)
@@ -36,10 +38,6 @@ class WaveguideNumerics:
     num_pairs: int = 1
     tol: float = 1e-8
     seed: int = 0
-    R_cap: float = 12.0
-
-    def with_pairs(self, m: int) -> "WaveguideNumerics":
-        return replace(self, num_pairs=m)
 
 
 @dataclass(eq=False)
@@ -117,7 +115,7 @@ def _solve_chain(theta, R, h, levels, num_pairs, tol, seed):
 def auto_outlet_length(theta: float, numerics: WaveguideNumerics) -> float:
     """Outlet length from the truncation rule R >= 4 / sqrt(pi^2 - lambda1).
 
-    A coarse solve estimates lambda1; the rule is capped at ``R_cap`` since
+    A coarse solve estimates lambda1; the rule is capped at ``R_CAP`` since
     near-straight waveguides (lambda1 -> pi^2) would otherwise demand
     unbounded outlets while their truncation error is already negligible
     against the spectral gap.
@@ -129,9 +127,9 @@ def auto_outlet_length(theta: float, numerics: WaveguideNumerics) -> float:
     lam_coarse, _, _ = richardson(lams[:, 0])
     gap = PI2 - lam_coarse
     if gap <= 1e-6:
-        return float(numerics.R_cap)
+        return R_CAP
     rule = 4.0 / math.sqrt(gap)
-    return float(min(max(base, rule), numerics.R_cap))
+    return float(min(max(base, rule), R_CAP))
 
 
 def solve_waveguide_mode(
@@ -145,7 +143,7 @@ def solve_waveguide_mode(
     if not 0.0 < theta < math.pi:
         raise GeometryError(f"opening angle theta = {theta} not in (0, pi)")
     if numerics.levels < 2:
-        raise AnalysisError("extrapolation needs at least two refinement levels")
+        raise ConfigError("extrapolation needs at least two refinement levels")
     R = numerics.R if numerics.R is not None else auto_outlet_length(theta, numerics)
     lams, meshes, vals = _solve_chain(
         theta,

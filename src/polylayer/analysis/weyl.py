@@ -17,10 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import AnalysisError
+from ..errors import ConfigError
 from ..geometry import LayerGeometry
 from ..mesh2d import evaluate_batch
 from .waveguide import WaveguideMode, WaveguideNumerics, solve_waveguide_mode
+
+Z_WIDTH = 0.35  # axial window transition; the support stays in [2^n, 2^(n+1)]
+CHI_WIDTH = 1.0  # transverse cutoff transition
+X_CUT = 14.0  # outlet length cap; the eigenfunction is negligible beyond it
 
 
 def smoothstep(t):
@@ -49,28 +53,19 @@ def smoothstep_d2(t):
 
 @dataclass(frozen=True)
 class WeylConfig:
-    """Parameters of one Weyl-sequence element.
-
-    ``z_width`` is the transition width of the axial window (the support
-    stays inside [2^n, 2^(n+1)]); ``chi_width`` the transverse cutoff
-    transition; ``h_grid`` the finite-difference spacing; ``x_cut`` caps the
-    simulated outlet length (the eigenfunction is exponentially negligible
-    beyond it).
-    """
+    """Parameters of one Weyl-sequence element; ``h_grid`` is the
+    finite-difference spacing."""
 
     index: int
     kappa: float = 0.0
     h_grid: float = 0.08
-    z_width: float = 0.35
-    chi_width: float = 1.0
-    x_cut: float = 14.0
     mode_numerics: WaveguideNumerics = WaveguideNumerics(h=0.04, levels=2, R=16.0)
 
     def __post_init__(self):
         if self.index < 1:
-            raise AnalysisError("window index must be >= 1")
+            raise ConfigError("window index must be >= 1")
         if self.kappa < 0.0:
-            raise AnalysisError("longitudinal frequency must be >= 0")
+            raise ConfigError("longitudinal frequency must be >= 0")
 
 
 @dataclass(eq=False)
@@ -145,7 +140,7 @@ def _transverse_fields(layer, mode, config, outlet_len):
     d2 = np.array([math.cos(half), -math.sin(half)])
 
     h = config.h_grid
-    keep = min(outlet_len, config.x_cut)
+    keep = min(outlet_len, X_CUT)
     x_max = float((1.0 / math.tan(half) + keep) * math.cos(half) + 2 * h)
     y_max = float((1.0 / math.tan(half) + keep) * math.sin(half) + 2 * h)
     xs = np.arange(-2 * h, x_max, h)
@@ -160,8 +155,8 @@ def _transverse_fields(layer, mode, config, outlet_len):
     s1 = (pts - inner) @ d1
     s2 = (pts - inner) @ d2
     chi = (
-        smoothstep((outlet_len - s1) / config.chi_width)
-        * smoothstep((outlet_len - s2) / config.chi_width)
+        smoothstep((outlet_len - s1) / CHI_WIDTH)
+        * smoothstep((outlet_len - s2) / CHI_WIDTH)
     ).reshape(X.shape)
     B = V * chi
     B[~IN] = 0.0
@@ -194,8 +189,8 @@ def weyl_residual(
     I2 |A|^2 - 2 I11 <A, B> + (I22 + 4 kappa^2 I1) |B|^2, divided by the
     squared element norm I2 |B|^2.
     """
-    if config.h_grid > config.z_width / 4.0 or config.h_grid > config.chi_width / 4.0:
-        raise AnalysisError(
+    if config.h_grid > Z_WIDTH / 4.0 or config.h_grid > CHI_WIDTH / 4.0:
+        raise ConfigError(
             "grid too coarse relative to the cut-off derivative scale"
         )
     n = config.index
@@ -209,7 +204,7 @@ def weyl_residual(
     if mode is None:
         mode = solve_waveguide_mode(layer.beta_min, config.mode_numerics)
 
-    zi = _window_integrals(n, config.z_width)
+    zi = _window_integrals(n, Z_WIDTH)
     a2, ab, b2_res, b2_all = _transverse_fields(layer, mode, config, outlet_len)
 
     num2 = zi["I2"] * a2 - 2.0 * zi["I11"] * ab + (

@@ -13,12 +13,13 @@ One subcommand per claim keeps acceptance runs scriptable:
     weyl                  Weyl-sequence residuals
     alpha-star            critical angle where lambda_1 crosses pi^2/2
 
+The parsed flags are the run configuration (echoed in ``meta.config``).
 Angles are accepted only with an explicit 'deg' or 'rad' suffix; there is no
 default unit.  Results are written atomically into the output directory as a
 JSON bundle whose payload section is byte-reproducible for identical configs
 and seeds (run metadata such as wall time lives in the separate meta
-section).  Exit codes: 0 success, 2 config error, 3 numerical
-non-convergence, 4 inconclusive certificate.
+section).  Exit codes: 0 success, 2 config error (invalid input), 3
+numerical non-convergence, 4 inconclusive certificate.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
-from .errors import PolylayerError
+from .errors import ConfigError, PolylayerError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,10 +44,6 @@ DEFAULT_OUTDIR_ENV = "POLYLAYER_OUTDIR"
 _THREADS_SENTINEL = "POLYLAYER_THREADS_APPLIED"
 
 KNOWN_FORMATS = ("json", "csv", "svg", "pgm")
-
-
-class ConfigError(PolylayerError, ValueError):
-    """Invalid command-line or file configuration."""
 
 
 def parse_angle(text: str) -> float:
@@ -74,63 +70,6 @@ def parse_int_list(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(","))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run description; echoes into the report bundle."""
-
-    subcommand: str
-    kind: Optional[str] = None  # trihedral | regular
-    alphas: Optional[tuple] = None  # radians
-    n_faces: Optional[int] = None
-    theta: Optional[float] = None
-    thetas: Optional[tuple] = None
-    R: Optional[float] = None
-    R_list: Optional[tuple] = None
-    h: float = 0.1
-    levels: int = 3
-    num_pairs: int = 1
-    tol: float = 1e-8
-    seed: int = 0
-    eps_grid: Optional[tuple] = None
-    alpha: Optional[float] = None
-    indices: Optional[tuple] = None
-    kappa: float = 0.0
-    h_grid: float = 0.08
-    star_tol: float = 5e-3
-    hardy_case: Optional[str] = None
-    hardy_count: int = 100
-    thr_h: float = 0.05
-    thr_levels: int = 3
-    out_dir: str = ""
-    formats: tuple = ("json",)
-    dry_run: bool = False
-    threads: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        raw = dataclasses.asdict(self)
-        return {k: (list(v) if isinstance(v, tuple) else v) for k, v in raw.items()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        tuple_fields = {
-            "alphas",
-            "thetas",
-            "R_list",
-            "eps_grid",
-            "indices",
-            "formats",
-        }
-        clean = {
-            k: (tuple(v) if k in tuple_fields and v is not None else v)
-            for k, v in data.items()
-        }
-        return cls(**clean)
-
-
 def _geometry_args(sub):
     sub.add_argument("--kind", choices=("trihedral", "regular"), required=True)
     sub.add_argument(
@@ -142,12 +81,18 @@ def _geometry_args(sub):
     sub.add_argument("--n", type=int, default=None, help="face count (regular)")
 
 
-def _numerics_args(sub, h=0.1, levels=3):
-    sub.add_argument("--h", type=float, default=h)
-    sub.add_argument("--levels", type=int, default=levels)
-    sub.add_argument("--R", type=float, default=None)
-    sub.add_argument("--pairs", type=int, default=1)
-    sub.add_argument("--tol", type=float, default=1e-8)
+# numerics flags by argparse name: (flag, type); ``build_parser`` gives each
+# subcommand only the ones its handler reads
+_NUMERICS_FLAGS = {
+    "h": ("--h", float),
+    "levels": ("--levels", int),
+    "R": ("--R", float),
+    "num_pairs": ("--pairs", int),
+    "tol": ("--tol", float),
+    "thr_h": ("--thr-h", float),
+    "thr_levels": ("--thr-levels", int),
+    "star_tol": ("--star-tol", float),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,52 +114,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp = p.add_subparsers(dest="subcommand", required=True)
 
-    def add(name):
-        return sp.add_parser(name, parents=[common])
+    def add(name, geometry=False, **numerics):  # numerics: argparse name=default
+        # no abbreviations: scan-R would read --R as --R-list
+        sub = sp.add_parser(name, parents=[common], allow_abbrev=False)
+        if geometry:
+            _geometry_args(sub)
+        for dest, default in numerics.items():
+            flag, kind = _NUMERICS_FLAGS[dest]
+            sub.add_argument(flag, dest=dest, type=kind, default=default)
+        return sub
 
-    for name in ("angle", "layer"):
-        sub = add(name)
-        _geometry_args(sub)
+    add("angle", geometry=True)
+    add("layer", geometry=True)
 
-    sub = add("waveguide")
+    sub = add("waveguide", h=0.1, levels=3, R=None, num_pairs=1, tol=1e-8)
     sub.add_argument("--theta", type=parse_angle, required=True)
-    _numerics_args(sub)
 
-    sub = add("scan-theta")
+    sub = add("scan-theta", h=0.1, levels=3, R=None, num_pairs=1, tol=1e-8)
     sub.add_argument("--thetas", type=parse_angle_list, required=True)
-    _numerics_args(sub)
 
-    sub = add("scan-R")
+    sub = add("scan-R", h=0.125, levels=3, num_pairs=1, tol=1e-8)
     sub.add_argument("--theta", type=parse_angle, required=True)
     sub.add_argument("--R-list", type=parse_float_list, required=True)
-    _numerics_args(sub, h=0.125)
 
-    sub = add("count")
+    sub = add("count", h=0.1, levels=3, R=None, num_pairs=6, tol=1e-8)
     sub.add_argument("--theta", type=parse_angle, required=True)
-    _numerics_args(sub)
-    sub.set_defaults(pairs=6)
 
-    sub = add("certify")
-    _geometry_args(sub)
-    _numerics_args(sub, h=0.1, levels=2)
-    sub.add_argument("--thr-h", type=float, default=0.05)
-    sub.add_argument("--thr-levels", type=int, default=3)
-    sub.set_defaults(R=6.0)
+    add("certify", geometry=True, h=0.1, levels=2, R=6.0, thr_h=0.05, thr_levels=3)
 
-    sub = add("certify-veps")
-    _geometry_args(sub)
-    _numerics_args(sub, h=0.05, levels=3)
+    sub = add("certify-veps", geometry=True, h=0.05, levels=3, R=None)
     sub.add_argument(
         "--eps", type=parse_float_list, default=None, help="epsilon grid"
     )
 
-    sub = add("absence")
+    sub = add(
+        "absence", h=1.0 / 6.0, levels=2, R=4.0, thr_h=0.05, thr_levels=3, star_tol=5e-3
+    )
     sub.add_argument("--alpha", type=parse_angle, required=True)
-    _numerics_args(sub, h=1.0 / 6.0, levels=2)
-    sub.add_argument("--thr-h", type=float, default=0.05)
-    sub.add_argument("--thr-levels", type=int, default=3)
-    sub.add_argument("--star-tol", type=float, default=5e-3)
-    sub.set_defaults(R=4.0)
 
     sub = add("hardy")
     sub.add_argument(
@@ -222,324 +158,282 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--count", type=int, default=100)
 
-    sub = add("weyl")
-    _geometry_args(sub)
+    sub = add("weyl", geometry=True, h=0.04, levels=2, R=16.0)
     sub.add_argument("--indices", type=parse_int_list, default=(2, 3, 4, 5))
     sub.add_argument("--kappa", type=float, default=0.0)
     sub.add_argument("--h-grid", type=float, default=0.08)
-    sub.add_argument("--h", type=float, default=0.04)
-    sub.add_argument("--levels", type=int, default=2)
-    sub.add_argument("--R", type=float, default=16.0)
 
-    sub = add("alpha-star")
-    sub.add_argument("--star-tol", type=float, default=5e-3)
-    sub.add_argument("--h", type=float, default=0.1)
-    sub.add_argument("--levels", type=int, default=3)
+    add("alpha-star", h=0.1, levels=3, star_tol=5e-3)
 
     return p
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    out = args.out or os.environ.get(DEFAULT_OUTDIR_ENV) or "polylayer-out"
-    formats = tuple(tok.strip() for tok in args.formats.split(",") if tok.strip())
-    unknown = set(formats) - set(KNOWN_FORMATS)
+def _check_args(args: argparse.Namespace) -> None:
+    """The checks argparse cannot express; resolves --out and --formats."""
+    args.out = args.out or os.environ.get(DEFAULT_OUTDIR_ENV) or "polylayer-out"
+    args.formats = tuple(tok.strip() for tok in args.formats.split(",") if tok.strip())
+    unknown = set(args.formats) - set(KNOWN_FORMATS)
     if unknown:
         raise ConfigError(f"unknown output formats: {sorted(unknown)}")
-    kw = dict(
-        subcommand=args.subcommand,
-        out_dir=out,
-        formats=formats,
-        seed=args.seed,
-        dry_run=args.dry_run,
-        threads=args.threads,
-    )
-    if hasattr(args, "kind"):
-        alphas = args.alpha
-        kw.update(kind=args.kind, alphas=alphas, n_faces=args.n)
-        if args.kind == "regular":
-            if args.n is None:
-                raise ConfigError("regular geometry needs --n")
-            if len(alphas) != 1:
-                raise ConfigError("regular geometry takes a single --alpha")
-        elif len(alphas) != 3:
-            raise ConfigError("trihedral geometry takes three --alpha values")
-    for src, dst in (
-        ("theta", "theta"),
-        ("thetas", "thetas"),
-        ("R", "R"),
-        ("R_list", "R_list"),
-        ("h", "h"),
-        ("levels", "levels"),
-        ("pairs", "num_pairs"),
-        ("tol", "tol"),
-        ("eps", "eps_grid"),
-        ("alpha_value", "alpha"),
-        ("indices", "indices"),
-        ("kappa", "kappa"),
-        ("h_grid", "h_grid"),
-        ("star_tol", "star_tol"),
-        ("case", "hardy_case"),
-        ("count", "hardy_count"),
-        ("thr_h", "thr_h"),
-        ("thr_levels", "thr_levels"),
-    ):
-        if hasattr(args, src):
-            kw[dst] = getattr(args, src)
-    if args.subcommand == "absence":
-        kw["alpha"] = args.alpha
-        kw.pop("alphas", None)
-    return RunConfig(**kw)
+    kind = getattr(args, "kind", None)
+    if kind == "regular":
+        if args.n is None:
+            raise ConfigError("regular geometry needs --n")
+        if len(args.alpha) != 1:
+            raise ConfigError("regular geometry takes a single --alpha")
+    elif kind == "trihedral" and len(args.alpha) != 3:
+        raise ConfigError("trihedral geometry takes three --alpha values")
 
 
-def _build_angle(config: RunConfig):
+def _build_angle(args):
+    """The polyhedral angle the flags describe; ``absence --alpha`` is the
+    third vertex angle of a trihedral angle with two right ones."""
     from .geometry import build_regular, build_trihedral
 
-    if config.kind == "regular":
-        return build_regular(config.n_faces, config.alphas[0])
-    return build_trihedral(config.alphas)
+    if args.subcommand == "absence":
+        return build_trihedral((math.pi / 2, args.alpha, math.pi / 2))
+    if args.kind == "regular":
+        return build_regular(args.n, args.alpha[0])
+    return build_trihedral(args.alpha)
 
 
-def _numerics(config: RunConfig):
+def _build_layer(args):
+    from .geometry import make_layer
+
+    return make_layer(_build_angle(args))
+
+
+def _numerics(args):
+    """Waveguide numerics from whichever of --h, --levels, --R, --pairs,
+    --tol and --seed the subcommand takes; the rest keep their defaults."""
     from .analysis import WaveguideNumerics
 
-    return WaveguideNumerics(
-        h=config.h,
-        levels=config.levels,
-        R=config.R,
-        num_pairs=config.num_pairs,
-        tol=config.tol,
-        seed=config.seed,
-    )
+    names = {f.name for f in dataclasses.fields(WaveguideNumerics)}
+    return WaveguideNumerics(**{k: v for k, v in vars(args).items() if k in names})
 
 
-def _dry_run_payload(config: RunConfig) -> dict:
+def _dry_run_payload(args) -> dict:
     """Geometry validation and solve plan, no eigensolves."""
     payload: dict = {"dry_run": True, "plan": {}}
-    if config.kind is not None or config.subcommand == "absence":
-        from .geometry import build_trihedral, make_layer
-
-        angle = (
-            build_trihedral((math.pi / 2, config.alpha, math.pi / 2))
-            if config.subcommand == "absence"
-            else _build_angle(config)
-        )
-        layer = make_layer(angle)
+    if hasattr(args, "alpha"):
+        layer = _build_layer(args)
         payload["geometry"] = layer.to_report()
-        payload["plan"]["threshold"] = {
-            "theta": layer.beta_min,
-            "h": config.thr_h if config.subcommand in ("certify", "absence") else config.h,
-            "levels": config.thr_levels
-            if config.subcommand in ("certify", "absence")
-            else config.levels,
-        }
-    if config.theta is not None:
+        if hasattr(args, "h"):  # certify and absence name their own numerics
+            payload["plan"]["threshold"] = {
+                "theta": layer.beta_min,
+                "h": getattr(args, "thr_h", args.h),
+                "levels": getattr(args, "thr_levels", args.levels),
+            }
+    if hasattr(args, "theta"):
         payload["plan"]["waveguide"] = {
-            "theta": config.theta,
-            "h": config.h,
-            "levels": config.levels,
-            "R": config.R,
+            "theta": args.theta,
+            "h": args.h,
+            "levels": args.levels,
+            "R": getattr(args, "R", None),  # scan-R takes --R-list instead
         }
     return payload
 
 
-def run(config: RunConfig) -> tuple:
-    """Execute the configured operation; returns (payload, exit_code, files).
+# --- one handler per subcommand: (args, files) -> payload.  ``files`` maps a
+# side file's name to its writer's arguments.  Handlers import analysis
+# functions at call time, so wrappers installed on ``polylayer.analysis`` apply.
 
-    ``files`` maps relative file names inside the output directory to their
-    content description; the JSON bundle itself is handled by the caller.
-    """
-    import numpy as np
 
-    if config.dry_run:
-        return _dry_run_payload(config), EXIT_OK, {}
+def _angle(args, files):
+    return _build_angle(args).to_report()
 
-    from .analysis import (
-        INCONCLUSIVE,
-        WaveguideNumerics,
-        WeylConfig,
-        absence_experiment,
-        alpha_star,
-        certify_discrete,
-        count_below_threshold,
-        scan_theta,
-        scan_truncation,
-        solve_waveguide_mode,
-        veps_certificate,
-        weyl_residual,
+
+def _layer(args, files):
+    return _build_layer(args).to_report()
+
+
+def _waveguide(args, files):
+    from .analysis import solve_waveguide_mode
+    from .report import sha256_of_arrays
+
+    mode = solve_waveguide_mode(args.theta, _numerics(args))
+    payload = mode.threshold.to_json()
+    payload["mesh_sha256"] = sha256_of_arrays(mode.mesh.nodes, mode.mesh.triangles)
+    if "pgm" in args.formats:
+        files["waveguide_mode.pgm"] = (_mode_heatmap(mode),)
+    return payload
+
+
+def _scan_theta(args, files):
+    from .analysis import scan_theta
+
+    scan = scan_theta(args.thetas, _numerics(args))
+    if "csv" in args.formats:
+        files["scan_theta.csv"] = (
+            ["theta", "lambda1", "error_indicator", "R", "h", "levels"],
+            [
+                [r.parameter, r.eigenvalues[0], r.error_indicators[0], r.R, r.h, r.levels]
+                for r in scan.records
+            ],
+        )
+    if "svg" in args.formats:
+        xs = [r.parameter for r in scan.records]
+        ys = [r.eigenvalues[0] for r in scan.records]
+        files["scan_theta.svg"] = (
+            {"lambda1(theta)": (xs, ys)},
+            "theta (rad)",
+            "lambda1",
+            {"pi^2": math.pi**2, "pi^2/4": math.pi**2 / 4},
+        )
+    return scan.to_json()
+
+
+def _scan_R(args, files):
+    from .analysis import scan_truncation
+
+    scan = scan_truncation(args.theta, args.R_list, _numerics(args))
+    if "csv" in args.formats:
+        files["scan_R.csv"] = (
+            ["R", "lambda1", "error_indicator"],
+            [
+                [r.parameter, r.eigenvalues[0], r.error_indicators[0]]
+                for r in scan.records
+            ],
+        )
+    if "svg" in args.formats:
+        xs = [r.parameter for r in scan.records]
+        ys = [r.eigenvalues[0] for r in scan.records]
+        files["scan_R.svg"] = (
+            {"lambda1(R)": (xs, ys)},
+            "outlet length R",
+            "lambda1",
+            {"asymptote": scan.asymptote},
+        )
+    return scan.to_json()
+
+
+def _count(args, files):
+    from .analysis import count_below_threshold
+
+    return count_below_threshold(
+        args.theta, _numerics(args), num_pairs=args.num_pairs
+    ).to_json()
+
+
+def _certify(args, files):
+    from .analysis import WaveguideNumerics, certify_discrete
+
+    return certify_discrete(
+        _build_layer(args),
+        R=args.R,
+        h=args.h,
+        levels=args.levels,
+        threshold_numerics=WaveguideNumerics(h=args.thr_h, levels=args.thr_levels),
+        seed=args.seed,
+    ).to_json()
+
+
+def _certify_veps(args, files):
+    from .analysis import veps_certificate
+
+    cert = veps_certificate(
+        _build_layer(args), eps_grid=args.eps, mode_numerics=_numerics(args)
     )
-    from .geometry import make_layer
-
-    files: dict = {}
-
-    if config.subcommand == "angle":
-        payload = _build_angle(config).to_report()
-
-    elif config.subcommand == "layer":
-        payload = make_layer(_build_angle(config)).to_report()
-
-    elif config.subcommand == "waveguide":
-        mode = solve_waveguide_mode(config.theta, _numerics(config))
-        payload = mode.threshold.to_json()
-        from .report import sha256_of_arrays
-
-        payload["mesh_sha256"] = sha256_of_arrays(
-            mode.mesh.nodes, mode.mesh.triangles
+    if "csv" in args.formats:
+        files["veps_terms.csv"] = (
+            ["eps", "T1", "T2", "T3", "value"],
+            [
+                [r["eps"], r["T1"], r["T2"], r["T3"], r["value"]]
+                for r in cert.evidence["terms"]
+            ],
         )
-        if "pgm" in config.formats:
-            files["waveguide_mode.pgm"] = _mode_heatmap(mode)
-
-    elif config.subcommand == "scan-theta":
-        scan = scan_theta(config.thetas, _numerics(config))
-        payload = scan.to_json()
-        if "csv" in config.formats:
-            files["scan_theta.csv"] = (
-                ["theta", "lambda1", "error_indicator", "R", "h", "levels"],
-                [
-                    [r.parameter, r.eigenvalues[0], r.error_indicators[0], r.R, r.h, r.levels]
-                    for r in scan.records
-                ],
-            )
-        if "svg" in config.formats:
-            xs = [r.parameter for r in scan.records]
-            ys = [r.eigenvalues[0] for r in scan.records]
-            files["scan_theta.svg"] = (
-                {"lambda1(theta)": (xs, ys)},
-                "theta (rad)",
-                "lambda1",
-                {"pi^2": math.pi**2, "pi^2/4": math.pi**2 / 4},
-            )
-
-    elif config.subcommand == "scan-R":
-        scan = scan_truncation(config.theta, config.R_list, _numerics(config))
-        payload = scan.to_json()
-        if "csv" in config.formats:
-            files["scan_R.csv"] = (
-                ["R", "lambda1", "error_indicator"],
-                [
-                    [r.parameter, r.eigenvalues[0], r.error_indicators[0]]
-                    for r in scan.records
-                ],
-            )
-        if "svg" in config.formats:
-            xs = [r.parameter for r in scan.records]
-            ys = [r.eigenvalues[0] for r in scan.records]
-            files["scan_R.svg"] = (
-                {"lambda1(R)": (xs, ys)},
-                "outlet length R",
-                "lambda1",
-                {"asymptote": scan.asymptote},
-            )
-
-    elif config.subcommand == "count":
-        result = count_below_threshold(
-            config.theta, _numerics(config), num_pairs=config.num_pairs
-        )
-        payload = result.to_json()
-
-    elif config.subcommand == "certify":
-        layer = make_layer(_build_angle(config))
-        cert = certify_discrete(
-            layer,
-            R=config.R,
-            h=config.h,
-            levels=config.levels,
-            threshold_numerics=WaveguideNumerics(h=config.thr_h, levels=config.thr_levels),
-            seed=config.seed,
-        )
-        payload = cert.to_json()
-
-    elif config.subcommand == "certify-veps":
-        layer = make_layer(_build_angle(config))
-        eps = config.eps_grid if config.eps_grid else None
-        cert = veps_certificate(
-            layer,
-            eps_grid=np.asarray(eps) if eps else None,
-            mode_numerics=WaveguideNumerics(
-                h=config.h, levels=config.levels, R=config.R, seed=config.seed
-            ),
-        )
-        payload = cert.to_json()
-        if "csv" in config.formats:
-            files["veps_terms.csv"] = (
-                ["eps", "T1", "T2", "T3", "value"],
-                [
-                    [r["eps"], r["T1"], r["T2"], r["T3"], r["value"]]
-                    for r in cert.evidence["terms"]
-                ],
-            )
-
-    elif config.subcommand == "absence":
-        cert = absence_experiment(
-            config.alpha,
-            R=config.R,
-            h=config.h,
-            levels=config.levels,
-            threshold_numerics=WaveguideNumerics(h=config.thr_h, levels=config.thr_levels),
-            star_tol=config.star_tol,
-            seed=config.seed,
-        )
-        payload = cert.to_json()
-
-    elif config.subcommand == "hardy":
-        payload = _run_hardy(config)
-
-    elif config.subcommand == "weyl":
-        layer = make_layer(_build_angle(config))
-        mode_numerics = WaveguideNumerics(
-            h=config.h, levels=config.levels, R=config.R, seed=config.seed
-        )
-        mode = solve_waveguide_mode(layer.beta_min, mode_numerics)
-        rows = []
-        for n in config.indices:
-            cfg = WeylConfig(
-                index=n,
-                kappa=config.kappa,
-                h_grid=config.h_grid,
-                mode_numerics=mode_numerics,
-            )
-            rows.append(weyl_residual(layer, cfg, mode=mode).to_json())
-        payload = {"elements": rows, "kappa": config.kappa}
-
-    elif config.subcommand == "alpha-star":
-        star = alpha_star(
-            tol=config.star_tol,
-            numerics=WaveguideNumerics(h=config.h, levels=config.levels),
-        )
-        payload = star.to_json()
-
-    else:  # pragma: no cover - argparse guards this
-        raise ConfigError(f"unknown subcommand {config.subcommand}")
-
-    code = EXIT_INCONCLUSIVE if payload.get("verdict") == INCONCLUSIVE else EXIT_OK
-    return payload, code, files
+    return cert.to_json()
 
 
-def _run_hardy(config: RunConfig) -> dict:
+def _absence(args, files):
+    from .analysis import WaveguideNumerics, absence_experiment
+
+    return absence_experiment(
+        args.alpha,
+        R=args.R,
+        h=args.h,
+        levels=args.levels,
+        threshold_numerics=WaveguideNumerics(h=args.thr_h, levels=args.thr_levels),
+        star_tol=args.star_tol,
+        seed=args.seed,
+    ).to_json()
+
+
+def _hardy(args, files):
     import numpy as np
 
     from .analysis import hardy_check, random_decaying_sample, sample_from_function
 
-    if config.hardy_case == "exp":
+    if args.case == "exp":
         sample = sample_from_function(lambda z: np.exp(1.0 - z), z_max=30.0, n=30_000)
         return {"case": "exp", "report": hardy_check(sample).to_json()}
-    if config.hardy_case == "invz":
+    if args.case == "invz":
         sample = sample_from_function(
             lambda z: 1.0 / z, z_max=500.0, n=200_000, taper=3.0
         )
         return {"case": "invz", "report": hardy_check(sample).to_json()}
-    rng = np.random.default_rng(config.seed)
-    rows = []
-    all_hold = True
-    for _ in range(config.hardy_count):
-        rep = hardy_check(random_decaying_sample(rng))
-        all_hold &= rep.lemma_holds and rep.corollary_holds
-        rows.append(rep.to_json())
+    rng = np.random.default_rng(args.seed)
+    reports = [hardy_check(random_decaying_sample(rng)) for _ in range(args.count)]
     return {
         "case": "random",
-        "count": config.hardy_count,
-        "all_hold": bool(all_hold),
-        "reports": rows,
+        "count": args.count,
+        "all_hold": all(rep.lemma_holds and rep.corollary_holds for rep in reports),
+        "reports": [rep.to_json() for rep in reports],
     }
+
+
+def _weyl(args, files):
+    from .analysis import WeylConfig, solve_waveguide_mode, weyl_residual
+
+    layer = _build_layer(args)
+    numerics = _numerics(args)
+    mode = solve_waveguide_mode(layer.beta_min, numerics)
+    rows = []
+    for n in args.indices:
+        cfg = WeylConfig(
+            index=n, kappa=args.kappa, h_grid=args.h_grid, mode_numerics=numerics
+        )
+        rows.append(weyl_residual(layer, cfg, mode=mode).to_json())
+    return {"elements": rows, "kappa": args.kappa}
+
+
+def _alpha_star(args, files):
+    from .analysis import alpha_star
+
+    return alpha_star(tol=args.star_tol, numerics=_numerics(args)).to_json()
+
+
+HANDLERS = {
+    "angle": _angle,
+    "layer": _layer,
+    "waveguide": _waveguide,
+    "scan-theta": _scan_theta,
+    "scan-R": _scan_R,
+    "count": _count,
+    "certify": _certify,
+    "certify-veps": _certify_veps,
+    "absence": _absence,
+    "hardy": _hardy,
+    "weyl": _weyl,
+    "alpha-star": _alpha_star,
+}
+
+
+def run(args: argparse.Namespace) -> tuple:
+    """Execute the parsed subcommand; returns (payload, exit_code, files).
+
+    ``files`` maps relative file names inside the output directory to the
+    arguments of their writer; the JSON bundle itself is handled by the caller.
+    """
+    if args.dry_run:
+        return _dry_run_payload(args), EXIT_OK, {}
+
+    from .analysis import INCONCLUSIVE
+
+    files: dict = {}
+    payload = HANDLERS[args.subcommand](args, files)
+    code = EXIT_INCONCLUSIVE if payload.get("verdict") == INCONCLUSIVE else EXIT_OK
+    return payload, code, files
 
 
 def _mode_heatmap(mode, resolution: int = 400):
@@ -562,23 +456,15 @@ def _mode_heatmap(mode, resolution: int = 400):
     return img[::-1]
 
 
-def _write_outputs(config: RunConfig, payload: dict, files: dict, started: float):
+def _write_outputs(args, payload: dict, files: dict, started: float):
     from .report import make_meta, write_bundle, write_csv, write_pgm, write_svg_lines
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    bundle_path = os.path.join(config.out_dir, f"{config.subcommand}.json")
-    meta = make_meta(config.to_dict(), started, __version__)
-    write_bundle(bundle_path, payload, meta)
+    bundle_path = os.path.join(args.out, f"{args.subcommand}.json")
+    echo = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(args).items()}
+    write_bundle(bundle_path, payload, make_meta(echo, started, __version__))
+    writers = {".csv": write_csv, ".svg": write_svg_lines, ".pgm": write_pgm}
     for name, content in files.items():
-        path = os.path.join(config.out_dir, name)
-        if name.endswith(".csv"):
-            header, rows = content
-            write_csv(path, header, rows)
-        elif name.endswith(".svg"):
-            series, xlabel, ylabel, hlines = content
-            write_svg_lines(path, series, xlabel, ylabel, hlines)
-        elif name.endswith(".pgm"):
-            write_pgm(path, content)
+        writers[os.path.splitext(name)[1]](os.path.join(args.out, name), *content)
     return bundle_path
 
 
@@ -596,20 +482,21 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-        if args.subcommand == "absence":
-            args.alpha_value = args.alpha  # scalar angle, not a geometry list
-        config = config_from_args(args)
-        _apply_threads(argv, config.threads)
+        _check_args(args)
+        _apply_threads(argv, args.threads)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
         started = time.time()
-        payload, code, files = run(config)
+        payload, code, files = run(args)
     except (PolylayerError, ValueError) as exc:
         # a ValueError from numpy/scipy is bad input as well
         code = getattr(exc, "exit_code", EXIT_CONFIG)
         label = "numerical failure" if code == EXIT_NONCONVERGED else "config error"
         print(f"{label}: {exc}", file=sys.stderr)
         return code
-    bundle = _write_outputs(config, payload, files, started)
-    print(bundle)
+    print(_write_outputs(args, payload, files, started))
     return code
 
 

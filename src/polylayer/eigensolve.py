@@ -22,6 +22,8 @@ from .errors import AnalysisError, PolylayerError
 # ILU-preconditioned CG inner solves (memory, not accuracy)
 DIRECT_SOLVE_LIMIT = 300_000
 
+ARPACK_MAXITER = 20_000  # per eigensolve
+
 
 class SolverError(PolylayerError, RuntimeError):
     """Raised for invalid solver input (not for slow convergence)."""
@@ -33,7 +35,6 @@ class SolverConfig:
 
     num_pairs: int = 1
     tol: float = 1e-8
-    maxiter: int = 20_000
     seed: int = 0
 
     def __post_init__(self):
@@ -164,7 +165,7 @@ def smallest_eigenpairs(
             sigma=0.0,
             OPinv=op_inv,
             v0=v0,
-            maxiter=config.maxiter,
+            maxiter=ARPACK_MAXITER,
             tol=0.0,
         )
         converged = np.ones(m, dtype=bool)

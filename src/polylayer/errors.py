@@ -13,6 +13,10 @@ class PolylayerError(Exception):
     exit_code = 2
 
 
+class ConfigError(PolylayerError, ValueError):
+    """Invalid input: a bad flag, option list or analysis parameter."""
+
+
 class AnalysisError(PolylayerError, RuntimeError):
     """Raised when an analysis operation cannot meet its contract."""
 

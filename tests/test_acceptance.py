@@ -28,6 +28,7 @@ from polylayer.analysis import (
     veps_certificate,
     weyl_residual,
 )
+from polylayer.analysis.weyl import Z_WIDTH
 from polylayer.assembly import assemble_p1, assemble_q1
 from polylayer.eigensolve import SolverConfig, smallest_eigenpairs
 from polylayer.extrapolate import richardson
@@ -234,7 +235,7 @@ def test_criterion_9_weyl():
             "kappa=%g: %s" % (kappa, "/".join(f"{r:.2f}" for r in residuals))
         )
     for n in (2, 3, 4):
-        assert support_overlap(n, n + 1, config0.z_width) == 0.0
+        assert support_overlap(n, n + 1, Z_WIDTH) == 0.0
     return "; ".join(details)
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylayer.analysis import (
-    AnalysisError,
     HardySample,
     WaveguideNumerics,
     WeylConfig,
@@ -22,6 +21,7 @@ from polylayer.analysis import (
     threshold,
 )
 from polylayer.analysis.hardy import HardyError
+from polylayer.errors import ConfigError
 from polylayer.geometry import build_regular, build_trihedral, fichera_angle, make_layer
 
 PI = math.pi
@@ -82,7 +82,7 @@ def test_scan_theta_monotone_and_banded():
 
 
 def test_scan_theta_requires_ascending():
-    with pytest.raises(AnalysisError):
+    with pytest.raises(ConfigError):
         scan_theta((1.0, 0.5), COARSE)
 
 
@@ -97,9 +97,9 @@ def test_scan_truncation_structure():
 
 
 def test_scan_truncation_rejects_non_nested():
-    with pytest.raises(AnalysisError, match="integer multiple"):
+    with pytest.raises(ConfigError, match="integer multiple"):
         scan_truncation(PI / 2, (2.0, 2.5), WaveguideNumerics(h=0.3, levels=2))
-    with pytest.raises(AnalysisError, match="ascending"):
+    with pytest.raises(ConfigError, match="ascending"):
         scan_truncation(PI / 2, (3.0, 2.0), WaveguideNumerics(h=0.25, levels=2))
 
 
@@ -180,14 +180,14 @@ def test_hardy_holds_on_random_decaying_samples(seed):
 
 
 def test_weyl_config_guards():
-    with pytest.raises(AnalysisError):
+    with pytest.raises(ConfigError):
         WeylConfig(index=0)
-    with pytest.raises(AnalysisError):
+    with pytest.raises(ConfigError):
         WeylConfig(index=2, kappa=-1.0)
     from polylayer.analysis import weyl_residual
 
     lay = make_layer(fichera_angle())
-    with pytest.raises(AnalysisError, match="too coarse"):
+    with pytest.raises(ConfigError, match="too coarse"):
         weyl_residual(lay, WeylConfig(index=2, h_grid=0.3))
 
 

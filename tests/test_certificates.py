@@ -18,6 +18,7 @@ from polylayer.geometry import (
     fichera_angle,
     make_layer,
 )
+from polylayer.errors import ConfigError
 
 PI = math.pi
 
@@ -76,7 +77,7 @@ def test_veps_requires_regular_layer():
 
 
 def test_veps_requires_three_levels(fichera_layer):
-    with pytest.raises(AnalysisError, match="3 levels"):
+    with pytest.raises(ConfigError, match="3 levels"):
         veps_certificate(
             fichera_layer, mode_numerics=WaveguideNumerics(h=0.2, levels=2, R=4.0)
         )
@@ -97,7 +98,7 @@ def test_veps_fichera_light(fichera_layer):
 
 
 def test_alpha_star_tol_guard():
-    with pytest.raises(AnalysisError):
+    with pytest.raises(ConfigError):
         alpha_star(tol=1e-4)
 
 

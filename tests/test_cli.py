@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import inspect
 import json
@@ -7,15 +8,17 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg as sla
 
 from polylayer.cli import (
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,
     EXIT_NONCONVERGED,
     EXIT_OK,
+    HANDLERS,
     ConfigError,
-    RunConfig,
     build_parser,
     main,
     parse_angle,
@@ -61,17 +64,21 @@ def test_config_round_trip(tmp_path):
     )
     assert code == EXIT_OK
     bundle = json.loads((out / "waveguide.json").read_text())
-    echoed = RunConfig.from_dict(bundle["meta"]["config"])
-    assert echoed.subcommand == "waveguide"
-    assert echoed.theta == pytest.approx(1.2)
-    assert echoed.h == 0.25
-    # re-serializing the echoed config reproduces the stored one
-    assert echoed.to_dict() == bundle["meta"]["config"]
-
-
-def test_unknown_config_keys_rejected():
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        RunConfig.from_dict({"subcommand": "angle", "bogus": 1})
+    # the parsed flags of this subcommand, and no others
+    assert bundle["meta"]["config"] == {
+        "subcommand": "waveguide",
+        "theta": 1.2,
+        "h": 0.25,
+        "levels": 2,
+        "R": 4.0,
+        "num_pairs": 1,
+        "tol": 1e-8,
+        "seed": 0,
+        "out": str(out),
+        "formats": ["json"],
+        "dry_run": False,
+        "threads": None,
+    }
 
 
 def test_payload_bytes_reproducible(tmp_path):
@@ -294,32 +301,120 @@ FICHERA = ["--kind", "trihedral", "--alpha", "90deg,90deg,90deg"]
 SMALL_CERTIFY = ["certify", *FICHERA, "--R", "3", "--h", "0.25", "--thr-h", "0.25",
                  "--thr-levels", "2"]
 SMALL_COUNT = ["count", "--theta", "90deg", "--h", "0.25", "--levels", "2"]
+REGULAR = ["--kind", "regular", "--n", "3", "--alpha", "60deg"]
+
+
+def _no_convergence(*args, **kwargs):
+    raise sla.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
 
 
 @pytest.mark.parametrize(
     "argv, expected, stderr_prefix",
     [
-        (["layer", "--kind", "regular", "--n", "3", "--alpha", "60deg"], EXIT_OK, ""),
-        # infeasible geometry, solver input, and a stray ValueError (no levels)
+        (["layer", *REGULAR], EXIT_OK, ""),
+        # infeasible geometry, solver input, and analysis parameters
         (["angle", "--kind", "trihedral", "--alpha", "170deg,10deg,10deg"],
          EXIT_CONFIG, "config error:"),
         ([*SMALL_COUNT, "--pairs", "400"], EXIT_CONFIG, "config error:"),
         ([*SMALL_COUNT, "--pairs", "0"], EXIT_CONFIG, "config error:"),
         ([*SMALL_CERTIFY, "--levels", "0"], EXIT_CONFIG, "config error:"),
         (["waveguide", "--theta", "90deg", "--h", "0.25", "--levels", "1"],
+         EXIT_CONFIG, "config error:"),
+        # an output path that cannot be a directory fails before the run
+        (["angle", *REGULAR, "--out", os.devnull], EXIT_CONFIG, "config error:"),
+        # ARPACK is made to fail below
+        (["waveguide", "--theta", "90deg", "--h", "0.25", "--levels", "2"],
          EXIT_NONCONVERGED, "numerical failure:"),
         ([*SMALL_CERTIFY, "--levels", "1"], EXIT_INCONCLUSIVE, ""),
     ],
     ids=["ok", "config-geometry", "config-pairs-400", "config-pairs-0",
-         "config-levels-0", "nonconverged", "inconclusive"],
+         "config-levels-0", "config-levels-1", "config-out-not-a-dir",
+         "nonconverged", "inconclusive"],
 )
-def test_exit_codes(argv, expected, stderr_prefix, tmp_path, capsys):
-    code = main([*argv, "--out", str(tmp_path)])
+def test_exit_codes(argv, expected, stderr_prefix, tmp_path, capsys, monkeypatch):
+    if expected == EXIT_NONCONVERGED:
+        monkeypatch.setattr(sla, "eigsh", _no_convergence)
+    if "--out" not in argv:
+        argv = [*argv, "--out", str(tmp_path)]
+    code = main(argv)
     assert code == expected
     err = capsys.readouterr().err
     assert err.startswith(stderr_prefix)
     assert "Traceback" not in err
     assert (tmp_path / f"{argv[0]}.json").exists() == (not stderr_prefix)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*SMALL_CERTIFY, "--levels", "0"], ["absence", "--alpha", "0.26rad", "--levels", "0"]],
+    ids=["certify", "absence"],
+)
+def test_levels_checked_before_any_solve(argv, tmp_path, capsys, monkeypatch):
+    from polylayer.analysis import certificates
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved before the levels check")
+
+    monkeypatch.setattr(certificates, "threshold", must_not_run)
+    monkeypatch.setattr(certificates, "alpha_star", must_not_run)
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "levels" in capsys.readouterr().err
+
+
+# each subcommand with its required flags only
+DRY_RUN_ARGV = {
+    "angle": REGULAR,
+    "layer": REGULAR,
+    "waveguide": ["--theta", "90deg"],
+    "scan-theta": ["--thetas", "0.8rad,1.2rad"],
+    "scan-R": ["--theta", "90deg", "--R-list", "2,3"],
+    "count": ["--theta", "90deg"],
+    "certify": REGULAR,
+    "certify-veps": REGULAR,
+    "absence": ["--alpha", "0.26rad"],
+    "hardy": [],
+    "weyl": FICHERA,
+    "alpha-star": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRY_RUN_ARGV))
+def test_dry_run_never_solves(name, tmp_path, monkeypatch):
+    from polylayer import eigensolve
+    from polylayer.analysis import certificates, waveguide
+
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(HANDLERS) == set(subparsers.choices) == set(DRY_RUN_ARGV)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a dry run solved")
+
+    for module in (eigensolve, waveguide, certificates):
+        monkeypatch.setattr(module, "smallest_eigenpairs", must_not_run)
+    code, out = run_cli([name, *DRY_RUN_ARGV[name], "--dry-run"], tmp_path, name)
+    assert code == EXIT_OK
+    assert json.loads((out / f"{name}.json").read_text())["payload"]["dry_run"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*SMALL_CERTIFY, "--pairs", "7"],
+        [*SMALL_CERTIFY, "--tol", "1e-3"],
+        ["certify-veps", *REGULAR, "--pairs", "7"],
+        ["certify-veps", *REGULAR, "--tol", "1e-3"],
+        ["absence", "--alpha", "0.26rad", "--pairs", "7"],
+        ["absence", "--alpha", "0.26rad", "--tol", "1e-3"],
+        ["scan-R", "--theta", "90deg", "--R-list", "2,3", "--R", "3"],
+    ],
+    ids=["certify-pairs", "certify-tol", "certify-veps-pairs", "certify-veps-tol",
+         "absence-pairs", "absence-tol", "scan-R-R"],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
 
 
 def test_every_exception_derives_from_the_common_base():
