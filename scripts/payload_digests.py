@@ -1,0 +1,65 @@
+#!/usr/bin/env python3
+"""Digests of the payloads and side files of a fixed list of small CLI runs.
+
+Each command runs through ``polylayer.cli.main`` in its own temporary
+``--out``.  One line per command: exit code, sha256 of the bundle's
+``payload`` section, and ``name=sha256`` for every side file.  To check that
+a change keeps every byte, run it against two checkouts and diff:
+
+    PYTHONPATH=<old checkout>/src python3 scripts/payload_digests.py > old.txt
+    PYTHONPATH=src python3 scripts/payload_digests.py > new.txt
+    diff old.txt new.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+from polylayer.cli import main
+
+FICHERA = "--kind trihedral --alpha 90deg,90deg,90deg"
+COMMANDS = [
+    "waveguide --theta 90deg --h 0.25 --levels 2 --formats json,pgm",
+    "scan-theta --thetas 0.3rad,0.82rad,1.34rad,1.86rad,2.38rad,2.9rad --h 0.15"
+    " --levels 3 --formats json,csv,svg",
+    "scan-R --theta 90deg --R-list 2,3,4 --h 0.25 --levels 2 --formats json,csv,svg",
+    "count --theta 90deg --h 0.25 --levels 3",
+    "count --theta 2.4rad --h 0.25 --levels 3",
+    "count --theta 0.15rad --h 0.4 --levels 3",
+    f"certify {FICHERA} --R 4 --h 0.125 --levels 2 --thr-h 0.1",
+    "certify-veps --kind regular --n 3 --alpha 60deg --h 0.125 --levels 3 --formats json,csv",
+    f"weyl {FICHERA} --indices 2,3,4,5 --h 0.16",
+    "hardy --case random --count 5 --seed 3",
+    "alpha-star --star-tol 0.05 --h 0.25 --levels 2",
+]
+PAYLOAD_MARK = b',\n"payload": '
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(command: str) -> str:
+    argv = command.split()
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):  # the bundle path
+            code = main([*argv, "--out", out])
+        fields = [f"exit={code}"]
+        bundle = os.path.join(out, f"{argv[0]}.json")
+        if os.path.exists(bundle):
+            with open(bundle, "rb") as f:
+                raw = f.read()
+            payload = raw[raw.index(PAYLOAD_MARK) + len(PAYLOAD_MARK) : -len(b"\n}\n")]
+            fields.append(f"payload={digest(payload)}")
+        for name in sorted(os.listdir(out)):
+            if name != f"{argv[0]}.json":
+                with open(os.path.join(out, name), "rb") as f:
+                    fields.append(f"{name}={digest(f.read())}")
+    return f"{command}\n    " + " ".join(fields)
+
+
+if __name__ == "__main__":
+    for command in COMMANDS:
+        print(run(command), flush=True)

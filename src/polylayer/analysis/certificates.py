@@ -177,7 +177,7 @@ _TRI_BARY = np.array(
 )
 
 
-def _veps_terms(mode, alpha: float, beta: float, eps: float) -> dict:
+def _veps_terms(mesh, v: np.ndarray, alpha: float, beta: float, eps: float) -> dict:
     """The three terms of the trial-function energy at one epsilon.
 
     Coordinates (x, y) live in the cross-section frame anchored at the inner
@@ -188,8 +188,6 @@ def _veps_terms(mode, alpha: float, beta: float, eps: float) -> dict:
     the symmetry segment gamma_0, with the single-counted coefficient
     cot(alpha/2) sin(beta/2) (verified against the 3D wedge energy).
     """
-    mesh = mode.mesh
-    v = mode.values[:, 0]
     half = beta / 2.0
     cot_a = 1.0 / math.tan(alpha / 2.0)
     cot_b = 1.0 / math.tan(half)
@@ -203,9 +201,7 @@ def _veps_terms(mode, alpha: float, beta: float, eps: float) -> dict:
     p = mesh.nodes[mesh.triangles]
     qp = np.einsum("qk,tkd->tqd", _TRI_BARY, p)
     vq = np.einsum("qk,tk->tq", _TRI_BARY, v[mesh.triangles])
-    d1v = p[:, 1] - p[:, 0]
-    d2v = p[:, 2] - p[:, 0]
-    area = 0.5 * np.abs(d1v[:, 0] * d2v[:, 1] - d1v[:, 1] * d2v[:, 0])
+    area = np.abs(mesh.signed_areas())
     x_dag = (qp - inner) @ d1
     upper = qp[..., 1] > 0.0  # the half-waveguide along the x_dag outlet
     w = np.exp(-2.0 * eps * cot_a * x_dag)
@@ -242,25 +238,26 @@ def veps_certificate(
         raise ConfigError("the 2D eigenfunction needs at least 3 levels")
     mode = solve_waveguide_mode(beta, numerics)
 
-    rows = [_veps_terms(mode, alpha, beta, float(e)) for e in eps_grid]
+    mesh, v = mode.mesh, mode.values[:, 0]
+    rows = [_veps_terms(mesh, v, alpha, beta, float(e)) for e in eps_grid]
     values = np.array([r["value"] for r in rows])
     best_idx = int(np.argmin(values))
     best = float(values[best_idx])
 
     # quadrature error estimated where the verdict is decided: re-evaluate
     # the winning value (and the smallest eps) on the previous mesh level
-    coarse = _CoarseModeView(mode)
+    coarse_mesh, coarse_v = mode.meshes[-2], mode.values_per_level[-2][:, 0]
     quad_err = max(
         abs(
-            _veps_terms(coarse, alpha, beta, float(eps_grid[k]))["value"]
+            _veps_terms(coarse_mesh, coarse_v, alpha, beta, float(eps_grid[k]))["value"]
             - values[k]
         )
         for k in {0, best_idx}
     )
 
-    t3_zero = _veps_terms(mode, alpha, beta, 0.0)["T3"]
+    t3_zero = _veps_terms(mesh, v, alpha, beta, 0.0)["T3"]
     small_eps = 1e-4  # continuity check: value(eps) -> T3(0) as eps -> 0
-    value_small = _veps_terms(mode, alpha, beta, small_eps)["value"]
+    value_small = _veps_terms(mesh, v, alpha, beta, small_eps)["value"]
     verdict = NONEMPTY if best < 0.0 and abs(best) > quad_err else INCONCLUSIVE
     thr = mode.threshold
     return Certificate(
@@ -288,16 +285,6 @@ def veps_certificate(
             "boundary term, verified against the 3D wedge energy",
         ],
     )
-
-
-class _CoarseModeView:
-    """Previous-level eigenfunction presented with the mode interface."""
-
-    def __init__(self, mode):
-        self.mesh = mode.meshes[-2]
-        self.values = mode.values_per_level[-2]
-        self.eigenvalues = mode.eigenvalues
-        self.threshold = mode.threshold
 
 
 @dataclass(eq=False)

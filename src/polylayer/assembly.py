@@ -88,17 +88,10 @@ class DiscreteProblem:
     node_to_eq: np.ndarray
     K_raw: SparseSymmetric
     M_raw: SparseSymmetric
-    provenance: str = ""
 
     @property
     def n(self) -> int:
         return self.K.n
-
-    def expand(self, vec: np.ndarray) -> np.ndarray:
-        """Zero-padded nodal field from an equation-sized vector."""
-        out = np.zeros(self.node_to_eq.shape[0])
-        out[self.free_nodes] = vec
-        return out
 
 
 def _emit_upper_varying(global_ids: np.ndarray, elements: np.ndarray):
@@ -130,10 +123,7 @@ def assemble_p1(mesh: TriMesh) -> DiscreteProblem:
     y = pts[..., 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * (
-        (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-        - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
-    )
+    area = mesh.signed_areas()
     bad = area <= 1e-14 * np.maximum(1.0, np.abs(x).max())
     if bad.any():
         raise AssemblyError(f"degenerate triangle at index {int(np.argmax(bad))}")
@@ -152,7 +142,7 @@ def assemble_p1(mesh: TriMesh) -> DiscreteProblem:
 
     fixed = np.zeros(n, dtype=bool)
     fixed[mesh.dirichlet_nodes()] = True
-    return _reduce(K_raw, M_raw, fixed, provenance=f"p1:{n}nodes")
+    return _reduce(K_raw, M_raw, fixed)
 
 
 def q1_element_matrices(h: float):
@@ -189,11 +179,11 @@ def assemble_q1(grid: VoxelGrid) -> DiscreteProblem:
     fixed = grid.dirichlet.copy()
     if not (~fixed).any():
         raise AssemblyError("all nodes are Dirichlet: empty problem")
-    return _reduce(K_raw, M_raw, fixed, provenance=f"q1:{grid.num_active_cells}cells")
+    return _reduce(K_raw, M_raw, fixed)
 
 
 def _reduce(
-    K_raw: SparseSymmetric, M_raw: SparseSymmetric, fixed: np.ndarray, provenance: str
+    K_raw: SparseSymmetric, M_raw: SparseSymmetric, fixed: np.ndarray
 ) -> DiscreteProblem:
     free = np.flatnonzero(~fixed)
     if len(free) == 0:
@@ -207,7 +197,6 @@ def _reduce(
         node_to_eq=node_to_eq,
         K_raw=K_raw,
         M_raw=M_raw,
-        provenance=provenance,
     )
 
 

@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="json",
         help="comma list of json,csv,svg,pgm",
     )
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--dry-run", action="store_true")
     common.add_argument("--threads", type=int, default=None)
 
@@ -114,9 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp = p.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, geometry=False, **numerics):  # numerics: argparse name=default
+    def add(name, geometry=False, seed=True, **numerics):  # numerics: name=default
         # no abbreviations: scan-R would read --R as --R-list
         sub = sp.add_parser(name, parents=[common], allow_abbrev=False)
+        if seed:
+            sub.add_argument("--seed", type=int, default=0)
         if geometry:
             _geometry_args(sub)
         for dest, default in numerics.items():
@@ -124,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(flag, dest=dest, type=kind, default=default)
         return sub
 
-    add("angle", geometry=True)
-    add("layer", geometry=True)
+    add("angle", geometry=True, seed=False)
+    add("layer", geometry=True, seed=False)
 
     sub = add("waveguide", h=0.1, levels=3, R=None, num_pairs=1, tol=1e-8)
     sub.add_argument("--theta", type=parse_angle, required=True)
@@ -181,8 +182,11 @@ def _check_args(args: argparse.Namespace) -> None:
             raise ConfigError("regular geometry needs --n")
         if len(args.alpha) != 1:
             raise ConfigError("regular geometry takes a single --alpha")
-    elif kind == "trihedral" and len(args.alpha) != 3:
-        raise ConfigError("trihedral geometry takes three --alpha values")
+    elif kind == "trihedral":
+        if args.n is not None:
+            raise ConfigError("trihedral geometry takes no --n")
+        if len(args.alpha) != 3:
+            raise ConfigError("trihedral geometry takes three --alpha values")
 
 
 def _build_angle(args):

@@ -101,10 +101,6 @@ class VoxelGrid:
         }
 
 
-def volume(grid: VoxelGrid) -> float:
-    return grid.volume
-
-
 def _coordinate_bounds(layer: LayerGeometry, R: float) -> tuple:
     """Tight per-axis bounds of the truncated layer via six small LPs."""
     normals = layer.angle.normals

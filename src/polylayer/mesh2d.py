@@ -50,6 +50,7 @@ class TriMesh:
     parent: Optional["TriMesh"] = None
     quality_min_angle: Optional[float] = None  # reported at build time
     _locator: Optional["_TriangleLocator"] = field(default=None, repr=False)
+    _unique_edges: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def num_nodes(self) -> int:
@@ -60,10 +61,7 @@ class TriMesh:
         return self.triangles.shape[0]
 
     def signed_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return _signed_areas(self.nodes, self.triangles)
 
     @property
     def total_area(self) -> float:
@@ -72,13 +70,12 @@ class TriMesh:
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles (radians)."""
         p = self.nodes[self.triangles]
+        cross = 2.0 * np.abs(self.signed_areas())
         angles = []
         for k in range(3):
             a = p[:, (k + 1) % 3] - p[:, k]
             b = p[:, (k + 2) % 3] - p[:, k]
-            cross = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-            dot = (a * b).sum(axis=1)
-            angles.append(np.arctan2(cross, dot))
+            angles.append(np.arctan2(cross, (a * b).sum(axis=1)))
         return float(np.min(angles))
 
     def dirichlet_nodes(self) -> np.ndarray:
@@ -92,49 +89,74 @@ class TriMesh:
             np.linalg.norm(self.nodes[e[:, 1]] - self.nodes[e[:, 0]], axis=1).sum()
         )
 
+    def edges(self) -> np.ndarray:
+        """Unique node pairs (smaller index first) of all triangle sides."""
+        if self._unique_edges is None:
+            self._unique_edges = _edges(self.triangles)[0]
+        return self._unique_edges
+
     def locator(self) -> "_TriangleLocator":
         if self._locator is None:
             self._locator = _TriangleLocator(self)
         return self._locator
 
 
-def _edge_key(a: int, b: int) -> tuple:
-    return (a, b) if a < b else (b, a)
+def _signed_areas(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    p = nodes[tris]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def _edges(tris: np.ndarray) -> tuple:
+    """(unique, inverse): the sorted unique node pairs of the triangle sides,
+    and for every side (all 0-1 sides, then 1-2, then 2-0) its row there."""
+    sides = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    sides.sort(axis=1)
+    return np.unique(sides, axis=0, return_inverse=True)
 
 
 def check_conforming(mesh: TriMesh) -> None:
     """Raise MeshError unless every interior edge is shared by exactly two
     triangles, boundary edges by exactly one, and tagged edges coincide with
     the topological boundary."""
-    counts: dict[tuple, int] = {}
-    for tri in mesh.triangles:
-        for k in range(3):
-            key = _edge_key(int(tri[k]), int(tri[(k + 1) % 3]))
-            counts[key] = counts.get(key, 0) + 1
-    if any(c > 2 for c in counts.values()):
+    edges, inverse = _edges(mesh.triangles)
+    counts = np.bincount(inverse.ravel(), minlength=len(edges))
+    if (counts > 2).any():
         raise MeshError("non-conforming: an edge is shared by more than two triangles")
-    boundary = {k for k, c in counts.items() if c == 1}
-    tagged = {_edge_key(int(a), int(b)) for a, b in mesh.boundary_edges}
-    if boundary != tagged:
+    tagged = np.unique(np.sort(mesh.boundary_edges, axis=1), axis=0)
+    if not np.array_equal(edges[counts == 1], tagged):
         raise MeshError("tagged boundary edges do not match the topological boundary")
 
 
-def _block_quads(node_id, n1: int, n2: int) -> list:
-    """Triangles for an (n1 x n2)-quad block; node_id(i, j) gives global ids.
+def _block_quads(ids: np.ndarray) -> np.ndarray:
+    """Triangles of the quad block whose (n1+1, n2+1) node ids are ``ids``.
 
     Every quad splits along the same local diagonal (v00, v11), which keeps
     the split deterministic and aligned with the kite symmetry axis.
     """
-    tris = []
-    for i in range(n1):
-        for j in range(n2):
-            v00 = node_id(i, j)
-            v10 = node_id(i + 1, j)
-            v01 = node_id(i, j + 1)
-            v11 = node_id(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return tris
+    v00, v10 = ids[:-1, :-1].ravel(), ids[1:, :-1].ravel()
+    v01, v11 = ids[:-1, 1:].ravel(), ids[1:, 1:].ravel()
+    return np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+
+
+def _sides(*paths) -> tuple:
+    """(edges, tags) along (node-id path, tag) pairs of equal length,
+    interleaved: edge k of every path, then edge k + 1 of every path."""
+    ids = np.stack([path for path, _ in paths])
+    edges = np.stack([ids[:, :-1], ids[:, 1:]], axis=-1).swapaxes(0, 1).reshape(-1, 2)
+    return edges, np.tile([tag for _, tag in paths], ids.shape[1] - 1)
+
+
+def _mesh(nodes, blocks, sides, **fields) -> TriMesh:
+    """TriMesh of the quad ``blocks`` and the (edges, tags) ``sides``."""
+    return TriMesh(
+        nodes=nodes,
+        triangles=_orient(np.concatenate([_block_quads(b) for b in blocks]), nodes),
+        boundary_edges=np.concatenate([e for e, _ in sides]),
+        boundary_tags=np.concatenate([t for _, t in sides]),
+        **fields,
+    )
 
 
 def mesh_lshape(profile: LShapeProfile, h: float) -> TriMesh:
@@ -163,67 +185,35 @@ def mesh_lshape(profile: LShapeProfile, h: float) -> TriMesh:
     d1 = np.array([math.cos(half), math.sin(half)])
     d2 = np.array([math.cos(half), -math.sin(half)])
 
-    nodes: list[np.ndarray] = []
+    # kite node (i, j) sits at bilinear coordinates (xi, eta) = (i, j) / n_c;
+    # the zero term of the corner Op sets the sign of zero coordinates
+    xi = (np.arange(n_c + 1) / n_c)[:, None, None]
+    eta = xi.reshape(1, -1, 1)
+    kite = (
+        Op * ((1 - xi) * (1 - eta))
+        + f1 * (xi * (1 - eta))
+        + O * (xi * eta)
+        + f2 * ((1 - xi) * eta)
+    )
+    nodes = [kite.reshape(-1, 2)]
+    blocks = [np.arange((n_c + 1) ** 2).reshape(n_c + 1, n_c + 1)]
+    # outlet node (a, k) steps a * R / n_a along the wall and eta across the
+    # width; row a = 0 is the side it shares with the kite
+    along = (np.arange(1, n_a + 1) * R / n_a)[:, None, None]
+    for foot, d, shared in ((f1, d1, blocks[0][n_c]), (f2, d2, blocks[0][:, n_c])):
+        fresh = sum(map(len, nodes)) + np.arange(n_a * (n_c + 1)).reshape(n_a, n_c + 1)
+        blocks.append(np.vstack([shared, fresh]))
+        nodes.append((foot + along * d + eta * (O - foot)).reshape(-1, 2))
 
-    def kite_id(i: int, j: int) -> int:
-        return i * (n_c + 1) + j
+    sides = [_sides((blocks[0][:, 0], DIRICHLET), (blocks[0][0], DIRICHLET))]
+    for ids in blocks[1:]:  # outlet walls, then the end cross-section
+        sides.append(_sides((ids[:, 0], DIRICHLET), (ids[:, n_c], DIRICHLET)))
+        sides.append(_sides((ids[n_a], NEUMANN)))
 
-    for i in range(n_c + 1):
-        xi = i / n_c
-        for j in range(n_c + 1):
-            eta = j / n_c
-            nodes.append(
-                Op * ((1 - xi) * (1 - eta))
-                + f1 * (xi * (1 - eta))
-                + O * (xi * eta)
-                + f2 * ((1 - xi) * eta)
-            )
-
-    next_id = len(nodes)
-    rect1_ids = np.empty((n_a + 1, n_c + 1), dtype=np.int64)
-    rect1_ids[0, :] = [kite_id(n_c, k) for k in range(n_c + 1)]
-    w1 = O - f1
-    for a in range(1, n_a + 1):
-        for k in range(n_c + 1):
-            nodes.append(f1 + (a * R / n_a) * d1 + (k / n_c) * w1)
-            rect1_ids[a, k] = next_id
-            next_id += 1
-
-    rect2_ids = np.empty((n_a + 1, n_c + 1), dtype=np.int64)
-    rect2_ids[0, :] = [kite_id(k, n_c) for k in range(n_c + 1)]
-    w2 = O - f2
-    for a in range(1, n_a + 1):
-        for k in range(n_c + 1):
-            nodes.append(f2 + (a * R / n_a) * d2 + (k / n_c) * w2)
-            rect2_ids[a, k] = next_id
-            next_id += 1
-
-    tris = _block_quads(kite_id, n_c, n_c)
-    tris += _block_quads(lambda a, k: rect1_ids[a, k], n_a, n_c)
-    tris += _block_quads(lambda a, k: rect2_ids[a, k], n_a, n_c)
-
-    edges = []
-    tags = []
-    for i in range(n_c):  # outer walls of the kite
-        edges.append((kite_id(i, 0), kite_id(i + 1, 0)))
-        tags.append(DIRICHLET)
-        edges.append((kite_id(0, i), kite_id(0, i + 1)))
-        tags.append(DIRICHLET)
-    for ids in (rect1_ids, rect2_ids):
-        for a in range(n_a):  # outlet walls
-            edges.append((ids[a, 0], ids[a + 1, 0]))
-            tags.append(DIRICHLET)
-            edges.append((ids[a, n_c], ids[a + 1, n_c]))
-            tags.append(DIRICHLET)
-        for k in range(n_c):  # end cross-section
-            edges.append((ids[n_a, k], ids[n_a, k + 1]))
-            tags.append(NEUMANN)
-
-    mesh = TriMesh(
-        nodes=np.asarray(nodes, dtype=float),
-        triangles=_orient(np.asarray(tris, dtype=np.int64), np.asarray(nodes)),
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_tags=np.asarray(tags),
+    mesh = _mesh(
+        np.concatenate(nodes),
+        blocks,
+        sides,
         h=float(h),
         theta=float(theta),
         outlet_length=float(R),
@@ -259,37 +249,17 @@ def mesh_rectangle(
     ny = max(1, int(math.ceil(ly / h - 1e-9)))
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
-    nodes = np.array([[x, y] for x in xs for y in ys])
-
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    tris = _block_quads(nid, nx, ny)
-    edges, tags_out = [], []
-    for j in range(ny):
-        edges.append((nid(0, j), nid(0, j + 1)))
-        tags_out.append(side_tags["left"])
-        edges.append((nid(nx, j), nid(nx, j + 1)))
-        tags_out.append(side_tags["right"])
-    for i in range(nx):
-        edges.append((nid(i, 0), nid(i + 1, 0)))
-        tags_out.append(side_tags["bottom"])
-        edges.append((nid(i, ny), nid(i + 1, ny)))
-        tags_out.append(side_tags["top"])
-    return TriMesh(
-        nodes=nodes,
-        triangles=_orient(np.asarray(tris, dtype=np.int64), nodes),
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_tags=np.asarray(tags_out),
-        h=float(h),
-    )
+    nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    ids = np.arange(len(nodes)).reshape(nx + 1, ny + 1)
+    sides = [
+        _sides((ids[0], side_tags["left"]), (ids[nx], side_tags["right"])),
+        _sides((ids[:, 0], side_tags["bottom"]), (ids[:, ny], side_tags["top"])),
+    ]
+    return _mesh(nodes, [ids], sides, h=float(h))
 
 
 def _orient(tris: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    p = nodes[tris]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    neg = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) < 0.0
+    neg = _signed_areas(nodes, tris) < 0.0
     tris = tris.copy()
     tris[neg] = tris[neg][:, [0, 2, 1]]
     return tris
@@ -298,40 +268,31 @@ def _orient(tris: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 def refine(mesh: TriMesh) -> TriMesh:
     """Uniform 4-split by edge midpoints; parent nodes keep their indices."""
     tris = mesh.triangles
-    raw = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    raw.sort(axis=1)
-    edges_unique, inverse = np.unique(raw, axis=0, return_inverse=True)
+    edges_unique, inverse = _edges(tris)
     mid_ids = mesh.num_nodes + np.arange(len(edges_unique))
     mid_coords = 0.5 * (mesh.nodes[edges_unique[:, 0]] + mesh.nodes[edges_unique[:, 1]])
 
-    n_tri = mesh.num_triangles
-    m01 = mid_ids[inverse[:n_tri]]
-    m12 = mid_ids[inverse[n_tri : 2 * n_tri]]
-    m20 = mid_ids[inverse[2 * n_tri :]]
-    v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
-    children = np.empty((4 * n_tri, 3), dtype=np.int64)
-    children[0::4] = np.stack([v0, m01, m20], axis=1)
-    children[1::4] = np.stack([v1, m12, m01], axis=1)
-    children[2::4] = np.stack([v2, m20, m12], axis=1)
-    children[3::4] = np.stack([m01, m12, m20], axis=1)
+    m01, m12, m20 = mid_ids[inverse].reshape(3, mesh.num_triangles)
+    v0, v1, v2 = tris.T
+    # four children per parent, consecutive: one per corner, then the middle
+    children = np.stack(
+        [v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1
+    ).reshape(-1, 3)
 
     be = np.sort(mesh.boundary_edges, axis=1)
     lookup = np.searchsorted(
         edges_unique[:, 0] * (mesh.num_nodes + 1) + edges_unique[:, 1],
         be[:, 0] * (mesh.num_nodes + 1) + be[:, 1],
     )
-    bmid = mid_ids[lookup]
-    edges = np.empty((2 * len(be), 2), dtype=np.int64)
-    edges[0::2] = np.stack([mesh.boundary_edges[:, 0], bmid], axis=1)
-    edges[1::2] = np.stack([bmid, mesh.boundary_edges[:, 1]], axis=1)
-    tags = np.repeat(mesh.boundary_tags, 2)
+    a, b = mesh.boundary_edges.T
+    edges = np.stack([a, mid_ids[lookup], mid_ids[lookup], b], axis=1).reshape(-1, 2)
 
     all_nodes = np.vstack([mesh.nodes, mid_coords])
     return TriMesh(
         nodes=all_nodes,
         triangles=_orient(children, all_nodes),
         boundary_edges=edges,
-        boundary_tags=tags,
+        boundary_tags=np.repeat(mesh.boundary_tags, 2),
         h=mesh.h / 2.0,
         theta=mesh.theta,
         outlet_length=mesh.outlet_length,
@@ -341,10 +302,13 @@ def refine(mesh: TriMesh) -> TriMesh:
 
 
 class _TriangleLocator:
-    """Uniform-bin point locator over triangle bounding boxes."""
+    """Uniform-bin point locator over triangle bounding boxes.
+
+    Bin b lists the triangles whose bounding box meets it, in ascending
+    order: ``_bin_tris[_bin_start[b]:_bin_start[b + 1]]``.
+    """
 
     def __init__(self, mesh: TriMesh, tol: float = 1e-12):
-        self.mesh = mesh
         self.tol = tol
         pts = mesh.nodes[mesh.triangles]
         lo = pts.min(axis=(0, 1))
@@ -354,75 +318,88 @@ class _TriangleLocator:
         self.lo = lo
         self.cell = span / n_bins
         self.n_bins = n_bins
-        buckets: dict[tuple, list] = {}
-        tlo = np.floor((pts.min(axis=1) - lo) / self.cell).astype(int)
-        thi = np.floor((pts.max(axis=1) - lo) / self.cell).astype(int)
-        tlo = np.clip(tlo, 0, n_bins - 1)
-        thi = np.clip(thi, 0, n_bins - 1)
-        for t in range(mesh.num_triangles):
-            for i in range(tlo[t, 0], thi[t, 0] + 1):
-                for j in range(tlo[t, 1], thi[t, 1] + 1):
-                    buckets.setdefault((i, j), []).append(t)
-        self.buckets = {k: np.asarray(v, dtype=np.int64) for k, v in buckets.items()}
+        tlo = self._cells(pts.min(axis=1))
+        thi = self._cells(pts.max(axis=1))
+        # one (bin, triangle) pair per bin of each bounding box, triangles
+        # ascending; the stable sort keeps that order within every bin
+        nx, ny = (thi - tlo + 1).T
+        count = nx * ny
+        tri = np.repeat(np.arange(mesh.num_triangles), count)
+        k = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
+        bins = (tlo[tri, 0] + k // ny[tri]) * n_bins + tlo[tri, 1] + k % ny[tri]
+        self._bin_tris = tri[np.argsort(bins, kind="stable")]
+        self._bin_start = np.concatenate(
+            [[0], np.cumsum(np.bincount(bins, minlength=n_bins * n_bins))]
+        )
 
-        p = mesh.nodes[mesh.triangles]
-        self._p0 = p[:, 0]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        self._p0 = pts[:, 0]
+        d1 = pts[:, 1] - pts[:, 0]
+        d2 = pts[:, 2] - pts[:, 0]
+        det = 2.0 * _signed_areas(mesh.nodes, mesh.triangles)
         self._inv = np.stack(
             [d2[:, 1] / det, -d2[:, 0] / det, -d1[:, 1] / det, d1[:, 0] / det], axis=1
         )
 
-    def _bary(self, tri_idx: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        rel = pts - self._p0[tri_idx]
-        inv = self._inv[tri_idx]
-        l1 = inv[:, 0] * rel[:, 0] + inv[:, 1] * rel[:, 1]
-        l2 = inv[:, 2] * rel[:, 0] + inv[:, 3] * rel[:, 1]
-        return np.stack([1.0 - l1 - l2, l1, l2], axis=1)
+    def _cells(self, x: np.ndarray) -> np.ndarray:
+        """The (i, j) bin of each point, clamped to the grid."""
+        return np.clip(np.floor((x - self.lo) / self.cell).astype(int), 0, self.n_bins - 1)
 
     def locate(self, pts: np.ndarray) -> tuple:
-        """Triangle index and barycentric coordinates per point (-1 outside)."""
+        """Triangle index and barycentric coordinates per point (-1 outside).
+
+        A point on shared edges goes to the first containing triangle of its
+        bin's list.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = len(pts)
-        out_tri = np.full(n, -1, dtype=np.int64)
-        out_bary = np.zeros((n, 3))
-        cells = np.floor((pts - self.lo) / self.cell).astype(int)
-        cells = np.clip(cells, 0, self.n_bins - 1)
-        order = np.lexsort((cells[:, 1], cells[:, 0]))
-        sorted_cells = cells[order]
-        boundaries = np.flatnonzero(
-            np.any(np.diff(sorted_cells, axis=0) != 0, axis=1)
-        )
-        starts = np.concatenate([[0], boundaries + 1])
-        ends = np.concatenate([boundaries + 1, [n]])
-        for s, e in zip(starts, ends):
-            key = (int(sorted_cells[s, 0]), int(sorted_cells[s, 1]))
-            cand = self.buckets.get(key)
-            if cand is None:
+        out_tri = np.full(len(pts), -1, dtype=np.int64)
+        out_bary = np.zeros((len(pts), 3))
+        cells = self._cells(pts)
+        bins = cells[:, 0] * self.n_bins + cells[:, 1]
+        order = np.argsort(bins, kind="stable")
+        starts = np.flatnonzero(np.diff(bins[order], prepend=-1))
+        # every point of an occupied bin against all of the bin's triangles
+        for s, e in zip(starts, np.append(starts[1:], len(order))):
+            idx, b = order[s:e], bins[order[s]]
+            cand = self._bin_tris[self._bin_start[b] : self._bin_start[b + 1]]
+            if len(cand) == 0:
                 continue
-            idx = order[s:e]
-            block = pts[idx]
-            for t in cand:
-                todo = out_tri[idx] < 0
-                if not todo.any():
-                    break
-                sub = idx[todo]
-                bary = self._bary(np.full(len(sub), t), block[todo])
-                ok = (bary >= -self.tol).all(axis=1)
-                hit = sub[ok]
-                out_tri[hit] = t
-                out_bary[hit] = bary[ok]
+            rel = pts[idx, None, :] - self._p0[cand]
+            inv = self._inv[cand]
+            l1 = inv[:, 0] * rel[..., 0] + inv[:, 1] * rel[..., 1]
+            l2 = inv[:, 2] * rel[..., 0] + inv[:, 3] * rel[..., 1]
+            bary = np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+            ok = (bary >= -self.tol).all(axis=-1)
+            first = ok.argmax(axis=1)
+            hit = ok[np.arange(len(idx)), first]
+            out_tri[idx[hit]] = cand[first[hit]]
+            out_bary[idx[hit]] = bary[hit, first[hit]]
         return out_tri, out_bary
+
+
+_CHUNK = 200_000  # points located at once
+
+
+def _interpolate(mesh: TriMesh, nodal_values: np.ndarray, points: np.ndarray):
+    """P1 values at ``points`` (0 outside the mesh) and the inside mask."""
+    points = np.asarray(points, dtype=float)
+    vals = np.asarray(nodal_values, dtype=float)
+    values = np.zeros(len(points))
+    inside = np.zeros(len(points), dtype=bool)
+    for s in range(0, len(points), _CHUNK):
+        tri, bary = mesh.locator().locate(points[s : s + _CHUNK])
+        ok = tri >= 0
+        verts = mesh.triangles[tri[ok]]
+        values[s : s + _CHUNK][ok] = np.einsum("ij,ij->i", bary[ok], vals[verts])
+        inside[s : s + _CHUNK] = ok
+    return values, inside
 
 
 def evaluate(mesh: TriMesh, nodal_values: np.ndarray, point) -> float:
     """P1 interpolation of a nodal field at one interior point."""
-    tri, bary = mesh.locator().locate(np.asarray(point, dtype=float))
-    if tri[0] < 0:
+    values, inside = _interpolate(mesh, nodal_values, np.reshape(point, (1, 2)))
+    if not inside[0]:
         raise MeshError(f"point {point} is outside the meshed region")
-    verts = mesh.triangles[tri[0]]
-    return float(np.dot(bary[0], np.asarray(nodal_values)[verts]))
+    return float(values[0])
 
 
 def evaluate_batch(mesh: TriMesh, nodal_values: np.ndarray, points: np.ndarray):
@@ -430,19 +407,7 @@ def evaluate_batch(mesh: TriMesh, nodal_values: np.ndarray, points: np.ndarray):
 
     Points outside the mesh get value 0 and inside=False.
     """
-    points = np.asarray(points, dtype=float)
-    values = np.zeros(len(points))
-    inside = np.zeros(len(points), dtype=bool)
-    vals = np.asarray(nodal_values, dtype=float)
-    chunk = 200_000
-    for s in range(0, len(points), chunk):
-        block = points[s : s + chunk]
-        tri, bary = mesh.locator().locate(block)
-        ok = tri >= 0
-        verts = mesh.triangles[tri[ok]]
-        values[s : s + chunk][ok] = np.einsum("ij,ij->i", bary[ok], vals[verts])
-        inside[s : s + chunk] = ok
-    return values, inside
+    return _interpolate(mesh, nodal_values, points)
 
 
 def segment_quadrature(
@@ -455,9 +420,10 @@ def segment_quadrature(
 ) -> float:
     """Integral of u(gamma(tau))^2 * weight(tau) along the segment p0 -> p1.
 
-    tau is arclength measured from p0.  The segment is split at its crossings
-    with mesh edges and a Gauss-Legendre rule of the given order is applied on
-    each piece (order >= 3 required).  Raises if any piece leaves the mesh.
+    tau is arclength measured from p0; ``weight`` acts elementwise on an
+    array of them.  The segment is split at its crossings with mesh edges
+    and a Gauss-Legendre rule of the given order is applied on each piece
+    (order >= 3 required).  Raises if any piece leaves the mesh.
     """
     if order < 3:
         raise MeshError("segment quadrature needs a Gauss rule of order >= 3")
@@ -468,8 +434,7 @@ def segment_quadrature(
     if length == 0.0:
         return 0.0
 
-    ts = {0.0, 1.0}
-    edges = _all_edges(mesh)
+    edges = mesh.edges()
     ea = mesh.nodes[edges[:, 0]]
     eb = mesh.nodes[edges[:, 1]]
     d = eb - ea
@@ -480,51 +445,29 @@ def segment_quadrature(
         s = (seg[0] * rhs[:, 1] - seg[1] * rhs[:, 0]) / denom
     ok = (np.abs(denom) > 1e-14) & (t >= -1e-12) & (t <= 1 + 1e-12)
     ok &= (s >= -1e-12) & (s <= 1 + 1e-12)
-    ts.update(np.clip(t[ok], 0.0, 1.0).tolist())
-    # collinear edges: project their endpoints onto the segment
+    # collinear edges: their endpoints on the segment are cuts as well
     col = np.abs(denom) <= 1e-14
-    if col.any():
-        for q in np.vstack([ea[col], eb[col]]):
-            tq = float(np.dot(q - p0, seg) / (length * length))
-            if -1e-12 <= tq <= 1 + 1e-12:
-                perp = q - (p0 + np.clip(tq, 0, 1) * seg)
-                if np.linalg.norm(perp) <= 1e-12:
-                    ts.add(float(np.clip(tq, 0.0, 1.0)))
+    q = np.concatenate([ea[col], eb[col]])
+    tq = np.vecdot(q - p0, seg) / (length * length)
+    on = (tq >= -1e-12) & (tq <= 1 + 1e-12)
+    tq = np.clip(tq, 0.0, 1.0)
+    on &= np.linalg.norm(q - (p0 + tq[:, None] * seg), axis=1) <= 1e-12
 
-    cuts = np.array(sorted(ts))
-    keep = np.concatenate([[True], np.diff(cuts) > 1e-13])
-    cuts = cuts[keep]
+    cuts = np.unique(np.concatenate([[0.0, 1.0], np.clip(t[ok], 0.0, 1.0), tq[on]]))
+    cuts = cuts[np.concatenate([[True], np.diff(cuts) > 1e-13])]
+    t0, t1 = cuts[:-1, None], cuts[1:, None]
 
     gauss_x, gauss_w = np.polynomial.legendre.leggauss(order)
-    vals = np.asarray(nodal_values, dtype=float)
+    taus = 0.5 * (t1 - t0) * gauss_x + 0.5 * (t0 + t1)
+    u, inside = _interpolate(mesh, nodal_values, (p0 + taus[..., None] * seg).reshape(-1, 2))
+    if not inside.all():
+        raise MeshError("segment exits the meshed region")
+    u = u.reshape(taus.shape)
+    f = u * u if weight is None else u * u * np.asarray(weight(taus * length))
     total = 0.0
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        tm = 0.5 * (t0 + t1)
-        mid = p0 + tm * seg
-        tri, _ = mesh.locator().locate(mid)
-        if tri[0] < 0:
-            raise MeshError("segment exits the meshed region")
-        tq = 0.5 * (t1 - t0) * gauss_x + 0.5 * (t0 + t1)
-        pts = p0[None, :] + tq[:, None] * seg[None, :]
-        tris, bary = mesh.locator().locate(pts)
-        if (tris < 0).any():
-            raise MeshError("segment exits the meshed region")
-        u = np.einsum("ij,ij->i", bary, vals[mesh.triangles[tris]])
-        w = np.ones_like(u) if weight is None else np.asarray(weight(tq * length))
-        total += 0.5 * (t1 - t0) * length * float(np.dot(gauss_w, u * u * w))
+    for a, b, fk in zip(t0[:, 0], t1[:, 0], f):
+        total += 0.5 * (b - a) * length * float(np.dot(gauss_w, fk))
     return float(total)
-
-
-def _all_edges(mesh: TriMesh) -> np.ndarray:
-    e = np.vstack(
-        [
-            mesh.triangles[:, [0, 1]],
-            mesh.triangles[:, [1, 2]],
-            mesh.triangles[:, [2, 0]],
-        ]
-    )
-    e.sort(axis=1)
-    return np.unique(e, axis=0)
 
 
 def dump_mesh(mesh: TriMesh, path) -> None:

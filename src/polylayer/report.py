@@ -14,9 +14,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
-
-
 def sha256_of_arrays(*arrays) -> str:
     digest = hashlib.sha256()
     for a in arrays:

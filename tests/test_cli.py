@@ -318,6 +318,7 @@ def _no_convergence(*args, **kwargs):
         ([*SMALL_COUNT, "--pairs", "400"], EXIT_CONFIG, "config error:"),
         ([*SMALL_COUNT, "--pairs", "0"], EXIT_CONFIG, "config error:"),
         ([*SMALL_CERTIFY, "--levels", "0"], EXIT_CONFIG, "config error:"),
+        (["layer", *FICHERA, "--n", "3"], EXIT_CONFIG, "config error:"),
         (["waveguide", "--theta", "90deg", "--h", "0.25", "--levels", "1"],
          EXIT_CONFIG, "config error:"),
         # an output path that cannot be a directory fails before the run
@@ -328,8 +329,8 @@ def _no_convergence(*args, **kwargs):
         ([*SMALL_CERTIFY, "--levels", "1"], EXIT_INCONCLUSIVE, ""),
     ],
     ids=["ok", "config-geometry", "config-pairs-400", "config-pairs-0",
-         "config-levels-0", "config-levels-1", "config-out-not-a-dir",
-         "nonconverged", "inconclusive"],
+         "config-levels-0", "config-trihedral-n", "config-levels-1",
+         "config-out-not-a-dir", "nonconverged", "inconclusive"],
 )
 def test_exit_codes(argv, expected, stderr_prefix, tmp_path, capsys, monkeypatch):
     if expected == EXIT_NONCONVERGED:
@@ -407,9 +408,11 @@ def test_dry_run_never_solves(name, tmp_path, monkeypatch):
         ["absence", "--alpha", "0.26rad", "--pairs", "7"],
         ["absence", "--alpha", "0.26rad", "--tol", "1e-3"],
         ["scan-R", "--theta", "90deg", "--R-list", "2,3", "--R", "3"],
+        ["angle", *REGULAR, "--seed", "5"],
+        ["layer", *REGULAR, "--seed", "5"],
     ],
     ids=["certify-pairs", "certify-tol", "certify-veps-pairs", "certify-veps-tol",
-         "absence-pairs", "absence-tol", "scan-R-R"],
+         "absence-pairs", "absence-tol", "scan-R-R", "angle-seed", "layer-seed"],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:

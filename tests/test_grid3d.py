@@ -9,7 +9,6 @@ from polylayer.grid3d import (
     box_grid,
     dump_cells,
     truncated_layer_contains,
-    volume,
     voxelize,
 )
 
@@ -23,18 +22,18 @@ def fichera_layer():
 
 def test_fichera_volume_exact(fichera_layer):
     grid = voxelize(fichera_layer, R=4.0, h=0.25)
-    assert volume(grid) == pytest.approx(4.0**3 - 3.0**3, abs=1e-12)
+    assert grid.volume == pytest.approx(4.0**3 - 3.0**3, abs=1e-12)
 
 
 def test_fichera_exactness_across_h(fichera_layer):
     for h in (1.0 / 3.0, 0.25, 0.125):
         grid = voxelize(fichera_layer, R=4.0, h=h)
-        assert volume(grid) == pytest.approx(37.0, abs=1e-12)
+        assert grid.volume == pytest.approx(37.0, abs=1e-12)
 
 
 def test_volume_is_cell_count_times_h3(fichera_layer):
     grid = voxelize(fichera_layer, R=4.0, h=0.25)
-    assert volume(grid) == pytest.approx(grid.h**3 * grid.num_active_cells, abs=0.0)
+    assert grid.volume == pytest.approx(grid.h**3 * grid.num_active_cells, abs=0.0)
 
 
 def test_preconditions(fichera_layer):
@@ -61,9 +60,9 @@ def test_conservative_volume_and_monotone_refinement(regular_layer):
     pts = rng.uniform(lo, hi, size=(1_000_000, 3))
     frac = truncated_layer_contains(regular_layer, 4.0, pts).mean()
     mc_volume = frac * float(np.prod(hi - lo))
-    assert volume(g1) <= mc_volume * 1.01
-    assert volume(g2) <= mc_volume * 1.01
-    assert volume(g2) > volume(g1)
+    assert g1.volume <= mc_volume * 1.01
+    assert g2.volume <= mc_volume * 1.01
+    assert g2.volume > g1.volume
 
 
 def test_inscribed_property_random_points(regular_layer):
@@ -110,7 +109,7 @@ def test_empty_active_set_is_an_error():
 
 def test_box_grid_benchmark_helper():
     grid = box_grid((1.0, 1.0, 1.0), h=0.25)
-    assert volume(grid) == pytest.approx(1.0, abs=1e-12)
+    assert grid.volume == pytest.approx(1.0, abs=1e-12)
     assert grid.num_nodes == 5**3
     # all boundary nodes fixed, interior free
     assert int((~grid.dirichlet).sum()) == 3**3

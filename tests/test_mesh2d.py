@@ -6,6 +6,7 @@ import pytest
 from polylayer.geometry import lshape_profile
 from polylayer.mesh2d import (
     MeshError,
+    TriMesh,
     check_conforming,
     dump_mesh,
     evaluate,
@@ -15,6 +16,7 @@ from polylayer.mesh2d import (
     refine,
     segment_quadrature,
 )
+from polylayer.report import sha256_of_arrays
 
 PI = math.pi
 
@@ -59,6 +61,77 @@ def test_meshes_across_angles(theta, R):
         1.0 / math.tan(theta / 2) + 2 * R, rel=1e-12
     )
     assert mesh.min_angle() > 0.0
+
+
+def _broken(mesh, triangles=None, boundary=slice(None)):
+    return TriMesh(
+        nodes=mesh.nodes,
+        triangles=mesh.triangles if triangles is None else triangles,
+        boundary_edges=mesh.boundary_edges[boundary],
+        boundary_tags=mesh.boundary_tags[boundary],
+        h=mesh.h,
+    )
+
+
+def test_check_conforming_rejects_an_edge_of_three_triangles(mesh_right_angle):
+    # the first triangle twice: its interior sides then have three triangles
+    tris = mesh_right_angle.triangles
+    broken = _broken(mesh_right_angle, triangles=np.vstack([tris, tris[:1]]))
+    with pytest.raises(MeshError, match="more than two"):
+        check_conforming(broken)
+
+
+def test_check_conforming_rejects_an_untagged_boundary_edge(mesh_right_angle):
+    broken = _broken(mesh_right_angle, boundary=slice(1, None))
+    with pytest.raises(MeshError, match="topological boundary"):
+        check_conforming(broken)
+
+
+# sha256 of (nodes, triangles, boundary_edges, boundary_tags) as the
+# loop-based builders produced them: node, triangle and boundary-edge order
+# enter every payload's mesh_sha256
+MESH_DIGESTS = {
+    0.3: "aeb6e28bd1407f6cdb06a411c0288bc4b93803113f0ca4dc1adc709062d653d7",
+    PI / 2: "5bfd05ffa14bef315150d906f616aa7e0da0830a70e859ed9d758a4fab5b7705",
+    2.6: "b5f46b360f933bd93cfd9d3b8fb8c68039ccabe95fb668462c55073cb0ac38aa",
+    "refine": "71f8668cb2308141f72ab6871aaede0657365cc3f1071f3b0c0f43191455bdbf",
+    "rectangle": "0544e30c8a2f9c3abf948e16f037bda1136641fc36b8fdf2c9ca2d6fb6a7c867",
+}
+
+
+def _mesh_digest(mesh):
+    return sha256_of_arrays(
+        mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags
+    )
+
+
+@pytest.mark.parametrize("key", list(MESH_DIGESTS), ids=str)
+def test_mesh_arrays_pinned(key):
+    if key == "rectangle":
+        mesh = mesh_rectangle(2.0, 1.0, 0.25, tags={"left": "neumann", "right": "neumann"})
+    elif key == "refine":
+        mesh = refine(mesh_lshape(lshape_profile(PI / 2, 2.0), h=0.25))
+    else:
+        mesh = mesh_lshape(lshape_profile(key, 2.0), h=0.25)
+    assert _mesh_digest(mesh) == MESH_DIGESTS[key]
+
+
+def test_locate_tie_rule_pinned(mesh_right_angle):
+    # nodes and edge midpoints lie in several triangles at once; the locator
+    # returns the first of its bin's list, in ascending triangle order
+    mesh = mesh_right_angle
+    e = mesh.edges()
+    pts = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[e[:, 0]] + mesh.nodes[e[:, 1]])])
+    tri, _ = mesh.locator().locate(pts)
+    assert len(pts) == 657 and (tri >= 0).all()
+    assert sha256_of_arrays(tri) == (
+        "a7d9e32faa82f890d066e2748d77d269651c25856de18d8c6bbd2e25a36976d5"
+    )
+
+
+def test_locate_no_points(mesh_right_angle):
+    tri, bary = mesh_right_angle.locator().locate(np.empty((0, 2)))
+    assert tri.shape == (0,) and bary.shape == (0, 3)
 
 
 def test_refine_counts_area_nesting_tags(mesh_right_angle):
