@@ -9,6 +9,10 @@ a change keeps every byte, run it against two checkouts and diff:
     PYTHONPATH=<old checkout>/src python3 scripts/payload_digests.py > old.txt
     PYTHONPATH=src python3 scripts/payload_digests.py > new.txt
     diff old.txt new.txt
+
+The CLI pins BLAS to one thread in-process, so the output does not depend
+on the host's thread count.  A checkout from before that pin does depend on
+it: run such a checkout with ``OPENBLAS_NUM_THREADS=1``.
 """
 
 import contextlib
@@ -20,7 +24,10 @@ import tempfile
 from polylayer.cli import main
 
 FICHERA = "--kind trihedral --alpha 90deg,90deg,90deg"
+REGULAR = "--kind regular --n 3 --alpha 60deg"
 COMMANDS = [
+    f"angle {REGULAR}",
+    f"layer {REGULAR}",
     "waveguide --theta 90deg --h 0.25 --levels 2 --formats json,pgm",
     "scan-theta --thetas 0.3rad,0.82rad,1.34rad,1.86rad,2.38rad,2.9rad --h 0.15"
     " --levels 3 --formats json,csv,svg",
@@ -32,6 +39,8 @@ COMMANDS = [
     "certify-veps --kind regular --n 3 --alpha 60deg --h 0.125 --levels 3 --formats json,csv",
     f"weyl {FICHERA} --indices 2,3,4,5 --h 0.16",
     "hardy --case random --count 5 --seed 3",
+    "hardy --case exp",
+    "hardy --case invz",
     "alpha-star --star-tol 0.05 --h 0.25 --levels 2",
 ]
 PAYLOAD_MARK = b',\n"payload": '

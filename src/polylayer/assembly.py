@@ -211,11 +211,3 @@ def rayleigh_quotient(problem: DiscreteProblem, vec: np.ndarray) -> float:
         raise AssemblyError("vector has zero M-norm")
     return num / den
 
-
-def dump_matrix(matrix: SparseSymmetric, path) -> None:
-    """Coordinate text dump (row, col, value) of the full symmetric matrix."""
-    coo = matrix.full.tocoo()
-    with open(path, "w") as f:
-        f.write(f"# symmetric sparse {matrix.n} x {matrix.n}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{i} {j} {v!r}\n")

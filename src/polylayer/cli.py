@@ -17,9 +17,10 @@ The parsed flags are the run configuration (echoed in ``meta.config``).
 Angles are accepted only with an explicit 'deg' or 'rad' suffix; there is no
 default unit.  Results are written atomically into the output directory as a
 JSON bundle whose payload section is byte-reproducible for identical configs
-and seeds (run metadata such as wall time lives in the separate meta
-section).  Exit codes: 0 success, 2 config error (invalid input), 3
-numerical non-convergence, 4 inconclusive certificate.
+and seeds, whatever the host's BLAS thread count (run metadata such as wall
+time lives in the separate meta section).  Exit codes: 0 success, 2 config
+error (invalid input), 3 numerical non-convergence, 4 inconclusive
+certificate.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 import os
 import sys
 import time
-from typing import Optional
 
 from . import __version__
 from .errors import ConfigError, PolylayerError
@@ -41,9 +41,20 @@ EXIT_NONCONVERGED = 3
 EXIT_INCONCLUSIVE = 4
 
 DEFAULT_OUTDIR_ENV = "POLYLAYER_OUTDIR"
-_THREADS_SENTINEL = "POLYLAYER_THREADS_APPLIED"
 
-KNOWN_FORMATS = ("json", "csv", "svg", "pgm")
+# the subcommands that write side files, and the --formats entries each takes
+_FORMATS = {
+    "waveguide": ("json", "pgm"),
+    "scan-theta": ("json", "csv", "svg"),
+    "scan-R": ("json", "csv", "svg"),
+    "certify-veps": ("json", "csv"),
+}
+
+# numpy's and scipy's bundled OpenBLAS: (package, library glob, thread setter)
+_OPENBLAS = (
+    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas*.so", "scipy_openblas_set_num_threads"),
+)
 
 
 def parse_angle(text: str) -> float:
@@ -98,13 +109,7 @@ _NUMERICS_FLAGS = {
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument(
-        "--formats",
-        default="json",
-        help="comma list of json,csv,svg,pgm",
-    )
     common.add_argument("--dry-run", action="store_true")
-    common.add_argument("--threads", type=int, default=None)
 
     p = argparse.ArgumentParser(
         prog="polylayer",
@@ -118,6 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub = sp.add_parser(name, parents=[common], allow_abbrev=False)
         if seed:
             sub.add_argument("--seed", type=int, default=0)
+        if name in _FORMATS:
+            sub.add_argument(
+                "--formats", default="json", help="comma list of " + ",".join(_FORMATS[name])
+            )
         if geometry:
             _geometry_args(sub)
         for dest, default in numerics.items():
@@ -153,11 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--alpha", type=parse_angle, required=True)
 
-    sub = add("hardy")
+    sub = add("hardy", seed=False)
     sub.add_argument(
         "--case", choices=("exp", "invz", "random"), default="random"
     )
-    sub.add_argument("--count", type=int, default=100)
+    # --case random only: absent unless given, defaulted in _check_args
+    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    sub.add_argument("--count", type=int, default=argparse.SUPPRESS)
 
     sub = add("weyl", geometry=True, h=0.04, levels=2, R=16.0)
     sub.add_argument("--indices", type=parse_int_list, default=(2, 3, 4, 5))
@@ -170,12 +181,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """The checks argparse cannot express; resolves --out and --formats."""
+    """The checks argparse cannot express; resolves --out, --formats and the
+    hardy defaults."""
     args.out = args.out or os.environ.get(DEFAULT_OUTDIR_ENV) or "polylayer-out"
-    args.formats = tuple(tok.strip() for tok in args.formats.split(",") if tok.strip())
-    unknown = set(args.formats) - set(KNOWN_FORMATS)
-    if unknown:
-        raise ConfigError(f"unknown output formats: {sorted(unknown)}")
+    if hasattr(args, "formats"):
+        args.formats = tuple(tok.strip() for tok in args.formats.split(",") if tok.strip())
+        unknown = set(args.formats) - set(_FORMATS[args.subcommand])
+        if unknown:
+            raise ConfigError(f"{args.subcommand} writes no formats {sorted(unknown)}")
+    if args.subcommand == "hardy":  # --seed and --count drive --case random only
+        if args.case == "random":
+            args.seed, args.count = getattr(args, "seed", 0), getattr(args, "count", 100)
+        elif hasattr(args, "seed") or hasattr(args, "count"):
+            raise ConfigError(f"hardy --case {args.case} takes no --seed or --count")
     kind = getattr(args, "kind", None)
     if kind == "regular":
         if args.n is None:
@@ -263,52 +281,40 @@ def _waveguide(args, files):
     return payload
 
 
-def _scan_theta(args, files):
-    from .analysis import scan_theta
-
-    scan = scan_theta(args.thetas, _numerics(args))
+def _scan_files(args, files, scan, x_name, x_label, refs, columns=()):
+    """The side files of a scan: a CSV table (the parameter, lambda1, its
+    indicator and the named record ``columns``) and an SVG plot of lambda1."""
+    stem = f"scan_{x_name}"
     if "csv" in args.formats:
-        files["scan_theta.csv"] = (
-            ["theta", "lambda1", "error_indicator", "R", "h", "levels"],
+        files[f"{stem}.csv"] = (
+            [x_name, "lambda1", "error_indicator", *columns],
             [
-                [r.parameter, r.eigenvalues[0], r.error_indicators[0], r.R, r.h, r.levels]
+                [r.parameter, r.eigenvalues[0], r.error_indicators[0]]
+                + [getattr(r, c) for c in columns]
                 for r in scan.records
             ],
         )
     if "svg" in args.formats:
         xs = [r.parameter for r in scan.records]
         ys = [r.eigenvalues[0] for r in scan.records]
-        files["scan_theta.svg"] = (
-            {"lambda1(theta)": (xs, ys)},
-            "theta (rad)",
-            "lambda1",
-            {"pi^2": math.pi**2, "pi^2/4": math.pi**2 / 4},
-        )
+        files[f"{stem}.svg"] = ({f"lambda1({x_name})": (xs, ys)}, x_label, "lambda1", refs)
     return scan.to_json()
+
+
+def _scan_theta(args, files):
+    from .analysis import scan_theta
+
+    scan = scan_theta(args.thetas, _numerics(args))
+    refs = {"pi^2": math.pi**2, "pi^2/4": math.pi**2 / 4}
+    return _scan_files(args, files, scan, "theta", "theta (rad)", refs, ("R", "h", "levels"))
 
 
 def _scan_R(args, files):
     from .analysis import scan_truncation
 
     scan = scan_truncation(args.theta, args.R_list, _numerics(args))
-    if "csv" in args.formats:
-        files["scan_R.csv"] = (
-            ["R", "lambda1", "error_indicator"],
-            [
-                [r.parameter, r.eigenvalues[0], r.error_indicators[0]]
-                for r in scan.records
-            ],
-        )
-    if "svg" in args.formats:
-        xs = [r.parameter for r in scan.records]
-        ys = [r.eigenvalues[0] for r in scan.records]
-        files["scan_R.svg"] = (
-            {"lambda1(R)": (xs, ys)},
-            "outlet length R",
-            "lambda1",
-            {"asymptote": scan.asymptote},
-        )
-    return scan.to_json()
+    refs = {"asymptote": scan.asymptote}
+    return _scan_files(args, files, scan, "R", "outlet length R", refs)
 
 
 def _count(args, files):
@@ -460,34 +466,46 @@ def _mode_heatmap(mode, resolution: int = 400):
     return img[::-1]
 
 
-def _write_outputs(args, payload: dict, files: dict, started: float):
+def _write_outputs(args, payload: dict, files: dict, started: float, blas_pinned: bool):
     from .report import make_meta, write_bundle, write_csv, write_pgm, write_svg_lines
 
     bundle_path = os.path.join(args.out, f"{args.subcommand}.json")
     echo = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(args).items()}
-    write_bundle(bundle_path, payload, make_meta(echo, started, __version__))
+    meta = make_meta(echo, started, __version__)
+    meta["blas_pinned"] = blas_pinned
+    write_bundle(bundle_path, payload, meta)
     writers = {".csv": write_csv, ".svg": write_svg_lines, ".pgm": write_pgm}
     for name, content in files.items():
         writers[os.path.splitext(name)[1]](os.path.join(args.out, name), *content)
     return bundle_path
 
 
-def _apply_threads(argv, threads: Optional[int]) -> None:
-    """Re-exec with BLAS/OpenMP thread caps applied before numpy loads."""
-    if threads is None or os.environ.get(_THREADS_SENTINEL) == str(threads):
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
-    os.environ[_THREADS_SENTINEL] = str(threads)
-    os.execv(sys.executable, [sys.executable, "-m", "polylayer", *argv])
+def _pin_blas() -> bool:
+    """Pin the bundled OpenBLAS of numpy and scipy to one thread, so that
+    ARPACK's dense BLAS sums in one order and the payload bytes do not depend
+    on the host's thread count.  True when both setters were found and
+    called; False under another BLAS, which is left as it is."""
+    import ctypes
+    import glob
+    from importlib.util import find_spec
+
+    pinned = []
+    for package, pattern, setter in _OPENBLAS:
+        site = os.path.dirname(os.path.dirname(find_spec(package).origin))
+        libs = [ctypes.CDLL(p) for p in glob.glob(os.path.join(site, f"{package}.libs", pattern))]
+        setters = [getattr(lib, setter) for lib in libs if hasattr(lib, setter)]
+        for set_threads in setters:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+        pinned.append(bool(setters))
+    return all(pinned)
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
         _check_args(args)
-        _apply_threads(argv, args.threads)
+        blas_pinned = _pin_blas()
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
@@ -500,7 +518,7 @@ def main(argv=None) -> int:
         label = "numerical failure" if code == EXIT_NONCONVERGED else "config error"
         print(f"{label}: {exc}", file=sys.stderr)
         return code
-    print(_write_outputs(args, payload, files, started))
+    print(_write_outputs(args, payload, files, started, blas_pinned))
     return code
 
 

@@ -54,21 +54,10 @@ class EigenResult:
     iterations: int  # inner linear solves consumed
     converged: np.ndarray
     ortho_defect: float
-    seed: int
 
     @property
     def all_converged(self) -> bool:
         return bool(self.converged.all())
-
-    def to_json(self) -> dict:
-        return {
-            "eigenvalues": self.eigenvalues.tolist(),
-            "residuals": self.residuals.tolist(),
-            "iterations": self.iterations,
-            "converged": self.converged.astype(bool).tolist(),
-            "ortho_defect": self.ortho_defect,
-            "seed": self.seed,
-        }
 
 
 class _CountingSolver:
@@ -181,7 +170,6 @@ def smallest_eigenpairs(
                 iterations=inner.count,
                 converged=converged,
                 ortho_defect=np.inf,
-                seed=config.seed,
             )
         converged = np.zeros(vals.shape[0], dtype=bool)
 
@@ -202,5 +190,4 @@ def smallest_eigenpairs(
         iterations=inner.count,
         converged=converged,
         ortho_defect=defect,
-        seed=config.seed,
     )

@@ -249,29 +249,3 @@ def truncated_layer_contains(layer: LayerGeometry, R: float, pts) -> np.ndarray:
     cuts = (pts @ layer.angle.rays.T <= R).all(axis=-1)
     return inside & cuts
 
-
-def dump_cells(grid: VoxelGrid, path) -> None:
-    """Run-length encoded dump of the active mask (x-runs per (y, z) line)."""
-    nx, ny, nz = grid.active.shape
-    with open(path, "w") as f:
-        f.write("# polylayer voxel grid\n")
-        f.write(f"# h = {grid.h}  R = {grid.R}  cut_bc = {grid.cut_bc}\n")
-        f.write(f"origin {grid.origin[0]!r} {grid.origin[1]!r} {grid.origin[2]!r}\n")
-        f.write(f"cells {nx} {ny} {nz}\n")
-        for j in range(ny):
-            for k in range(nz):
-                col = grid.active[:, j, k]
-                if not col.any():
-                    continue
-                runs = []
-                start = None
-                for i in range(nx):
-                    if col[i] and start is None:
-                        start = i
-                    elif not col[i] and start is not None:
-                        runs.append((start, i))
-                        start = None
-                if start is not None:
-                    runs.append((start, nx))
-                spec = " ".join(f"{a}:{b}" for a, b in runs)
-                f.write(f"{j} {k} {spec}\n")

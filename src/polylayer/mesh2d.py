@@ -469,20 +469,3 @@ def segment_quadrature(
         total += 0.5 * (b - a) * length * float(np.dot(gauss_w, fk))
     return float(total)
 
-
-def dump_mesh(mesh: TriMesh, path) -> None:
-    """Line-oriented text dump: header, node table, triangle table, edge table."""
-    with open(path, "w") as f:
-        f.write("# polylayer trimesh\n")
-        f.write(
-            f"# theta = {mesh.theta}  R = {mesh.outlet_length}  h = {mesh.h}\n"
-        )
-        f.write(f"nodes {mesh.num_nodes}\n")
-        for x, y in mesh.nodes:
-            f.write(f"{x!r} {y!r}\n")
-        f.write(f"triangles {mesh.num_triangles}\n")
-        for a, b, c in mesh.triangles:
-            f.write(f"{a} {b} {c}\n")
-        f.write(f"edges {len(mesh.boundary_edges)}\n")
-        for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            f.write(f"{a} {b} {tag}\n")

@@ -7,7 +7,6 @@ from polylayer.assembly import (
     AssemblyError,
     assemble_p1,
     assemble_q1,
-    dump_matrix,
     rayleigh_quotient,
 )
 from polylayer.geometry import fichera_angle, lshape_profile, make_layer
@@ -120,10 +119,3 @@ def test_rayleigh_quotient_contracts(square_problem):
         assert rayleigh_quotient(square_problem, v) >= lam1 - 1e-10
     with pytest.raises(AssemblyError):
         rayleigh_quotient(square_problem, np.zeros(square_problem.n))
-
-
-def test_dump_matrix(tmp_path, square_problem):
-    path = tmp_path / "K.txt"
-    dump_matrix(square_problem.K, path)
-    first = path.read_text().splitlines()[0]
-    assert first.startswith("# symmetric sparse")

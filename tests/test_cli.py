@@ -77,7 +77,6 @@ def test_config_round_trip(tmp_path):
         "out": str(out),
         "formats": ["json"],
         "dry_run": False,
-        "threads": None,
     }
 
 
@@ -104,6 +103,33 @@ def test_payload_bytes_reproducible(tmp_path):
         bundle = json.loads((out / "waveguide.json").read_text())
         payloads.append(json.dumps(bundle["payload"], sort_keys=True))
     assert payloads[0] == payloads[1]
+
+
+def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a six-pair count: ARPACK's dense BLAS sums in a thread-dependent order
+    # unless the CLI pins BLAS to one thread
+    cmd = [sys.executable, "-m", "polylayer", "count", "--theta", "0.15rad",
+           "--h", "0.4", "--levels", "3"]
+    bundles = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([*cmd, "--out", str(out)], check=True, env=env)
+        bundles.append((out / "count.json").read_bytes())
+    payloads = [raw[raw.index(b'"payload": '):] for raw in bundles]
+    assert payloads[0] == payloads[1]
+    assert all(json.loads(raw)["meta"]["blas_pinned"] is True for raw in bundles)
+
+
+def test_blas_pin_reports_false_under_another_blas(monkeypatch):
+    from polylayer import cli
+
+    monkeypatch.setattr(
+        cli, "_OPENBLAS", (("numpy", "libscipy_openblas64_*.so", "no_such_setter"),)
+    )
+    assert cli._pin_blas() is False
+    monkeypatch.setattr(cli, "_OPENBLAS", (("numpy", "no_such_lib*.so", "no_such_setter"),))
+    assert cli._pin_blas() is False
 
 
 def test_dry_run_prints_plan_without_solving(tmp_path):
@@ -243,13 +269,11 @@ def test_certify_inconclusive_exit_code(tmp_path):
 def test_unknown_format_rejected(tmp_path):
     code = main(
         [
-            "angle",
-            "--kind",
-            "regular",
-            "--n",
-            "3",
-            "--alpha",
-            "60deg",
+            "scan-R",
+            "--theta",
+            "90deg",
+            "--R-list",
+            "2,3",
             "--formats",
             "json,png",
             "--out",
@@ -270,31 +294,6 @@ def test_schemas_shipped():
         with open(os.path.join(schema_dir, name)) as f:
             schema = json.load(f)
         assert schema["type"] == "object"
-
-
-def test_threads_flag_reexec(tmp_path):
-    out = tmp_path / "threads"
-    subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "polylayer",
-            "angle",
-            "--kind",
-            "regular",
-            "--n",
-            "3",
-            "--alpha",
-            "90deg",
-            "--threads",
-            "1",
-            "--out",
-            str(out),
-        ],
-        check=True,
-    )
-    bundle = json.loads((out / "angle.json").read_text())
-    assert bundle["meta"]["config"]["threads"] == 1
 
 
 FICHERA = ["--kind", "trihedral", "--alpha", "90deg,90deg,90deg"]
@@ -327,10 +326,16 @@ def _no_convergence(*args, **kwargs):
         (["waveguide", "--theta", "90deg", "--h", "0.25", "--levels", "2"],
          EXIT_NONCONVERGED, "numerical failure:"),
         ([*SMALL_CERTIFY, "--levels", "1"], EXIT_INCONCLUSIVE, ""),
+        # a side file the subcommand does not write, and hardy's random-only flags
+        (["waveguide", "--theta", "90deg", "--formats", "json,csv"],
+         EXIT_CONFIG, "config error:"),
+        (["hardy", "--case", "exp", "--seed", "3"], EXIT_CONFIG, "config error:"),
+        (["hardy", "--case", "invz", "--count", "5"], EXIT_CONFIG, "config error:"),
     ],
     ids=["ok", "config-geometry", "config-pairs-400", "config-pairs-0",
          "config-levels-0", "config-trihedral-n", "config-levels-1",
-         "config-out-not-a-dir", "nonconverged", "inconclusive"],
+         "config-out-not-a-dir", "nonconverged", "inconclusive",
+         "config-waveguide-csv", "config-hardy-exp-seed", "config-hardy-invz-count"],
 )
 def test_exit_codes(argv, expected, stderr_prefix, tmp_path, capsys, monkeypatch):
     if expected == EXIT_NONCONVERGED:
@@ -410,9 +415,16 @@ def test_dry_run_never_solves(name, tmp_path, monkeypatch):
         ["scan-R", "--theta", "90deg", "--R-list", "2,3", "--R", "3"],
         ["angle", *REGULAR, "--seed", "5"],
         ["layer", *REGULAR, "--seed", "5"],
+        ["count", "--theta", "90deg", "--threads", "1"],
+        ["angle", *REGULAR, "--formats", "json"],
+        ["count", "--theta", "90deg", "--formats", "json"],
+        [*SMALL_CERTIFY, "--formats", "json"],
+        ["hardy", "--formats", "json"],
     ],
     ids=["certify-pairs", "certify-tol", "certify-veps-pairs", "certify-veps-tol",
-         "absence-pairs", "absence-tol", "scan-R-R", "angle-seed", "layer-seed"],
+         "absence-pairs", "absence-tol", "scan-R-R", "angle-seed", "layer-seed",
+         "count-threads", "angle-formats", "count-formats", "certify-formats",
+         "hardy-formats"],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,6 @@ from polylayer.geometry import build_regular, build_trihedral, fichera_angle, ma
 from polylayer.grid3d import (
     GridError,
     box_grid,
-    dump_cells,
     truncated_layer_contains,
     voxelize,
 )
@@ -115,11 +114,3 @@ def test_box_grid_benchmark_helper():
     assert int((~grid.dirichlet).sum()) == 3**3
     with pytest.raises(GridError):
         box_grid((1.0, 1.0, 1.0), h=0.3)
-
-
-def test_dump_cells(tmp_path, fichera_layer):
-    grid = voxelize(fichera_layer, R=4.0, h=1.0 / 3.0)
-    path = tmp_path / "cells.txt"
-    dump_cells(grid, path)
-    lines = path.read_text().splitlines()
-    assert lines[3].startswith("cells ")

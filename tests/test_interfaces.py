@@ -4,11 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from polylayer.assembly import assemble_p1
-from polylayer.eigensolve import SolverConfig, smallest_eigenpairs
 from polylayer.geometry import fichera_angle, make_layer
 from polylayer.grid3d import voxelize
-from polylayer.mesh2d import mesh_rectangle
 
 PI = math.pi
 
@@ -20,17 +17,6 @@ def test_grid_summary_keys():
     assert summary["volume"] == pytest.approx(37.0)
     assert summary["cut_bc"] == "dirichlet"
     json.dumps(summary)  # JSON-serializable
-
-
-def test_eigenresult_serialization():
-    prob = assemble_p1(mesh_rectangle(1.0, 1.0, h=0.125))
-    res = smallest_eigenpairs(prob, SolverConfig(num_pairs=2, seed=5))
-    data = res.to_json()
-    assert data["seed"] == 5
-    assert len(data["eigenvalues"]) == 2
-    assert all(r <= 1e-8 for r in data["residuals"])
-    assert all(data["converged"])
-    json.dumps(data)
 
 
 def test_cli_scan_R_and_count(tmp_path):

@@ -8,7 +8,6 @@ from polylayer.mesh2d import (
     MeshError,
     TriMesh,
     check_conforming,
-    dump_mesh,
     evaluate,
     evaluate_batch,
     mesh_lshape,
@@ -283,11 +282,3 @@ def test_rectangle_mesh_tags_and_area():
     assert mesh.total_area == pytest.approx(3.0, abs=1e-12)
     assert mesh.boundary_length("neumann") == pytest.approx(2.0, abs=1e-12)
     assert mesh.boundary_length("dirichlet") == pytest.approx(6.0, abs=1e-12)
-
-
-def test_dump_mesh(tmp_path, mesh_right_angle):
-    path = tmp_path / "mesh.txt"
-    dump_mesh(mesh_right_angle, path)
-    text = path.read_text().splitlines()
-    assert text[1].startswith("# theta")
-    assert text[2] == f"nodes {mesh_right_angle.num_nodes}"
