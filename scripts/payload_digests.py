@@ -36,6 +36,10 @@ COMMANDS = [
     "count --theta 2.4rad --h 0.25 --levels 3",
     "count --theta 0.15rad --h 0.4 --levels 3",
     f"certify {FICHERA} --R 4 --h 0.125 --levels 2 --thr-h 0.1",
+    # non-integer voxel bounds: the grid origin and shape go through rounding
+    f"certify {REGULAR} --R 3 --h 0.125 --levels 2 --thr-h 0.25 --thr-levels 2",
+    "certify --kind trihedral --alpha 90deg,60deg,90deg --R 3 --h 0.125 --levels 2"
+    " --thr-h 0.25 --thr-levels 2",
     "certify-veps --kind regular --n 3 --alpha 60deg --h 0.125 --levels 3 --formats json,csv",
     f"weyl {FICHERA} --indices 2,3,4,5 --h 0.16",
     "hardy --case random --count 5 --seed 3",

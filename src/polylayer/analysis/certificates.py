@@ -18,7 +18,7 @@ import numpy as np
 
 from ..assembly import assemble_q1, rayleigh_quotient
 from ..eigensolve import SolverConfig, smallest_eigenpairs
-from ..errors import AnalysisError, ConfigError
+from ..errors import ABSENT_CONSISTENT, INCONCLUSIVE, NONEMPTY, AnalysisError, ConfigError
 from ..geometry import GeometryError, LayerGeometry, build_trihedral, make_layer
 from ..grid3d import voxelize
 from ..mesh2d import segment_quadrature
@@ -29,10 +29,6 @@ from .waveguide import (
     solve_waveguide_mode,
     threshold,
 )
-
-NONEMPTY = "NONEMPTY"
-INCONCLUSIVE = "INCONCLUSIVE"
-ABSENT_CONSISTENT = "ABSENT_CONSISTENT"
 
 
 @dataclass(eq=False)

@@ -33,7 +33,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import ConfigError, PolylayerError
+from .errors import INCONCLUSIVE, ConfigError, PolylayerError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -437,8 +437,6 @@ def run(args: argparse.Namespace) -> tuple:
     """
     if args.dry_run:
         return _dry_run_payload(args), EXIT_OK, {}
-
-    from .analysis import INCONCLUSIVE
 
     files: dict = {}
     payload = HANDLERS[args.subcommand](args, files)

@@ -14,10 +14,10 @@ order; grids are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import PolylayerError
 from .geometry import LayerGeometry
@@ -102,22 +102,20 @@ class VoxelGrid:
 
 
 def _coordinate_bounds(layer: LayerGeometry, R: float) -> tuple:
-    """Tight per-axis bounds of the truncated layer via six small LPs."""
-    normals = layer.angle.normals
-    rays = layer.angle.rays
-    A_ub = np.vstack([-normals, rays])
-    b_ub = np.concatenate([np.zeros(len(normals)), np.full(len(rays), R)])
-    lo = np.empty(3)
-    hi = np.empty(3)
-    for k in range(3):
-        for sign, out in ((1.0, lo), (-1.0, hi)):
-            c = np.zeros(3)
-            c[k] = sign
-            res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * 3)
-            if not res.success:
-                raise GridError("truncated layer is unbounded or infeasible")
-            out[k] = res.x[k]
-    return lo, hi
+    """Tight per-axis bounds of the truncated layer {n_i . x >= 0, u_j . x <= R}.
+
+    A pointed cone cut across each of its edge rays is a bounded polytope, so
+    each coordinate takes its extremes at vertices: the points where three
+    bounding planes meet and every constraint holds.
+    """
+    G = np.vstack([-layer.angle.normals, layer.angle.rays])  # G x <= g
+    g = np.concatenate([np.zeros(layer.n), np.full(layer.n, R)])
+    triples = np.array(list(combinations(range(len(g)), 3)))
+    A, b = G[triples], g[triples]
+    meet = np.abs(np.linalg.det(A)) > 1e-12  # the three planes meet in a point
+    x = np.linalg.solve(A[meet], b[meet][..., None])[..., 0]
+    vertices = x[(x @ G.T <= g + 1e-9 * R).all(axis=1)]
+    return vertices.min(axis=0), vertices.max(axis=0)
 
 
 def _number_nodes(active: np.ndarray) -> tuple:

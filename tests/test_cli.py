@@ -132,6 +132,37 @@ def test_blas_pin_reports_false_under_another_blas(monkeypatch):
     assert cli._pin_blas() is False
 
 
+def _modules_after(statements, tmp_path):
+    """The module names a fresh interpreter holds after ``statements``, which
+    may call ``main`` with the output directory ``out``."""
+    script = (
+        f"import sys\nfrom polylayer.cli import main\nout = {str(tmp_path / 'out')!r}\n"
+        f"{statements}\nprint(' '.join(sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], check=True, capture_output=True, text=True
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("subcommand", ("angle", "layer"))
+def test_geometry_reports_load_no_scipy(subcommand, tmp_path):
+    statements = f"assert main([{subcommand!r}, *{REGULAR!r}, '--out', out]) == 0"
+    modules = _modules_after(statements, tmp_path)
+    assert not {m for m in modules if m.split(".")[0] == "scipy"}
+
+
+def test_cli_certify_loads_no_scipy_optimize(tmp_path):
+    # what a benchmark child imports, then a tiny Fichera certificate
+    statements = (
+        "import polylayer.analysis, polylayer.report\n"
+        f"assert main([*{SMALL_CERTIFY!r}, '--levels', '1', '--out', out]) == 4"
+    )
+    modules = _modules_after(statements, tmp_path)
+    assert "scipy.sparse.linalg" in modules
+    assert "scipy.optimize" not in modules
+
+
 def test_dry_run_prints_plan_without_solving(tmp_path):
     code, out = run_cli(
         [

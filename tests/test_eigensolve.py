@@ -124,3 +124,30 @@ def test_iterative_inner_solver_failure_raises(monkeypatch):
     monkeypatch.setattr(es.sla, "cg", lambda K, b, **kw: (np.zeros_like(b), 1))
     with pytest.raises(AnalysisError, match="inner CG solve failed"):
         smallest_eigenpairs(prob, SolverConfig(seed=2))
+
+
+def test_non_orthonormal_arpack_vectors_are_reorthonormalized(monkeypatch):
+    # eigenvalues 2-4 of the cube are one degenerate eigenvalue (6 pi^2), so
+    # any mix of their vectors is an eigenbasis, just not an M-orthonormal one
+    import polylayer.eigensolve as es
+
+    prob = assemble_q1(box_grid((1.0, 1.0, 1.0), h=0.125))
+    ref = smallest_eigenpairs(prob, SolverConfig(num_pairs=4))
+    mix = np.eye(4)
+    mix[1:, 1:] = [[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [0.3, 0.0, 1.0]]
+    vecs = ref.eigenvectors @ mix
+    assert es._verify(prob, ref.eigenvalues, vecs)[2] > 1e-10
+    calls = []
+    orthonormalize = es._m_orthonormalize
+
+    def reorthonormalize(M, v):
+        calls.append(v.shape)
+        return orthonormalize(M, v)
+
+    monkeypatch.setattr(es.sla, "eigsh", lambda *a, **kw: (ref.eigenvalues, vecs))
+    monkeypatch.setattr(es, "_m_orthonormalize", reorthonormalize)
+    res = smallest_eigenpairs(prob, SolverConfig(num_pairs=4))
+    assert calls == [vecs.shape]
+    assert res.ortho_defect <= 1e-10
+    assert res.all_converged
+    assert np.allclose(res.eigenvalues, ref.eigenvalues, rtol=1e-12, atol=0.0)

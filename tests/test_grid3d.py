@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from polylayer import grid3d
 from polylayer.geometry import build_regular, build_trihedral, fichera_angle, make_layer
 from polylayer.grid3d import (
     GridError,
@@ -114,3 +116,50 @@ def test_box_grid_benchmark_helper():
     assert int((~grid.dirichlet).sum()) == 3**3
     with pytest.raises(GridError):
         box_grid((1.0, 1.0, 1.0), h=0.3)
+
+
+def _lp_bounds(layer, R):
+    """Per-axis bounds of the truncated layer from six LPs (the oracle)."""
+    A_ub = np.vstack([-layer.angle.normals, layer.angle.rays])
+    b_ub = np.concatenate([np.zeros(layer.n), np.full(layer.n, R)])
+    lo, hi = np.empty(3), np.empty(3)
+    for k in range(3):
+        for sign, out in ((1.0, lo), (-1.0, hi)):
+            res = linprog(sign * np.eye(3)[k], A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * 3)
+            assert res.success
+            out[k] = res.x[k]
+    return lo, hi
+
+
+BOUND_ANGLES = {
+    "fichera": fichera_angle,
+    "tri-90-60-90": lambda: build_trihedral((PI / 2, PI / 3, PI / 2)),
+    "tri-90-0.26-90": lambda: build_trihedral((PI / 2, 0.26, PI / 2)),
+    "regular-3": lambda: build_regular(3, PI / 3),
+    "regular-4": lambda: build_regular(4, PI / 3),
+    "regular-5": lambda: build_regular(5, PI / 3),
+}
+
+
+@pytest.mark.parametrize("h", (0.1, 0.125, 0.2, 0.25, 1.0 / 3.0), ids=lambda h: f"h{h:.3g}")
+@pytest.mark.parametrize("R", (3.0, 4.0, 6.0), ids=lambda R: f"R{R:g}")
+@pytest.mark.parametrize("name", BOUND_ANGLES)
+def test_closed_form_bounds_match_lp_grids(name, R, h, monkeypatch):
+    # the closed-form vertex bounds equal the LP's, and the grid built on
+    # them has the LP grid's cells, Dirichlet flags and corner ids; the
+    # padded box may shift by whole cells
+    layer = make_layer(BOUND_ANGLES[name]())
+    lp = _lp_bounds(layer, R)
+    closed = grid3d._coordinate_bounds(layer, R)
+    for a, b in zip(closed, lp):
+        assert np.abs(a - b).max() <= 1e-12
+    grid = voxelize(layer, R, h)
+    monkeypatch.setattr(grid3d, "_coordinate_bounds", lambda layer, R: lp)
+    ref = voxelize(layer, R, h)
+
+    def cells(g):
+        return np.argwhere(g.active) + np.rint(g.origin / h).astype(int)
+
+    assert np.array_equal(cells(grid), cells(ref))
+    assert np.array_equal(grid.dirichlet, ref.dirichlet)
+    assert np.array_equal(grid.active_cell_corners(), ref.active_cell_corners())
