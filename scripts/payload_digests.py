@@ -40,6 +40,9 @@ COMMANDS = [
     f"certify {REGULAR} --R 3 --h 0.125 --levels 2 --thr-h 0.25 --thr-levels 2",
     "certify --kind trihedral --alpha 90deg,60deg,90deg --R 3 --h 0.125 --levels 2"
     " --thr-h 0.25 --thr-levels 2",
+    # eight grid symmetries: the largest group the voxel bounds solve on
+    "certify --kind regular --n 4 --alpha 60deg --R 3 --h 0.125 --levels 2"
+    " --thr-h 0.25 --thr-levels 2",
     "certify-veps --kind regular --n 3 --alpha 60deg --h 0.125 --levels 3 --formats json,csv",
     f"weyl {FICHERA} --indices 2,3,4,5 --h 0.16",
     "hardy --case random --count 5 --seed 3",

@@ -176,10 +176,7 @@ def assemble_q1(grid: VoxelGrid) -> DiscreteProblem:
     M_raw = SparseSymmetric.from_upper_coo(
         n, *_emit_upper_varying(cells, np.broadcast_to(M8, shape))
     )
-    fixed = grid.dirichlet.copy()
-    if not (~fixed).any():
-        raise AssemblyError("all nodes are Dirichlet: empty problem")
-    return _reduce(K_raw, M_raw, fixed)
+    return _reduce(K_raw, M_raw, grid.dirichlet)
 
 
 def _reduce(
@@ -200,11 +197,44 @@ def _reduce(
     )
 
 
+def symmetric_subproblem(problem: DiscreteProblem, labels: np.ndarray) -> DiscreteProblem:
+    """The pencil (P' K P, P' M P) on the vectors constant on each orbit.
+
+    P is the 0/1 equation-to-orbit matrix, ``labels[eq]`` the orbit of
+    equation ``eq`` (orbits numbered in order of first appearance).  Each
+    stored entry K_ij lands on its orbit pair, twice for i != j in one
+    orbit (K_ij and K_ji).  Equation ``o`` stands for the first node of
+    orbit ``o``; with one orbit per equation the pencil keeps every bit.
+    """
+    n = int(labels.max()) + 1
+
+    def project(A: SparseSymmetric) -> SparseSymmetric:
+        upper = A.upper.tocoo()
+        a, b = labels[upper.row], labels[upper.col]
+        twice = (a == b) & (upper.row != upper.col)
+        vals = np.where(twice, 2.0 * upper.data, upper.data)
+        return SparseSymmetric.from_upper_coo(n, np.minimum(a, b), np.maximum(a, b), vals)
+
+    node_to_eq = problem.node_to_eq.copy()
+    node_to_eq[problem.free_nodes] = labels
+    return DiscreteProblem(
+        K=project(problem.K),
+        M=project(problem.M),
+        free_nodes=problem.free_nodes[np.unique(labels, return_index=True)[1]],
+        node_to_eq=node_to_eq,
+        K_raw=problem.K_raw,
+        M_raw=problem.M_raw,
+    )
+
+
 def rayleigh_quotient(problem: DiscreteProblem, vec: np.ndarray) -> float:
     """(v' K v) / (v' M v) with compensated summation of the products."""
     vec = np.asarray(vec, dtype=float)
-    Kv = problem.K.matvec(vec)
-    Mv = problem.M.matvec(vec)
+    return _quotient(vec, problem.K.matvec(vec), problem.M.matvec(vec))
+
+
+def _quotient(vec: np.ndarray, Kv: np.ndarray, Mv: np.ndarray) -> float:
+    """The Rayleigh quotient from the products K v and M v."""
     num = fsum((vec * Kv).tolist())
     den = fsum((vec * Mv).tolist())
     if den <= 0.0:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
-from .assembly import DiscreteProblem, rayleigh_quotient
+from .assembly import DiscreteProblem, _quotient
 from .errors import AnalysisError, PolylayerError
 
 # above this dimension the direct factorization is replaced by
@@ -103,8 +103,9 @@ def _m_orthonormalize(M: sp.csr_matrix, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _verify(problem: DiscreteProblem, vals, vecs):
-    """Residuals and Rayleigh-quotient re-verification with plain matvecs."""
+def _verify(problem: DiscreteProblem, vecs):
+    """Residuals and Rayleigh quotients (``rayleigh_quotient``'s, bit for
+    bit) from one plain K x and M x per pair."""
     K = problem.K.full
     M = problem.M.full
     n_pairs = vecs.shape[1]
@@ -115,7 +116,7 @@ def _verify(problem: DiscreteProblem, vals, vecs):
         Kx = K @ x
         Mx = M @ x
         lam = float(x @ Kx) / float(x @ Mx)
-        rq[j] = rayleigh_quotient(problem, x)
+        rq[j] = _quotient(x, Kx, Mx)
         residuals[j] = np.linalg.norm(Kx - lam * Mx) / np.linalg.norm(Kx)
     gram = vecs.T @ (M @ vecs)
     defect = float(np.abs(gram - np.eye(n_pairs)).max())
@@ -177,10 +178,10 @@ def smallest_eigenpairs(
     vals = vals[order]
     vecs = vecs[:, order]
 
-    rq, residuals, defect = _verify(problem, vals, vecs)
+    rq, residuals, defect = _verify(problem, vecs)
     if defect > 1e-10:
         vecs = _m_orthonormalize(M, vecs)
-        rq, residuals, defect = _verify(problem, vals, vecs)
+        rq, residuals, defect = _verify(problem, vecs)
     converged = converged & (residuals <= config.tol)
 
     return EigenResult(

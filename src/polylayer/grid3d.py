@@ -14,7 +14,7 @@ order; grids are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations, product
 from typing import Optional
 
 import numpy as np
@@ -214,6 +214,38 @@ def voxelize(
         R=float(R),
         layer=layer,
     )
+
+
+def free_node_orbits(grid: VoxelGrid) -> tuple:
+    """``(labels, order)``: the orbit of each free equation (numbered in
+    order of first appearance) under the grid's symmetry group, and the
+    group's order.  The group is the signed axis permutations about the apex
+    (lattice point 0) that keep the active cells and the free nodes, read
+    from the mask and the Dirichlet flags, never from matrix entries.
+    """
+    shift = np.rint(grid.origin / grid.h).astype(np.int64)
+    cells = np.argwhere(grid.active) + shift  # absolute lattice indices
+    nodes = np.argwhere(grid.node_ids >= 0)[~grid.dirichlet] + shift  # equation order
+    m = int(np.abs(cells).max()) + 1  # cells, nodes and their images lie in [-m, m]
+    is_cell = np.zeros((2 * m + 1,) * 3, dtype=bool)
+    is_cell[tuple((cells + m).T)] = True
+    eq_at = np.full(is_cell.shape, -1, dtype=np.int64)
+    eq_at[tuple((nodes + m).T)] = np.arange(len(nodes))
+    box = np.array([cells.min(axis=0), cells.max(axis=0)])
+    images = []
+    for perm in map(list, permutations(range(3))):
+        for signs in product((1, -1), repeat=3):
+            flip = np.array(signs) < 0
+            if not np.array_equal(np.where(flip, -1 - box[::-1, perm], box[:, perm]), box):
+                continue  # the cells' bounding box must map onto itself
+            cell_img = np.where(flip, -1 - cells[:, perm], cells[:, perm])  # cell k -> -k-1
+            node_img = eq_at[tuple((np.where(flip, -nodes[:, perm], nodes[:, perm]) + m).T)]
+            # a one-to-one image inside the set is the whole set
+            if is_cell[tuple((cell_img + m).T)].all() and (node_img >= 0).all():
+                images.append(node_img)
+    # the symmetries form a group, so an orbit is named by its least equation
+    labels = np.unique(np.min(images, axis=0), return_inverse=True)[1]
+    return labels, len(images)
 
 
 def box_grid(extent, h: float, dirichlet_boundary: bool = True) -> VoxelGrid:

@@ -8,9 +8,10 @@ from polylayer.assembly import (
     assemble_p1,
     assemble_q1,
     rayleigh_quotient,
+    symmetric_subproblem,
 )
 from polylayer.geometry import fichera_angle, lshape_profile, make_layer
-from polylayer.grid3d import box_grid, voxelize
+from polylayer.grid3d import box_grid, free_node_orbits, voxelize
 from polylayer.mesh2d import mesh_lshape, mesh_rectangle
 
 PI = math.pi
@@ -119,3 +120,29 @@ def test_rayleigh_quotient_contracts(square_problem):
         assert rayleigh_quotient(square_problem, v) >= lam1 - 1e-10
     with pytest.raises(AssemblyError):
         rayleigh_quotient(square_problem, np.zeros(square_problem.n))
+
+
+def test_symmetric_subproblem_is_projected_pencil():
+    grid = voxelize(make_layer(fichera_angle()), R=3.0, h=0.25)
+    prob = assemble_q1(grid)
+    labels, order = free_node_orbits(grid)
+    assert order == 6
+    sub = symmetric_subproblem(prob, labels)
+    P = np.zeros((prob.n, sub.n))
+    P[np.arange(prob.n), labels] = 1.0
+    for full, reduced in ((prob.K, sub.K), (prob.M, sub.M)):
+        dense = P.T @ full.full.toarray() @ P
+        assert np.allclose(reduced.full.toarray(), dense, rtol=0.0, atol=1e-14)
+        assert reduced.symmetry_defect() == 0.0
+    # equation o stands for the first node of orbit o
+    assert np.array_equal(sub.node_to_eq[sub.free_nodes], np.arange(sub.n))
+    assert np.array_equal(sub.node_to_eq[prob.free_nodes], labels)
+
+
+def test_symmetric_subproblem_trivial_orbits_keep_every_bit():
+    prob = assemble_q1(voxelize(make_layer(fichera_angle()), R=3.0, h=0.25))
+    sub = symmetric_subproblem(prob, np.arange(prob.n))
+    for full, reduced in ((prob.K, sub.K), (prob.M, sub.M)):
+        assert (full.upper != reduced.upper).nnz == 0
+        assert np.array_equal(full.upper.indptr, reduced.upper.indptr)
+        assert np.array_equal(full.upper.indices, reduced.upper.indices)

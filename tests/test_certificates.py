@@ -12,13 +12,18 @@ from polylayer.analysis import (
     certify_discrete,
     veps_certificate,
 )
+from polylayer.analysis import certificates
+from polylayer.assembly import assemble_q1, rayleigh_quotient
+from polylayer.eigensolve import SolverConfig, smallest_eigenpairs
 from polylayer.geometry import (
     GeometryError,
+    build_regular,
     build_trihedral,
     fichera_angle,
     make_layer,
 )
 from polylayer.errors import ConfigError
+from polylayer.grid3d import voxelize
 
 PI = math.pi
 
@@ -56,6 +61,36 @@ def test_certify_discrete_structure(fichera_layer):
         assert cert.margin <= cert.evidence["combined_indicator"]
     for lev in levels:
         assert lev["residual"] <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "layer_name, R, h",
+    (("fichera", 4.0, 0.25), ("fichera", 4.0, 0.125), ("regular-4", 3.0, 0.25)),
+)
+def test_symmetric_subspace_bound_matches_full_solve(layer_name, R, h):
+    # the ground state is invariant under the grid's symmetries, so the
+    # bound from the reduced pencil is the full pencil's Rayleigh quotient
+    angle = fichera_angle() if layer_name == "fichera" else build_regular(4, PI / 3)
+    layer = make_layer(angle)
+    (rec,) = certificates.voxel_upper_bounds(layer, R, h, levels=1, seed=0)
+    problem = assemble_q1(voxelize(layer, R=R, h=h))
+    full = smallest_eigenpairs(problem, SolverConfig(num_pairs=1, seed=0))
+    ref = rayleigh_quotient(problem, full.eigenvectors[:, 0])
+    assert rec["upper_bound"] == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert rec["residual"] <= 1e-8
+    assert rec["dofs"] == problem.n
+
+
+def test_lifted_vector_audited_on_full_grid(fichera_layer, monkeypatch):
+    # orbits that are no symmetry of the grid give a lifted vector that is
+    # no eigenvector of the full pencil: the audit must refuse it
+    def pairs(grid):
+        n = int((~grid.dirichlet).sum())
+        return np.arange(n) // 2, 1
+
+    monkeypatch.setattr(certificates, "free_node_orbits", pairs)
+    with pytest.raises(AnalysisError, match="full-grid residual"):
+        certificates.voxel_upper_bounds(fichera_layer, 3.0, 0.25, levels=1, seed=0)
 
 
 def test_certify_discrete_indicator_never_overstated(fichera_layer):

@@ -136,7 +136,7 @@ def test_non_orthonormal_arpack_vectors_are_reorthonormalized(monkeypatch):
     mix = np.eye(4)
     mix[1:, 1:] = [[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [0.3, 0.0, 1.0]]
     vecs = ref.eigenvectors @ mix
-    assert es._verify(prob, ref.eigenvalues, vecs)[2] > 1e-10
+    assert es._verify(prob, vecs)[2] > 1e-10
     calls = []
     orthonormalize = es._m_orthonormalize
 

@@ -8,7 +8,9 @@ from polylayer import grid3d
 from polylayer.geometry import build_regular, build_trihedral, fichera_angle, make_layer
 from polylayer.grid3d import (
     GridError,
+    VoxelGrid,
     box_grid,
+    free_node_orbits,
     truncated_layer_contains,
     voxelize,
 )
@@ -163,3 +165,61 @@ def test_closed_form_bounds_match_lp_grids(name, R, h, monkeypatch):
     assert np.array_equal(cells(grid), cells(ref))
     assert np.array_equal(grid.dirichlet, ref.dirichlet)
     assert np.array_equal(grid.active_cell_corners(), ref.active_cell_corners())
+
+
+SYMMETRY_ORDERS = {
+    "fichera": 6,
+    "regular-4": 8,
+    "regular-3": 2,
+    "tri-90-60-90": 1,
+    "tri-90-0.26-90": 1,
+}
+
+
+@pytest.mark.parametrize("R, h", ((3.0, 0.25), (4.0, 0.125)), ids=("R3-h0.25", "R4-h0.125"))
+@pytest.mark.parametrize("name", SYMMETRY_ORDERS)
+def test_symmetry_group_orders(name, R, h):
+    grid = voxelize(make_layer(BOUND_ANGLES[name]()), R, h)
+    labels, order = free_node_orbits(grid)
+    assert order == SYMMETRY_ORDERS[name]
+    assert len(labels) == int((~grid.dirichlet).sum())
+    # orbits are numbered in order of first appearance, each orbit at most
+    # as large as the group
+    first = np.unique(labels, return_index=True)[1]
+    assert np.array_equal(first, np.sort(first))
+    assert np.bincount(labels).max() <= order
+    if order == 1:
+        assert np.array_equal(labels, np.arange(len(labels)))
+
+
+def test_symmetry_read_from_the_mask_at_h_0_1(fichera_layer):
+    # the Q1 matrices of this grid are symmetric only to the last bit, so a
+    # comparison of matrix entries finds 2 of the 6 symmetries; the mask and
+    # the Dirichlet flags find all of them
+    labels, order = free_node_orbits(voxelize(fichera_layer, R=4.0, h=0.1))
+    assert order == 6
+
+
+def test_one_cell_off_breaks_the_symmetry(fichera_layer):
+    grid = voxelize(fichera_layer, R=3.0, h=0.25)
+    active = grid.active.copy()
+    cells = np.argwhere(active)
+    # a cell on the outer face whose three indices differ: no axis
+    # permutation fixes it
+    outer = cells[(cells == cells.max()).any(axis=1)]
+    cell = next(c for c in outer if len(set(c)) == 3)
+    active[tuple(cell)] = False
+    node_of_cell, node_ids = grid3d._number_nodes(active)
+    dirichlet = np.zeros(int((node_ids >= 0).sum()), dtype=bool)
+    dirichlet[node_ids[(node_ids >= 0) & (node_of_cell < 8)]] = True
+    cut = VoxelGrid(
+        h=grid.h,
+        origin=grid.origin,
+        active=active,
+        node_ids=node_ids,
+        dirichlet=dirichlet,
+        cut_bc="dirichlet",
+    )
+    labels, order = free_node_orbits(cut)
+    assert order == 1
+    assert np.array_equal(labels, np.arange(len(labels)))
