@@ -10,6 +10,9 @@ a change keeps every byte, run it against two checkouts and diff:
     PYTHONPATH=src python3 scripts/payload_digests.py > new.txt
     diff old.txt new.txt
 
+``payload_fields.py OLD_SRC NEW_SRC`` runs the same commands and names the
+fields that moved, with their largest relative change.
+
 The CLI pins BLAS to one thread in-process, so the output does not depend
 on the host's thread count.  A checkout from before that pin does depend on
 it: run such a checkout with ``OPENBLAS_NUM_THREADS=1``.
@@ -20,8 +23,6 @@ import hashlib
 import io
 import os
 import tempfile
-
-from polylayer.cli import main
 
 FICHERA = "--kind trihedral --alpha 90deg,90deg,90deg"
 REGULAR = "--kind regular --n 3 --alpha 60deg"
@@ -57,22 +58,33 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(command: str) -> str:
+def outputs(command: str) -> tuple:
+    """``(exit code, payload bytes or None, {side file name: bytes})`` of one
+    command, run in a temporary ``--out``."""
+    from polylayer.cli import main
+
     argv = command.split()
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()):  # the bundle path
             code = main([*argv, "--out", out])
-        fields = [f"exit={code}"]
-        bundle = os.path.join(out, f"{argv[0]}.json")
-        if os.path.exists(bundle):
-            with open(bundle, "rb") as f:
-                raw = f.read()
-            payload = raw[raw.index(PAYLOAD_MARK) + len(PAYLOAD_MARK) : -len(b"\n}\n")]
-            fields.append(f"payload={digest(payload)}")
+        payload = None
+        files = {}
         for name in sorted(os.listdir(out)):
-            if name != f"{argv[0]}.json":
-                with open(os.path.join(out, name), "rb") as f:
-                    fields.append(f"{name}={digest(f.read())}")
+            with open(os.path.join(out, name), "rb") as f:
+                raw = f.read()
+            if name == f"{argv[0]}.json":
+                payload = raw[raw.index(PAYLOAD_MARK) + len(PAYLOAD_MARK) : -len(b"\n}\n")]
+            else:
+                files[name] = raw
+    return code, payload, files
+
+
+def run(command: str) -> str:
+    code, payload, files = outputs(command)
+    fields = [f"exit={code}"]
+    if payload is not None:
+        fields.append(f"payload={digest(payload)}")
+    fields += [f"{name}={digest(raw)}" for name, raw in files.items()]
     return f"{command}\n    " + " ".join(fields)
 
 

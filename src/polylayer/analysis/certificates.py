@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..assembly import assemble_q1, symmetric_subproblem
-from ..eigensolve import SolverConfig, _verify, smallest_eigenpairs
+from ..assembly import assemble_q1
+from ..eigensolve import invariant_ground_state
 from ..errors import ABSENT_CONSISTENT, INCONCLUSIVE, NONEMPTY, AnalysisError, ConfigError
 from ..geometry import GeometryError, LayerGeometry, build_trihedral, make_layer
 from ..grid3d import free_node_orbits, voxelize
@@ -88,21 +88,12 @@ def voxel_upper_bounds(
         grid = voxelize(layer, R=R, h=h_lev, cut_bc="dirichlet")
         problem = assemble_q1(grid)
         labels, _ = free_node_orbits(grid)
-        reduced = symmetric_subproblem(problem, labels)
-        config = SolverConfig(num_pairs=1, seed=seed)
-        result = smallest_eigenpairs(reduced, config)
-        if not result.all_converged:
-            raise AnalysisError(f"3D eigensolve did not converge at level {lev}")
-        x = result.eigenvectors[labels, :1]  # lifted: x = P y
-        x /= math.sqrt(float(x[:, 0] @ problem.M.matvec(x[:, 0])))
-        upper_bound, residual, _ = _verify(problem, x)
-        if not residual[0] <= config.tol:
-            raise AnalysisError(f"full-grid residual {residual[0]:.3e} at level {lev}")
+        result = invariant_ground_state(problem, labels, "grid", f"level {lev}", seed=seed)
         records.append(
             {
                 "h": h_lev,
-                "upper_bound": float(upper_bound[0]),
-                "residual": float(residual[0]),
+                "upper_bound": float(result.eigenvalues[0]),
+                "residual": float(result.residuals[0]),
                 "cells": grid.num_active_cells,
                 "volume": grid.volume,
                 "dofs": problem.n,

@@ -9,13 +9,14 @@ re-verified with plain matrix-vector products before it is returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
-from .assembly import DiscreteProblem, _quotient
+from .assembly import DiscreteProblem, _quotient, symmetric_subproblem
 from .errors import AnalysisError, PolylayerError
 
 # above this dimension the direct factorization is replaced by
@@ -190,5 +191,42 @@ def smallest_eigenpairs(
         residuals=residuals,
         iterations=inner.count,
         converged=converged,
+        ortho_defect=defect,
+    )
+
+
+def invariant_ground_state(
+    problem: DiscreteProblem,
+    labels: np.ndarray,
+    space: str,
+    at: str,
+    tol: float = 1e-8,
+    seed: int = 0,
+) -> EigenResult:
+    """The smallest eigenpair of (K, M) among the vectors constant on each
+    orbit of ``labels`` (``assembly.symmetric_subproblem``), lifted to the
+    full equations, M-normalized and audited on the full pencil.
+
+    The caller states why the ground state is invariant; the audit checks
+    it: orbits that are no symmetry give a lifted vector that is no
+    eigenvector, and a full-pencil residual above ``tol`` raises
+    AnalysisError.  ``space`` ("grid", "mesh") and ``at`` name the problem
+    in the errors.
+    """
+    config = SolverConfig(num_pairs=1, tol=tol, seed=seed)
+    result = smallest_eigenpairs(symmetric_subproblem(problem, labels), config)
+    if not result.all_converged:
+        raise AnalysisError(f"{space} eigensolve did not converge at {at}")
+    x = result.eigenvectors[labels, :1]  # lifted: x = P y
+    x /= math.sqrt(float(x[:, 0] @ problem.M.matvec(x[:, 0])))
+    rq, residuals, defect = _verify(problem, x)
+    if not residuals[0] <= tol:
+        raise AnalysisError(f"full-{space} residual {residuals[0]:.3e} at {at}")
+    return EigenResult(
+        eigenvalues=rq,
+        eigenvectors=x,
+        residuals=residuals,
+        iterations=result.iterations,
+        converged=np.ones(1, dtype=bool),
         ortho_defect=defect,
     )

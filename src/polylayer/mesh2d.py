@@ -38,6 +38,7 @@ class TriMesh:
     oriented; boundary_edges: (E, 2) node pairs with per-edge tags in
     {'dirichlet', 'neumann'}.  ``parent`` points to the coarser mesh this one
     refines (node indices of the parent are a prefix of this mesh's).
+    ``mirror`` is the node permutation of the reflection y -> -y, or None.
     """
 
     nodes: np.ndarray
@@ -49,6 +50,7 @@ class TriMesh:
     outlet_length: Optional[float] = None
     parent: Optional["TriMesh"] = None
     quality_min_angle: Optional[float] = None  # reported at build time
+    mirror: Optional[np.ndarray] = None
     _locator: Optional["_TriangleLocator"] = field(default=None, repr=False)
     _unique_edges: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -92,7 +94,7 @@ class TriMesh:
     def edges(self) -> np.ndarray:
         """Unique node pairs (smaller index first) of all triangle sides."""
         if self._unique_edges is None:
-            self._unique_edges = _edges(self.triangles)[0]
+            self._unique_edges = _edges(self)[0]
         return self._unique_edges
 
     def locator(self) -> "_TriangleLocator":
@@ -108,19 +110,27 @@ def _signed_areas(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _edges(tris: np.ndarray) -> tuple:
+def _edge_keys(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
+    """One int64 per node pair (a, b), a <= b, ordered as the pairs are."""
+    return pairs[..., 0] * (num_nodes + 1) + pairs[..., 1]
+
+
+def _edges(mesh: TriMesh) -> tuple:
     """(unique, inverse): the sorted unique node pairs of the triangle sides,
     and for every side (all 0-1 sides, then 1-2, then 2-0) its row there."""
+    tris = mesh.triangles
     sides = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     sides.sort(axis=1)
-    return np.unique(sides, axis=0, return_inverse=True)
+    keys, inverse = np.unique(_edge_keys(sides, mesh.num_nodes), return_inverse=True)
+    unique = np.stack(np.divmod(keys, mesh.num_nodes + 1), axis=1)
+    return unique, inverse
 
 
 def check_conforming(mesh: TriMesh) -> None:
     """Raise MeshError unless every interior edge is shared by exactly two
     triangles, boundary edges by exactly one, and tagged edges coincide with
     the topological boundary."""
-    edges, inverse = _edges(mesh.triangles)
+    edges, inverse = _edges(mesh)
     counts = np.bincount(inverse.ravel(), minlength=len(edges))
     if (counts > 2).any():
         raise MeshError("non-conforming: an edge is shared by more than two triangles")
@@ -210,6 +220,11 @@ def mesh_lshape(profile: LShapeProfile, h: float) -> TriMesh:
         sides.append(_sides((ids[:, 0], DIRICHLET), (ids[:, n_c], DIRICHLET)))
         sides.append(_sides((ids[n_a], NEUMANN)))
 
+    # y -> -y swaps the kite's (i, j) and (j, i) and the two outlets' (a, k)
+    mirror = np.empty(sum(map(len, nodes)), dtype=np.int64)
+    mirror[blocks[0]] = blocks[0].T
+    mirror[blocks[1]], mirror[blocks[2]] = blocks[2], blocks[1]
+
     mesh = _mesh(
         np.concatenate(nodes),
         blocks,
@@ -217,6 +232,7 @@ def mesh_lshape(profile: LShapeProfile, h: float) -> TriMesh:
         h=float(h),
         theta=float(theta),
         outlet_length=float(R),
+        mirror=mirror,
     )
     if abs(mesh.total_area - profile.area) > 1e-10 * max(1.0, profile.area):
         raise MeshError("triangle areas do not sum to the profile area")
@@ -266,9 +282,14 @@ def _orient(tris: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 
 def refine(mesh: TriMesh) -> TriMesh:
-    """Uniform 4-split by edge midpoints; parent nodes keep their indices."""
+    """Uniform 4-split by edge midpoints; parent nodes keep their indices.
+
+    The midpoint of edge (a, b) mirrors to the midpoint of edge
+    (mirror a, mirror b).
+    """
     tris = mesh.triangles
-    edges_unique, inverse = _edges(tris)
+    edges_unique, inverse = _edges(mesh)
+    keys = _edge_keys(edges_unique, mesh.num_nodes)
     mid_ids = mesh.num_nodes + np.arange(len(edges_unique))
     mid_coords = 0.5 * (mesh.nodes[edges_unique[:, 0]] + mesh.nodes[edges_unique[:, 1]])
 
@@ -279,13 +300,19 @@ def refine(mesh: TriMesh) -> TriMesh:
         [v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1
     ).reshape(-1, 3)
 
-    be = np.sort(mesh.boundary_edges, axis=1)
     lookup = np.searchsorted(
-        edges_unique[:, 0] * (mesh.num_nodes + 1) + edges_unique[:, 1],
-        be[:, 0] * (mesh.num_nodes + 1) + be[:, 1],
+        keys, _edge_keys(np.sort(mesh.boundary_edges, axis=1), mesh.num_nodes)
     )
     a, b = mesh.boundary_edges.T
     edges = np.stack([a, mid_ids[lookup], mid_ids[lookup], b], axis=1).reshape(-1, 2)
+
+    mirror = None
+    if mesh.mirror is not None:
+        image = np.sort(mesh.mirror[edges_unique], axis=1)
+        # a pair that is no edge lands on some other midpoint, which
+        # free_node_orbits then rejects
+        found = np.searchsorted(keys, _edge_keys(image, mesh.num_nodes))
+        mirror = np.concatenate([mesh.mirror, mid_ids[np.minimum(found, len(keys) - 1)]])
 
     all_nodes = np.vstack([mesh.nodes, mid_coords])
     return TriMesh(
@@ -298,7 +325,48 @@ def refine(mesh: TriMesh) -> TriMesh:
         outlet_length=mesh.outlet_length,
         parent=mesh,
         quality_min_angle=mesh.quality_min_angle,
+        mirror=mirror,
     )
+
+
+def free_node_orbits(mesh: TriMesh) -> tuple:
+    """``(labels, order)``: the orbit of each free equation (numbered in
+    order of first appearance) under the mesh's symmetry group, and the
+    group's order, as ``grid3d.free_node_orbits`` gives them for a grid.
+
+    The group is the identity and ``mesh.mirror``, kept only if the mirror
+    is an involution that maps the triangle set and the Dirichlet nodes onto
+    themselves; otherwise the order is 1 and every equation its own orbit.
+    An orbit is named by its least image.
+    """
+    fixed = np.zeros(mesh.num_nodes, dtype=bool)
+    fixed[mesh.dirichlet_nodes()] = True
+    n_free = mesh.num_nodes - int(fixed.sum())
+    mirror = mesh.mirror
+    if mirror is None or not _is_symmetry(mesh, mirror, fixed):
+        return np.arange(n_free), 1
+    eq = np.cumsum(~fixed) - 1  # equation of each free node
+    image = eq[mirror[~fixed]]
+    return np.unique(np.minimum(np.arange(n_free), image), return_inverse=True)[1], 2
+
+
+def _is_symmetry(mesh: TriMesh, perm: np.ndarray, fixed: np.ndarray) -> bool:
+    """Whether the node map ``perm`` is an involution that keeps the
+    triangle set and the ``fixed`` nodes."""
+    ids = np.arange(mesh.num_nodes)
+    if perm.shape != ids.shape or not np.array_equal(np.sort(perm), ids):
+        return False
+    return (
+        np.array_equal(perm[perm], ids)
+        and np.array_equal(fixed[perm], fixed)
+        and np.array_equal(_row_set(mesh.triangles), _row_set(perm[mesh.triangles]))
+    )
+
+
+def _row_set(tris: np.ndarray) -> np.ndarray:
+    """The triangles as vertex sets, in one canonical order."""
+    rows = np.sort(tris, axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 class _TriangleLocator:

@@ -20,8 +20,11 @@ from polylayer.analysis import (
     support_overlap,
     threshold,
 )
+from polylayer.analysis import waveguide
 from polylayer.analysis.hardy import HardyError
-from polylayer.errors import ConfigError
+from polylayer.assembly import assemble_p1
+from polylayer.eigensolve import SolverConfig, _verify, smallest_eigenpairs
+from polylayer.errors import AnalysisError, ConfigError
 from polylayer.geometry import build_regular, build_trihedral, fichera_angle, make_layer
 
 PI = math.pi
@@ -195,3 +198,28 @@ def test_weyl_window_supports_disjoint():
     assert support_overlap(2, 3, 0.35) == 0.0
     assert support_overlap(3, 4, 0.35) == 0.0
     assert support_overlap(2, 2, 0.35) > 0.0
+
+
+@pytest.mark.parametrize("theta", [0.3, PI / 2, 2.9])
+def test_single_pair_chain_solved_on_mirror_sector(theta):
+    # lambda_1 of the mirror-invariant sector is the full lambda_1; the
+    # lifted vector is an M-normalized eigenvector of the full mesh
+    lams, meshes, vals = waveguide._solve_chain(theta, 2.3, 0.25, 3, 1, 1e-8, 0)
+    for lev, mesh in enumerate(meshes):
+        problem = assemble_p1(mesh)
+        full = smallest_eigenpairs(problem, SolverConfig(num_pairs=1, seed=0))
+        assert lams[lev, 0] == pytest.approx(full.eigenvalues[0], rel=1e-12, abs=0.0)
+        rq, residual, defect = _verify(problem, vals[lev][problem.free_nodes])
+        assert rq[0] == lams[lev, 0]
+        assert residual[0] <= 1e-8
+        assert defect <= 1e-12
+
+
+def test_single_pair_chain_refuses_orbits_that_are_no_symmetry(monkeypatch):
+    def pairs(mesh):
+        n = mesh.num_nodes - len(mesh.dirichlet_nodes())
+        return np.arange(n) // 2, 1
+
+    monkeypatch.setattr(waveguide, "free_node_orbits", pairs)
+    with pytest.raises(AnalysisError, match="full-mesh residual"):
+        waveguide._solve_chain(PI / 2, 2.0, 0.25, 2, 1, 1e-8, 0)

@@ -106,19 +106,27 @@ def test_payload_bytes_reproducible(tmp_path):
 
 
 def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # a six-pair count: ARPACK's dense BLAS sums in a thread-dependent order
-    # unless the CLI pins BLAS to one thread
-    cmd = [sys.executable, "-m", "polylayer", "count", "--theta", "0.15rad",
-           "--h", "0.4", "--levels", "3"]
-    bundles = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-        subprocess.run([*cmd, "--out", str(out)], check=True, env=env)
-        bundles.append((out / "count.json").read_bytes())
-    payloads = [raw[raw.index(b'"payload": '):] for raw in bundles]
-    assert payloads[0] == payloads[1]
-    assert all(json.loads(raw)["meta"]["blas_pinned"] is True for raw in bundles)
+    commands = [
+        # a six-pair count: ARPACK's dense BLAS sums in a thread-dependent
+        # order unless the CLI pins BLAS to one thread
+        ["count", "--theta", "0.15rad", "--h", "0.4", "--levels", "3"],
+        # single-pair chains, solved on the mirror-invariant sector
+        ["waveguide", "--theta", "0.3rad", "--h", "0.25", "--levels", "2"],
+    ]
+    for argv in commands:
+        bundles = []
+        for threads in ("1", "2"):
+            out = tmp_path / argv[0] / threads
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run(
+                [sys.executable, "-m", "polylayer", *argv, "--out", str(out)],
+                check=True,
+                env=env,
+            )
+            bundles.append((out / f"{argv[0]}.json").read_bytes())
+        payloads = [raw[raw.index(b'"payload": '):] for raw in bundles]
+        assert payloads[0] == payloads[1], argv[0]
+        assert all(json.loads(raw)["meta"]["blas_pinned"] is True for raw in bundles)
 
 
 def test_blas_pin_reports_false_under_another_blas(monkeypatch):
@@ -427,7 +435,9 @@ def test_dry_run_never_solves(name, tmp_path, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a dry run solved")
 
-    for module in (eigensolve, waveguide, certificates):
+    # every solve goes through eigensolve.smallest_eigenpairs, called from
+    # waveguide directly or through eigensolve.invariant_ground_state
+    for module in (eigensolve, waveguide):
         monkeypatch.setattr(module, "smallest_eigenpairs", must_not_run)
     code, out = run_cli([name, *DRY_RUN_ARGV[name], "--dry-run"], tmp_path, name)
     assert code == EXIT_OK

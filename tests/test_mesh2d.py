@@ -7,9 +7,11 @@ from polylayer.geometry import lshape_profile
 from polylayer.mesh2d import (
     MeshError,
     TriMesh,
+    _edges,
     check_conforming,
     evaluate,
     evaluate_batch,
+    free_node_orbits,
     mesh_lshape,
     mesh_rectangle,
     refine,
@@ -282,3 +284,76 @@ def test_rectangle_mesh_tags_and_area():
     assert mesh.total_area == pytest.approx(3.0, abs=1e-12)
     assert mesh.boundary_length("neumann") == pytest.approx(2.0, abs=1e-12)
     assert mesh.boundary_length("dirichlet") == pytest.approx(6.0, abs=1e-12)
+
+
+def _mirror_chain(theta):
+    # R = 2.3 is no multiple of h, so the outlets' last cells are short
+    mesh = mesh_lshape(lshape_profile(theta, 2.3), h=0.25)
+    return [mesh, refine(mesh), refine(refine(mesh))]
+
+
+def _triangle_set(tris):
+    return {tuple(sorted(t)) for t in tris.tolist()}
+
+
+@pytest.mark.parametrize("theta", [0.15, 0.3, PI / 2, 2.9])
+def test_mirror_map_is_the_reflection(theta):
+    for mesh in _mirror_chain(theta):
+        mirror = mesh.mirror
+        np.testing.assert_allclose(
+            mesh.nodes[mirror], mesh.nodes * [1.0, -1.0], rtol=0.0, atol=1e-14
+        )
+        assert np.array_equal(mirror[mirror], np.arange(mesh.num_nodes))
+        assert _triangle_set(mirror[mesh.triangles]) == _triangle_set(mesh.triangles)
+        dirichlet = mesh.dirichlet_nodes()
+        assert np.array_equal(np.sort(mirror[dirichlet]), dirichlet)
+        # every triangle on one closed side of the axis y = 0
+        y = mesh.nodes[mesh.triangles, 1]
+        assert ((y >= -1e-14).all(axis=1) | (y <= 1e-14).all(axis=1)).all()
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.9])
+def test_free_node_orbits_pair_mirror_images(theta):
+    for mesh in _mirror_chain(theta):
+        labels, order = free_node_orbits(mesh)
+        assert order == 2
+        fixed = np.zeros(mesh.num_nodes, dtype=bool)
+        fixed[mesh.dirichlet_nodes()] = True
+        free = np.flatnonzero(~fixed)
+        eq = np.full(mesh.num_nodes, -1)
+        eq[free] = np.arange(len(free))
+        image = eq[mesh.mirror[free]]
+        assert (labels == labels[image]).all()
+        # one orbit per pair, one per axis node, named in order of first appearance
+        on_axis = int((image == np.arange(len(free))).sum())
+        assert labels.max() + 1 == on_axis + (len(free) - on_axis) // 2
+        firsts = np.unique(labels, return_index=True)[1]
+        assert (np.diff(firsts) > 0).all()
+
+
+def test_free_node_orbits_without_a_valid_mirror(mesh_right_angle):
+    n_free = mesh_right_angle.num_nodes - len(mesh_right_angle.dirichlet_nodes())
+    rect = mesh_rectangle(2.0, 1.0, 0.25)
+    assert rect.mirror is None
+    labels, order = free_node_orbits(rect)
+    assert order == 1 and np.array_equal(labels, np.arange(len(labels)))
+    # two nodes of different triangles swapped: the triangle set breaks
+    broken = np.array(mesh_right_angle.mirror)
+    a, b = mesh_right_angle.triangles[[0, -1], 0]
+    broken[[a, b]] = broken[[b, a]]
+    reversed_ids = np.arange(mesh_right_angle.num_nodes)[::-1]
+    for mirror in (broken, mesh_right_angle.mirror[:-1], reversed_ids):
+        mesh = _broken(mesh_right_angle)
+        mesh.mirror = mirror
+        labels, order = free_node_orbits(mesh)
+        assert order == 1 and np.array_equal(labels, np.arange(n_free))
+
+
+def test_edge_table_matches_row_unique():
+    mesh = refine(mesh_lshape(lshape_profile(0.4, 2.3), h=0.25))
+    tris = mesh.triangles
+    sides = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+    ref, ref_inverse = np.unique(sides, axis=0, return_inverse=True)
+    edges, inverse = _edges(mesh)
+    assert edges.dtype == ref.dtype and np.array_equal(edges, ref)
+    assert np.array_equal(inverse, ref_inverse.ravel())
