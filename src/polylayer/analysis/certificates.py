@@ -21,7 +21,7 @@ from ..eigensolve import invariant_ground_state
 from ..errors import ABSENT_CONSISTENT, INCONCLUSIVE, NONEMPTY, AnalysisError, ConfigError
 from ..geometry import GeometryError, LayerGeometry, build_trihedral, make_layer
 from ..grid3d import free_node_orbits, voxelize
-from ..mesh2d import segment_quadrature
+from ..mesh2d import segment_rule
 from .waveguide import (
     PI2,
     WaveguideNumerics,
@@ -204,6 +204,7 @@ def _veps_terms(mesh, v: np.ndarray, alpha: float, beta: float):
     area = np.abs(mesh.signed_areas())
     x_dag = (qp - inner) @ d1
     upper = qp[..., 1] > 0.0  # the half-waveguide along the x_dag outlet
+    gamma0 = segment_rule(mesh, v, (0.0, 0.0), tuple(inner))
 
     def terms(eps: float) -> dict:
         t1 = 0.5 * eps * math.exp(2.0 * eps * pocket)  # ||v||_{L2} = 1 (M-normalized)
@@ -215,8 +216,7 @@ def _veps_terms(mesh, v: np.ndarray, alpha: float, beta: float):
         def wfun(tau):
             return np.exp(-2.0 * eps * cot_a * (np.asarray(tau) - L) * math.cos(half))
 
-        g0 = segment_quadrature(mesh, v, (0.0, 0.0), tuple(inner), weight=wfun)
-        t3 = float(-cot_a * math.sin(half) * g0)
+        t3 = float(-cot_a * math.sin(half) * gamma0(wfun))
         return {"eps": float(eps), "T1": t1, "T2": t2, "T3": t3, "value": t1 + t2 + t3}
 
     return terms

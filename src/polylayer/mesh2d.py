@@ -284,8 +284,10 @@ def _orient(tris: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 def refine(mesh: TriMesh) -> TriMesh:
     """Uniform 4-split by edge midpoints; parent nodes keep their indices.
 
-    The midpoint of edge (a, b) mirrors to the midpoint of edge
-    (mirror a, mirror b).
+    The children are positively oriented as their parent is: a corner child
+    keeps the parent's vertex order, and the middle child is the parent's
+    point reflection, scaled by 1/2.  The midpoint of edge (a, b) mirrors to
+    the midpoint of edge (mirror a, mirror b).
     """
     tris = mesh.triangles
     edges_unique, inverse = _edges(mesh)
@@ -317,7 +319,7 @@ def refine(mesh: TriMesh) -> TriMesh:
     all_nodes = np.vstack([mesh.nodes, mid_coords])
     return TriMesh(
         nodes=all_nodes,
-        triangles=_orient(children, all_nodes),
+        triangles=children,
         boundary_edges=edges,
         boundary_tags=np.repeat(mesh.boundary_tags, 2),
         h=mesh.h / 2.0,
@@ -423,28 +425,26 @@ class _TriangleLocator:
         out_bary = np.zeros((len(pts), 3))
         cells = self._cells(pts)
         bins = cells[:, 0] * self.n_bins + cells[:, 1]
-        order = np.argsort(bins, kind="stable")
-        starts = np.flatnonzero(np.diff(bins[order], prepend=-1))
-        # every point of an occupied bin against all of the bin's triangles
-        for s, e in zip(starts, np.append(starts[1:], len(order))):
-            idx, b = order[s:e], bins[order[s]]
-            cand = self._bin_tris[self._bin_start[b] : self._bin_start[b + 1]]
-            if len(cand) == 0:
-                continue
-            rel = pts[idx, None, :] - self._p0[cand]
-            inv = self._inv[cand]
-            l1 = inv[:, 0] * rel[..., 0] + inv[:, 1] * rel[..., 1]
-            l2 = inv[:, 2] * rel[..., 0] + inv[:, 3] * rel[..., 1]
-            bary = np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
-            ok = (bary >= -self.tol).all(axis=-1)
-            first = ok.argmax(axis=1)
-            hit = ok[np.arange(len(idx)), first]
-            out_tri[idx[hit]] = cand[first[hit]]
-            out_bary[idx[hit]] = bary[hit, first[hit]]
+        # one (point, candidate) pair per triangle of the point's bin: points
+        # in order, each point's candidates in the bin's order
+        start = self._bin_start[bins]
+        count = self._bin_start[bins + 1] - start
+        pt = np.repeat(np.arange(len(pts)), count)
+        first = np.cumsum(count) - count  # each point's first pair
+        cand = self._bin_tris[np.arange(len(pt)) + np.repeat(start - first, count)]
+        rel = pts[pt] - self._p0[cand]
+        inv = self._inv[cand]
+        l1 = inv[:, 0] * rel[:, 0] + inv[:, 1] * rel[:, 1]
+        l2 = inv[:, 2] * rel[:, 0] + inv[:, 3] * rel[:, 1]
+        bary = np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+        hit = np.flatnonzero((bary >= -self.tol).all(axis=1))
+        hit = hit[np.diff(pt[hit], prepend=-1) != 0]  # each point's first hit
+        out_tri[pt[hit]] = cand[hit]
+        out_bary[pt[hit]] = bary[hit]
         return out_tri, out_bary
 
 
-_CHUNK = 200_000  # points located at once
+_CHUNK = 4096  # points per locate pass: about 4 candidates each, a few MiB of pairs
 
 
 def _interpolate(mesh: TriMesh, nodal_values: np.ndarray, points: np.ndarray):
@@ -478,15 +478,10 @@ def evaluate_batch(mesh: TriMesh, nodal_values: np.ndarray, points: np.ndarray):
     return _interpolate(mesh, nodal_values, points)
 
 
-def segment_quadrature(
-    mesh: TriMesh,
-    nodal_values: np.ndarray,
-    p0,
-    p1,
-    weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    order: int = 4,
-) -> float:
-    """Integral of u(gamma(tau))^2 * weight(tau) along the segment p0 -> p1.
+def segment_rule(mesh: TriMesh, nodal_values: np.ndarray, p0, p1, order: int = 4) -> Callable:
+    """``integrate(weight=None)``: the integral of u(gamma(tau))^2 *
+    weight(tau) along the segment p0 -> p1, with the weight-independent part
+    (cuts, Gauss points, u^2 there) computed once.
 
     tau is arclength measured from p0; ``weight`` acts elementwise on an
     array of them.  The segment is split at its crossings with mesh edges
@@ -500,7 +495,7 @@ def segment_quadrature(
     seg = p1 - p0
     length = float(np.linalg.norm(seg))
     if length == 0.0:
-        return 0.0
+        return lambda weight=None: 0.0
 
     edges = mesh.edges()
     ea = mesh.nodes[edges[:, 0]]
@@ -530,10 +525,28 @@ def segment_quadrature(
     u, inside = _interpolate(mesh, nodal_values, (p0 + taus[..., None] * seg).reshape(-1, 2))
     if not inside.all():
         raise MeshError("segment exits the meshed region")
-    u = u.reshape(taus.shape)
-    f = u * u if weight is None else u * u * np.asarray(weight(taus * length))
-    total = 0.0
-    for a, b, fk in zip(t0[:, 0], t1[:, 0], f):
-        total += 0.5 * (b - a) * length * float(np.dot(gauss_w, fk))
-    return float(total)
+    u2 = (u * u).reshape(taus.shape)
+    arclength = taus * length
+    scale = 0.5 * (t1[:, 0] - t0[:, 0]) * length  # per piece
 
+    def integrate(weight: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
+        f = u2 if weight is None else u2 * np.asarray(weight(arclength))
+        total = 0.0
+        for c, fk in zip(scale, f):
+            total += c * float(np.dot(gauss_w, fk))
+        return float(total)
+
+    return integrate
+
+
+def segment_quadrature(
+    mesh: TriMesh,
+    nodal_values: np.ndarray,
+    p0,
+    p1,
+    weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    order: int = 4,
+) -> float:
+    """Integral of u(gamma(tau))^2 * weight(tau) along the segment p0 -> p1,
+    by ``segment_rule`` in one shot."""
+    return segment_rule(mesh, nodal_values, p0, p1, order)(weight)

@@ -24,6 +24,7 @@ from polylayer.geometry import (
 )
 from polylayer.errors import ConfigError
 from polylayer.grid3d import voxelize
+from polylayer.mesh2d import segment_quadrature
 
 PI = math.pi
 
@@ -130,6 +131,25 @@ def test_veps_fichera_light(fichera_layer):
     assert rows[10.0]["T1"] > abs(rows[10.0]["T3"])
     assert cert.verdict == NONEMPTY
     assert cert.evidence["T3_zero"] < 0.0
+
+
+def test_veps_gamma0_rule_matches_segment_quadrature():
+    # T3 from the rule built once per (mesh, v) keeps every bit of a
+    # one-shot segment quadrature at every epsilon
+    alpha, beta = certificates._regular_layer_angles(make_layer(build_regular(3, PI / 3)))
+    mode = certificates.solve_waveguide_mode(beta, WaveguideNumerics(h=0.25, levels=2))
+    mesh, v = mode.mesh, mode.values[:, 0]
+    terms = certificates._veps_terms(mesh, v, alpha, beta)
+    half = beta / 2.0
+    cot_a = 1.0 / math.tan(alpha / 2.0)
+    L = 1.0 / math.sin(half)
+    for eps in [*np.geomspace(1e-3, 1.0, 13), 0.0, 1e-4]:
+
+        def wfun(tau):
+            return np.exp(-2.0 * eps * cot_a * (np.asarray(tau) - L) * math.cos(half))
+
+        g0 = segment_quadrature(mesh, v, (0.0, 0.0), (L, 0.0), weight=wfun)
+        assert terms(float(eps))["T3"] == float(-cot_a * math.sin(half) * g0)
 
 
 def test_alpha_star_tol_guard():

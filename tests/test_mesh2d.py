@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from polylayer import mesh2d
 from polylayer.geometry import lshape_profile
 from polylayer.mesh2d import (
     MeshError,
@@ -135,6 +136,57 @@ def test_locate_no_points(mesh_right_angle):
     assert tri.shape == (0,) and bary.shape == (0, 3)
 
 
+def _locate_reference(loc, pts):
+    """Point by point: the first triangle of the point's bin that contains it."""
+    tri = np.full(len(pts), -1, dtype=np.int64)
+    bary = np.zeros((len(pts), 3))
+    for i, (i_bin, j_bin) in enumerate(loc._cells(pts)):
+        b = i_bin * loc.n_bins + j_bin
+        for t in loc._bin_tris[loc._bin_start[b] : loc._bin_start[b + 1]]:
+            rel = pts[i] - loc._p0[t]
+            inv = loc._inv[t]
+            l1 = inv[0] * rel[0] + inv[1] * rel[1]
+            l2 = inv[2] * rel[0] + inv[3] * rel[1]
+            lam = np.array([1.0 - l1 - l2, l1, l2])
+            if (lam >= -loc.tol).all():
+                tri[i], bary[i] = t, lam
+                break
+    return tri, bary
+
+
+@pytest.mark.parametrize("theta", [0.3, PI / 2, 2.6])
+def test_locate_matches_reference(theta):
+    mesh = refine(mesh_lshape(lshape_profile(theta, 2.0), h=0.25))
+    rng = np.random.default_rng(11)
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    e = mesh.edges()
+    pts = np.vstack([
+        lo - 0.5 + (hi - lo + 1.0) * rng.random((2000, 2)),  # inside and outside
+        mesh.nodes,
+        0.5 * (mesh.nodes[e[:, 0]] + mesh.nodes[e[:, 1]]),
+    ])
+    tri, bary = mesh.locator().locate(pts)
+    ref_tri, ref_bary = _locate_reference(mesh.locator(), pts)
+    assert (tri >= 0).any() and (tri < 0).any()
+    assert np.array_equal(tri, ref_tri)
+    assert bary.tobytes() == ref_bary.tobytes()
+
+
+def test_evaluate_batch_across_chunks_matches_reference(mesh_right_angle):
+    mesh = mesh_right_angle
+    rng = np.random.default_rng(12)
+    values = rng.normal(size=mesh.num_nodes)
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    pts = lo + (hi - lo) * rng.random((mesh2d._CHUNK + 500, 2))
+    vals, inside = evaluate_batch(mesh, values, pts)
+    tri, bary = _locate_reference(mesh.locator(), pts)
+    assert np.array_equal(inside, tri >= 0)
+    ok = tri >= 0
+    want = np.einsum("ij,ij->i", bary[ok], values[mesh.triangles[tri[ok]]])
+    assert vals[ok].tobytes() == want.tobytes()
+    assert (vals[~ok] == 0.0).all()
+
+
 def test_refine_counts_area_nesting_tags(mesh_right_angle):
     fine = refine(mesh_right_angle)
     assert fine.num_triangles == 4 * mesh_right_angle.num_triangles
@@ -158,6 +210,15 @@ def test_nested_chain_depth_three(mesh_right_angle):
     assert m.total_area == pytest.approx(9.0, abs=1e-10)
     assert m.boundary_length("neumann") == pytest.approx(2.0, abs=1e-10)
     assert np.array_equal(m.parent.nodes, m.nodes[: m.parent.num_nodes])
+
+
+@pytest.mark.parametrize("theta", [0.15, 0.3, 1.0, PI / 2, 2.4, 2.9])
+def test_refine_children_positively_oriented(theta):
+    # refine relies on every child inheriting its parent's orientation
+    mesh = mesh_lshape(lshape_profile(theta, 1.0), h=0.5)
+    for _ in range(3):
+        mesh = refine(mesh)
+        assert (mesh.signed_areas() > 0.0).all()
 
 
 def test_evaluate_partition_of_unity(mesh_right_angle):
