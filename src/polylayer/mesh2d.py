@@ -1,8 +1,8 @@
-"""Structured conforming triangulations of truncated L-shaped waveguides.
+"""Conforming triangulations of truncated L-shaped waveguides.
 
-The hexagonal domain is covered by three mapped quad blocks: the corner kite
-(O', foot, O, foot) and the two outlet rectangles.  Quads are split into
-triangles with a single global diagonal rule, so nested refinement keeps the
+The half of the hexagonal domain above its symmetry axis is meshed in rows
+across the strip, each graded to its own width, and mirrored across the
+axis; the mirror images are appended by index.  Nested refinement keeps the
 parent nodes as a prefix of the child nodes.  Boundary edges carry
 'dirichlet' tags on the walls shared with the infinite waveguide and
 'neumann' tags on the two end cross-sections.
@@ -142,8 +142,9 @@ def check_conforming(mesh: TriMesh) -> None:
 def _block_quads(ids: np.ndarray) -> np.ndarray:
     """Triangles of the quad block whose (n1+1, n2+1) node ids are ``ids``.
 
-    Every quad splits along the same local diagonal (v00, v11), which keeps
-    the split deterministic and aligned with the kite symmetry axis.
+    Every quad splits along the same local diagonal (v00, v11), so the split
+    is deterministic and every triangle is positively oriented when the ids
+    run along x first and y second.
     """
     v00, v10 = ids[:-1, :-1].ravel(), ids[1:, :-1].ravel()
     v01, v11 = ids[:-1, 1:].ravel(), ids[1:, 1:].ravel()
@@ -158,23 +159,23 @@ def _sides(*paths) -> tuple:
     return edges, np.tile([tag for _, tag in paths], ids.shape[1] - 1)
 
 
-def _mesh(nodes, blocks, sides, **fields) -> TriMesh:
-    """TriMesh of the quad ``blocks`` and the (edges, tags) ``sides``."""
-    return TriMesh(
-        nodes=nodes,
-        triangles=_orient(np.concatenate([_block_quads(b) for b in blocks]), nodes),
-        boundary_edges=np.concatenate([e for e, _ in sides]),
-        boundary_tags=np.concatenate([t for _, t in sides]),
-        **fields,
-    )
+def _cells(counts: np.ndarray) -> tuple:
+    """``(row, k)`` for k = 0..counts[row] - 1 of every row, rows in order."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
 
 
 def mesh_lshape(profile: LShapeProfile, h: float) -> TriMesh:
-    """Structured triangulation of the truncated waveguide with size target h.
+    """Triangulation of the truncated waveguide with size target h.
 
-    The kite subdivision count is graded by cot(theta/2) so that sharp
-    openings do not produce oversized elements; the cross-width count matches
-    it so the block interfaces conform.  Node count and tags are
+    The half y >= 0 is meshed in rows across outlet 1 and mirrored.  In wall
+    coordinates (t along the outer wall from O', s toward the inner wall)
+    the half is 0 <= s <= min(1, t / cot(theta/2)): n_k rows up to t = cot
+    (where the axis y = 0 bounds them) and n_a rows over the outlet.  Row i
+    spans the width w_i = W_i / n_k in m_i = ceil(w_i / h) equal cells, so
+    the node count grows with the area, (cot + 2R) / h^2, not with cot^2.
+    One rule joins consecutive rows; on two equal rows it splits every quad
+    along the diagonal that ``_block_quads`` uses.  Node count and tags are
     deterministic functions of (theta, R, h).
     """
     if h > 0.5:
@@ -186,53 +187,59 @@ def mesh_lshape(profile: LShapeProfile, h: float) -> TriMesh:
     half = theta / 2.0
     cot = 1.0 / math.tan(half)
 
-    n_c = max(2, int(math.ceil(max(1.0, cot) / h - 1e-9)))
+    n_k = int(math.ceil(max(1.0, cot) / h - 1e-9))
     n_a = max(1, int(math.ceil(R / h - 1e-9)))
+    i = np.arange(n_k + n_a + 1)
+    W = np.minimum(i, n_k)
+    m = np.ceil(W / (n_k * h) - 1e-9).astype(np.int64)  # row 0 is O' alone
+    t = np.where(i <= n_k, cot * (i / n_k), cot + (i - n_k) * R / n_a)
+    start = np.cumsum(m + 1) - (m + 1)  # node id of each row's s = 0 end
 
-    Op = np.zeros(2)
-    O = profile.inner_vertex
-    f1, f2 = profile.feet
-    d1 = np.array([math.cos(half), math.sin(half)])
-    d2 = np.array([math.cos(half), -math.sin(half)])
+    row, k = _cells(m + 1)
+    s = (k * W[row]) / (n_k * np.maximum(m[row], 1))
+    c, sn = math.cos(half), math.sin(half)
+    nodes = np.stack([t[row] * c + s * sn, t[row] * sn - s * c], axis=1)
+    axis = start[: n_k + 1] + m[: n_k + 1]  # rows 0..n_k end on the axis
+    nodes[axis, 1] = 0.0
 
-    # kite node (i, j) sits at bilinear coordinates (xi, eta) = (i, j) / n_c;
-    # the zero term of the corner Op sets the sign of zero coordinates
-    xi = (np.arange(n_c + 1) / n_c)[:, None, None]
-    eta = xi.reshape(1, -1, 1)
-    kite = (
-        Op * ((1 - xi) * (1 - eta))
-        + f1 * (xi * (1 - eta))
-        + O * (xi * eta)
-        + f2 * ((1 - xi) * eta)
+    # strip j joins rows j and j + 1: their cells are taken in order of their
+    # far ends ((k + 1) W_j / (n_k m_j) for row j's cell k, compared as
+    # integers), row j + 1's first on a tie.  Each cell makes one triangle
+    # with the other row's node reached so far; its slot counts the cells
+    # taken before it
+    first = np.cumsum(m[:-1] + m[1:]) - (m[:-1] + m[1:])
+    tris = np.empty((first[-1] + m[-2] + m[-1], 3), dtype=np.int64)
+    j, k = _cells(m[:-1])  # row j's cell k, from its node k to k + 1
+    q = np.minimum(m[j + 1], (k + 1) * W[j] * m[j + 1] // (W[j + 1] * m[j]))
+    tris[first[j] + k + q] = np.stack(
+        [start[j] + k, start[j] + k + 1, start[j + 1] + q], axis=1
     )
-    nodes = [kite.reshape(-1, 2)]
-    blocks = [np.arange((n_c + 1) ** 2).reshape(n_c + 1, n_c + 1)]
-    # outlet node (a, k) steps a * R / n_a along the wall and eta across the
-    # width; row a = 0 is the side it shares with the kite
-    along = (np.arange(1, n_a + 1) * R / n_a)[:, None, None]
-    for foot, d, shared in ((f1, d1, blocks[0][n_c]), (f2, d2, blocks[0][:, n_c])):
-        fresh = sum(map(len, nodes)) + np.arange(n_a * (n_c + 1)).reshape(n_a, n_c + 1)
-        blocks.append(np.vstack([shared, fresh]))
-        nodes.append((foot + along * d + eta * (O - foot)).reshape(-1, 2))
+    j, k = _cells(m[1:])  # row j + 1's cell k
+    p = ((k + 1) * W[j + 1] * m[j] - 1) // np.maximum(W[j] * m[j + 1], 1)
+    p = np.clip(p, 0, m[j])
+    tris[first[j] + k + p] = np.stack(
+        [start[j] + p, start[j + 1] + k + 1, start[j + 1] + k], axis=1
+    )
 
-    sides = [_sides((blocks[0][:, 0], DIRICHLET), (blocks[0][0], DIRICHLET))]
-    for ids in blocks[1:]:  # outlet walls, then the end cross-section
-        sides.append(_sides((ids[:, 0], DIRICHLET), (ids[:, n_c], DIRICHLET)))
-        sides.append(_sides((ids[n_a], NEUMANN)))
-
-    # y -> -y swaps the kite's (i, j) and (j, i) and the two outlets' (a, k)
-    mirror = np.empty(sum(map(len, nodes)), dtype=np.int64)
-    mirror[blocks[0]] = blocks[0].T
-    mirror[blocks[1]], mirror[blocks[2]] = blocks[2], blocks[1]
-
-    mesh = _mesh(
-        np.concatenate(nodes),
-        blocks,
-        sides,
+    # y -> -y: the nodes off the axis get images appended in order
+    off = np.setdiff1d(np.arange(len(nodes)), axis)
+    image = np.arange(len(nodes))
+    image[off] = len(nodes) + np.arange(len(off))
+    wall, inner = start, start[n_k:] + m[n_k:]
+    end = start[-1] + np.arange(m[-1] + 1)
+    edges, edge_tags = zip(*(
+        _sides((path, tag), (image[path], tag))
+        for path, tag in ((wall, DIRICHLET), (inner, DIRICHLET), (end, NEUMANN))
+    ))
+    mesh = TriMesh(
+        nodes=np.vstack([nodes, nodes[off] * [1.0, -1.0]]),
+        triangles=np.vstack([tris, image[tris][:, [0, 2, 1]]]),
+        boundary_edges=np.concatenate(edges),
+        boundary_tags=np.concatenate(edge_tags),
         h=float(h),
         theta=float(theta),
         outlet_length=float(R),
-        mirror=mirror,
+        mirror=np.concatenate([image, off]),
     )
     if abs(mesh.total_area - profile.area) > 1e-10 * max(1.0, profile.area):
         raise MeshError("triangle areas do not sum to the profile area")
@@ -267,18 +274,17 @@ def mesh_rectangle(
     ys = np.linspace(0.0, ly, ny + 1)
     nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     ids = np.arange(len(nodes)).reshape(nx + 1, ny + 1)
-    sides = [
+    edges, edge_tags = zip(
         _sides((ids[0], side_tags["left"]), (ids[nx], side_tags["right"])),
         _sides((ids[:, 0], side_tags["bottom"]), (ids[:, ny], side_tags["top"])),
-    ]
-    return _mesh(nodes, [ids], sides, h=float(h))
-
-
-def _orient(tris: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    neg = _signed_areas(nodes, tris) < 0.0
-    tris = tris.copy()
-    tris[neg] = tris[neg][:, [0, 2, 1]]
-    return tris
+    )
+    return TriMesh(
+        nodes=nodes,
+        triangles=_block_quads(ids),
+        boundary_edges=np.concatenate(edges),
+        boundary_tags=np.concatenate(edge_tags),
+        h=float(h),
+    )
 
 
 def refine(mesh: TriMesh) -> TriMesh:

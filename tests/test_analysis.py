@@ -113,6 +113,16 @@ def test_count_below_threshold_right_angle():
     assert result.certified[0] < PI2 - result.guard
 
 
+def test_count_below_threshold_sharp_angle():
+    # inertia checks on fine meshes (conforming P1 with Dirichlet ends for
+    # the lower count, Crouzeix-Raviart eigenvalue lower bounds for the
+    # upper) bracket the count at theta = 0.15 to [5, 5]; the coarse chain
+    # must find all five with a narrow guard band
+    result = count_below_threshold(0.15, WaveguideNumerics(h=0.4, levels=3))
+    assert result.count == 5
+    assert result.guard < 0.05
+
+
 def test_auto_outlet_rule():
     res = lambda1_waveguide(0.9, WaveguideNumerics(h=0.2, levels=2))
     gap = PI2 - res.extrapolated

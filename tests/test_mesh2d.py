@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -55,7 +56,7 @@ def test_h_too_large_rejected():
         mesh_lshape(lshape_profile(PI / 2, 4.0), h=0.6)
 
 
-@pytest.mark.parametrize("theta,R", [(0.4, 3.0), (2.6, 2.0)])
+@pytest.mark.parametrize("theta,R", [(0.1, 3.0), (0.4, 3.0), (2.6, 2.0), (3.1, 2.0)])
 def test_meshes_across_angles(theta, R):
     mesh = mesh_lshape(lshape_profile(theta, R), h=0.2)
     check_conforming(mesh)
@@ -90,13 +91,13 @@ def test_check_conforming_rejects_an_untagged_boundary_edge(mesh_right_angle):
 
 
 # sha256 of (nodes, triangles, boundary_edges, boundary_tags) as the
-# loop-based builders produced them: node, triangle and boundary-edge order
-# enter every payload's mesh_sha256
+# builders produce them: node, triangle and boundary-edge order enter every
+# payload's mesh_sha256
 MESH_DIGESTS = {
-    0.3: "aeb6e28bd1407f6cdb06a411c0288bc4b93803113f0ca4dc1adc709062d653d7",
-    PI / 2: "5bfd05ffa14bef315150d906f616aa7e0da0830a70e859ed9d758a4fab5b7705",
-    2.6: "b5f46b360f933bd93cfd9d3b8fb8c68039ccabe95fb668462c55073cb0ac38aa",
-    "refine": "71f8668cb2308141f72ab6871aaede0657365cc3f1071f3b0c0f43191455bdbf",
+    0.3: "4a165e22ccaeb7910b93ac2be0a1b006aa9284c2008f9ab7cdc7347d5c2ed0dc",
+    PI / 2: "e4dd99a3cda72f7bc716f36cffffde3c5439cc1f412983c9bc095c1542378ffa",
+    2.6: "12b230b78f2ebfc0880a99818a410a0207098a9f8d34ea48505b8ba30291f0a1",
+    "refine": "bfbfd35a97b466a7ba699f03480770513fb60c10f4b2b17652f2f4de6d368cc3",
     "rectangle": "0544e30c8a2f9c3abf948e16f037bda1136641fc36b8fdf2c9ca2d6fb6a7c867",
 }
 
@@ -118,6 +119,62 @@ def test_mesh_arrays_pinned(key):
     assert _mesh_digest(mesh) == MESH_DIGESTS[key]
 
 
+def _triangle_set_digest(mesh):
+    """sha256 of the triangles as sorted vertex-coordinate triples, rounded
+    and sorted: blind to node, triangle and vertex order (+ 0.0 folds -0.0)."""
+    corners = np.round(mesh.nodes[mesh.triangles], 9) + 0.0
+    rows = sorted(tuple(sorted(map(tuple, tri))) for tri in corners.tolist())
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# the right-angle triangle sets of the kite-and-outlets construction; h = 0.1
+# and h = 0.16 put row widths at float near-ties of whole cell counts
+RIGHT_ANGLE_TRIANGLE_SETS = {
+    (4.0, 0.25): "ceb811467f3fd50866536885475ca6e3c511ec5638b0f22bbeaf324bea4495e6",
+    (4.0, 0.1): "46596df1b4ef7ebeeb60b21ff0e076089e2ac89d139bb30aecdbfaae506f1de8",
+    (4.97, 0.25): "94a610a9a32db3a2480b2e34eb03afa2921ffa0ff55e7a493e4434c4a32d53b4",
+    (4.0, 0.16): "8ec0381edbf8ee12e416cc21435791590f777d673e1817f880a99b32f84cf0b4",
+}
+
+
+@pytest.mark.parametrize("R,h", list(RIGHT_ANGLE_TRIANGLE_SETS))
+def test_right_angle_triangle_set_pinned(R, h):
+    mesh = mesh_lshape(lshape_profile(PI / 2, R), h)
+    assert _triangle_set_digest(mesh) == RIGHT_ANGLE_TRIANGLE_SETS[(R, h)]
+
+
+# smallest quality_min_angle of the kite-and-outlets construction over
+# R in {2, 4, 12} and h in {0.5, 0.25, 0.15, 0.1}, per theta
+KITE_MIN_ANGLE = {
+    0.1: 0.049710256769215956,
+    0.15: 0.07393903765793852,
+    0.3: 0.141897054604163,
+    0.82: 0.3805063771123596,
+    1.34: 0.5880026035475651,
+    PI / 2: 0.7610127542247166,
+    2.4: 0.3707963267948961,
+    2.9: 0.12079632679489648,
+    3.1: 0.020796326794896527,
+}
+NODES_PER_AREA = 3.0  # num_nodes * h^2 / area, on every mesh of the grid
+
+
+@pytest.mark.parametrize("theta", list(KITE_MIN_ANGLE))
+def test_node_count_grows_with_area_not_cot_squared(theta):
+    cot = 1.0 / math.tan(theta / 2)
+    for R in (2.0, 4.0, 12.0):
+        for h in (0.5, 0.25, 0.15, 0.1):
+            mesh = mesh_lshape(lshape_profile(theta, R), h)
+            # the kite construction: n_c cells along both kite sides and
+            # across both outlets, n_a along them
+            n_c = max(2, math.ceil(max(1.0, cot) / h - 1e-9))
+            n_a = max(1, math.ceil(R / h - 1e-9))
+            assert mesh.num_nodes <= (n_c + 1) ** 2 + 2 * n_a * (n_c + 1)
+            assert mesh.num_nodes <= NODES_PER_AREA * (cot + 2 * R) / h**2
+            # equal triangles can differ by coordinate rounding: allow 1e-12
+            assert mesh.quality_min_angle >= KITE_MIN_ANGLE[theta] - 1e-12
+
+
 def test_locate_tie_rule_pinned(mesh_right_angle):
     # nodes and edge midpoints lie in several triangles at once; the locator
     # returns the first of its bin's list, in ascending triangle order
@@ -127,7 +184,7 @@ def test_locate_tie_rule_pinned(mesh_right_angle):
     tri, _ = mesh.locator().locate(pts)
     assert len(pts) == 657 and (tri >= 0).all()
     assert sha256_of_arrays(tri) == (
-        "a7d9e32faa82f890d066e2748d77d269651c25856de18d8c6bbd2e25a36976d5"
+        "56234c6cce8339f19decb4c6809c021bfcbeb598f3a3583d6ca469f10a68277d"
     )
 
 
@@ -319,7 +376,7 @@ def test_segment_quadrature_exits_domain(mesh_right_angle):
 
 
 def test_segment_along_mesh_edges():
-    # the kite diagonal lies on triangle edges; quadrature must still work
+    # the axis O'O lies on triangle edges; quadrature must still work
     profile = lshape_profile(PI / 2, 2.0)
     mesh = mesh_lshape(profile, h=0.25)
     ones = np.ones(mesh.num_nodes)
@@ -357,7 +414,7 @@ def _triangle_set(tris):
     return {tuple(sorted(t)) for t in tris.tolist()}
 
 
-@pytest.mark.parametrize("theta", [0.15, 0.3, PI / 2, 2.9])
+@pytest.mark.parametrize("theta", [0.1, 0.15, 0.3, PI / 2, 2.9, 3.1])
 def test_mirror_map_is_the_reflection(theta):
     for mesh in _mirror_chain(theta):
         mirror = mesh.mirror
