@@ -6,12 +6,17 @@ where the waveguide eigenvalue crosses pi^2/2.
 Verdicts are one-sided: NONEMPTY requires an upper bound below the threshold
 by more than the combined error indicator; ABSENT_CONSISTENT is explicitly a
 non-proof (conforming computations only ever bound eigenvalues from above).
+
+The threshold and the voxel bounds do not depend on each other, so
+``certify_discrete`` and ``absence_experiment`` solve them concurrently;
+``alpha_star`` solves its two bracket ends concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -26,6 +31,7 @@ from .waveguide import (
     PI2,
     WaveguideNumerics,
     lambda1_waveguide,
+    prefetch_lambda1,
     solve_waveguide_mode,
     threshold,
 )
@@ -102,6 +108,23 @@ def voxel_upper_bounds(
     return records
 
 
+def _threshold_and_bounds(
+    layer: LayerGeometry,
+    numerics: WaveguideNumerics,
+    R: float,
+    h: float,
+    levels: int,
+    seed: int,
+) -> tuple:
+    """The layer's threshold and its ``voxel_upper_bounds``, two independent
+    computations solved concurrently (the threshold through the memo)."""
+    (bounds,) = prefetch_lambda1(
+        [(layer.beta_min, numerics)],
+        [partial(voxel_upper_bounds, layer, R, h, levels, seed)],
+    )
+    return threshold(layer, numerics), bounds
+
+
 def certify_discrete(
     layer: LayerGeometry,
     R: float = 6.0,
@@ -112,14 +135,14 @@ def certify_discrete(
 ) -> Certificate:
     """Existence certificate from inscribed-domain Rayleigh quotients.
 
-    The bounds come from ``voxel_upper_bounds``.  Verdict NONEMPTY iff the
-    best bound undercuts the threshold by more than the combined error
-    indicator.  INCONCLUSIVE is a valid outcome, not an error.
+    The bounds come from ``voxel_upper_bounds``, solved at the same time as
+    the threshold.  Verdict NONEMPTY iff the best bound undercuts the
+    threshold by more than the combined error indicator.  INCONCLUSIVE is a
+    valid outcome, not an error.
     """
     if levels < 1:  # before the threshold chain, which would run in vain
         raise ConfigError(f"levels = {levels}: the voxel bounds need levels >= 1")
-    thr = threshold(layer, threshold_numerics)
-    details = voxel_upper_bounds(layer, R, h, levels, seed)
+    thr, details = _threshold_and_bounds(layer, threshold_numerics, R, h, levels, seed)
     best = float(min(d["upper_bound"] for d in details))
     solver_slack = 1e-9 * abs(best)
     combined = thr.error_indicator + solver_slack
@@ -319,11 +342,16 @@ def alpha_star(
     numerics: WaveguideNumerics = WaveguideNumerics(h=0.1, levels=3),
     bracket=(0.2, 1.4),
 ) -> AlphaStar:
-    """Bisection for lambda_1(omega(alpha)) = pi^2 / 2 on the monotone curve."""
+    """Bisection for lambda_1(omega(alpha)) = pi^2 / 2 on the monotone curve.
+
+    The two bracket ends are solved concurrently; ``evaluations`` lists lo,
+    hi, then the midpoints in bisection order.
+    """
     if tol < 1e-3:
         raise ConfigError("alpha_star tolerance below 1e-3 is not supported")
     target = PI2 / 2.0
     lo, hi = (float(b) for b in bracket)
+    prefetch_lambda1([(lo, numerics), (hi, numerics)])
     evals = []
 
     def f(a: float) -> float:
@@ -369,12 +397,9 @@ def absence_experiment(
             f"(alpha_star in [{star.lo:.4f}, {star.hi:.4f}])"
         )
     layer = make_layer(build_trihedral((math.pi / 2, alpha, math.pi / 2)))
-    thr = threshold(layer, threshold_numerics)
+    thr, bounds = _threshold_and_bounds(layer, threshold_numerics, R, h, levels, seed)
     cutoff = 0.999 * thr.extrapolated
-    details = [
-        {key: d[key] for key in ("h", "upper_bound", "cells")}
-        for d in voxel_upper_bounds(layer, R, h, levels, seed)
-    ]
+    details = [{key: d[key] for key in ("h", "upper_bound", "cells")} for d in bounds]
     dipped = any(d["upper_bound"] < cutoff for d in details)
     verdict = NONEMPTY if dipped else ABSENT_CONSISTENT
     margin = min(d["upper_bound"] for d in details) - thr.extrapolated

@@ -1,5 +1,9 @@
 """Parameter scans: opening-angle monotonicity, truncation convergence with
-its exponential-rate fit, and eigenvalue counting below the threshold."""
+its exponential-rate fit, and eigenvalue counting below the threshold.
+
+The points of a scan are independent waveguide problems: each scan hands
+them to ``prefetch_lambda1`` at once, which solves the memo's misses
+concurrently, and then reads every point back from the memo."""
 
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from .waveguide import (
     PI2,
     WaveguideNumerics,
     lambda1_waveguide,
+    prefetch_lambda1,
     solve_waveguide_mode,
 )
 
@@ -62,11 +67,13 @@ def scan_theta(
     """Extrapolated lambda_1 over an ascending list of opening angles.
 
     Reports whether the values are strictly increasing and whether every
-    value lies inside (pi^2/4, pi^2).
+    value lies inside (pi^2/4, pi^2).  The angles are independent problems,
+    solved concurrently through ``prefetch_lambda1``.
     """
     thetas = [float(t) for t in theta_list]
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ConfigError("theta values must be strictly ascending")
+    prefetch_lambda1([(theta, numerics) for theta in thetas])
     records = []
     for theta in thetas:
         res = lambda1_waveguide(theta, numerics)
@@ -158,7 +165,8 @@ def scan_truncation(
     moving nodes), which requires every R to be an integer multiple of the
     axial spacing.  The largest-R extrapolation serves as the asymptote for
     the exponential-gap fit; fit points are restricted to gaps exceeding ten
-    times the error indicator.
+    times the error indicator.  The outlet lengths are independent problems,
+    solved concurrently through ``prefetch_lambda1``.
     """
     Rs = [float(R) for R in R_list]
     if any(b <= a for a, b in zip(Rs, Rs[1:])):
@@ -170,6 +178,7 @@ def scan_truncation(
                 f"R = {R} is not an integer multiple of h = {numerics.h}; "
                 "the outlet meshes would not be nested across R"
             )
+    prefetch_lambda1([(theta, replace(numerics, R=R)) for R in Rs])
     records = []
     for R in Rs:
         res = lambda1_waveguide(theta, replace(numerics, R=R))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -20,6 +21,7 @@ from ..assembly import assemble_p1
 from ..eigensolve import SolverConfig, invariant_ground_state, smallest_eigenpairs
 from ..errors import AnalysisError, ConfigError
 from ..extrapolate import richardson
+from ..fanout import fan_out
 from ..geometry import GeometryError, LayerGeometry, lshape_profile
 from ..mesh2d import TriMesh, free_node_orbits, mesh_lshape, refine
 
@@ -211,8 +213,39 @@ def _validate_threshold(result: ThresholdResult) -> None:
 
 
 # the package's only result memo; scans, thresholds and the alpha_star
-# bisection share it
+# bisection share it.  ``prefetch_lambda1`` fills it, solving its misses
+# concurrently; ``lambda1_waveguide`` reads it.
 _WAVEGUIDE_CACHE: dict = {}
+
+
+def _cache_key(theta: float, numerics: WaveguideNumerics) -> tuple:
+    return (round(float(theta), 14), numerics)
+
+
+def _solved_threshold(theta: float, numerics: WaveguideNumerics) -> ThresholdResult:
+    return solve_waveguide_mode(theta, numerics).threshold
+
+
+def prefetch_lambda1(pairs, alongside=()) -> list:
+    """Put ``lambda1_waveguide(theta, numerics)`` of every (theta, numerics)
+    pair in the memo, and return the results of the ``alongside`` thunks.
+
+    The pairs the memo lacks are solved at the same time as each other and
+    as the thunks (``fanout.fan_out``); each solve runs the code a single
+    ``lambda1_waveguide`` call runs, so the memo's contents do not depend on
+    the CPU count.  The stored arrays are read-only.
+    """
+    misses: dict = {}
+    for theta, numerics in pairs:
+        key = _cache_key(theta, numerics)
+        if key not in _WAVEGUIDE_CACHE:
+            misses.setdefault(key, partial(_solved_threshold, theta, numerics))
+    results = fan_out([*misses.values(), *alongside])
+    for key, hit in zip(misses, results):
+        hit.lambda_estimates.flags.writeable = False
+        hit.extrapolated_all.flags.writeable = False
+        _WAVEGUIDE_CACHE[key] = hit
+    return results[len(misses) :]
 
 
 def lambda1_waveguide(
@@ -221,16 +254,11 @@ def lambda1_waveguide(
     """Extrapolated first waveguide eigenvalue (cached, deterministic).
 
     Every caller of one key shares the cached result, so its arrays are
-    read-only.
+    read-only.  Callers with several keys at hand pass them to
+    ``prefetch_lambda1`` first, so that the misses are solved concurrently.
     """
-    key = (round(float(theta), 14), numerics)
-    hit = _WAVEGUIDE_CACHE.get(key)
-    if hit is None:
-        hit = solve_waveguide_mode(theta, numerics).threshold
-        hit.lambda_estimates.flags.writeable = False
-        hit.extrapolated_all.flags.writeable = False
-        _WAVEGUIDE_CACHE[key] = hit
-    return hit
+    prefetch_lambda1([(theta, numerics)])
+    return _WAVEGUIDE_CACHE[_cache_key(theta, numerics)]
 
 
 def threshold(

@@ -17,10 +17,10 @@ The parsed flags are the run configuration (echoed in ``meta.config``).
 Angles are accepted only with an explicit 'deg' or 'rad' suffix; there is no
 default unit.  Results are written atomically into the output directory as a
 JSON bundle whose payload section is byte-reproducible for identical configs
-and seeds, whatever the host's BLAS thread count (run metadata such as wall
-time lives in the separate meta section).  Exit codes: 0 success, 2 config
-error (invalid input), 3 numerical non-convergence, 4 inconclusive
-certificate.
+and seeds, whatever the host's BLAS thread count or CPU count (run metadata
+such as wall time lives in the separate meta section).  Exit codes: 0
+success, 2 config error (invalid input), 3 numerical non-convergence, 4
+inconclusive certificate.
 """
 
 from __future__ import annotations
@@ -465,12 +465,14 @@ def _mode_heatmap(mode, resolution: int = 400):
 
 
 def _write_outputs(args, payload: dict, files: dict, started: float, blas_pinned: bool):
+    from .fanout import cpus
     from .report import make_meta, write_bundle, write_csv, write_pgm, write_svg_lines
 
     bundle_path = os.path.join(args.out, f"{args.subcommand}.json")
     echo = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(args).items()}
     meta = make_meta(echo, started, __version__)
     meta["blas_pinned"] = blas_pinned
+    meta["cpus"] = cpus()  # how many independent solves could run at once
     write_bundle(bundle_path, payload, meta)
     writers = {".csv": write_csv, ".svg": write_svg_lines, ".pgm": write_pgm}
     for name, content in files.items():

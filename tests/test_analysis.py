@@ -84,6 +84,27 @@ def test_scan_theta_monotone_and_banded():
     assert values == sorted(values)
 
 
+def test_scan_theta_fills_the_memo(monkeypatch):
+    # the scan's angles are solved concurrently, their results stored in the
+    # memo; reading them back solves nothing again
+    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
+    thetas = (0.6, 1.1, 1.7)
+    scan = scan_theta(thetas, COARSE)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved again")
+
+    monkeypatch.setattr(waveguide, "solve_waveguide_mode", must_not_run)
+    assert len(waveguide._WAVEGUIDE_CACHE) == len(thetas)
+    for theta, rec in zip(thetas, scan.records):
+        res = lambda1_waveguide(theta, COARSE)
+        assert res is waveguide._WAVEGUIDE_CACHE[(theta, COARSE)]
+        assert res.extrapolated == rec.eigenvalues[0]
+        for arr in (res.lambda_estimates, res.extrapolated_all):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
 def test_scan_theta_requires_ascending():
     with pytest.raises(ConfigError):
         scan_theta((1.0, 0.5), COARSE)

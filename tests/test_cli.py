@@ -3,8 +3,10 @@ import importlib
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -12,6 +14,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
 
+from polylayer import fanout
+from polylayer.analysis import waveguide
 from polylayer.cli import (
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,
@@ -23,6 +27,7 @@ from polylayer.cli import (
     main,
     parse_angle,
 )
+from polylayer.fanout import cpus
 
 PI = math.pi
 
@@ -78,6 +83,9 @@ def test_config_round_trip(tmp_path):
         "formats": ["json"],
         "dry_run": False,
     }
+    # the CPUs a fan-out could use: run metadata, never payload
+    assert bundle["meta"]["cpus"] == cpus()
+    assert "cpus" not in bundle["payload"]
 
 
 def test_payload_bytes_reproducible(tmp_path):
@@ -127,6 +135,51 @@ def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path):
         payloads = [raw[raw.index(b'"payload": '):] for raw in bundles]
         assert payloads[0] == payloads[1], argv[0]
         assert all(json.loads(raw)["meta"]["blas_pinned"] is True for raw in bundles)
+
+
+# runs each command through ``main`` in one interpreter whose CPU affinity
+# is set first: argv[1] is "1" (the lowest CPU of the parent's set) or "all"
+_PINNED_RUNNER = """
+import os, sys
+from polylayer.cli import main
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+out = sys.argv[2]
+codes = [main([*argv.split(), "--out", os.path.join(out, str(i))])
+         for i, argv in enumerate(sys.argv[3:])]
+print(codes)
+"""
+
+
+@pytest.mark.skipif(cpus() < 2, reason="one CPU: there is no concurrent run to compare")
+def test_payload_bytes_do_not_depend_on_cpu_count(tmp_path):
+    commands = [
+        "scan-theta --thetas 0.8rad,1.2rad,1.6rad --h 0.25 --levels 2 --R 4",
+        "scan-R --theta 90deg --R-list 2,3,4 --h 0.25 --levels 2",
+        "certify " + " ".join(FICHERA) + " --R 3 --h 0.125 --thr-h 0.25 --thr-levels 2",
+        "alpha-star --star-tol 0.05 --h 0.25 --levels 2",
+    ]
+    runs = {}
+    for affinity in ("1", "all"):
+        out = tmp_path / affinity
+        proc = subprocess.run(
+            [sys.executable, "-c", _PINNED_RUNNER, affinity, str(out), *commands],
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        bundles = [
+            (out / str(i) / f"{argv.split()[0]}.json").read_bytes()
+            for i, argv in enumerate(commands)
+        ]
+        runs[affinity] = (proc.stdout.splitlines()[-1], bundles)
+    assert runs["1"][0] == runs["all"][0]  # the exit codes
+    for argv, one, every in zip(commands, runs["1"][1], runs["all"][1]):
+        start = one.index(b'"payload": ')
+        assert one[start:] == every[every.index(b'"payload": '):], argv
+        assert b'"cpus"' not in one[start:]
+        metas = [json.loads(raw)["meta"]["cpus"] for raw in (one, every)]
+        assert metas == [1, cpus()]
 
 
 def test_blas_pin_reports_false_under_another_blas(monkeypatch):
@@ -387,6 +440,56 @@ def test_exit_codes(argv, expected, stderr_prefix, tmp_path, capsys, monkeypatch
     assert err.startswith(stderr_prefix)
     assert "Traceback" not in err
     assert (tmp_path / f"{argv[0]}.json").exists() == (not stderr_prefix)
+
+
+SMALL_SCAN = ["scan-theta", "--thetas", "0.8rad,1.2rad,1.6rad", "--h", "0.25",
+              "--levels", "2", "--R", "4"]
+
+
+def _exits_nonconverged(argv, tmp_path, capsys, monkeypatch) -> str:
+    """Run ``argv`` with an empty memo, so that every solve runs; check the
+    exit code, the message and that no worker outlives ``main``."""
+    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_NONCONVERGED
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    return err
+
+
+def test_failure_in_a_fanned_out_solve_exits_3(tmp_path, capsys, monkeypatch):
+    # the workers are forked after the patch, so every scan angle fails
+    monkeypatch.setattr(sla, "eigsh", _no_convergence)
+    _exits_nonconverged(SMALL_SCAN, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.skipif(cpus() < 2, reason="one CPU: the solves run in-process, no worker to lose")
+def test_worker_death_exits_3(tmp_path, capsys, monkeypatch):
+    def die(*args, **kwargs):
+        if not fanout._IN_WORKER:
+            raise AssertionError("a scan angle was solved in the CLI process")
+        os._exit(1)
+
+    monkeypatch.setattr(waveguide, "solve_waveguide_mode", die)
+    err = _exits_nonconverged(SMALL_SCAN, tmp_path, capsys, monkeypatch)
+    assert "worker process died" in err
+
+
+def test_nested_fan_out_runs_serially(tmp_path, capsys, monkeypatch):
+    # certify fans out the threshold and the voxel bounds; a fan-out inside
+    # the bounds task must run in that task's process, forking nothing more
+    from polylayer.analysis import AnalysisError, certificates
+
+    def nested_bounds(*args):
+        pids = fanout.fan_out([os.getpid] * 3)
+        raise AnalysisError(f"task {os.getpid()} nested {sorted(set(pids))}")
+
+    monkeypatch.setattr(certificates, "voxel_upper_bounds", nested_bounds)
+    err = _exits_nonconverged([*SMALL_CERTIFY, "--levels", "1"], tmp_path, capsys, monkeypatch)
+    task, nested = re.search(r"task (\d+) nested \[(\d+)\]", err).groups()
+    assert nested == task
+    assert (int(task) != os.getpid()) == (cpus() >= 2)
 
 
 @pytest.mark.parametrize(
