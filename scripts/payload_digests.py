@@ -47,6 +47,8 @@ COMMANDS = [
     "certify --kind regular --n 4 --alpha 60deg --R 3 --h 0.125 --levels 2"
     " --thr-h 0.25 --thr-levels 2",
     "certify-veps --kind regular --n 3 --alpha 60deg --h 0.125 --levels 3 --formats json,csv",
+    "absence --alpha 0.26rad --R 4 --h 0.125 --levels 2 --thr-h 0.25 --thr-levels 2"
+    " --star-tol 0.05",
     f"weyl {FICHERA} --indices 2,3,4,5 --h 0.16",
     "hardy --case random --count 5 --seed 3",
     "hardy --case exp",

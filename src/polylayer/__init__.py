@@ -13,12 +13,10 @@ from .geometry import (
     PolyhedralAngle,
     build_regular,
     build_trihedral,
-    classify_t51,
     fichera_angle,
     from_rays,
     lshape_profile,
     make_layer,
-    parse_angle_spec,
 )
 
 __all__ = [
@@ -28,12 +26,10 @@ __all__ = [
     "PolyhedralAngle",
     "build_regular",
     "build_trihedral",
-    "classify_t51",
     "fichera_angle",
     "from_rays",
     "lshape_profile",
     "make_layer",
-    "parse_angle_spec",
 ]
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from ..assembly import assemble_q1
 from ..eigensolve import invariant_ground_state
 from ..errors import ABSENT_CONSISTENT, INCONCLUSIVE, NONEMPTY, AnalysisError, ConfigError
 from ..geometry import GeometryError, LayerGeometry, build_trihedral, make_layer
-from ..grid3d import free_node_orbits, voxelize
+from ..grid3d import check_plan, free_node_orbits, voxelize
 from ..mesh2d import segment_rule
 from .waveguide import (
     PI2,
@@ -91,7 +91,7 @@ def voxel_upper_bounds(
     records = []
     for lev in range(levels):
         h_lev = h * 2 ** (levels - 1 - lev)
-        grid = voxelize(layer, R=R, h=h_lev, cut_bc="dirichlet")
+        grid = voxelize(layer, R=R, h=h_lev)
         problem = assemble_q1(grid)
         labels, _ = free_node_orbits(grid)
         result = invariant_ground_state(problem, labels, "grid", f"level {lev}", seed=seed)
@@ -140,8 +140,7 @@ def certify_discrete(
     threshold by more than the combined error indicator.  INCONCLUSIVE is a
     valid outcome, not an error.
     """
-    if levels < 1:  # before the threshold chain, which would run in vain
-        raise ConfigError(f"levels = {levels}: the voxel bounds need levels >= 1")
+    check_plan(R, h, levels)  # before any solve, which would run in vain
     thr, details = _threshold_and_bounds(layer, threshold_numerics, R, h, levels, seed)
     best = float(min(d["upper_bound"] for d in details))
     solver_slack = 1e-9 * abs(best)
@@ -174,7 +173,8 @@ def _regular_layer_angles(layer: LayerGeometry) -> tuple:
     return float(a[0]), float(b[0])
 
 
-# quintic smoothstep would be overkill here; quadrature nodes are plain Gauss
+# Radon's 7-point triangle rule, exact for degree 5: weights 9/40 and
+# (155 +- sqrt(15))/1200 (they sum to 1), nodes in barycentric coordinates
 _TRI_W = np.array(
     [
         0.225,
@@ -324,10 +324,6 @@ class AlphaStar:
     def value(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def to_json(self) -> dict:
         return {
             "lo": self.lo,
@@ -388,8 +384,7 @@ def absence_experiment(
     drops below 0.999 * threshold, the verdict is ABSENT_CONSISTENT, which is
     explicitly not a proof of absence.
     """
-    if levels < 1:  # before the threshold chain, which would run in vain
-        raise ConfigError(f"levels = {levels}: the voxel bounds need levels >= 1")
+    check_plan(R, h, levels)  # before any solve, which would run in vain
     star = alpha_star(star_tol)
     if not alpha < star.lo - 0.05:
         raise ConfigError(

@@ -17,6 +17,7 @@ from ..errors import ConfigError
 from ..extrapolate import richardson
 from .waveguide import (
     PI2,
+    ThresholdResult,
     WaveguideNumerics,
     lambda1_waveguide,
     prefetch_lambda1,
@@ -35,6 +36,19 @@ class ScanRecord:
     R: float
     h: float
     levels: int
+
+    @classmethod
+    def of(cls, parameter: float, res: ThresholdResult) -> ScanRecord:
+        """The record of the waveguide solved at ``parameter``."""
+        return cls(
+            parameter=parameter,
+            eigenvalues=res.extrapolated_all,
+            error_indicators=res.error_indicators,
+            level_estimates=res.lambda_estimates,
+            R=res.R,
+            h=res.h,
+            levels=res.levels,
+        )
 
     def to_json(self) -> dict:
         return {
@@ -74,20 +88,7 @@ def scan_theta(
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ConfigError("theta values must be strictly ascending")
     prefetch_lambda1([(theta, numerics) for theta in thetas])
-    records = []
-    for theta in thetas:
-        res = lambda1_waveguide(theta, numerics)
-        records.append(
-            ScanRecord(
-                parameter=theta,
-                eigenvalues=np.array([res.extrapolated]),
-                error_indicators=np.array([res.error_indicator]),
-                level_estimates=res.lambda_estimates,
-                R=res.R,
-                h=res.h,
-                levels=res.levels,
-            )
-        )
+    records = [ScanRecord.of(theta, lambda1_waveguide(theta, numerics)) for theta in thetas]
     values = np.array([r.eigenvalues[0] for r in records])
     return ThetaScan(
         records=records,
@@ -179,20 +180,7 @@ def scan_truncation(
                 "the outlet meshes would not be nested across R"
             )
     prefetch_lambda1([(theta, replace(numerics, R=R)) for R in Rs])
-    records = []
-    for R in Rs:
-        res = lambda1_waveguide(theta, replace(numerics, R=R))
-        records.append(
-            ScanRecord(
-                parameter=R,
-                eigenvalues=np.array([res.extrapolated]),
-                error_indicators=np.array([res.error_indicator]),
-                level_estimates=res.lambda_estimates,
-                R=R,
-                h=res.h,
-                levels=res.levels,
-            )
-        )
+    records = [ScanRecord.of(R, lambda1_waveguide(theta, replace(numerics, R=R))) for R in Rs]
     values = np.array([r.eigenvalues[0] for r in records])
     indicators = np.array([r.error_indicators[0] for r in records])
     asymptote = float(values[-1])
@@ -272,29 +260,16 @@ def count_below_threshold(
     theta: float, numerics: WaveguideNumerics = WaveguideNumerics(), num_pairs: int = 6
 ) -> CountResult:
     """Number of extrapolated eigenvalues below pi^2 minus the guard band."""
-    mode = solve_waveguide_mode(theta, replace(numerics, num_pairs=num_pairs))
-    res = mode.threshold
+    res = solve_waveguide_mode(theta, replace(numerics, num_pairs=num_pairs)).threshold
     values = res.extrapolated_all
-    indicators = np.empty(num_pairs)
-    for j in range(num_pairs):
-        _, indicators[j], _ = richardson(res.lambda_estimates[:, j])
-    guard = float(indicators.max())
+    guard = float(res.error_indicators.max())
     certified = [float(v) for v in values if v < PI2 - guard]
     near = [float(v) for v in values if PI2 - guard <= v <= PI2 + guard]
-    record = ScanRecord(
-        parameter=theta,
-        eigenvalues=values,
-        error_indicators=indicators,
-        level_estimates=res.lambda_estimates,
-        R=res.R,
-        h=res.h,
-        levels=res.levels,
-    )
     return CountResult(
         theta=float(theta),
         count=len(certified),
         certified=certified,
         near_threshold=near,
         guard=guard,
-        record=record,
+        record=ScanRecord.of(theta, res),
     )

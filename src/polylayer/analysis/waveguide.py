@@ -41,24 +41,36 @@ class WaveguideNumerics:
     tol: float = 1e-8
     seed: int = 0
 
+    def __post_init__(self):
+        # checked here, so that a bad value stops a run before any solve
+        if self.levels < 2:
+            raise ConfigError("extrapolation needs at least two refinement levels")
+        SolverConfig(num_pairs=self.num_pairs, tol=self.tol, seed=self.seed)
+
 
 @dataclass(eq=False)
 class ThresholdResult:
     """Extrapolated first eigenvalue of the waveguide at ``theta_used``.
 
     ``lambda_estimates`` has one row per refinement level (columns are
-    eigenvalue indices); the extrapolated value must land inside
-    (pi^2/4, pi^2) and the per-level estimates decrease (nested meshes).
+    eigenvalue indices); ``extrapolated_all`` and ``error_indicators`` hold
+    the Richardson value and indicator of each column.  The extrapolated
+    value must land inside (pi^2/4, pi^2) and the per-level estimates
+    decrease (nested meshes).
     """
 
     theta_used: float
     lambda_estimates: np.ndarray
     extrapolated: float
-    error_indicator: float
     R: float
     h: float
     levels: int
     extrapolated_all: np.ndarray
+    error_indicators: np.ndarray
+
+    @property
+    def error_indicator(self) -> float:
+        return float(self.error_indicators[0])
 
     @property
     def lambda1_estimates(self) -> np.ndarray:
@@ -160,8 +172,6 @@ def solve_waveguide_mode(
     """
     if not 0.0 < theta < math.pi:
         raise GeometryError(f"opening angle theta = {theta} not in (0, pi)")
-    if numerics.levels < 2:
-        raise ConfigError("extrapolation needs at least two refinement levels")
     R = numerics.R if numerics.R is not None else auto_outlet_length(theta, numerics)
     lams, meshes, vals = _solve_chain(
         theta,
@@ -180,11 +190,11 @@ def solve_waveguide_mode(
         theta_used=float(theta),
         lambda_estimates=lams,
         extrapolated=float(ext_all[0]),
-        error_indicator=float(ind_all[0]),
         R=float(R),
         h=float(numerics.h),
         levels=int(numerics.levels),
         extrapolated_all=ext_all,
+        error_indicators=ind_all,
     )
     _validate_threshold(result)
     return WaveguideMode(
@@ -242,8 +252,8 @@ def prefetch_lambda1(pairs, alongside=()) -> list:
             misses.setdefault(key, partial(_solved_threshold, theta, numerics))
     results = fan_out([*misses.values(), *alongside])
     for key, hit in zip(misses, results):
-        hit.lambda_estimates.flags.writeable = False
-        hit.extrapolated_all.flags.writeable = False
+        for arr in (hit.lambda_estimates, hit.extrapolated_all, hit.error_indicators):
+            arr.flags.writeable = False
         _WAVEGUIDE_CACHE[key] = hit
     return results[len(misses) :]
 

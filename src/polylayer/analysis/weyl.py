@@ -66,6 +66,8 @@ class WeylConfig:
             raise ConfigError("window index must be >= 1")
         if self.kappa < 0.0:
             raise ConfigError("longitudinal frequency must be >= 0")
+        if self.h_grid > min(Z_WIDTH, CHI_WIDTH) / 4.0:
+            raise ConfigError("grid too coarse relative to the cut-off derivative scale")
 
 
 @dataclass(eq=False)
@@ -78,7 +80,6 @@ class WeylElement:
     norm: float
     z_support: tuple
     outlet_length: float
-    detail: dict
 
     def to_json(self) -> dict:
         return {
@@ -189,10 +190,6 @@ def weyl_residual(
     I2 |A|^2 - 2 I11 <A, B> + (I22 + 4 kappa^2 I1) |B|^2, divided by the
     squared element norm I2 |B|^2.
     """
-    if config.h_grid > Z_WIDTH / 4.0 or config.h_grid > CHI_WIDTH / 4.0:
-        raise ConfigError(
-            "grid too coarse relative to the cut-off derivative scale"
-        )
     n = config.index
     a = layer.angle.vertex_angles
     beta = layer.angle.dihedral_angles
@@ -219,7 +216,6 @@ def weyl_residual(
         norm=norm,
         z_support=(2.0**n, 2.0 ** (n + 1)),
         outlet_length=outlet_len,
-        detail={"window": zi, "A2": a2, "AB": ab, "B2": b2_res, "B2_all": b2_all},
     )
 
 

@@ -140,10 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("waveguide", h=0.1, levels=3, R=None, num_pairs=1, tol=1e-8)
     sub.add_argument("--theta", type=parse_angle, required=True)
 
-    sub = add("scan-theta", h=0.1, levels=3, R=None, num_pairs=1, tol=1e-8)
+    sub = add("scan-theta", h=0.1, levels=3, R=None, tol=1e-8)
     sub.add_argument("--thetas", type=parse_angle_list, required=True)
 
-    sub = add("scan-R", h=0.125, levels=3, num_pairs=1, tol=1e-8)
+    sub = add("scan-R", h=0.125, levels=3, tol=1e-8)
     sub.add_argument("--theta", type=parse_angle, required=True)
     sub.add_argument("--R-list", type=parse_float_list, required=True)
 
@@ -397,13 +397,12 @@ def _weyl(args, files):
 
     layer = _build_layer(args)
     numerics = _numerics(args)
+    configs = [  # checked before the solve
+        WeylConfig(index=n, kappa=args.kappa, h_grid=args.h_grid, mode_numerics=numerics)
+        for n in args.indices
+    ]
     mode = solve_waveguide_mode(layer.beta_min, numerics)
-    rows = []
-    for n in args.indices:
-        cfg = WeylConfig(
-            index=n, kappa=args.kappa, h_grid=args.h_grid, mode_numerics=numerics
-        )
-        rows.append(weyl_residual(layer, cfg, mode=mode).to_json())
+    rows = [weyl_residual(layer, cfg, mode=mode).to_json() for cfg in configs]
     return {"elements": rows, "kappa": args.kappa}
 
 

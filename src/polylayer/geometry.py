@@ -260,10 +260,6 @@ class LayerGeometry:
         d = self.outer_distances(x)
         return (d.min(axis=-1) > 0.0) & (d.min(axis=-1) < 1.0)
 
-    def distance_to_outer(self, x) -> np.ndarray:
-        """dist(x, Gamma') = min_i n_i . x, valid for x inside the cone."""
-        return self.outer_distances(x).min(axis=-1)
-
     def classify_partition(self, x, tol: float = 0.0) -> list:
         """Indices j of the partition pieces claiming the point.
 
@@ -276,27 +272,6 @@ class LayerGeometry:
         return [
             j for j in range(n) if s[(j - 1) % n] >= -tol and s[j] <= tol
         ]
-
-    def edge_frame(self, j: int) -> np.ndarray:
-        """Orthonormal frame (e1, e2, e3) of the dihedral edge j, rows stacked.
-
-        e3 runs along ray j; e1 lies in face j-1 (the convention fixed here),
-        pointing toward ray j-1; e2 is the inward normal of face j-1.  The
-        frame is anchored at the shifted vertex ``shift``; handedness is not
-        enforced.
-        """
-        rays = self.angle.rays
-        e3 = rays[j]
-        prev = rays[(j - 1) % self.n]
-        e1 = _unit(prev - np.dot(prev, e3) * e3)
-        e2 = self.angle.normals[(j - 1) % self.n]
-        return np.stack([e1, e2, e3])
-
-    def edge_coordinates(self, j: int, x) -> np.ndarray:
-        """Coordinates (x_j, y_j, z_j) of points in the frame of edge j."""
-        frame = self.edge_frame(j)
-        x = np.asarray(x, dtype=float)
-        return (x - self.shift) @ frame.T
 
     def to_report(self) -> dict:
         rep = self.angle.to_report()
@@ -346,42 +321,6 @@ def make_layer(angle: PolyhedralAngle) -> LayerGeometry:
     )
 
 
-def is_t51_family(layer: LayerGeometry, tol: float = 1e-9) -> bool:
-    """True for layers over trihedral angles with right first and third vertex
-    angles (the two-right-vertex-angles family); edge 0 then carries the
-    smallest dihedral angle, equal to the middle vertex angle."""
-    a = layer.angle.vertex_angles
-    return (
-        layer.n == 3
-        and abs(a[0] - math.pi / 2) <= tol
-        and abs(a[2] - math.pi / 2) <= tol
-        and a[1] < math.pi / 2
-    )
-
-
-def classify_t51(layer: LayerGeometry, point) -> int:
-    """Classify an interior point into the three-part split used for layers
-    with two right vertex angles: 1 if z1 > 0, else 2 inside the dihedral
-    sector 0 < y1 < tan(alpha) * x1, else 3.  Coordinates are taken in the
-    frame of edge 0 (the small-dihedral edge)."""
-    if not is_t51_family(layer):
-        raise GeometryError(
-            "classification requires a trihedral layer with two right vertex angles"
-        )
-    point = np.asarray(point, dtype=float)
-    if point.shape != (3,):
-        raise GeometryError("classify_t51 takes a single 3D point")
-    if not bool(layer.contains(point)):
-        raise GeometryError("point is not inside the layer")
-    alpha = float(layer.angle.vertex_angles[1])
-    x1, y1, z1 = layer.edge_coordinates(0, point)
-    if z1 > 0.0:
-        return 1
-    if 0.0 < y1 < math.tan(alpha) * x1:
-        return 2
-    return 3
-
-
 @dataclass(frozen=True)
 class LShapeProfile:
     """Planar profile of the truncated L-shaped waveguide.
@@ -401,7 +340,6 @@ class LShapeProfile:
     theta: float
     outlet_length: float
     vertices: np.ndarray
-    feet: np.ndarray  # perpendicular feet of O on the two outer rays
 
     @property
     def area(self) -> float:
@@ -420,11 +358,6 @@ class LShapeProfile:
         """|O'O| = 1/sin(theta/2)."""
         return 1.0 / math.sin(self.theta / 2.0)
 
-    def side_tags(self) -> list:
-        """Boundary tags per polygon side (vertex i to i+1): 'outer', 'inner'
-        or 'cross-section'."""
-        return ["outer", "cross-section", "inner", "inner", "cross-section", "outer"]
-
 
 def lshape_profile(theta: float, outlet_length: float) -> LShapeProfile:
     """Closed-form hexagon for the truncated waveguide; area cot(theta/2) + 2R."""
@@ -439,8 +372,6 @@ def lshape_profile(theta: float, outlet_length: float) -> LShapeProfile:
     d1 = np.array([c, s])
     d2 = np.array([c, -s])
     O = np.array([1.0 / s, 0.0])
-    f1 = cot * d1
-    f2 = cot * d2
     A1 = (cot + R) * d1
     B1 = O + R * d1
     A2 = (cot + R) * d2
@@ -451,7 +382,6 @@ def lshape_profile(theta: float, outlet_length: float) -> LShapeProfile:
         theta=float(theta),
         outlet_length=R,
         vertices=_readonly(verts),
-        feet=_readonly(np.array([f1, f2])),
     )
 
 
@@ -459,60 +389,3 @@ def _polygon_area(verts: np.ndarray) -> float:
     x, y = verts[:, 0], verts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
-
-def parse_angle_spec(text: str, default_unit: str | None = None) -> PolyhedralAngle:
-    """Parse a structured-text angle specification.
-
-    Keys (one ``key = value`` per line, '#' comments allowed):
-      kind  = trihedral | regular
-      alpha = a1, a2, a3   (trihedral)  or  alpha = a, n = k  (regular)
-      unit  = rad | deg    (required unless angles carry their own suffix)
-
-    Values may carry explicit 'deg'/'rad' suffixes, overriding ``unit``.
-    """
-    entries: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise GeometryError(f"malformed angle spec line: {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.lower()
-        if key not in {"kind", "alpha", "n", "unit"}:
-            raise GeometryError(f"unknown angle spec key: {key!r}")
-        if key in entries:
-            raise GeometryError(f"duplicate angle spec key: {key!r}")
-        entries[key] = value
-
-    kind = entries.get("kind")
-    if kind not in {"trihedral", "regular"}:
-        raise GeometryError("angle spec needs kind = trihedral | regular")
-    if "alpha" not in entries:
-        raise GeometryError("angle spec needs alpha")
-    unit = entries.get("unit", default_unit)
-
-    def to_rad(token: str) -> float:
-        token = token.strip()
-        local = unit
-        if token.endswith("deg"):
-            token, local = token[:-3], "deg"
-        elif token.endswith("rad"):
-            token, local = token[:-3], "rad"
-        if local not in {"deg", "rad"}:
-            raise GeometryError(
-                "angles need an explicit unit (unit = deg|rad or a deg/rad suffix)"
-            )
-        value = float(token)
-        return math.radians(value) if local == "deg" else value
-
-    alphas = [to_rad(tok) for tok in entries["alpha"].split(",")]
-    if kind == "trihedral":
-        if "n" in entries:
-            raise GeometryError("trihedral spec does not take n")
-        return build_trihedral(alphas)
-    if len(alphas) != 1:
-        raise GeometryError("regular spec takes a single alpha")
-    if "n" not in entries:
-        raise GeometryError("regular spec needs n")
-    return build_regular(int(entries["n"]), alphas[0])

@@ -14,8 +14,8 @@ order; grids are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations, product
-from typing import Optional
 
 import numpy as np
 
@@ -41,8 +41,7 @@ class VoxelGrid:
     ``active`` has cell shape (nx, ny, nz); nodes live on the (nx+1, ny+1,
     nz+1) lattice ``origin + h * index``.  ``node_ids`` maps lattice nodes of
     active cells to contiguous ids (-1 elsewhere); ``dirichlet`` flags
-    constrained node ids.  ``cut_bc`` records the boundary condition applied
-    on the truncation planes.
+    constrained node ids.
     """
 
     h: float
@@ -50,9 +49,6 @@ class VoxelGrid:
     active: np.ndarray
     node_ids: np.ndarray
     dirichlet: np.ndarray
-    cut_bc: str
-    R: Optional[float] = None
-    layer: Optional[LayerGeometry] = None
 
     @property
     def num_nodes(self) -> int:
@@ -77,28 +73,20 @@ class VoxelGrid:
 
     def active_cell_corners(self) -> np.ndarray:
         """(n_cells, 8) node ids per active cell, z fastest (kron order)."""
-        cells = np.argwhere(self.active)
-        out = np.empty((len(cells), 8), dtype=np.int64)
-        k = 0
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    out[:, k] = self.node_ids[
-                        cells[:, 0] + dx, cells[:, 1] + dy, cells[:, 2] + dz
-                    ]
-                    k += 1
-        return out
+        corners = _corner_views(self.node_ids, self.active.shape)
+        return np.stack([ids[self.active] for ids in corners], axis=1)
 
-    def summary(self) -> dict:
-        return {
-            "h": self.h,
-            "R": self.R,
-            "cut_bc": self.cut_bc,
-            "active_cells": self.num_active_cells,
-            "nodes": self.num_nodes,
-            "dirichlet_nodes": int(self.dirichlet.sum()),
-            "volume": self.volume,
-        }
+
+# the corner offsets (dx, dy, dz) of a cell, z fastest (kron order)
+_CORNERS = tuple(product((0, 1), repeat=3))
+
+
+def _corner_views(node_values: np.ndarray, cells: tuple) -> list:
+    """One view of the lattice array ``node_values`` per corner in
+    ``_CORNERS`` order: entry (i, j, k) of view c is the value at corner c of
+    cell (i, j, k), for the ``cells`` = (nx, ny, nz) cells."""
+    nx, ny, nz = cells
+    return [node_values[dx : nx + dx, dy : ny + dy, dz : nz + dz] for dx, dy, dz in _CORNERS]
 
 
 def _coordinate_bounds(layer: LayerGeometry, R: float) -> tuple:
@@ -121,22 +109,32 @@ def _coordinate_bounds(layer: LayerGeometry, R: float) -> tuple:
 def _number_nodes(active: np.ndarray) -> tuple:
     """Active cells per lattice node, and contiguous ids (C order) of the
     nodes touched by an active cell, -1 elsewhere."""
-    nx, ny, nz = active.shape
-    node_of_cell = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.int32)
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                node_of_cell[dx : nx + dx, dy : ny + dy, dz : nz + dz] += active
+    node_of_cell = np.zeros(tuple(n + 1 for n in active.shape), dtype=np.int32)
+    for corner in _corner_views(node_of_cell, active.shape):
+        corner += active
     used = node_of_cell > 0
     node_ids = np.full(used.shape, -1, dtype=np.int64)
     node_ids[used] = np.arange(int(used.sum()))
     return node_of_cell, node_ids
 
 
-def voxelize(
-    layer: LayerGeometry, R: float, h: float, cut_bc: str = "dirichlet"
-) -> VoxelGrid:
-    """Inscribed voxelization of the layer truncated by the cuts u_j . x <= R.
+def check_plan(R: float, h: float, levels: int = 1) -> None:
+    """Raise GridError unless ``voxelize`` accepts every grid of the cell
+    sizes h * 2^(levels-1), ..., 2h, h at truncation R, with levels >= 1."""
+    if levels < 1:
+        raise GridError(f"levels = {levels}: the voxel bounds need levels >= 1")
+    if h * 2 ** (levels - 1) > 1.0 / 3.0 + 1e-12:
+        raise GridError(
+            f"coarsest cell size h * 2^(levels-1) = {h * 2 ** (levels - 1):g}: "
+            "h must be <= 1/3 (three cells across the unit wall)"
+        )
+    if R < 3.0:
+        raise GridError("truncation radius R must be >= 3")
+
+
+def voxelize(layer: LayerGeometry, R: float, h: float) -> VoxelGrid:
+    """Inscribed voxelization of the layer truncated by the cuts u_j . x <= R,
+    with Dirichlet conditions on the whole boundary of the active region.
 
     Activation of a cell requires (a) all corners inside the closed cone,
     (b) one face plane separating the whole cell from the open shifted inner
@@ -144,42 +142,23 @@ def voxelize(
     truncation cut.  For the Fichera layer with h dividing 1 and integer R
     the active region reproduces the truncated layer exactly.
     """
-    if cut_bc not in ("dirichlet", "neumann"):
-        raise GridError("cut_bc must be 'dirichlet' or 'neumann'")
-    if h > 1.0 / 3.0 + 1e-12:
-        raise GridError("h must be <= 1/3 (three cells across the unit wall)")
-    if R < 3.0:
-        raise GridError("truncation radius R must be >= 3")
+    check_plan(R, h)
 
     lo, hi = _coordinate_bounds(layer, R)
     origin = np.floor(lo / h - 1.0) * h
     n_cells = np.ceil((hi - origin) / h + 1.0).astype(int)
-    nx, ny, nz = (int(v) for v in n_cells)
+    cells = tuple(int(v) for v in n_cells)
 
-    xs = origin[0] + h * np.arange(nx + 1)
-    ys = origin[1] + h * np.arange(ny + 1)
-    zs = origin[2] + h * np.arange(nz + 1)
+    xs, ys, zs = (origin[k] + h * np.arange(cells[k] + 1) for k in range(3))
     X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
     pts = np.stack([X, Y, Z], axis=-1)
+    face_vals = pts @ layer.angle.normals.T  # (nx+1, ny+1, nz+1, nfaces)
+    cut_vals = pts @ layer.angle.rays.T
 
-    normals = layer.angle.normals
-    rays = layer.angle.rays
-    face_vals = pts @ normals.T  # (nx+1, ny+1, nz+1, nfaces)
-    cut_vals = pts @ rays.T
-
-    def cell_reduce(vals, op):
-        """Reduce node values over the 8 corners of each cell."""
-        acc = None
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    sl = vals[dx : nx + dx, dy : ny + dy, dz : nz + dz]
-                    acc = sl if acc is None else op(acc, sl)
-        return acc
-
-    cone_min = cell_reduce(face_vals.min(axis=-1), np.minimum)
-    face_max = cell_reduce(face_vals, np.maximum)  # per-face max over corners
-    cut_max = cell_reduce(cut_vals.max(axis=-1), np.maximum)
+    # per cell, reduced over its eight corners
+    cone_min = reduce(np.minimum, _corner_views(face_vals.min(axis=-1), cells))
+    face_max = reduce(np.maximum, _corner_views(face_vals, cells))  # per face
+    cut_max = reduce(np.maximum, _corner_views(cut_vals.max(axis=-1), cells))
 
     active = (
         (cone_min >= -BOUNDARY_TOL)
@@ -191,28 +170,10 @@ def voxelize(
 
     node_of_cell, node_ids = _number_nodes(active)
     used = node_ids >= 0
-    boundary = used & (node_of_cell < 8)
-    if cut_bc == "neumann":
-        on_cut = np.zeros_like(used)
-        for j in range(rays.shape[0]):
-            on_cut |= np.abs(cut_vals[..., j] - R) <= 1e-9
-        interior_wall = (face_vals.min(axis=-1) > 1e-9) & (
-            face_vals.min(axis=-1) < 1.0 - 1e-9
-        )
-        boundary &= ~(on_cut & interior_wall)
-
     dirichlet = np.zeros(int(used.sum()), dtype=bool)
-    dirichlet[node_ids[boundary]] = True
-
+    dirichlet[node_ids[used & (node_of_cell < 8)]] = True
     return VoxelGrid(
-        h=float(h),
-        origin=origin,
-        active=active,
-        node_ids=node_ids,
-        dirichlet=dirichlet,
-        cut_bc=cut_bc,
-        R=float(R),
-        layer=layer,
+        h=float(h), origin=origin, active=active, node_ids=node_ids, dirichlet=dirichlet
     )
 
 
@@ -268,7 +229,6 @@ def box_grid(extent, h: float, dirichlet_boundary: bool = True) -> VoxelGrid:
         active=active,
         node_ids=node_ids,
         dirichlet=dirichlet,
-        cut_bc="dirichlet",
     )
 
 

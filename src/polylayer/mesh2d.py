@@ -381,11 +381,13 @@ class _TriangleLocator:
     """Uniform-bin point locator over triangle bounding boxes.
 
     Bin b lists the triangles whose bounding box meets it, in ascending
-    order: ``_bin_tris[_bin_start[b]:_bin_start[b + 1]]``.
+    order: ``_bin_tris[_bin_start[b]:_bin_start[b + 1]]``.  (``self._cells``
+    maps points to bins; the bare ``_cells`` is the module's enumeration.)
     """
 
-    def __init__(self, mesh: TriMesh, tol: float = 1e-12):
-        self.tol = tol
+    tol = 1e-12  # a point whose barycentric coordinates are all >= -tol is inside
+
+    def __init__(self, mesh: TriMesh):
         pts = mesh.nodes[mesh.triangles]
         lo = pts.min(axis=(0, 1))
         hi = pts.max(axis=(0, 1))
@@ -399,9 +401,7 @@ class _TriangleLocator:
         # one (bin, triangle) pair per bin of each bounding box, triangles
         # ascending; the stable sort keeps that order within every bin
         nx, ny = (thi - tlo + 1).T
-        count = nx * ny
-        tri = np.repeat(np.arange(mesh.num_triangles), count)
-        k = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
+        tri, k = _cells(nx * ny)
         bins = (tlo[tri, 0] + k // ny[tri]) * n_bins + tlo[tri, 1] + k % ny[tri]
         self._bin_tris = tri[np.argsort(bins, kind="stable")]
         self._bin_start = np.concatenate(
@@ -434,10 +434,8 @@ class _TriangleLocator:
         # one (point, candidate) pair per triangle of the point's bin: points
         # in order, each point's candidates in the bin's order
         start = self._bin_start[bins]
-        count = self._bin_start[bins + 1] - start
-        pt = np.repeat(np.arange(len(pts)), count)
-        first = np.cumsum(count) - count  # each point's first pair
-        cand = self._bin_tris[np.arange(len(pt)) + np.repeat(start - first, count)]
+        pt, k = _cells(self._bin_start[bins + 1] - start)
+        cand = self._bin_tris[start[pt] + k]
         rel = pts[pt] - self._p0[cand]
         inv = self._inv[cand]
         l1 = inv[:, 0] * rel[:, 0] + inv[:, 1] * rel[:, 1]
@@ -466,14 +464,6 @@ def _interpolate(mesh: TriMesh, nodal_values: np.ndarray, points: np.ndarray):
         values[s : s + _CHUNK][ok] = np.einsum("ij,ij->i", bary[ok], vals[verts])
         inside[s : s + _CHUNK] = ok
     return values, inside
-
-
-def evaluate(mesh: TriMesh, nodal_values: np.ndarray, point) -> float:
-    """P1 interpolation of a nodal field at one interior point."""
-    values, inside = _interpolate(mesh, nodal_values, np.reshape(point, (1, 2)))
-    if not inside[0]:
-        raise MeshError(f"point {point} is outside the meshed region")
-    return float(values[0])
 
 
 def evaluate_batch(mesh: TriMesh, nodal_values: np.ndarray, points: np.ndarray):

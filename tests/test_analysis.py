@@ -100,7 +100,7 @@ def test_scan_theta_fills_the_memo(monkeypatch):
         res = lambda1_waveguide(theta, COARSE)
         assert res is waveguide._WAVEGUIDE_CACHE[(theta, COARSE)]
         assert res.extrapolated == rec.eigenvalues[0]
-        for arr in (res.lambda_estimates, res.extrapolated_all):
+        for arr in (res.lambda_estimates, res.extrapolated_all, res.error_indicators):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 

@@ -493,20 +493,38 @@ def test_nested_fan_out_runs_serially(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [[*SMALL_CERTIFY, "--levels", "0"], ["absence", "--alpha", "0.26rad", "--levels", "0"]],
-    ids=["certify", "absence"],
+    "argv, message",
+    [
+        ([*SMALL_CERTIFY, "--levels", "0"], "levels"),
+        (["absence", "--alpha", "0.26rad", "--levels", "0"], "levels"),
+        ([*SMALL_CERTIFY, "--levels", "1", "--thr-levels", "1"], "refinement levels"),
+        (["absence", "--alpha", "0.26rad", "--thr-levels", "1"], "refinement levels"),
+        ([*SMALL_CERTIFY, "--levels", "1", "--R", "2"], "R must be >= 3"),
+        ([*SMALL_CERTIFY, "--levels", "2"], "h must be <= 1/3"),  # coarsest level h = 0.5
+        (["waveguide", "--theta", "90deg", "--pairs", "0"], "num_pairs"),
+        (["weyl", *FICHERA, "--h", "0.25", "--indices", "2,0"], "window index"),
+        (["weyl", *FICHERA, "--h", "0.25", "--h-grid", "0.3"], "too coarse"),
+    ],
+    ids=["certify", "absence", "certify-thr-levels-1", "absence-thr-levels-1",
+         "certify-R-2", "certify-coarsest-h", "waveguide-pairs-0", "weyl-index-0",
+         "weyl-h-grid"],
 )
-def test_levels_checked_before_any_solve(argv, tmp_path, capsys, monkeypatch):
-    from polylayer.analysis import certificates
+def test_levels_checked_before_any_solve(argv, message, tmp_path, capsys, monkeypatch):
+    from polylayer import eigensolve
+
+    # a solve in a forked worker is seen through the marker file it leaves
+    marker = tmp_path / "solved"
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError("solved before the levels check")
+        marker.touch()
+        raise AssertionError("solved before the configuration was checked")
 
-    monkeypatch.setattr(certificates, "threshold", must_not_run)
-    monkeypatch.setattr(certificates, "alpha_star", must_not_run)
-    assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "levels" in capsys.readouterr().err
+    for module in (eigensolve, waveguide):
+        monkeypatch.setattr(module, "smallest_eigenpairs", must_not_run)
+    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not marker.exists()
 
 
 # each subcommand with its required flags only
@@ -557,6 +575,8 @@ def test_dry_run_never_solves(name, tmp_path, monkeypatch):
         ["absence", "--alpha", "0.26rad", "--pairs", "7"],
         ["absence", "--alpha", "0.26rad", "--tol", "1e-3"],
         ["scan-R", "--theta", "90deg", "--R-list", "2,3", "--R", "3"],
+        ["scan-theta", "--thetas", "0.8rad,1.2rad", "--pairs", "2"],
+        ["scan-R", "--theta", "90deg", "--R-list", "2,3", "--pairs", "2"],
         ["angle", *REGULAR, "--seed", "5"],
         ["layer", *REGULAR, "--seed", "5"],
         ["count", "--theta", "90deg", "--threads", "1"],
@@ -566,7 +586,8 @@ def test_dry_run_never_solves(name, tmp_path, monkeypatch):
         ["hardy", "--formats", "json"],
     ],
     ids=["certify-pairs", "certify-tol", "certify-veps-pairs", "certify-veps-tol",
-         "absence-pairs", "absence-tol", "scan-R-R", "angle-seed", "layer-seed",
+         "absence-pairs", "absence-tol", "scan-R-R", "scan-theta-pairs", "scan-R-pairs",
+         "angle-seed", "layer-seed",
          "count-threads", "angle-formats", "count-formats", "certify-formats",
          "hardy-formats"],
 )

@@ -9,12 +9,10 @@ from polylayer.geometry import (
     GeometryError,
     build_regular,
     build_trihedral,
-    classify_t51,
     fichera_angle,
     from_rays,
     lshape_profile,
     make_layer,
-    parse_angle_spec,
     trihedral_dihedrals_lawcos,
     vector_angle,
 )
@@ -113,11 +111,6 @@ def test_membership_matches_direct_face_distances():
     d = layer.outer_distances(pts)
     expected = (d > 0.0).all(axis=1) & (d.min(axis=1) < 1.0)
     assert np.array_equal(layer.contains(pts), expected)
-    inside = pts[layer.contains(pts)]
-    # distance oracle equals min over face-plane distances for interior points
-    assert np.allclose(
-        layer.distance_to_outer(inside), d[layer.contains(pts)].min(axis=1)
-    )
 
 
 def test_perturbed_four_gonal_angle_rejected_as_layer():
@@ -159,49 +152,6 @@ def test_partition_covers_layer_with_measure_zero_overlap(angle):
     assert np.mean(n_claims == 1) > 0.999
 
 
-def test_classify_t51_definitions_and_partition():
-    alpha = 0.8
-    layer = make_layer(build_trihedral((PI / 2, alpha, PI / 2)))
-    e1, e2, e3 = layer.edge_frame(0)
-    t = layer.shift
-    p1 = t + 1.0 * e3 + 0.5 * e2
-    assert classify_t51(layer, p1) == 1
-    # z1 = -1 with 0 < y1 < tan(alpha) x1 lands in region 2
-    x1 = 2.0
-    p2 = t - 1.0 * e3 + x1 * e1 + 0.1 * math.tan(alpha) * x1 * e2
-    if bool(layer.contains(p2)):
-        assert classify_t51(layer, p2) == 2
-
-    rng = np.random.default_rng(3)
-    pts = _sample_inside(layer, rng, 2000, box=5.0)
-    regions = np.array([classify_t51(layer, p) for p in pts])
-    assert set(np.unique(regions)) <= {1, 2, 3}
-    # each point in exactly one region by construction; all three appear
-    assert {1, 2, 3} <= set(np.unique(regions))
-    # membership in region sets is exclusive and exhaustive: re-deriving from
-    # coordinates agrees with the classifier
-    coords = layer.edge_coordinates(0, pts)
-    want = np.where(
-        coords[:, 2] > 0.0,
-        1,
-        np.where(
-            (coords[:, 1] > 0.0) & (coords[:, 1] < math.tan(alpha) * coords[:, 0]),
-            2,
-            3,
-        ),
-    )
-    assert np.array_equal(regions, want)
-
-
-def test_classify_t51_guards():
-    layer = make_layer(build_trihedral((PI / 2, 0.8, PI / 2)))
-    with pytest.raises(GeometryError, match="not inside"):
-        classify_t51(layer, np.array([50.0, 50.0, 50.0]))
-    fich = make_layer(fichera_angle())
-    with pytest.raises(GeometryError, match="two right vertex angles"):
-        classify_t51(fich, fich.shift + np.array([0.4, 0.0, 0.0]))
-
-
 def test_lshape_profile_geometry():
     p = lshape_profile(PI / 2, 4.0)
     assert p.area == pytest.approx(9.0, abs=1e-12)
@@ -235,22 +185,6 @@ def test_lshape_profile_invariants(theta, R):
     area2 = float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
     assert area2 > 0.0
     assert abs(0.5 * area2 - p.area) < 1e-10 * max(1.0, p.area)
-
-
-def test_parse_angle_spec_trihedral_and_regular():
-    a = parse_angle_spec("kind = trihedral\nalpha = 90deg, 45deg, 90deg\n")
-    assert np.allclose(a.vertex_angles, [PI / 2, PI / 4, PI / 2], atol=1e-12)
-    b = parse_angle_spec("kind = regular\nn = 3\nalpha = 60deg\n")
-    assert np.allclose(b.vertex_angles, PI / 3, atol=1e-12)
-    c = parse_angle_spec("kind = regular\nn = 4\nunit = rad\nalpha = 1.0\n")
-    assert np.allclose(c.vertex_angles, 1.0, atol=1e-12)
-
-
-def test_parse_angle_spec_requires_unit_and_rejects_unknown_keys():
-    with pytest.raises(GeometryError, match="unit"):
-        parse_angle_spec("kind = regular\nn = 3\nalpha = 1.0\n")
-    with pytest.raises(GeometryError, match="unknown"):
-        parse_angle_spec("kind = trihedral\nalpha = 1rad,1rad,1rad\nfoo = 1\n")
 
 
 def test_vector_angle_stability():

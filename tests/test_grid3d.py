@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from polylayer.grid3d import (
     GridError,
     VoxelGrid,
     box_grid,
+    check_plan,
     free_node_orbits,
     truncated_layer_contains,
     voxelize,
@@ -44,8 +46,14 @@ def test_preconditions(fichera_layer):
         voxelize(fichera_layer, R=4.0, h=0.4)
     with pytest.raises(GridError):
         voxelize(fichera_layer, R=2.0, h=0.25)
-    with pytest.raises(GridError):
-        voxelize(fichera_layer, R=4.0, h=0.25, cut_bc="robin")
+    # the coarsest of the levels h * 2^(levels-1), ..., h must fit the wall
+    check_plan(R=3.0, h=1.0 / 6.0, levels=2)
+    with pytest.raises(GridError, match="coarsest cell size"):
+        check_plan(R=3.0, h=0.25, levels=2)
+    with pytest.raises(GridError, match="levels >= 1"):
+        check_plan(R=3.0, h=0.25, levels=0)
+    with pytest.raises(GridError, match="R must be >= 3"):
+        check_plan(R=2.0, h=0.25, levels=1)
 
 
 @pytest.fixture(scope="module")
@@ -91,16 +99,15 @@ def test_monotone_inclusion_under_halving(regular_layer):
                 assert g2.active[idx[:, 0], idx[:, 1], idx[:, 2]].all()
 
 
-def test_dirichlet_and_neumann_cut_flags(fichera_layer):
-    gd = voxelize(fichera_layer, R=4.0, h=0.25, cut_bc="dirichlet")
-    gn = voxelize(fichera_layer, R=4.0, h=0.25, cut_bc="neumann")
-    assert gd.num_active_cells == gn.num_active_cells
-    # neumann cut releases exactly the cut-plane nodes interior to the layer
-    assert gn.dirichlet.sum() < gd.dirichlet.sum()
-    pos = gn.node_positions()
-    released = np.flatnonzero(gd.dirichlet & ~gn.dirichlet)
-    on_cut = np.isclose(pos[released] @ fichera_layer.angle.rays.T, 4.0).any(axis=1)
-    assert on_cut.all()
+def test_cell_corners_and_node_counts_in_kron_order(fichera_layer):
+    grid = voxelize(fichera_layer, R=3.0, h=0.25)
+    cells = np.argwhere(grid.active)
+    offsets = list(product((0, 1), repeat=3))  # z fastest
+    want = np.stack([grid.node_ids[tuple((cells + d).T)] for d in offsets], axis=1)
+    assert np.array_equal(grid.active_cell_corners(), want)
+    node_of_cell, node_ids = grid3d._number_nodes(grid.active)
+    assert np.array_equal(node_ids, grid.node_ids)
+    assert np.array_equal(np.bincount(want.ravel()), node_of_cell[node_ids >= 0])
 
 
 def test_empty_active_set_is_an_error():
@@ -218,7 +225,6 @@ def test_one_cell_off_breaks_the_symmetry(fichera_layer):
         active=active,
         node_ids=node_ids,
         dirichlet=dirichlet,
-        cut_bc="dirichlet",
     )
     labels, order = free_node_orbits(cut)
     assert order == 1

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -5,18 +6,16 @@ import numpy as np
 import pytest
 
 from polylayer.geometry import fichera_angle, make_layer
-from polylayer.grid3d import voxelize
 
 PI = math.pi
 
 
-def test_grid_summary_keys():
-    grid = voxelize(make_layer(fichera_angle()), R=4.0, h=1.0 / 3.0)
-    summary = grid.summary()
-    assert summary["active_cells"] == grid.num_active_cells
-    assert summary["volume"] == pytest.approx(37.0)
-    assert summary["cut_bc"] == "dirichlet"
-    json.dumps(summary)  # JSON-serializable
+@pytest.mark.parametrize("module", ["polylayer", "polylayer.analysis"])
+def test_every_export_resolves(module):
+    # ``from polylayer import *`` fails on a stale name in ``__all__``
+    namespace: dict = {}
+    exec(f"from {module} import *", namespace)
+    assert set(importlib.import_module(module).__all__) <= set(namespace)
 
 
 def test_cli_scan_R_and_count(tmp_path):

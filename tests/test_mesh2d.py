@@ -11,7 +11,6 @@ from polylayer.mesh2d import (
     TriMesh,
     _edges,
     check_conforming,
-    evaluate,
     evaluate_batch,
     free_node_orbits,
     mesh_lshape,
@@ -284,31 +283,31 @@ def test_evaluate_partition_of_unity(mesh_right_angle):
     half = PI / 4
     d1 = np.array([math.cos(half), math.sin(half)])
     n1 = np.array([d1[1], -d1[0]])  # from ray 1 toward the strip interior
-    for _ in range(20):
-        s = rng.uniform(0.5, 4.0)
-        u = rng.uniform(0.1, 0.9)
-        p = s * d1 + u * n1
-        assert evaluate(mesh_right_angle, ones, p) == pytest.approx(1.0, abs=1e-13)
+    s, u = rng.uniform([0.5, 0.1], [4.0, 0.9], size=(20, 2)).T  # s, u per point
+    pts = s[:, None] * d1 + u[:, None] * n1
+    vals, inside = evaluate_batch(mesh_right_angle, ones, pts)
+    assert inside.all()
+    assert np.allclose(vals, 1.0, rtol=0.0, atol=1e-13)
 
 
 def test_evaluate_reproduces_linears(mesh_right_angle):
     f = mesh_right_angle.nodes[:, 0].copy()
     rng = np.random.default_rng(6)
-    hits = 0
     pts = rng.uniform([0.0, -3.5], [5.0, 3.5], size=(400, 2))
     vals, inside = evaluate_batch(mesh_right_angle, f, pts)
     assert inside.sum() > 100
     assert np.allclose(vals[inside], pts[inside, 0], atol=1e-12)
     # evaluation at a node returns the nodal value
     nid = 17
-    assert evaluate(mesh_right_angle, f, mesh_right_angle.nodes[nid]) == pytest.approx(
-        f[nid], abs=1e-12
+    vals, inside = evaluate_batch(mesh_right_angle, f, mesh_right_angle.nodes[[nid]])
+    assert inside[0] and vals[0] == pytest.approx(f[nid], abs=1e-12)
+
+
+def test_evaluate_batch_outside_is_flagged_zero(mesh_right_angle):
+    vals, inside = evaluate_batch(
+        mesh_right_angle, np.ones(mesh_right_angle.num_nodes), np.array([[-1.0, -1.0]])
     )
-
-
-def test_evaluate_outside_raises(mesh_right_angle):
-    with pytest.raises(MeshError):
-        evaluate(mesh_right_angle, np.ones(mesh_right_angle.num_nodes), (-1.0, -1.0))
+    assert not inside[0] and vals[0] == 0.0
 
 
 def test_evaluate_continuous_across_edges(mesh_right_angle):
