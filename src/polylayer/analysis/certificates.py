@@ -15,9 +15,8 @@ The threshold and the voxel bounds do not depend on each other, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -109,18 +108,14 @@ def voxel_upper_bounds(
 
 
 def _threshold_and_bounds(
-    layer: LayerGeometry,
-    numerics: WaveguideNumerics,
-    R: float,
-    h: float,
-    levels: int,
-    seed: int,
+    layer: LayerGeometry, numerics: WaveguideNumerics, R: float, h: float, levels: int
 ) -> tuple:
     """The layer's threshold and its ``voxel_upper_bounds``, two independent
-    computations solved concurrently (the threshold through the memo)."""
+    computations solved concurrently (the threshold through the memo), both
+    from the seed ``numerics.seed``."""
     (bounds,) = prefetch_lambda1(
         [(layer.beta_min, numerics)],
-        [partial(voxel_upper_bounds, layer, R, h, levels, seed)],
+        [partial(voxel_upper_bounds, layer, R, h, levels, numerics.seed)],
     )
     return threshold(layer, numerics), bounds
 
@@ -131,17 +126,16 @@ def certify_discrete(
     h: float = 0.1,
     levels: int = 2,
     threshold_numerics: WaveguideNumerics = THRESHOLD_NUMERICS,
-    seed: int = 0,
 ) -> Certificate:
     """Existence certificate from inscribed-domain Rayleigh quotients.
 
     The bounds come from ``voxel_upper_bounds``, solved at the same time as
-    the threshold.  Verdict NONEMPTY iff the best bound undercuts the
-    threshold by more than the combined error indicator.  INCONCLUSIVE is a
-    valid outcome, not an error.
+    the threshold and from its seed.  Verdict NONEMPTY iff the best bound
+    undercuts the threshold by more than the combined error indicator.
+    INCONCLUSIVE is a valid outcome, not an error.
     """
     check_plan(R, h, levels)  # before any solve, which would run in vain
-    thr, details = _threshold_and_bounds(layer, threshold_numerics, R, h, levels, seed)
+    thr, details = _threshold_and_bounds(layer, threshold_numerics, R, h, levels)
     best = float(min(d["upper_bound"] for d in details))
     solver_slack = 1e-9 * abs(best)
     combined = thr.error_indicator + solver_slack
@@ -248,7 +242,7 @@ def _veps_terms(mesh, v: np.ndarray, alpha: float, beta: float):
 def veps_certificate(
     layer: LayerGeometry,
     eps_grid=None,
-    mode_numerics: Optional[WaveguideNumerics] = None,
+    numerics: WaveguideNumerics = THRESHOLD_NUMERICS,
 ) -> Certificate:
     """Existence certificate for regular layers via the exponential trial
     function: value(eps) = T1 + T2 + T3 must turn negative for small eps.
@@ -261,7 +255,6 @@ def veps_certificate(
     alpha, beta = _regular_layer_angles(layer)
     if eps_grid is None:
         eps_grid = np.geomspace(1e-3, 1.0, 13)
-    numerics = mode_numerics or WaveguideNumerics(h=0.05, levels=3)
     if numerics.levels < 3:
         raise ConfigError("the 2D eigenfunction needs at least 3 levels")
     mode = solve_waveguide_mode(beta, numerics)
@@ -333,10 +326,16 @@ class AlphaStar:
         }
 
 
+# the bisection's default numerics and bracket; alpha_star lies inside the
+# bracket, or ``alpha_star`` raises
+STAR_NUMERICS = WaveguideNumerics(h=0.1, levels=3)
+STAR_BRACKET = (0.2, 1.4)
+
+
 def alpha_star(
     tol: float = 5e-3,
-    numerics: WaveguideNumerics = WaveguideNumerics(h=0.1, levels=3),
-    bracket=(0.2, 1.4),
+    numerics: WaveguideNumerics = STAR_NUMERICS,
+    bracket=STAR_BRACKET,
 ) -> AlphaStar:
     """Bisection for lambda_1(omega(alpha)) = pi^2 / 2 on the monotone curve.
 
@@ -374,25 +373,23 @@ def absence_experiment(
     levels: int = 2,
     threshold_numerics: WaveguideNumerics = THRESHOLD_NUMERICS,
     star_tol: float = 5e-3,
-    seed: int = 0,
 ) -> Certificate:
     """Consistency scan for the no-trapped-waves regime of trihedral layers
     with two right vertex angles and a small third angle.
 
     Requires alpha < alpha_star - 0.05 (the regime lambda_1(omega(alpha)) <=
-    pi^2/2 driving the proof).  If no Rayleigh quotient across refinements
-    drops below 0.999 * threshold, the verdict is ABSENT_CONSISTENT, which is
-    explicitly not a proof of absence.
+    pi^2/2 driving the proof); alpha_star is bisected on ``STAR_NUMERICS``
+    with the seed of ``threshold_numerics``.  If no Rayleigh quotient across
+    refinements drops below 0.999 * threshold, the verdict is
+    ABSENT_CONSISTENT, which is explicitly not a proof of absence.
     """
     check_plan(R, h, levels)  # before any solve, which would run in vain
-    star = alpha_star(star_tol)
-    if not alpha < star.lo - 0.05:
-        raise ConfigError(
-            f"alpha = {alpha} is not below alpha_star - 0.05 "
-            f"(alpha_star in [{star.lo:.4f}, {star.hi:.4f}])"
-        )
+    # alpha_star < STAR_BRACKET[1]: an alpha this check refuses needs no bisection
+    _check_below_star(alpha, STAR_BRACKET[1], f"alpha_star < {STAR_BRACKET[1]}")
+    star = alpha_star(star_tol, replace(STAR_NUMERICS, seed=threshold_numerics.seed))
+    _check_below_star(alpha, star.lo, f"alpha_star in [{star.lo:.4f}, {star.hi:.4f}]")
     layer = make_layer(build_trihedral((math.pi / 2, alpha, math.pi / 2)))
-    thr, bounds = _threshold_and_bounds(layer, threshold_numerics, R, h, levels, seed)
+    thr, bounds = _threshold_and_bounds(layer, threshold_numerics, R, h, levels)
     cutoff = 0.999 * thr.extrapolated
     details = [{key: d[key] for key in ("h", "upper_bound", "cells")} for d in bounds]
     dipped = any(d["upper_bound"] < cutoff for d in details)
@@ -415,3 +412,8 @@ def absence_experiment(
             "produce only upper bounds, never lower bounds"
         ],
     )
+
+
+def _check_below_star(alpha: float, star_lo: float, what: str) -> None:
+    if not alpha < star_lo - 0.05:
+        raise ConfigError(f"alpha = {alpha} is not below alpha_star - 0.05 ({what})")

@@ -11,14 +11,14 @@ angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from ..assembly import assemble_p1
-from ..eigensolve import SolverConfig, invariant_ground_state, smallest_eigenpairs
+from ..eigensolve import invariant_ground_state, smallest_eigenpairs
 from ..errors import AnalysisError, ConfigError
 from ..extrapolate import richardson
 from ..fanout import fan_out
@@ -45,7 +45,10 @@ class WaveguideNumerics:
         # checked here, so that a bad value stops a run before any solve
         if self.levels < 2:
             raise ConfigError("extrapolation needs at least two refinement levels")
-        SolverConfig(num_pairs=self.num_pairs, tol=self.tol, seed=self.seed)
+        if self.num_pairs < 1:
+            raise ConfigError("num_pairs must be >= 1")
+        if not 0.0 < self.tol <= 1e-2:
+            raise ConfigError("tolerance must lie in (0, 1e-2]")
 
 
 @dataclass(eq=False)
@@ -102,8 +105,9 @@ class WaveguideMode:
     values_per_level: list
 
 
-def _solve_chain(theta, R, h, levels, num_pairs, tol, seed):
-    """Eigenvalues, meshes and nodal vectors of the nested levels.
+def _solve_chain(theta: float, numerics: WaveguideNumerics):
+    """Eigenvalues, meshes and nodal vectors of the nested levels, with the
+    outlet length ``numerics.R`` (not None here).
 
     A single pair is solved on the mirror-invariant functions
     (``mesh2d.free_node_orbits``), about half the equations.  Perron-
@@ -116,28 +120,25 @@ def _solve_chain(theta, R, h, levels, num_pairs, tol, seed):
     therefore no smaller than the smallest invariant one, and lambda_1 lies
     in the invariant sector.  The lifted vector is audited on the full mesh.
     """
-    profile = lshape_profile(theta, R)
-    mesh = mesh_lshape(profile, h=h)
+    num_pairs, tol, seed = numerics.num_pairs, numerics.tol, numerics.seed
+    mesh = mesh_lshape(lshape_profile(theta, numerics.R), h=numerics.h)
     lams = []
     meshes = []
     vals_all = []
-    config = SolverConfig(num_pairs=num_pairs, tol=tol, seed=seed)
-    for lev in range(levels):
+    for lev in range(numerics.levels):
         problem = assemble_p1(mesh)
-        at = f"level {lev} (theta={theta})"
         if num_pairs == 1:
             labels, _ = free_node_orbits(mesh)
+            at = f"level {lev} (theta={theta})"
             result = invariant_ground_state(problem, labels, "mesh", at, tol, seed)
         else:
-            result = smallest_eigenpairs(problem, config)
-            if not result.all_converged:
-                raise AnalysisError(f"eigensolver did not converge at {at}")
+            result = smallest_eigenpairs(problem, num_pairs, tol, seed)
         lams.append(result.eigenvalues)
         meshes.append(mesh)
         nodal = np.zeros((mesh.num_nodes, num_pairs))
         nodal[problem.free_nodes] = result.eigenvectors
         vals_all.append(nodal)
-        if lev + 1 < levels:
+        if lev + 1 < numerics.levels:
             mesh = refine(mesh)
     return np.array(lams), meshes, vals_all
 
@@ -151,9 +152,8 @@ def auto_outlet_length(theta: float, numerics: WaveguideNumerics) -> float:
     against the spectral gap.
     """
     base = max(4.0, numerics.R or 0.0)
-    lams, _, _ = _solve_chain(
-        theta, base, max(numerics.h, 0.2), 2, 1, numerics.tol, numerics.seed
-    )
+    coarse = replace(numerics, R=base, h=max(numerics.h, 0.2), levels=2, num_pairs=1)
+    lams, _, _ = _solve_chain(theta, coarse)
     lam_coarse, _, _ = richardson(lams[:, 0])
     gap = PI2 - lam_coarse
     if gap <= 1e-6:
@@ -173,15 +173,7 @@ def solve_waveguide_mode(
     if not 0.0 < theta < math.pi:
         raise GeometryError(f"opening angle theta = {theta} not in (0, pi)")
     R = numerics.R if numerics.R is not None else auto_outlet_length(theta, numerics)
-    lams, meshes, vals = _solve_chain(
-        theta,
-        R,
-        numerics.h,
-        numerics.levels,
-        numerics.num_pairs,
-        numerics.tol,
-        numerics.seed,
-    )
+    lams, meshes, vals = _solve_chain(theta, replace(numerics, R=R))
     ext_all = np.empty(numerics.num_pairs)
     ind_all = np.empty(numerics.num_pairs)
     for j in range(numerics.num_pairs):

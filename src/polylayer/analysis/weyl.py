@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..geometry import LayerGeometry
 from ..mesh2d import evaluate_batch
-from .waveguide import WaveguideMode, WaveguideNumerics, solve_waveguide_mode
+from .waveguide import WaveguideMode
 
 Z_WIDTH = 0.35  # axial window transition; the support stays in [2^n, 2^(n+1)]
 CHI_WIDTH = 1.0  # transverse cutoff transition
@@ -59,7 +58,6 @@ class WeylConfig:
     index: int
     kappa: float = 0.0
     h_grid: float = 0.08
-    mode_numerics: WaveguideNumerics = WaveguideNumerics(h=0.04, levels=2, R=16.0)
 
     def __post_init__(self):
         if self.index < 1:
@@ -180,10 +178,9 @@ def _transverse_fields(layer, mode, config, outlet_len):
     return a2, ab, b2_res, b2_all
 
 
-def weyl_residual(
-    layer: LayerGeometry, config: WeylConfig, mode: Optional[WaveguideMode] = None
-) -> WeylElement:
-    """Relative residual of the n-th discretized Weyl element.
+def weyl_residual(layer: LayerGeometry, config: WeylConfig, mode: WaveguideMode) -> WeylElement:
+    """Relative residual of the n-th discretized Weyl element built on
+    ``mode``, the waveguide solved at ``layer.beta_min``.
 
     The residual factorizes over the axial window:  with A = -Lap_2D(B) -
     lambda B and B = v * chi, the squared norm of the defect equals
@@ -197,9 +194,6 @@ def weyl_residual(
     alpha_adj = min(float(a[(j - 1) % layer.n]), float(a[j]))
     slope = math.tan(alpha_adj / 2.0)
     outlet_len = slope * 2.0**n  # smallest outlet at the window's near end
-
-    if mode is None:
-        mode = solve_waveguide_mode(layer.beta_min, config.mode_numerics)
 
     zi = _window_integrals(n, Z_WIDTH)
     a2, ab, b2_res, b2_all = _transverse_fields(layer, mode, config, outlet_len)

@@ -328,22 +328,21 @@ def _count(args, files):
 def _certify(args, files):
     from .analysis import WaveguideNumerics, certify_discrete
 
+    # the one seed of the run: threshold chain and voxel bounds
+    thr = WaveguideNumerics(h=args.thr_h, levels=args.thr_levels, seed=args.seed)
     return certify_discrete(
         _build_layer(args),
         R=args.R,
         h=args.h,
         levels=args.levels,
-        threshold_numerics=WaveguideNumerics(h=args.thr_h, levels=args.thr_levels),
-        seed=args.seed,
+        threshold_numerics=thr,
     ).to_json()
 
 
 def _certify_veps(args, files):
     from .analysis import veps_certificate
 
-    cert = veps_certificate(
-        _build_layer(args), eps_grid=args.eps, mode_numerics=_numerics(args)
-    )
+    cert = veps_certificate(_build_layer(args), eps_grid=args.eps, numerics=_numerics(args))
     if "csv" in args.formats:
         files["veps_terms.csv"] = (
             ["eps", "T1", "T2", "T3", "value"],
@@ -358,14 +357,15 @@ def _certify_veps(args, files):
 def _absence(args, files):
     from .analysis import WaveguideNumerics, absence_experiment
 
+    # the one seed of the run: threshold chain, voxel bounds and alpha_star
+    thr = WaveguideNumerics(h=args.thr_h, levels=args.thr_levels, seed=args.seed)
     return absence_experiment(
         args.alpha,
         R=args.R,
         h=args.h,
         levels=args.levels,
-        threshold_numerics=WaveguideNumerics(h=args.thr_h, levels=args.thr_levels),
+        threshold_numerics=thr,
         star_tol=args.star_tol,
-        seed=args.seed,
     ).to_json()
 
 
@@ -396,12 +396,10 @@ def _weyl(args, files):
     from .analysis import WeylConfig, solve_waveguide_mode, weyl_residual
 
     layer = _build_layer(args)
-    numerics = _numerics(args)
     configs = [  # checked before the solve
-        WeylConfig(index=n, kappa=args.kappa, h_grid=args.h_grid, mode_numerics=numerics)
-        for n in args.indices
+        WeylConfig(index=n, kappa=args.kappa, h_grid=args.h_grid) for n in args.indices
     ]
-    mode = solve_waveguide_mode(layer.beta_min, numerics)
+    mode = solve_waveguide_mode(layer.beta_min, _numerics(args))
     rows = [weyl_residual(layer, cfg, mode=mode).to_json() for cfg in configs]
     return {"elements": rows, "kappa": args.kappa}
 

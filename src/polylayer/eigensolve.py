@@ -17,32 +17,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
 from .assembly import DiscreteProblem, _quotient, symmetric_subproblem
-from .errors import AnalysisError, PolylayerError
+from .errors import AnalysisError, ConfigError
 
 # above this dimension the direct factorization is replaced by
 # ILU-preconditioned CG inner solves (memory, not accuracy)
 DIRECT_SOLVE_LIMIT = 300_000
 
 ARPACK_MAXITER = 20_000  # per eigensolve
-
-
-class SolverError(PolylayerError, RuntimeError):
-    """Raised for invalid solver input (not for slow convergence)."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs of the eigensolver; defaults match the solver contract."""
-
-    num_pairs: int = 1
-    tol: float = 1e-8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_pairs < 1:
-            raise SolverError("num_pairs must be >= 1")
-        if not 0.0 < self.tol <= 1e-2:
-            raise SolverError("tolerance must lie in (0, 1e-2]")
 
 
 @dataclass(eq=False)
@@ -53,12 +34,7 @@ class EigenResult:
     eigenvectors: np.ndarray  # columns, M-orthonormal
     residuals: np.ndarray  # ||K x - lambda M x|| / ||K x||
     iterations: int  # inner linear solves consumed
-    converged: np.ndarray
     ortho_defect: float
-
-    @property
-    def all_converged(self) -> bool:
-        return bool(self.converged.all())
 
 
 class _CountingSolver:
@@ -125,33 +101,29 @@ def _verify(problem: DiscreteProblem, vecs):
 
 
 def smallest_eigenpairs(
-    problem: DiscreteProblem, config: SolverConfig = SolverConfig()
+    problem: DiscreteProblem, num_pairs: int = 1, tol: float = 1e-8, seed: int = 0
 ) -> EigenResult:
     """The ``num_pairs`` smallest eigenpairs of (K, M), ascending.
 
     Shift-invert Lanczos with a seeded start; eigenvalues are replaced by
     their independently recomputed Rayleigh quotients, vectors are
     M-orthonormal, and residual norms are audited with plain products.
-    Non-convergence yields a partial result with ``converged`` flags down,
-    never a silently wrong one.
+    ARPACK non-convergence, a failed inner solve or an audited residual
+    above ``tol`` raises AnalysisError: a returned result meets the contract.
     """
     n = problem.n
-    m = config.num_pairs
-    if m >= max(2, n // 10):
-        raise SolverError(f"num_pairs = {m} too large for dimension {n}")
+    if num_pairs >= max(2, n // 10):
+        raise ConfigError(f"num_pairs = {num_pairs} too large for dimension {n}")
 
     K = problem.K.full
     M = problem.M.full
-    rng = np.random.default_rng(config.seed)
-    v0 = rng.standard_normal(n)
-
+    v0 = np.random.default_rng(seed).standard_normal(n)
     inner = _CountingSolver(K)
     op_inv = sla.LinearOperator((n, n), matvec=inner)
-
     try:
         vals, vecs = sla.eigsh(
             K,
-            k=m,
+            k=num_pairs,
             M=M,
             sigma=0.0,
             OPinv=op_inv,
@@ -159,38 +131,24 @@ def smallest_eigenpairs(
             maxiter=ARPACK_MAXITER,
             tol=0.0,
         )
-        converged = np.ones(m, dtype=bool)
     except sla.ArpackNoConvergence as exc:
-        vals = np.asarray(exc.eigenvalues)
-        vecs = np.asarray(exc.eigenvectors)
-        converged = np.zeros(m, dtype=bool)
-        if vals.size == 0:
-            return EigenResult(
-                eigenvalues=np.full(m, np.nan),
-                eigenvectors=np.zeros((n, 0)),
-                residuals=np.full(m, np.inf),
-                iterations=inner.count,
-                converged=converged,
-                ortho_defect=np.inf,
-            )
-        converged = np.zeros(vals.shape[0], dtype=bool)
+        raise AnalysisError(f"eigensolve did not converge on {n} equations ({exc})") from None
 
     order = np.argsort(vals)
-    vals = vals[order]
     vecs = vecs[:, order]
-
     rq, residuals, defect = _verify(problem, vecs)
     if defect > 1e-10:
         vecs = _m_orthonormalize(M, vecs)
         rq, residuals, defect = _verify(problem, vecs)
-    converged = converged & (residuals <= config.tol)
-
+    if not (residuals <= tol).all():
+        raise AnalysisError(
+            f"residual {residuals.max():.3e} above tol = {tol:.1e} on {n} equations"
+        )
     return EigenResult(
         eigenvalues=rq,
         eigenvectors=vecs,
         residuals=residuals,
         iterations=inner.count,
-        converged=converged,
         ortho_defect=defect,
     )
 
@@ -213,10 +171,7 @@ def invariant_ground_state(
     AnalysisError.  ``space`` ("grid", "mesh") and ``at`` name the problem
     in the errors.
     """
-    config = SolverConfig(num_pairs=1, tol=tol, seed=seed)
-    result = smallest_eigenpairs(symmetric_subproblem(problem, labels), config)
-    if not result.all_converged:
-        raise AnalysisError(f"{space} eigensolve did not converge at {at}")
+    result = smallest_eigenpairs(symmetric_subproblem(problem, labels), tol=tol, seed=seed)
     x = result.eigenvectors[labels, :1]  # lifted: x = P y
     x /= math.sqrt(float(x[:, 0] @ problem.M.matvec(x[:, 0])))
     rq, residuals, defect = _verify(problem, x)
@@ -227,6 +182,5 @@ def invariant_ground_state(
         eigenvectors=x,
         residuals=residuals,
         iterations=result.iterations,
-        converged=np.ones(1, dtype=bool),
         ortho_defect=defect,
     )

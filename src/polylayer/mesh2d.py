@@ -451,8 +451,11 @@ class _TriangleLocator:
 _CHUNK = 4096  # points per locate pass: about 4 candidates each, a few MiB of pairs
 
 
-def _interpolate(mesh: TriMesh, nodal_values: np.ndarray, points: np.ndarray):
-    """P1 values at ``points`` (0 outside the mesh) and the inside mask."""
+def evaluate_batch(mesh: TriMesh, nodal_values: np.ndarray, points: np.ndarray):
+    """Vectorized P1 interpolation; returns (values, inside_mask).
+
+    Points outside the mesh get value 0 and inside=False.
+    """
     points = np.asarray(points, dtype=float)
     vals = np.asarray(nodal_values, dtype=float)
     values = np.zeros(len(points))
@@ -464,14 +467,6 @@ def _interpolate(mesh: TriMesh, nodal_values: np.ndarray, points: np.ndarray):
         values[s : s + _CHUNK][ok] = np.einsum("ij,ij->i", bary[ok], vals[verts])
         inside[s : s + _CHUNK] = ok
     return values, inside
-
-
-def evaluate_batch(mesh: TriMesh, nodal_values: np.ndarray, points: np.ndarray):
-    """Vectorized P1 interpolation; returns (values, inside_mask).
-
-    Points outside the mesh get value 0 and inside=False.
-    """
-    return _interpolate(mesh, nodal_values, points)
 
 
 def segment_rule(mesh: TriMesh, nodal_values: np.ndarray, p0, p1, order: int = 4) -> Callable:
@@ -518,7 +513,7 @@ def segment_rule(mesh: TriMesh, nodal_values: np.ndarray, p0, p1, order: int = 4
 
     gauss_x, gauss_w = np.polynomial.legendre.leggauss(order)
     taus = 0.5 * (t1 - t0) * gauss_x + 0.5 * (t0 + t1)
-    u, inside = _interpolate(mesh, nodal_values, (p0 + taus[..., None] * seg).reshape(-1, 2))
+    u, inside = evaluate_batch(mesh, nodal_values, (p0 + taus[..., None] * seg).reshape(-1, 2))
     if not inside.all():
         raise MeshError("segment exits the meshed region")
     u2 = (u * u).reshape(taus.shape)
@@ -534,15 +529,3 @@ def segment_rule(mesh: TriMesh, nodal_values: np.ndarray, p0, p1, order: int = 4
 
     return integrate
 
-
-def segment_quadrature(
-    mesh: TriMesh,
-    nodal_values: np.ndarray,
-    p0,
-    p1,
-    weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    order: int = 4,
-) -> float:
-    """Integral of u(gamma(tau))^2 * weight(tau) along the segment p0 -> p1,
-    by ``segment_rule`` in one shot."""
-    return segment_rule(mesh, nodal_values, p0, p1, order)(weight)

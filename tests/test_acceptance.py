@@ -30,7 +30,7 @@ from polylayer.analysis import (
 )
 from polylayer.analysis.weyl import Z_WIDTH
 from polylayer.assembly import assemble_p1, assemble_q1
-from polylayer.eigensolve import SolverConfig, smallest_eigenpairs
+from polylayer.eigensolve import smallest_eigenpairs
 from polylayer.extrapolate import richardson
 from polylayer.geometry import build_regular, fichera_angle, make_layer
 from polylayer.grid3d import box_grid, voxelize
@@ -219,8 +219,7 @@ def test_criterion_8_hardy():
 @_criterion("9. Weyl residuals strictly decreasing (n = 2..5, kappa = 0, 1)")
 def test_criterion_9_weyl():
     layer = make_layer(fichera_angle())
-    config0 = WeylConfig(index=2)
-    mode = solve_waveguide_mode(layer.beta_min, config0.mode_numerics)
+    mode = solve_waveguide_mode(layer.beta_min, WaveguideNumerics(h=0.04, levels=2, R=16.0))
     details = []
     for kappa in (0.0, 1.0):
         residuals = []
@@ -247,7 +246,7 @@ def test_criterion_10_solver_contracts():
     chain = []
     for _ in range(3):
         prob = assemble_p1(mesh)
-        res = smallest_eigenpairs(prob, SolverConfig(num_pairs=3))
+        res = smallest_eigenpairs(prob, num_pairs=3)
         _assert_contracts(res)
         chain.append(res.eigenvalues)
         mesh = refine(mesh)
@@ -289,7 +288,6 @@ def test_criterion_10_solver_contracts():
 
 
 def _assert_contracts(res):
-    assert res.all_converged
     assert (res.residuals <= 1e-8).all()
     assert res.ortho_defect <= 1e-8
 

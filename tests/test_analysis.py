@@ -23,7 +23,7 @@ from polylayer.analysis import (
 from polylayer.analysis import waveguide
 from polylayer.analysis.hardy import HardyError
 from polylayer.assembly import assemble_p1
-from polylayer.eigensolve import SolverConfig, _verify, smallest_eigenpairs
+from polylayer.eigensolve import _verify, smallest_eigenpairs
 from polylayer.errors import AnalysisError, ConfigError
 from polylayer.geometry import build_regular, build_trihedral, fichera_angle, make_layer
 
@@ -235,10 +235,10 @@ def test_weyl_window_supports_disjoint():
 def test_single_pair_chain_solved_on_mirror_sector(theta):
     # lambda_1 of the mirror-invariant sector is the full lambda_1; the
     # lifted vector is an M-normalized eigenvector of the full mesh
-    lams, meshes, vals = waveguide._solve_chain(theta, 2.3, 0.25, 3, 1, 1e-8, 0)
+    lams, meshes, vals = waveguide._solve_chain(theta, WaveguideNumerics(h=0.25, levels=3, R=2.3))
     for lev, mesh in enumerate(meshes):
         problem = assemble_p1(mesh)
-        full = smallest_eigenpairs(problem, SolverConfig(num_pairs=1, seed=0))
+        full = smallest_eigenpairs(problem, num_pairs=1, seed=0)
         assert lams[lev, 0] == pytest.approx(full.eigenvalues[0], rel=1e-12, abs=0.0)
         rq, residual, defect = _verify(problem, vals[lev][problem.free_nodes])
         assert rq[0] == lams[lev, 0]
@@ -253,4 +253,4 @@ def test_single_pair_chain_refuses_orbits_that_are_no_symmetry(monkeypatch):
 
     monkeypatch.setattr(waveguide, "free_node_orbits", pairs)
     with pytest.raises(AnalysisError, match="full-mesh residual"):
-        waveguide._solve_chain(PI / 2, 2.0, 0.25, 2, 1, 1e-8, 0)
+        waveguide._solve_chain(PI / 2, WaveguideNumerics(h=0.25, levels=2, R=2.0))

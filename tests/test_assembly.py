@@ -108,9 +108,9 @@ def test_q1_single_cell_all_dirichlet_rejected():
 
 
 def test_rayleigh_quotient_contracts(square_problem):
-    from polylayer.eigensolve import SolverConfig, smallest_eigenpairs
+    from polylayer.eigensolve import smallest_eigenpairs
 
-    res = smallest_eigenpairs(square_problem, SolverConfig(num_pairs=1))
+    res = smallest_eigenpairs(square_problem, num_pairs=1)
     lam1 = res.eigenvalues[0]
     x = res.eigenvectors[:, 0]
     assert rayleigh_quotient(square_problem, x) == pytest.approx(lam1, abs=1e-12)

@@ -14,7 +14,7 @@ from polylayer.analysis import (
 )
 from polylayer.analysis import certificates
 from polylayer.assembly import assemble_q1, rayleigh_quotient
-from polylayer.eigensolve import SolverConfig, smallest_eigenpairs
+from polylayer.eigensolve import smallest_eigenpairs
 from polylayer.geometry import (
     GeometryError,
     build_regular,
@@ -24,7 +24,7 @@ from polylayer.geometry import (
 )
 from polylayer.errors import ConfigError
 from polylayer.grid3d import voxelize
-from polylayer.mesh2d import segment_quadrature
+from polylayer.mesh2d import segment_rule
 
 PI = math.pi
 
@@ -75,7 +75,7 @@ def test_symmetric_subspace_bound_matches_full_solve(layer_name, R, h):
     layer = make_layer(angle)
     (rec,) = certificates.voxel_upper_bounds(layer, R, h, levels=1, seed=0)
     problem = assemble_q1(voxelize(layer, R=R, h=h))
-    full = smallest_eigenpairs(problem, SolverConfig(num_pairs=1, seed=0))
+    full = smallest_eigenpairs(problem, num_pairs=1, seed=0)
     ref = rayleigh_quotient(problem, full.eigenvectors[:, 0])
     assert rec["upper_bound"] == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert rec["residual"] <= 1e-8
@@ -115,7 +115,7 @@ def test_veps_requires_regular_layer():
 def test_veps_requires_three_levels(fichera_layer):
     with pytest.raises(ConfigError, match="3 levels"):
         veps_certificate(
-            fichera_layer, mode_numerics=WaveguideNumerics(h=0.2, levels=2, R=4.0)
+            fichera_layer, numerics=WaveguideNumerics(h=0.2, levels=2, R=4.0)
         )
 
 
@@ -123,7 +123,7 @@ def test_veps_fichera_light(fichera_layer):
     cert = veps_certificate(
         fichera_layer,
         eps_grid=np.array([1e-3, 1e-2, 0.05, 0.3, 1.0, 10.0]),
-        mode_numerics=WaveguideNumerics(h=0.15, levels=3, R=6.0),
+        numerics=WaveguideNumerics(h=0.15, levels=3, R=6.0),
     )
     rows = {r["eps"]: r for r in cert.evidence["terms"]}
     assert rows[0.05]["value"] < 0.0  # small eps: boundary term wins
@@ -134,8 +134,8 @@ def test_veps_fichera_light(fichera_layer):
 
 
 def test_veps_gamma0_rule_matches_segment_quadrature():
-    # T3 from the rule built once per (mesh, v) keeps every bit of a
-    # one-shot segment quadrature at every epsilon
+    # T3 from the rule built once per (mesh, v) keeps every bit of a rule
+    # built afresh at every epsilon
     alpha, beta = certificates._regular_layer_angles(make_layer(build_regular(3, PI / 3)))
     mode = certificates.solve_waveguide_mode(beta, WaveguideNumerics(h=0.25, levels=2))
     mesh, v = mode.mesh, mode.values[:, 0]
@@ -148,7 +148,7 @@ def test_veps_gamma0_rule_matches_segment_quadrature():
         def wfun(tau):
             return np.exp(-2.0 * eps * cot_a * (np.asarray(tau) - L) * math.cos(half))
 
-        g0 = segment_quadrature(mesh, v, (0.0, 0.0), (L, 0.0), weight=wfun)
+        g0 = segment_rule(mesh, v, (0.0, 0.0), (L, 0.0))(wfun)
         assert terms(float(eps))["T3"] == float(-cot_a * math.sin(half) * g0)
 
 

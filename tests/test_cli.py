@@ -504,10 +504,12 @@ def test_nested_fan_out_runs_serially(tmp_path, capsys, monkeypatch):
         (["waveguide", "--theta", "90deg", "--pairs", "0"], "num_pairs"),
         (["weyl", *FICHERA, "--h", "0.25", "--indices", "2,0"], "window index"),
         (["weyl", *FICHERA, "--h", "0.25", "--h-grid", "0.3"], "too coarse"),
+        # alpha_star < 1.4, the bisection bracket's upper end
+        (["absence", "--alpha", "1.4rad"], "alpha_star"),
     ],
     ids=["certify", "absence", "certify-thr-levels-1", "absence-thr-levels-1",
          "certify-R-2", "certify-coarsest-h", "waveguide-pairs-0", "weyl-index-0",
-         "weyl-h-grid"],
+         "weyl-h-grid", "absence-alpha-above-bracket"],
 )
 def test_levels_checked_before_any_solve(argv, message, tmp_path, capsys, monkeypatch):
     from polylayer import eigensolve
@@ -525,6 +527,35 @@ def test_levels_checked_before_any_solve(argv, message, tmp_path, capsys, monkey
     assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not marker.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", *FICHERA, "--R", "3", "--h", "0.125", "--levels", "1",
+         "--thr-h", "0.25", "--thr-levels", "2"],
+        ["absence", "--alpha", "0.26rad", "--R", "4", "--h", "0.125", "--levels", "1",
+         "--thr-h", "0.25", "--thr-levels", "2", "--star-tol", "0.05"],
+    ],
+    ids=["certify", "absence"],
+)
+def test_seed_reaches_every_solve(argv, tmp_path, monkeypatch):
+    # every start vector of the run comes from --seed: the threshold chain,
+    # the voxel bounds and, for absence, the alpha_star bisection
+    seeds = set()
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):  # the eigensolver's start-vector draws only
+        if sys._getframe(1).f_globals["__name__"] == "polylayer.eigensolve":
+            seeds.add(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(fanout, "cpus", lambda: 1)  # every solve in this process
+    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    code = main([*argv, "--seed", "7", "--out", str(tmp_path)])
+    assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
+    assert seeds == {7}
 
 
 # each subcommand with its required flags only
@@ -614,7 +645,7 @@ def test_every_exception_derives_from_the_common_base():
                 and obj.__module__ == info.name
             ):
                 classes.append(obj)
-    assert len(classes) >= 9
+    assert len(classes) >= 8
     stray = [c.__qualname__ for c in classes if not issubclass(c, PolylayerError)]
     assert not stray
     assert {c.exit_code for c in classes} == {EXIT_CONFIG, EXIT_NONCONVERGED}

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import polylayer.eigensolve as es
 from polylayer.assembly import assemble_p1, assemble_q1
-from polylayer.eigensolve import SolverConfig, SolverError, smallest_eigenpairs
-from polylayer.errors import AnalysisError
+from polylayer.analysis import WaveguideNumerics
+from polylayer.eigensolve import smallest_eigenpairs
+from polylayer.errors import AnalysisError, ConfigError
 from polylayer.extrapolate import richardson
 from polylayer.grid3d import box_grid
 from polylayer.mesh2d import mesh_rectangle, refine
@@ -18,8 +20,7 @@ def _square_lambdas(h0, levels, k=1):
     out = []
     for _ in range(levels):
         prob = assemble_p1(mesh)
-        res = smallest_eigenpairs(prob, SolverConfig(num_pairs=k))
-        assert res.all_converged
+        res = smallest_eigenpairs(prob, num_pairs=k)
         out.append(res.eigenvalues)
         mesh = refine(mesh)
     return np.array(out)
@@ -63,7 +64,6 @@ def test_unit_cube_q1():
     for h in (0.25, 0.125, 0.0625):
         prob = assemble_q1(box_grid((1.0, 1.0, 1.0), h=h))
         res = smallest_eigenpairs(prob)
-        assert res.all_converged
         lams.append(res.eigenvalues[0])
     value, _, _ = richardson(lams)
     assert abs(value - 3 * PI**2) / (3 * PI**2) < 0.01
@@ -71,8 +71,7 @@ def test_unit_cube_q1():
 
 def test_residual_and_orthonormality_contracts():
     prob = assemble_p1(mesh_rectangle(1.0, 1.0, h=0.0625))
-    res = smallest_eigenpairs(prob, SolverConfig(num_pairs=4))
-    assert res.all_converged
+    res = smallest_eigenpairs(prob, num_pairs=4)
     assert (res.residuals <= 1e-8).all()
     assert res.ortho_defect <= 1e-8
     assert (np.diff(res.eigenvalues) >= -1e-10).all()
@@ -83,56 +82,68 @@ def test_residual_and_orthonormality_contracts():
 
 def test_determinism_same_seed():
     prob = assemble_p1(mesh_rectangle(1.0, 1.0, h=0.0625))
-    r1 = smallest_eigenpairs(prob, SolverConfig(num_pairs=2, seed=11))
-    r2 = smallest_eigenpairs(prob, SolverConfig(num_pairs=2, seed=11))
+    r1 = smallest_eigenpairs(prob, num_pairs=2, seed=11)
+    r2 = smallest_eigenpairs(prob, num_pairs=2, seed=11)
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
     assert np.max(np.abs(r1.eigenvalues - r2.eigenvalues)) < 1e-12
 
 
 def test_num_pairs_guard():
     prob = assemble_p1(mesh_rectangle(1.0, 1.0, h=0.5))
-    with pytest.raises(SolverError):
-        smallest_eigenpairs(prob, SolverConfig(num_pairs=2))
+    with pytest.raises(ConfigError):
+        smallest_eigenpairs(prob, num_pairs=2)
 
 
-def test_solver_config_validation():
-    with pytest.raises(SolverError):
-        SolverConfig(tol=0.5)
-    with pytest.raises(SolverError):
-        SolverConfig(num_pairs=0)
+def test_waveguide_numerics_validation():
+    # the only way outside input reaches the solver's num_pairs and tol
+    with pytest.raises(ConfigError, match="tolerance"):
+        WaveguideNumerics(tol=0.5)
+    with pytest.raises(ConfigError, match="num_pairs"):
+        WaveguideNumerics(num_pairs=0)
+
+
+def test_arpack_no_convergence_raises(monkeypatch):
+    # no partial result: the eigensolver itself raises (CLI exit 3)
+    def no_convergence(*args, **kwargs):
+        raise es.sla.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+
+    prob = assemble_p1(mesh_rectangle(1.0, 1.0, h=0.125))
+    monkeypatch.setattr(es.sla, "eigsh", no_convergence)
+    with pytest.raises(AnalysisError, match="did not converge"):
+        smallest_eigenpairs(prob, num_pairs=2)
+
+
+def test_residual_above_tol_raises():
+    prob = assemble_p1(mesh_rectangle(1.0, 1.0, h=0.125))
+    assert smallest_eigenpairs(prob).residuals[0] > 1e-20
+    with pytest.raises(AnalysisError, match="above tol"):
+        smallest_eigenpairs(prob, tol=1e-20)
 
 
 def test_iterative_inner_solver_matches_direct(monkeypatch):
     # force the ILU-preconditioned CG path and compare with the direct path
-    import polylayer.eigensolve as es
-
     prob = assemble_p1(mesh_rectangle(1.0, 1.0, h=0.0625))
-    direct = smallest_eigenpairs(prob, SolverConfig(num_pairs=2, seed=1))
+    direct = smallest_eigenpairs(prob, num_pairs=2, seed=1)
     monkeypatch.setattr(es, "DIRECT_SOLVE_LIMIT", 10)
-    iterative = smallest_eigenpairs(prob, SolverConfig(num_pairs=2, seed=1))
-    assert iterative.all_converged
+    iterative = smallest_eigenpairs(prob, num_pairs=2, seed=1)
     assert (iterative.residuals <= 1e-8).all()
     assert np.allclose(iterative.eigenvalues, direct.eigenvalues, rtol=1e-10)
 
 
 def test_iterative_inner_solver_failure_raises(monkeypatch):
     # a CG inner solve that stops short fails the eigensolve (CLI exit 3)
-    import polylayer.eigensolve as es
-
     prob = assemble_p1(mesh_rectangle(1.0, 1.0, h=0.125))
     monkeypatch.setattr(es, "DIRECT_SOLVE_LIMIT", 10)
     monkeypatch.setattr(es.sla, "cg", lambda K, b, **kw: (np.zeros_like(b), 1))
     with pytest.raises(AnalysisError, match="inner CG solve failed"):
-        smallest_eigenpairs(prob, SolverConfig(seed=2))
+        smallest_eigenpairs(prob, seed=2)
 
 
 def test_non_orthonormal_arpack_vectors_are_reorthonormalized(monkeypatch):
     # eigenvalues 2-4 of the cube are one degenerate eigenvalue (6 pi^2), so
     # any mix of their vectors is an eigenbasis, just not an M-orthonormal one
-    import polylayer.eigensolve as es
-
     prob = assemble_q1(box_grid((1.0, 1.0, 1.0), h=0.125))
-    ref = smallest_eigenpairs(prob, SolverConfig(num_pairs=4))
+    ref = smallest_eigenpairs(prob, num_pairs=4)
     mix = np.eye(4)
     mix[1:, 1:] = [[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [0.3, 0.0, 1.0]]
     vecs = ref.eigenvectors @ mix
@@ -146,8 +157,7 @@ def test_non_orthonormal_arpack_vectors_are_reorthonormalized(monkeypatch):
 
     monkeypatch.setattr(es.sla, "eigsh", lambda *a, **kw: (ref.eigenvalues, vecs))
     monkeypatch.setattr(es, "_m_orthonormalize", reorthonormalize)
-    res = smallest_eigenpairs(prob, SolverConfig(num_pairs=4))
+    res = smallest_eigenpairs(prob, num_pairs=4)
     assert calls == [vecs.shape]
     assert res.ortho_defect <= 1e-10
-    assert res.all_converged
     assert np.allclose(res.eigenvalues, ref.eigenvalues, rtol=1e-12, atol=0.0)

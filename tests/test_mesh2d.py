@@ -16,7 +16,7 @@ from polylayer.mesh2d import (
     mesh_lshape,
     mesh_rectangle,
     refine,
-    segment_quadrature,
+    segment_rule,
 )
 from polylayer.report import sha256_of_arrays
 
@@ -346,14 +346,14 @@ def test_segment_quadrature_constant(mesh_right_angle):
     half = PI / 4
     d1 = np.array([math.cos(half), math.sin(half)])
     p0 = np.array([2 ** 0.5, 0.0]) + 0.5 * d1 + 0.2 * np.array([-d1[1], d1[0]])
-    val = segment_quadrature(mesh_right_angle, ones, p0, p0 + 2.0 * d1)
+    val = segment_rule(mesh_right_angle, ones, p0, p0 + 2.0 * d1)()
     assert val == pytest.approx(2.0, abs=1e-10)
 
 
 def test_segment_quadrature_polynomial():
     mesh = mesh_rectangle(1.0, 1.0, h=0.25)
     f = mesh.nodes[:, 0].copy()
-    val = segment_quadrature(mesh, f, (0.0, 0.5), (1.0, 0.5))
+    val = segment_rule(mesh, f, (0.0, 0.5), (1.0, 0.5))()
     assert val == pytest.approx(1.0 / 3.0, abs=1e-8)
 
 
@@ -361,9 +361,7 @@ def test_segment_quadrature_exponential_weight():
     mesh = mesh_rectangle(2.0, 1.0, h=0.2)
     ones = np.ones(mesh.num_nodes)
     c = 0.7
-    val = segment_quadrature(
-        mesh, ones, (0.0, 0.4), (2.0, 0.4), weight=lambda t: np.exp(-2 * c * t)
-    )
+    val = segment_rule(mesh, ones, (0.0, 0.4), (2.0, 0.4))(lambda t: np.exp(-2 * c * t))
     exact = (1.0 - math.exp(-4 * c)) / (2 * c)
     assert val == pytest.approx(exact, abs=1e-8)
 
@@ -371,7 +369,7 @@ def test_segment_quadrature_exponential_weight():
 def test_segment_quadrature_exits_domain(mesh_right_angle):
     ones = np.ones(mesh_right_angle.num_nodes)
     with pytest.raises(MeshError):
-        segment_quadrature(mesh_right_angle, ones, (-0.5, 0.0), (1.0, 0.0))
+        segment_rule(mesh_right_angle, ones, (-0.5, 0.0), (1.0, 0.0))
 
 
 def test_segment_along_mesh_edges():
@@ -381,7 +379,7 @@ def test_segment_along_mesh_edges():
     ones = np.ones(mesh.num_nodes)
     p0 = np.zeros(2)
     p1 = profile.inner_vertex
-    val = segment_quadrature(mesh, ones, p0, p1)
+    val = segment_rule(mesh, ones, p0, p1)()
     assert val == pytest.approx(profile.corner_distance, abs=1e-10)
 
 
