@@ -34,6 +34,7 @@ import time
 
 from . import __version__
 from .errors import INCONCLUSIVE, ConfigError, PolylayerError
+from .fanout import pin_blas
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,12 +50,6 @@ _FORMATS = {
     "scan-R": ("json", "csv", "svg"),
     "certify-veps": ("json", "csv"),
 }
-
-# numpy's and scipy's bundled OpenBLAS: (package, library glob, thread setter)
-_OPENBLAS = (
-    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
-    ("scipy", "libscipy_openblas*.so", "scipy_openblas_set_num_threads"),
-)
 
 
 def parse_angle(text: str) -> float:
@@ -477,32 +472,11 @@ def _write_outputs(args, payload: dict, files: dict, started: float, blas_pinned
     return bundle_path
 
 
-def _pin_blas() -> bool:
-    """Pin the bundled OpenBLAS of numpy and scipy to one thread, so that
-    ARPACK's dense BLAS sums in one order and the payload bytes do not depend
-    on the host's thread count.  True when both setters were found and
-    called; False under another BLAS, which is left as it is."""
-    import ctypes
-    import glob
-    from importlib.util import find_spec
-
-    pinned = []
-    for package, pattern, setter in _OPENBLAS:
-        site = os.path.dirname(os.path.dirname(find_spec(package).origin))
-        libs = [ctypes.CDLL(p) for p in glob.glob(os.path.join(site, f"{package}.libs", pattern))]
-        setters = [getattr(lib, setter) for lib in libs if hasattr(lib, setter)]
-        for set_threads in setters:
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(1)
-        pinned.append(bool(setters))
-    return all(pinned)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_args(args)
-        blas_pinned = _pin_blas()
+        blas_pinned = pin_blas()
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

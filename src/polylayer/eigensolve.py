@@ -2,9 +2,12 @@
 
 The reference algorithm is shift-invert Lanczos (ARPACK) at sigma = 0 with a
 seeded start vector, so runs are deterministic.  Inner solves K x = b go
-through a sparse direct factorization at desk scale and switch to an
-ILU-preconditioned conjugate gradient beyond it.  Every reported pair is
-re-verified with plain matrix-vector products before it is returned.
+through a banded Cholesky factor (``band_cholesky``) at desk scale and switch
+to an ILU-preconditioned conjugate gradient beyond it.  The band factor
+orders K by reverse Cuthill-McKee, which suits the thin strips and slabs the
+pencils live on; it needs no pivoting, and its memory, (bw + 1) n doubles
+for half-bandwidth bw, is known before it is computed.  Every reported pair
+is re-verified with plain matrix-vector products before it is returned.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .assembly import DiscreteProblem, _quotient, symmetric_subproblem
 from .errors import AnalysisError, ConfigError
 
-# above this dimension the direct factorization is replaced by
+# above this dimension the band factorization is replaced by
 # ILU-preconditioned CG inner solves (memory, not accuracy)
 DIRECT_SOLVE_LIMIT = 300_000
 
@@ -37,6 +42,40 @@ class EigenResult:
     ortho_defect: float
 
 
+def band_cholesky(K: sp.csr_matrix):
+    """``solve(b)`` returning K^{-1} b, from a Cholesky factor of the SPD
+    matrix K (symmetric, no duplicate entries) in LAPACK band storage.
+
+    K is ordered by reverse Cuthill-McKee; its permuted upper triangle goes
+    straight from COO indices into ``ab[bw + i - j, j]``, a (bw + 1) x n
+    array for half-bandwidth bw, which ``dpbtrf`` factors in place.  A K
+    that is not positive definite raises AnalysisError.
+    """
+    n = K.shape[0]
+    perm = reverse_cuthill_mckee(K, symmetric_mode=True)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n, dtype=perm.dtype)
+    coo = K.tocoo()
+    i, j = inv[coo.row], inv[coo.col]
+    upper = i <= j
+    i, j = i[upper], j[upper]
+    bw = int((j - i).max(initial=0))
+    ab = np.zeros((bw + 1, n), order="F")
+    ab[bw + i - j, j] = coo.data[upper]
+    factor, info = dpbtrf(ab, overwrite_ab=1)
+    if info:
+        raise AnalysisError(
+            f"stiffness not positive definite on {n} equations (dpbtrf info = {info})"
+        )
+
+    def solve(b):
+        x = np.empty(b.shape)
+        x[perm] = dpbtrs(factor, b[perm], overwrite_b=1)[0]
+        return x
+
+    return solve
+
+
 class _CountingSolver:
     """Wraps an inner solver for K x = b, counting applications."""
 
@@ -44,8 +83,7 @@ class _CountingSolver:
         self.count = 0
         n = K.shape[0]
         if n <= DIRECT_SOLVE_LIMIT:
-            lu = sla.splu(K.tocsc())
-            self._solve = lu.solve
+            self._solve = band_cholesky(K)
             self.kind = "direct"
         else:
             ilu = sla.spilu(K.tocsc(), drop_tol=1e-4, fill_factor=12.0)

@@ -13,8 +13,11 @@ layers and numerics) would have to be pickled.  A forked worker inherits
 them in ``_TASKS`` and receives only an index; only results are pickled.
 The pool forks all of its workers on the first submit, before it starts
 its manager thread; the only other threads are OpenBLAS's, which it stops
-before a fork.  Peak memory grows with the number of tasks that
-run at once, each worker holding one task's meshes and factors.
+before a fork.  Every worker pins OpenBLAS to one thread (``pin_blas``)
+before its first task, whoever the caller is: two workers that each ran
+one BLAS thread per CPU would spin against each other.  Peak memory grows
+with the number of tasks that run at once, each worker holding one task's
+meshes and factors.
 """
 
 from __future__ import annotations
@@ -23,6 +26,12 @@ import os
 import sys
 
 from .errors import AnalysisError
+
+# numpy's and scipy's bundled OpenBLAS: (package, library glob, thread setter)
+_OPENBLAS = (
+    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas*.so", "scipy_openblas_set_num_threads"),
+)
 
 _TASKS: list = []  # the running fan-out's thunks, inherited by its workers
 _IN_WORKER = False
@@ -34,6 +43,27 @@ def cpus() -> int:
     if not sys.platform.startswith("linux"):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def pin_blas() -> bool:
+    """Pin the bundled OpenBLAS of numpy and scipy to one thread, so that
+    ARPACK's dense BLAS sums in one order and the payload bytes do not depend
+    on the host's thread count.  True when both setters were found and
+    called; False under another BLAS, which is left as it is."""
+    import ctypes
+    import glob
+    from importlib.util import find_spec
+
+    pinned = []
+    for package, pattern, setter in _OPENBLAS:
+        site = os.path.dirname(os.path.dirname(find_spec(package).origin))
+        libs = [ctypes.CDLL(p) for p in glob.glob(os.path.join(site, f"{package}.libs", pattern))]
+        setters = [getattr(lib, setter) for lib in libs if hasattr(lib, setter)]
+        for set_threads in setters:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+        pinned.append(bool(setters))
+    return all(pinned)
 
 
 def _run(index: int):
@@ -62,7 +92,9 @@ def fan_out(thunks) -> list:
 
     _TASKS = thunks
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"), initializer=pin_blas
+        ) as pool:
             futures = [pool.submit(_run, i) for i in range(len(thunks))]
             try:
                 return [f.result() for f in futures]

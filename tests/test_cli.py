@@ -117,20 +117,24 @@ def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path):
     commands = [
         # a six-pair count: ARPACK's dense BLAS sums in a thread-dependent
         # order unless the CLI pins BLAS to one thread
-        ["count", "--theta", "0.15rad", "--h", "0.4", "--levels", "3"],
+        (EXIT_OK, ["count", "--theta", "0.15rad", "--h", "0.4", "--levels", "3"]),
         # single-pair chains, solved on the mirror-invariant sector
-        ["waveguide", "--theta", "0.3rad", "--h", "0.25", "--levels", "2"],
+        (EXIT_OK, ["waveguide", "--theta", "0.3rad", "--h", "0.25", "--levels", "2"]),
+        # a reduced 3D pencil of 1,484 equations at half-bandwidth 144: the
+        # band Cholesky factor takes LAPACK's blocked, BLAS-3 path
+        (EXIT_INCONCLUSIVE,
+         ["certify", "--kind", "trihedral", "--alpha", "90deg,90deg,90deg", "--R", "3",
+          "--h", "0.125", "--levels", "1", "--thr-h", "0.25", "--thr-levels", "2"]),
     ]
-    for argv in commands:
+    for code, argv in commands:
         bundles = []
         for threads in ("1", "2"):
             out = tmp_path / argv[0] / threads
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-            subprocess.run(
-                [sys.executable, "-m", "polylayer", *argv, "--out", str(out)],
-                check=True,
-                env=env,
+            proc = subprocess.run(
+                [sys.executable, "-m", "polylayer", *argv, "--out", str(out)], env=env
             )
+            assert proc.returncode == code, argv[0]
             bundles.append((out / f"{argv[0]}.json").read_bytes())
         payloads = [raw[raw.index(b'"payload": '):] for raw in bundles]
         assert payloads[0] == payloads[1], argv[0]
@@ -186,11 +190,11 @@ def test_blas_pin_reports_false_under_another_blas(monkeypatch):
     from polylayer import cli
 
     monkeypatch.setattr(
-        cli, "_OPENBLAS", (("numpy", "libscipy_openblas64_*.so", "no_such_setter"),)
+        fanout, "_OPENBLAS", (("numpy", "libscipy_openblas64_*.so", "no_such_setter"),)
     )
-    assert cli._pin_blas() is False
-    monkeypatch.setattr(cli, "_OPENBLAS", (("numpy", "no_such_lib*.so", "no_such_setter"),))
-    assert cli._pin_blas() is False
+    assert cli.pin_blas() is False
+    monkeypatch.setattr(fanout, "_OPENBLAS", (("numpy", "no_such_lib*.so", "no_such_setter"),))
+    assert cli.pin_blas() is False
 
 
 def _modules_after(statements, tmp_path):

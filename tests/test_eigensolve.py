@@ -5,12 +5,14 @@ import pytest
 
 import polylayer.eigensolve as es
 from polylayer.assembly import assemble_p1, assemble_q1
-from polylayer.analysis import WaveguideNumerics
-from polylayer.eigensolve import smallest_eigenpairs
+from polylayer.analysis import WaveguideNumerics, waveguide
+from polylayer.cli import EXIT_NONCONVERGED, main
+from polylayer.eigensolve import band_cholesky, smallest_eigenpairs
 from polylayer.errors import AnalysisError, ConfigError
 from polylayer.extrapolate import richardson
-from polylayer.grid3d import box_grid
-from polylayer.mesh2d import mesh_rectangle, refine
+from polylayer.geometry import fichera_angle, lshape_profile, make_layer
+from polylayer.grid3d import box_grid, voxelize
+from polylayer.mesh2d import mesh_lshape, mesh_rectangle, refine
 
 PI = math.pi
 
@@ -161,3 +163,34 @@ def test_non_orthonormal_arpack_vectors_are_reorthonormalized(monkeypatch):
     assert calls == [vecs.shape]
     assert res.ortho_defect <= 1e-10
     assert np.allclose(res.eigenvalues, ref.eigenvalues, rtol=1e-12, atol=0.0)
+
+
+def _waveguide_pencil():
+    return assemble_p1(mesh_lshape(lshape_profile(PI / 2, 4.0), h=0.25))
+
+
+def _fichera_pencil():
+    return assemble_q1(voxelize(make_layer(fichera_angle()), R=3.0, h=0.25))
+
+
+@pytest.mark.parametrize("pencil", (_waveguide_pencil, _fichera_pencil), ids=("p1", "q1"))
+def test_band_cholesky_matches_dense_solve(pencil):
+    K = pencil().K.full
+    b = np.random.default_rng(5).standard_normal(K.shape[0])
+    dense = np.linalg.solve(K.toarray(), b)
+    x = band_cholesky(K)(b)
+    assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_indefinite_stiffness_raises(tmp_path, capsys, monkeypatch):
+    # 20 lies above the waveguide's first eigenvalues (about 9.2 and up)
+    prob = _waveguide_pencil()
+    with pytest.raises(AnalysisError, match="not positive definite") as exc:
+        band_cholesky(prob.K.full - 20.0 * prob.M.full)
+    assert exc.value.exit_code == EXIT_NONCONVERGED
+    # the CLI reports a failed factor as a numerical failure
+    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
+    monkeypatch.setattr(es, "dpbtrf", lambda ab, **kw: (ab, 1))
+    argv = ["waveguide", "--theta", "90deg", "--h", "0.25", "--levels", "2"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_NONCONVERGED
+    assert capsys.readouterr().err.startswith("numerical failure: stiffness not positive")
