@@ -24,6 +24,8 @@ from .waveguide import (
     solve_waveguide_mode,
 )
 
+COUNT_PAIRS = 6  # eigenvalues a count examines unless its numerics name a number
+
 
 @dataclass(eq=False)
 class ScanRecord:
@@ -257,10 +259,12 @@ class CountResult:
 
 
 def count_below_threshold(
-    theta: float, numerics: WaveguideNumerics = WaveguideNumerics(), num_pairs: int = 6
+    theta: float, numerics: WaveguideNumerics = WaveguideNumerics()
 ) -> CountResult:
-    """Number of extrapolated eigenvalues below pi^2 minus the guard band."""
-    res = solve_waveguide_mode(theta, replace(numerics, num_pairs=num_pairs)).threshold
+    """Number of extrapolated eigenvalues below pi^2 minus the guard band,
+    among the ``numerics.num_pairs`` smallest (``COUNT_PAIRS`` if None)."""
+    pairs = numerics.num_pairs or COUNT_PAIRS
+    res = solve_waveguide_mode(theta, replace(numerics, num_pairs=pairs)).threshold
     values = res.extrapolated_all
     guard = float(res.error_indicators.max())
     certified = [float(v) for v in values if v < PI2 - guard]

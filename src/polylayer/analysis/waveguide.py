@@ -3,9 +3,11 @@
 The mixed problem on the truncated waveguide (Dirichlet walls, Neumann end
 cross-sections) is solved on a chain of nested refinements and Richardson-
 extrapolated assuming O(h^2); the error indicator is the difference of the
-last two extrapolants.  The essential-spectrum threshold of a polyhedral
-layer is the first eigenvalue of the waveguide at the smallest dihedral
-angle.
+last two extrapolants.  The coarsest level starts the eigensolver cold from
+the seed; each refined level starts from the level before, prolonged, at a
+shift just below its lambda_1.  The essential-spectrum threshold of a
+polyhedral layer is the first eigenvalue of the waveguide at the smallest
+dihedral angle.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from ..errors import AnalysisError, ConfigError
 from ..extrapolate import richardson
 from ..fanout import fan_out
 from ..geometry import GeometryError, LayerGeometry, lshape_profile
-from ..mesh2d import TriMesh, free_node_orbits, mesh_lshape, refine
+from ..mesh2d import TriMesh, free_node_orbits, mesh_lshape, prolong, refine
 
 PI2 = math.pi**2
 
 R_CAP = 12.0  # longest outlet the automatic truncation rule selects
+WARM_SHIFT = 0.97  # a refined level's shift, as a fraction of the last lambda_1
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,7 @@ class WaveguideNumerics:
     h: float = 0.1
     levels: int = 3
     R: Optional[float] = None  # None: auto-select from the threshold rule
-    num_pairs: int = 1
+    num_pairs: Optional[int] = None  # None: 1, or scans.COUNT_PAIRS in a count
     tol: float = 1e-8
     seed: int = 0
 
@@ -45,7 +48,7 @@ class WaveguideNumerics:
         # checked here, so that a bad value stops a run before any solve
         if self.levels < 2:
             raise ConfigError("extrapolation needs at least two refinement levels")
-        if self.num_pairs < 1:
+        if self.num_pairs is not None and self.num_pairs < 1:
             raise ConfigError("num_pairs must be >= 1")
         if not 0.0 < self.tol <= 1e-2:
             raise ConfigError("tolerance must lie in (0, 1e-2]")
@@ -119,20 +122,28 @@ def _solve_chain(theta: float, numerics: WaveguideNumerics):
     axis, a subspace of it.  The smallest antisymmetric eigenvalue is
     therefore no smaller than the smallest invariant one, and lambda_1 lies
     in the invariant sector.  The lifted vector is audited on the full mesh.
+
+    Level 0 starts cold from the seed.  Each later level starts from the
+    sum of the last level's vectors, prolonged (nested P1 spaces keep the
+    field), at the shift ``WARM_SHIFT * lambda_1`` of the last level, which
+    the eigensolver lowers if it is not below this level's lambda_1.
     """
-    num_pairs, tol, seed = numerics.num_pairs, numerics.tol, numerics.seed
+    num_pairs, tol, seed = numerics.num_pairs or 1, numerics.tol, numerics.seed
     mesh = mesh_lshape(lshape_profile(theta, numerics.R), h=numerics.h)
     lams = []
     meshes = []
     vals_all = []
+    start, shift = None, 0.0
     for lev in range(numerics.levels):
         problem = assemble_p1(mesh)
         if num_pairs == 1:
             labels, _ = free_node_orbits(mesh)
             at = f"level {lev} (theta={theta})"
-            result = invariant_ground_state(problem, labels, "mesh", at, tol, seed)
+            result = invariant_ground_state(
+                problem, labels, "mesh", at, tol, seed, start, shift
+            )
         else:
-            result = smallest_eigenpairs(problem, num_pairs, tol, seed)
+            result = smallest_eigenpairs(problem, num_pairs, tol, seed, start, shift)
         lams.append(result.eigenvalues)
         meshes.append(mesh)
         nodal = np.zeros((mesh.num_nodes, num_pairs))
@@ -140,6 +151,8 @@ def _solve_chain(theta: float, numerics: WaveguideNumerics):
         vals_all.append(nodal)
         if lev + 1 < numerics.levels:
             mesh = refine(mesh)
+            start = prolong(mesh.parent, nodal).sum(axis=1)
+            shift = WARM_SHIFT * float(result.eigenvalues[0])
     return np.array(lams), meshes, vals_all
 
 
@@ -174,9 +187,9 @@ def solve_waveguide_mode(
         raise GeometryError(f"opening angle theta = {theta} not in (0, pi)")
     R = numerics.R if numerics.R is not None else auto_outlet_length(theta, numerics)
     lams, meshes, vals = _solve_chain(theta, replace(numerics, R=R))
-    ext_all = np.empty(numerics.num_pairs)
-    ind_all = np.empty(numerics.num_pairs)
-    for j in range(numerics.num_pairs):
+    ext_all = np.empty(lams.shape[1])
+    ind_all = np.empty(lams.shape[1])
+    for j in range(lams.shape[1]):
         ext_all[j], ind_all[j], _ = richardson(lams[:, j])
     result = ThresholdResult(
         theta_used=float(theta),

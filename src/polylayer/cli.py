@@ -315,9 +315,7 @@ def _scan_R(args, files):
 def _count(args, files):
     from .analysis import count_below_threshold
 
-    return count_below_threshold(
-        args.theta, _numerics(args), num_pairs=args.num_pairs
-    ).to_json()
+    return count_below_threshold(args.theta, _numerics(args)).to_json()
 
 
 def _certify(args, files):

@@ -1,19 +1,25 @@
 """Smallest eigenpairs of SPD pencils (K, M) with verified residuals.
 
-The reference algorithm is shift-invert Lanczos (ARPACK) at sigma = 0 with a
-seeded start vector, so runs are deterministic.  Inner solves K x = b go
-through a banded Cholesky factor (``band_cholesky``) at desk scale and switch
-to an ILU-preconditioned conjugate gradient beyond it.  The band factor
-orders K by reverse Cuthill-McKee, which suits the thin strips and slabs the
-pencils live on; it needs no pivoting, and its memory, (bw + 1) n doubles
-for half-bandwidth bw, is known before it is computed.  Every reported pair
-is re-verified with plain matrix-vector products before it is returned.
+The algorithm is shift-invert Lanczos (ARPACK), the spectral transformation
+of Ericsson and Ruhe.  A cold solve shifts to sigma = 0 and starts from a
+seeded random vector, so runs are deterministic.  A warm solve starts from
+a given vector (a coarser level's eigenvector, prolonged) at a shift sigma
+just below the smallest eigenvalue, in a small Krylov space.  Inner solves
+(K - sigma M) x = b go through a banded Cholesky factor (``band_cholesky``)
+of the matrix in reverse Cuthill-McKee order, which suits the thin strips
+and slabs the pencils live on; it needs no pivoting, and its memory,
+(bw + 1) n doubles for half-bandwidth bw, is known before it is computed.
+By Sylvester's law of inertia the factor exists exactly when sigma lies
+below the smallest eigenvalue, so the shift certifies itself: a failed
+factor lowers sigma, toward 0.  Every reported pair is re-verified with
+plain matrix-vector products before it is returned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,11 +30,9 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from .assembly import DiscreteProblem, _quotient, symmetric_subproblem
 from .errors import AnalysisError, ConfigError
 
-# above this dimension the band factorization is replaced by
-# ILU-preconditioned CG inner solves (memory, not accuracy)
-DIRECT_SOLVE_LIMIT = 300_000
-
 ARPACK_MAXITER = 20_000  # per eigensolve
+WARM_NCV = 6  # Lanczos vectors of a warm single-pair solve
+BACK_OFF = (1.0, 0.9, 0.5)  # fractions of a shift tried before 0
 
 
 @dataclass(eq=False)
@@ -49,7 +53,8 @@ def band_cholesky(K: sp.csr_matrix):
     K is ordered by reverse Cuthill-McKee; its permuted upper triangle goes
     straight from COO indices into ``ab[bw + i - j, j]``, a (bw + 1) x n
     array for half-bandwidth bw, which ``dpbtrf`` factors in place.  A K
-    that is not positive definite raises AnalysisError.
+    that is not positive definite, or a band that cannot be allocated,
+    raises AnalysisError.
     """
     n = K.shape[0]
     perm = reverse_cuthill_mckee(K, symmetric_mode=True)
@@ -60,7 +65,13 @@ def band_cholesky(K: sp.csr_matrix):
     upper = i <= j
     i, j = i[upper], j[upper]
     bw = int((j - i).max(initial=0))
-    ab = np.zeros((bw + 1, n), order="F")
+    try:
+        ab = np.zeros((bw + 1, n), order="F")
+    except MemoryError:
+        raise AnalysisError(
+            f"out of memory for the band factor of {n} equations at half-bandwidth "
+            f"{bw} ({(bw + 1) * n * 8} bytes)"
+        ) from None
     ab[bw + i - j, j] = coo.data[upper]
     factor, info = dpbtrf(ab, overwrite_ab=1)
     if info:
@@ -76,31 +87,21 @@ def band_cholesky(K: sp.csr_matrix):
     return solve
 
 
-class _CountingSolver:
-    """Wraps an inner solver for K x = b, counting applications."""
+def _shifted_inverse(K: sp.csr_matrix, M: sp.csr_matrix, shift: float) -> tuple:
+    """``(sigma, solve)`` with ``solve(b)`` = (K - sigma M)^{-1} b, at the
+    first sigma of ``BACK_OFF * shift`` and then 0 whose band factor exists.
 
-    def __init__(self, K: sp.csr_matrix):
-        self.count = 0
-        n = K.shape[0]
-        if n <= DIRECT_SOLVE_LIMIT:
-            self._solve = band_cholesky(K)
-            self.kind = "direct"
-        else:
-            ilu = sla.spilu(K.tocsc(), drop_tol=1e-4, fill_factor=12.0)
-            M_ilu = sla.LinearOperator((n, n), matvec=ilu.solve)
-
-            def solve(b):
-                x, info = sla.cg(K, b, rtol=1e-12, atol=0.0, M=M_ilu, maxiter=4000)
-                if info != 0:
-                    raise AnalysisError(f"inner CG solve failed (info = {info})")
-                return x
-
-            self._solve = solve
-            self.kind = "cg+ilu"
-
-    def __call__(self, b):
-        self.count += 1
-        return self._solve(b)
+    By Sylvester's law the factor of K - sigma M exists exactly when sigma
+    lies below the pencil's smallest eigenvalue, so the eigenvalues nearest
+    sigma are the smallest ones.  A failure above 0 only lowers sigma; the
+    error of the factor of K itself is raised.
+    """
+    for sigma in (f * shift for f in BACK_OFF if shift > 0.0):
+        try:
+            return sigma, band_cholesky(K - sigma * M)
+        except AnalysisError:
+            pass
+    return 0.0, band_cholesky(K)
 
 
 def _m_orthonormalize(M: sp.csr_matrix, vecs: np.ndarray) -> np.ndarray:
@@ -139,15 +140,23 @@ def _verify(problem: DiscreteProblem, vecs):
 
 
 def smallest_eigenpairs(
-    problem: DiscreteProblem, num_pairs: int = 1, tol: float = 1e-8, seed: int = 0
+    problem: DiscreteProblem,
+    num_pairs: int = 1,
+    tol: float = 1e-8,
+    seed: int = 0,
+    start: Optional[np.ndarray] = None,
+    shift: float = 0.0,
 ) -> EigenResult:
     """The ``num_pairs`` smallest eigenpairs of (K, M), ascending.
 
-    Shift-invert Lanczos with a seeded start; eigenvalues are replaced by
-    their independently recomputed Rayleigh quotients, vectors are
-    M-orthonormal, and residual norms are audited with plain products.
-    ARPACK non-convergence, a failed inner solve or an audited residual
-    above ``tol`` raises AnalysisError: a returned result meets the contract.
+    Shift-invert Lanczos at ``shift`` (lowered until K - shift M factors)
+    from a seeded random start, or warm from ``start``: a nodal field whose
+    values at ``problem.free_nodes`` start the iteration, in ``WARM_NCV``
+    Lanczos vectors for a single pair.  Eigenvalues are replaced by their
+    independently recomputed Rayleigh quotients, vectors are M-orthonormal,
+    and residual norms are audited with plain products.  ARPACK
+    non-convergence, a failed factor of K or an audited residual above
+    ``tol`` raises AnalysisError: a returned result meets the contract.
     """
     n = problem.n
     if num_pairs >= max(2, n // 10):
@@ -155,17 +164,28 @@ def smallest_eigenpairs(
 
     K = problem.K.full
     M = problem.M.full
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    inner = _CountingSolver(K)
+    if start is None:
+        v0, ncv = np.random.default_rng(seed).standard_normal(n), None
+    else:
+        v0, ncv = start[problem.free_nodes], (WARM_NCV if num_pairs == 1 else None)
+    sigma, solve = _shifted_inverse(K, M, shift)
+    inner_solves = 0
+
+    def inner(b):
+        nonlocal inner_solves
+        inner_solves += 1
+        return solve(b)
+
     op_inv = sla.LinearOperator((n, n), matvec=inner)
     try:
         vals, vecs = sla.eigsh(
             K,
             k=num_pairs,
             M=M,
-            sigma=0.0,
+            sigma=sigma,
             OPinv=op_inv,
             v0=v0,
+            ncv=ncv,
             maxiter=ARPACK_MAXITER,
             tol=0.0,
         )
@@ -186,7 +206,7 @@ def smallest_eigenpairs(
         eigenvalues=rq,
         eigenvectors=vecs,
         residuals=residuals,
-        iterations=inner.count,
+        iterations=inner_solves,
         ortho_defect=defect,
     )
 
@@ -198,10 +218,13 @@ def invariant_ground_state(
     at: str,
     tol: float = 1e-8,
     seed: int = 0,
+    start: Optional[np.ndarray] = None,
+    shift: float = 0.0,
 ) -> EigenResult:
     """The smallest eigenpair of (K, M) among the vectors constant on each
     orbit of ``labels`` (``assembly.symmetric_subproblem``), lifted to the
-    full equations, M-normalized and audited on the full pencil.
+    full equations, M-normalized and audited on the full pencil.  A warm
+    ``start`` (nodal, invariant) and ``shift`` go to ``smallest_eigenpairs``.
 
     The caller states why the ground state is invariant; the audit checks
     it: orbits that are no symmetry give a lifted vector that is no
@@ -209,7 +232,8 @@ def invariant_ground_state(
     AnalysisError.  ``space`` ("grid", "mesh") and ``at`` name the problem
     in the errors.
     """
-    result = smallest_eigenpairs(symmetric_subproblem(problem, labels), tol=tol, seed=seed)
+    sector = symmetric_subproblem(problem, labels)
+    result = smallest_eigenpairs(sector, 1, tol, seed, start, shift)
     x = result.eigenvectors[labels, :1]  # lifted: x = P y
     x /= math.sqrt(float(x[:, 0] @ problem.M.matvec(x[:, 0])))
     rq, residuals, defect = _verify(problem, x)

@@ -297,6 +297,7 @@ def refine(mesh: TriMesh) -> TriMesh:
     """
     tris = mesh.triangles
     edges_unique, inverse = _edges(mesh)
+    mesh._unique_edges = edges_unique  # ``mesh.edges()``, for ``prolong``
     keys = _edge_keys(edges_unique, mesh.num_nodes)
     mid_ids = mesh.num_nodes + np.arange(len(edges_unique))
     mid_coords = 0.5 * (mesh.nodes[edges_unique[:, 0]] + mesh.nodes[edges_unique[:, 1]])
@@ -335,6 +336,14 @@ def refine(mesh: TriMesh) -> TriMesh:
         quality_min_angle=mesh.quality_min_angle,
         mirror=mirror,
     )
+
+
+def prolong(mesh: TriMesh, nodal: np.ndarray) -> np.ndarray:
+    """The P1 field ``nodal`` (nodes along axis 0) on ``refine(mesh)``:
+    parent nodes keep their values, and each midpoint takes the mean of
+    its edge's, in the order ``refine`` numbers them."""
+    a, b = mesh.edges().T
+    return np.concatenate([nodal, 0.5 * (nodal[a] + nodal[b])])
 
 
 def free_node_orbits(mesh: TriMesh) -> tuple:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from polylayer.analysis import (
     support_overlap,
     threshold,
 )
+from polylayer import eigensolve as es
 from polylayer.analysis import waveguide
 from polylayer.analysis.hardy import HardyError
 from polylayer.assembly import assemble_p1
@@ -144,6 +146,12 @@ def test_count_below_threshold_sharp_angle():
     assert result.guard < 0.05
 
 
+def test_count_examines_the_pairs_its_numerics_name():
+    num = WaveguideNumerics(h=0.25, levels=2, R=4.0)
+    assert len(count_below_threshold(PI / 2, replace(num, num_pairs=3)).record.eigenvalues) == 3
+    assert len(count_below_threshold(PI / 2, num).record.eigenvalues) == 6  # COUNT_PAIRS
+
+
 def test_auto_outlet_rule():
     res = lambda1_waveguide(0.9, WaveguideNumerics(h=0.2, levels=2))
     gap = PI2 - res.extrapolated
@@ -254,3 +262,55 @@ def test_single_pair_chain_refuses_orbits_that_are_no_symmetry(monkeypatch):
     monkeypatch.setattr(waveguide, "free_node_orbits", pairs)
     with pytest.raises(AnalysisError, match="full-mesh residual"):
         waveguide._solve_chain(PI / 2, WaveguideNumerics(h=0.25, levels=2, R=2.0))
+
+
+def _recorded_solves(monkeypatch):
+    """A list that collects (problem, start, shift, result) of every
+    eigensolve a chain makes, and the unrecorded eigensolver."""
+    calls = []
+    solve = es.smallest_eigenpairs
+
+    def recording(problem, num_pairs, tol, seed, start, shift):
+        result = solve(problem, num_pairs, tol, seed, start, shift)
+        calls.append((problem, start, shift, result))
+        return result
+
+    monkeypatch.setattr(es, "smallest_eigenpairs", recording)
+    monkeypatch.setattr(waveguide, "smallest_eigenpairs", recording)
+    return calls, solve
+
+
+@pytest.mark.parametrize("num_pairs", [1, 6])
+def test_warm_levels_match_cold_solves_in_fewer_inner_solves(num_pairs, monkeypatch):
+    # the mirror-sector chain and a six-pair chain: each refined level starts
+    # from the last level's vectors, prolonged, at a shift below lambda_1
+    calls, solve = _recorded_solves(monkeypatch)
+    numerics = WaveguideNumerics(h=0.15, levels=3, R=4.0, num_pairs=num_pairs)
+    waveguide._solve_chain(0.3, numerics)
+    assert [start is None for _, start, _, _ in calls] == [True, False, False]
+    for problem, start, shift, warm in calls:
+        cold = solve(problem, num_pairs)
+        assert 0.0 <= shift < cold.eigenvalues[0]
+        assert np.allclose(warm.eigenvalues, cold.eigenvalues, rtol=1e-12, atol=0.0)
+        if start is not None:
+            assert warm.iterations < cold.iterations
+
+
+def test_chain_backs_off_a_shift_above_the_next_lambda1(monkeypatch):
+    # the auto-R rule's coarse chain at a right angle drops by 4 % from
+    # h = 0.2 to 0.1, so 0.97 lambda_1 of level 0 lies above level 1's
+    calls, solve = _recorded_solves(monkeypatch)
+    sigmas = []
+    shifted_inverse = es._shifted_inverse
+
+    def recording(K, M, shift):
+        sigma, inverse = shifted_inverse(K, M, shift)
+        sigmas.append(sigma)
+        return sigma, inverse
+
+    monkeypatch.setattr(es, "_shifted_inverse", recording)
+    lams, _, _ = waveguide._solve_chain(PI / 2, WaveguideNumerics(h=0.2, levels=2, R=4.0))
+    problem, _, shift, warm = calls[1]
+    assert shift > lams[1, 0] > sigmas[1] > 0.0
+    cold = solve(problem, 1)
+    assert warm.eigenvalues[0] == pytest.approx(cold.eigenvalues[0], rel=1e-12, abs=0.0)

@@ -113,7 +113,7 @@ def test_payload_bytes_reproducible(tmp_path):
     assert payloads[0] == payloads[1]
 
 
-def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path):
+def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch, blas_threads):
     commands = [
         # a six-pair count: ARPACK's dense BLAS sums in a thread-dependent
         # order unless the CLI pins BLAS to one thread
@@ -139,6 +139,13 @@ def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path):
         payloads = [raw[raw.index(b'"payload": '):] for raw in bundles]
         assert payloads[0] == payloads[1], argv[0]
         assert all(json.loads(raw)["meta"]["blas_pinned"] is True for raw in bundles)
+    # these OpenBLAS builds may give the same bytes at any thread count, so
+    # the pin itself is read back after an in-process run
+    blas_threads(2)
+    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
+    code, argv = commands[1]
+    assert main([*argv, "--out", str(tmp_path / "in-process")]) == code
+    assert blas_threads() == [1, 1]
 
 
 # runs each command through ``main`` in one interpreter whose CPU affinity

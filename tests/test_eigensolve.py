@@ -122,25 +122,6 @@ def test_residual_above_tol_raises():
         smallest_eigenpairs(prob, tol=1e-20)
 
 
-def test_iterative_inner_solver_matches_direct(monkeypatch):
-    # force the ILU-preconditioned CG path and compare with the direct path
-    prob = assemble_p1(mesh_rectangle(1.0, 1.0, h=0.0625))
-    direct = smallest_eigenpairs(prob, num_pairs=2, seed=1)
-    monkeypatch.setattr(es, "DIRECT_SOLVE_LIMIT", 10)
-    iterative = smallest_eigenpairs(prob, num_pairs=2, seed=1)
-    assert (iterative.residuals <= 1e-8).all()
-    assert np.allclose(iterative.eigenvalues, direct.eigenvalues, rtol=1e-10)
-
-
-def test_iterative_inner_solver_failure_raises(monkeypatch):
-    # a CG inner solve that stops short fails the eigensolve (CLI exit 3)
-    prob = assemble_p1(mesh_rectangle(1.0, 1.0, h=0.125))
-    monkeypatch.setattr(es, "DIRECT_SOLVE_LIMIT", 10)
-    monkeypatch.setattr(es.sla, "cg", lambda K, b, **kw: (np.zeros_like(b), 1))
-    with pytest.raises(AnalysisError, match="inner CG solve failed"):
-        smallest_eigenpairs(prob, seed=2)
-
-
 def test_non_orthonormal_arpack_vectors_are_reorthonormalized(monkeypatch):
     # eigenvalues 2-4 of the cube are one degenerate eigenvalue (6 pi^2), so
     # any mix of their vectors is an eigenbasis, just not an M-orthonormal one
@@ -194,3 +175,45 @@ def test_indefinite_stiffness_raises(tmp_path, capsys, monkeypatch):
     argv = ["waveguide", "--theta", "90deg", "--h", "0.25", "--levels", "2"]
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_NONCONVERGED
     assert capsys.readouterr().err.startswith("numerical failure: stiffness not positive")
+
+
+@pytest.mark.parametrize("above", (1.02, 3.0), ids=("lowered", "to-zero"))
+def test_shift_above_lambda1_backs_off(above, monkeypatch):
+    # a shift above the smallest eigenvalues has no factor (Sylvester), so
+    # it is lowered, and the pairs nearest the shift are the smallest ones
+    prob = _waveguide_pencil()
+    cold = smallest_eigenpairs(prob, num_pairs=3)
+    shifts = []
+    shifted_inverse = es._shifted_inverse
+
+    def recording(K, M, shift):
+        sigma, solve = shifted_inverse(K, M, shift)
+        shifts.append(sigma)
+        return sigma, solve
+
+    monkeypatch.setattr(es, "_shifted_inverse", recording)
+    start = np.ones(prob.node_to_eq.size)  # nodal
+    warm = smallest_eigenpairs(prob, num_pairs=3, start=start, shift=above * cold.eigenvalues[2])
+    assert 0.0 <= shifts[0] < cold.eigenvalues[0]
+    assert (shifts[0] == 0.0) == (above == 3.0)
+    assert np.allclose(warm.eigenvalues, cold.eigenvalues, rtol=1e-12, atol=0.0)
+    assert (warm.residuals <= 1e-8).all()
+
+
+def test_band_allocation_failure_raises(tmp_path, capsys, monkeypatch):
+    # a band that cannot be allocated is a numerical failure (exit 3)
+    zeros = np.zeros
+
+    def no_band(shape, *args, order="C", **kwargs):
+        if order == "F":
+            raise MemoryError
+        return zeros(shape, *args, order=order, **kwargs)
+
+    monkeypatch.setattr(es.np, "zeros", no_band)
+    with pytest.raises(AnalysisError, match="out of memory for the band factor") as exc:
+        smallest_eigenpairs(_waveguide_pencil())
+    assert exc.value.exit_code == EXIT_NONCONVERGED
+    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
+    argv = ["waveguide", "--theta", "90deg", "--h", "0.25", "--levels", "2"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_NONCONVERGED
+    assert capsys.readouterr().err.startswith("numerical failure: out of memory")

@@ -1,10 +1,7 @@
-import ctypes
-import glob
 import multiprocessing
 import os
 import time
 from functools import partial
-from importlib.util import find_spec
 
 import pytest
 
@@ -45,36 +42,11 @@ def test_tasks_run_in_workers_unless_one_cpu(monkeypatch):
     assert fan_out([os.getpid] * 2) == [os.getpid()] * 2
 
 
-def _openblas(verb):
-    """numpy's and scipy's bundled OpenBLAS ``get`` or ``set`` thread
-    functions, found where ``fanout.pin_blas`` finds its setters."""
-    funcs = []
-    for package, pattern, setter in fanout._OPENBLAS:
-        site = os.path.dirname(os.path.dirname(find_spec(package).origin))
-        name = setter.replace("_set_", f"_{verb}_")
-        for path in glob.glob(os.path.join(site, f"{package}.libs", pattern)):
-            func = getattr(ctypes.CDLL(path), name)
-            func.argtypes = [ctypes.c_int] if verb == "set" else []
-            func.restype = None if verb == "set" else ctypes.c_int
-            funcs.append(func)
-    return funcs
-
-
-def _blas_threads():
-    return [get() for get in _openblas("get")]
-
-
 @pytest.mark.skipif(cpus() < 2, reason="one CPU: thunks run in-process, no worker to pin")
-def test_workers_pin_blas_to_one_thread():
+def test_workers_pin_blas_to_one_thread(blas_threads):
     # a library caller is not pinned by the CLI; its workers pin themselves
-    before = _blas_threads()
-    assert len(before) == 2
-    try:
-        for set_threads in _openblas("set"):
-            set_threads(2)
-        assert _blas_threads() == [2, 2]
-        assert fan_out([_blas_threads] * 2) == [[1, 1]] * 2
-        assert _blas_threads() == [2, 2]
-    finally:
-        for set_threads, threads in zip(_openblas("set"), before):
-            set_threads(threads)
+    assert len(blas_threads()) == 2
+    blas_threads(2)
+    assert blas_threads() == [2, 2]
+    assert fan_out([blas_threads] * 2) == [[1, 1]] * 2
+    assert blas_threads() == [2, 2]

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ def test_payloads_conform_to_shipped_schemas(tmp_path):
         scan_truncation(PI / 2, (2.0, 3.0), num).to_json(), _schema("scan_R")
     )
     _shallow_validate(
-        count_below_threshold(PI / 2, num, num_pairs=2).to_json(), _schema("count")
+        count_below_threshold(PI / 2, replace(num, num_pairs=2)).to_json(), _schema("count")
     )
 
     from polylayer.analysis import certify_discrete

@@ -15,6 +15,7 @@ from polylayer.mesh2d import (
     free_node_orbits,
     mesh_lshape,
     mesh_rectangle,
+    prolong,
     refine,
     segment_rule,
 )
@@ -275,6 +276,19 @@ def test_refine_children_positively_oriented(theta):
     for _ in range(3):
         mesh = refine(mesh)
         assert (mesh.signed_areas() > 0.0).all()
+
+
+def test_prolong_keeps_the_p1_field(mesh_right_angle):
+    # nested P1 spaces: the prolonged values are the coarse field's values
+    # at the fine nodes, column by column
+    fine = refine(mesh_right_angle)
+    nodal = np.random.default_rng(3).standard_normal((mesh_right_angle.num_nodes, 2))
+    values = prolong(mesh_right_angle, nodal)
+    assert values.shape == (fine.num_nodes, 2)
+    for j in range(2):
+        expected, inside = evaluate_batch(mesh_right_angle, nodal[:, j], fine.nodes)
+        assert inside.all()
+        assert np.allclose(values[:, j], expected, rtol=0.0, atol=1e-12)
 
 
 def test_evaluate_partition_of_unity(mesh_right_angle):
