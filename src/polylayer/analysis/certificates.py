@@ -25,7 +25,7 @@ from ..eigensolve import invariant_ground_state
 from ..errors import ABSENT_CONSISTENT, INCONCLUSIVE, NONEMPTY, AnalysisError, ConfigError
 from ..geometry import GeometryError, LayerGeometry, build_trihedral, make_layer
 from ..grid3d import check_plan, free_node_orbits, voxelize
-from ..mesh2d import segment_rule
+from ..mesh2d import axis_rule
 from .waveguide import (
     PI2,
     WaveguideNumerics,
@@ -204,7 +204,8 @@ def _veps_terms(mesh, v: np.ndarray, alpha: float, beta: float):
     eps^2 ||V^eps||^2 including the pocket of the wedge below the inner
     vertex (depth cot(alpha/2) * cot(beta/2) along the wedge axis); T2 is a
     2D quadrature over the half-waveguide; T3 is the boundary integral along
-    the symmetry segment gamma_0, with the single-counted coefficient
+    the symmetry segment gamma_0 from O' to O, which the mesh's own axis
+    edges cover (``mesh2d.axis_rule``), with the single-counted coefficient
     cot(alpha/2) sin(beta/2) (verified against the 3D wedge energy).
     """
     half = beta / 2.0
@@ -221,7 +222,7 @@ def _veps_terms(mesh, v: np.ndarray, alpha: float, beta: float):
     area = np.abs(mesh.signed_areas())
     x_dag = (qp - inner) @ d1
     upper = qp[..., 1] > 0.0  # the half-waveguide along the x_dag outlet
-    gamma0 = segment_rule(mesh, v, (0.0, 0.0), tuple(inner))
+    gamma0 = axis_rule(mesh, v, L)
 
     def terms(eps: float) -> dict:
         t1 = 0.5 * eps * math.exp(2.0 * eps * pocket)  # ||v||_{L2} = 1 (M-normalized)
@@ -230,8 +231,8 @@ def _veps_terms(mesh, v: np.ndarray, alpha: float, beta: float):
             ((vq2 * w * upper) @ _TRI_W * area).sum()
         )
 
-        def wfun(tau):
-            return np.exp(-2.0 * eps * cot_a * (np.asarray(tau) - L) * math.cos(half))
+        def wfun(x):
+            return np.exp(-2.0 * eps * cot_a * (x - L) * math.cos(half))
 
         t3 = float(-cot_a * math.sin(half) * gamma0(wfun))
         return {"eps": float(eps), "T1": t1, "T2": t2, "T3": t3, "value": t1 + t2 + t3}

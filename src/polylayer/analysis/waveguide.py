@@ -24,7 +24,7 @@ from ..eigensolve import invariant_ground_state, smallest_eigenpairs
 from ..errors import AnalysisError, ConfigError
 from ..extrapolate import richardson
 from ..fanout import fan_out
-from ..geometry import GeometryError, LayerGeometry, lshape_profile
+from ..geometry import LayerGeometry, lshape_profile
 from ..mesh2d import TriMesh, free_node_orbits, mesh_lshape, prolong, refine
 
 PI2 = math.pi**2
@@ -41,17 +41,18 @@ class WaveguideNumerics:
     levels: int = 3
     R: Optional[float] = None  # None: auto-select from the threshold rule
     num_pairs: Optional[int] = None  # None: 1, or scans.COUNT_PAIRS in a count
-    tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         # checked here, so that a bad value stops a run before any solve
+        if not 0.0 < self.h <= 0.5:
+            raise ConfigError(
+                f"h = {self.h} must lie in (0, 0.5] (at least two elements across the width)"
+            )
         if self.levels < 2:
             raise ConfigError("extrapolation needs at least two refinement levels")
         if self.num_pairs is not None and self.num_pairs < 1:
             raise ConfigError("num_pairs must be >= 1")
-        if not 0.0 < self.tol <= 1e-2:
-            raise ConfigError("tolerance must lie in (0, 1e-2]")
 
 
 @dataclass(eq=False)
@@ -128,7 +129,7 @@ def _solve_chain(theta: float, numerics: WaveguideNumerics):
     field), at the shift ``WARM_SHIFT * lambda_1`` of the last level, which
     the eigensolver lowers if it is not below this level's lambda_1.
     """
-    num_pairs, tol, seed = numerics.num_pairs or 1, numerics.tol, numerics.seed
+    num_pairs, seed = numerics.num_pairs or 1, numerics.seed
     mesh = mesh_lshape(lshape_profile(theta, numerics.R), h=numerics.h)
     lams = []
     meshes = []
@@ -139,11 +140,9 @@ def _solve_chain(theta: float, numerics: WaveguideNumerics):
         if num_pairs == 1:
             labels, _ = free_node_orbits(mesh)
             at = f"level {lev} (theta={theta})"
-            result = invariant_ground_state(
-                problem, labels, "mesh", at, tol, seed, start, shift
-            )
+            result = invariant_ground_state(problem, labels, "mesh", at, seed, start, shift)
         else:
-            result = smallest_eigenpairs(problem, num_pairs, tol, seed, start, shift)
+            result = smallest_eigenpairs(problem, num_pairs, seed, start, shift)
         lams.append(result.eigenvalues)
         meshes.append(mesh)
         nodal = np.zeros((mesh.num_nodes, num_pairs))
@@ -183,8 +182,6 @@ def solve_waveguide_mode(
     Returns the Richardson-extrapolated eigenvalues together with the
     finest-level eigenfunctions (M-normalized nodal fields).
     """
-    if not 0.0 < theta < math.pi:
-        raise GeometryError(f"opening angle theta = {theta} not in (0, pi)")
     R = numerics.R if numerics.R is not None else auto_outlet_length(theta, numerics)
     lams, meshes, vals = _solve_chain(theta, replace(numerics, R=R))
     ext_all = np.empty(lams.shape[1])

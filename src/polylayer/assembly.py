@@ -77,15 +77,13 @@ class SparseSymmetric:
 class DiscreteProblem:
     """Reduced SPD pencil (K, M) with the node <-> equation bookkeeping.
 
-    ``free_nodes[eq]`` is the mesh/grid node behind equation ``eq``;
-    ``node_to_eq`` is -1 on eliminated (Dirichlet) nodes.  ``K_raw`` and
-    ``M_raw`` keep the pre-elimination matrices for audits.
+    ``free_nodes[eq]`` is the mesh/grid node behind equation ``eq``.
+    ``K_raw`` and ``M_raw`` keep the pre-elimination matrices for audits.
     """
 
     K: SparseSymmetric
     M: SparseSymmetric
     free_nodes: np.ndarray
-    node_to_eq: np.ndarray
     K_raw: SparseSymmetric
     M_raw: SparseSymmetric
 
@@ -185,13 +183,10 @@ def _reduce(
     free = np.flatnonzero(~fixed)
     if len(free) == 0:
         raise AssemblyError("all nodes are Dirichlet: empty problem")
-    node_to_eq = np.full(fixed.shape[0], -1, dtype=np.int64)
-    node_to_eq[free] = np.arange(len(free))
     return DiscreteProblem(
         K=K_raw.submatrix(free),
         M=M_raw.submatrix(free),
         free_nodes=free,
-        node_to_eq=node_to_eq,
         K_raw=K_raw,
         M_raw=M_raw,
     )
@@ -215,13 +210,10 @@ def symmetric_subproblem(problem: DiscreteProblem, labels: np.ndarray) -> Discre
         vals = np.where(twice, 2.0 * upper.data, upper.data)
         return SparseSymmetric.from_upper_coo(n, np.minimum(a, b), np.maximum(a, b), vals)
 
-    node_to_eq = problem.node_to_eq.copy()
-    node_to_eq[problem.free_nodes] = labels
     return DiscreteProblem(
         K=project(problem.K),
         M=project(problem.M),
         free_nodes=problem.free_nodes[np.unique(labels, return_index=True)[1]],
-        node_to_eq=node_to_eq,
         K_raw=problem.K_raw,
         M_raw=problem.M_raw,
     )

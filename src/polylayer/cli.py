@@ -94,7 +94,6 @@ _NUMERICS_FLAGS = {
     "levels": ("--levels", int),
     "R": ("--R", float),
     "num_pairs": ("--pairs", int),
-    "tol": ("--tol", float),
     "thr_h": ("--thr-h", float),
     "thr_levels": ("--thr-levels", int),
     "star_tol": ("--star-tol", float),
@@ -132,17 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
     add("angle", geometry=True, seed=False)
     add("layer", geometry=True, seed=False)
 
-    sub = add("waveguide", h=0.1, levels=3, R=None, num_pairs=1, tol=1e-8)
+    sub = add("waveguide", h=0.1, levels=3, R=None, num_pairs=1)
     sub.add_argument("--theta", type=parse_angle, required=True)
 
-    sub = add("scan-theta", h=0.1, levels=3, R=None, tol=1e-8)
+    sub = add("scan-theta", h=0.1, levels=3, R=None)
     sub.add_argument("--thetas", type=parse_angle_list, required=True)
 
-    sub = add("scan-R", h=0.125, levels=3, tol=1e-8)
+    sub = add("scan-R", h=0.125, levels=3)
     sub.add_argument("--theta", type=parse_angle, required=True)
     sub.add_argument("--R-list", type=parse_float_list, required=True)
 
-    sub = add("count", h=0.1, levels=3, R=None, num_pairs=6, tol=1e-8)
+    sub = add("count", h=0.1, levels=3, R=None, num_pairs=6)
     sub.add_argument("--theta", type=parse_angle, required=True)
 
     add("certify", geometry=True, h=0.1, levels=2, R=6.0, thr_h=0.05, thr_levels=3)
@@ -221,8 +220,8 @@ def _build_layer(args):
 
 
 def _numerics(args):
-    """Waveguide numerics from whichever of --h, --levels, --R, --pairs,
-    --tol and --seed the subcommand takes; the rest keep their defaults."""
+    """Waveguide numerics from whichever of --h, --levels, --R, --pairs and
+    --seed the subcommand takes; the rest keep their defaults."""
     from .analysis import WaveguideNumerics
 
     names = {f.name for f in dataclasses.fields(WaveguideNumerics)}

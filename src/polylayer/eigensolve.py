@@ -31,6 +31,7 @@ from .assembly import DiscreteProblem, _quotient, symmetric_subproblem
 from .errors import AnalysisError, ConfigError
 
 ARPACK_MAXITER = 20_000  # per eigensolve
+RESIDUAL_TOL = 1e-8  # audited relative residual of every returned pair
 WARM_NCV = 6  # Lanczos vectors of a warm single-pair solve
 BACK_OFF = (1.0, 0.9, 0.5)  # fractions of a shift tried before 0
 
@@ -142,7 +143,6 @@ def _verify(problem: DiscreteProblem, vecs):
 def smallest_eigenpairs(
     problem: DiscreteProblem,
     num_pairs: int = 1,
-    tol: float = 1e-8,
     seed: int = 0,
     start: Optional[np.ndarray] = None,
     shift: float = 0.0,
@@ -156,7 +156,8 @@ def smallest_eigenpairs(
     independently recomputed Rayleigh quotients, vectors are M-orthonormal,
     and residual norms are audited with plain products.  ARPACK
     non-convergence, a failed factor of K or an audited residual above
-    ``tol`` raises AnalysisError: a returned result meets the contract.
+    ``RESIDUAL_TOL`` raises AnalysisError: a returned result meets the
+    contract.
     """
     n = problem.n
     if num_pairs >= max(2, n // 10):
@@ -198,9 +199,9 @@ def smallest_eigenpairs(
     if defect > 1e-10:
         vecs = _m_orthonormalize(M, vecs)
         rq, residuals, defect = _verify(problem, vecs)
-    if not (residuals <= tol).all():
+    if not (residuals <= RESIDUAL_TOL).all():
         raise AnalysisError(
-            f"residual {residuals.max():.3e} above tol = {tol:.1e} on {n} equations"
+            f"residual {residuals.max():.3e} above {RESIDUAL_TOL:.1e} on {n} equations"
         )
     return EigenResult(
         eigenvalues=rq,
@@ -216,7 +217,6 @@ def invariant_ground_state(
     labels: np.ndarray,
     space: str,
     at: str,
-    tol: float = 1e-8,
     seed: int = 0,
     start: Optional[np.ndarray] = None,
     shift: float = 0.0,
@@ -228,16 +228,16 @@ def invariant_ground_state(
 
     The caller states why the ground state is invariant; the audit checks
     it: orbits that are no symmetry give a lifted vector that is no
-    eigenvector, and a full-pencil residual above ``tol`` raises
+    eigenvector, and a full-pencil residual above ``RESIDUAL_TOL`` raises
     AnalysisError.  ``space`` ("grid", "mesh") and ``at`` name the problem
     in the errors.
     """
     sector = symmetric_subproblem(problem, labels)
-    result = smallest_eigenpairs(sector, 1, tol, seed, start, shift)
+    result = smallest_eigenpairs(sector, 1, seed, start, shift)
     x = result.eigenvectors[labels, :1]  # lifted: x = P y
     x /= math.sqrt(float(x[:, 0] @ problem.M.matvec(x[:, 0])))
     rq, residuals, defect = _verify(problem, x)
-    if not residuals[0] <= tol:
+    if not residuals[0] <= RESIDUAL_TOL:
         raise AnalysisError(f"full-{space} residual {residuals[0]:.3e} at {at}")
     return EigenResult(
         eigenvalues=rq,

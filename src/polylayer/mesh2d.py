@@ -2,10 +2,12 @@
 
 The half of the hexagonal domain above its symmetry axis is meshed in rows
 across the strip, each graded to its own width, and mirrored across the
-axis; the mirror images are appended by index.  Nested refinement keeps the
-parent nodes as a prefix of the child nodes.  Boundary edges carry
-'dirichlet' tags on the walls shared with the infinite waveguide and
-'neumann' tags on the two end cross-sections.
+axis; the mirror images are appended by index.  The nodes on the axis have
+y = 0 exactly, so the axis from O' to O is a chain of mesh edges on every
+level (``axis_rule``).  Nested refinement keeps the parent nodes as a
+prefix of the child nodes.  Boundary edges carry 'dirichlet' tags on the
+walls shared with the infinite waveguide and 'neumann' tags on the two end
+cross-sections.
 
 Meshes are treated as immutable after construction; evaluation and
 quadrature are read-only and safe to share across threads.
@@ -45,9 +47,6 @@ class TriMesh:
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
-    h: float
-    theta: Optional[float] = None
-    outlet_length: Optional[float] = None
     parent: Optional["TriMesh"] = None
     quality_min_angle: Optional[float] = None  # reported at build time
     mirror: Optional[np.ndarray] = None
@@ -236,9 +235,6 @@ def mesh_lshape(profile: LShapeProfile, h: float) -> TriMesh:
         triangles=np.vstack([tris, image[tris][:, [0, 2, 1]]]),
         boundary_edges=np.concatenate(edges),
         boundary_tags=np.concatenate(edge_tags),
-        h=float(h),
-        theta=float(theta),
-        outlet_length=float(R),
         mirror=np.concatenate([image, off]),
     )
     if abs(mesh.total_area - profile.area) > 1e-10 * max(1.0, profile.area):
@@ -283,7 +279,6 @@ def mesh_rectangle(
         triangles=_block_quads(ids),
         boundary_edges=np.concatenate(edges),
         boundary_tags=np.concatenate(edge_tags),
-        h=float(h),
     )
 
 
@@ -329,9 +324,6 @@ def refine(mesh: TriMesh) -> TriMesh:
         triangles=children,
         boundary_edges=edges,
         boundary_tags=np.repeat(mesh.boundary_tags, 2),
-        h=mesh.h / 2.0,
-        theta=mesh.theta,
-        outlet_length=mesh.outlet_length,
         parent=mesh,
         quality_min_angle=mesh.quality_min_angle,
         mirror=mirror,
@@ -478,63 +470,37 @@ def evaluate_batch(mesh: TriMesh, nodal_values: np.ndarray, points: np.ndarray):
     return values, inside
 
 
-def segment_rule(mesh: TriMesh, nodal_values: np.ndarray, p0, p1, order: int = 4) -> Callable:
-    """``integrate(weight=None)``: the integral of u(gamma(tau))^2 *
-    weight(tau) along the segment p0 -> p1, with the weight-independent part
-    (cuts, Gauss points, u^2 there) computed once.
+def axis_rule(mesh: TriMesh, nodal_values: np.ndarray, length: float) -> Callable:
+    """``integrate(weight=None)``: the integral of u(x, 0)^2 * weight(x)
+    over 0 <= x <= length, with the weight-independent part (Gauss points,
+    u^2 there) computed once; ``weight`` acts elementwise on an array of x.
 
-    tau is arclength measured from p0; ``weight`` acts elementwise on an
-    array of them.  The segment is split at its crossings with mesh edges
-    and a Gauss-Legendre rule of the given order is applied on each piece
-    (order >= 3 required).  Raises if any piece leaves the mesh.
+    The segment is read off the mesh edges on the axis y = 0 that lie in
+    [0, length].  u is linear on each, so a 4-point Gauss rule, exact for
+    u^2 times a cubic, takes u from the edge's two nodal values.  Raises
+    MeshError unless those edges chain from 0 to ``length`` (to 1e-12
+    relative), so that the whole segment is integrated.
     """
-    if order < 3:
-        raise MeshError("segment quadrature needs a Gauss rule of order >= 3")
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    seg = p1 - p0
-    length = float(np.linalg.norm(seg))
-    if length == 0.0:
-        return lambda weight=None: 0.0
+    slack = 1e-12 * length
+    a, b = mesh.edges().T
+    (xa, ya), (xb, yb) = mesh.nodes[a].T, mesh.nodes[b].T
+    lo, hi = np.minimum(xa, xb), np.maximum(xa, xb)
+    on = (ya == 0.0) & (yb == 0.0) & (lo >= -slack) & (hi <= length + slack)
+    a, b, lo, hi = (v[on][np.argsort(lo[on])] for v in (a, b, lo, hi))
+    gaps = np.append(lo, length) - np.append(0.0, hi)
+    if not (np.abs(gaps) <= slack).all():
+        raise MeshError(f"the mesh edges on y = 0 do not cover 0 <= x <= {length}")
 
-    edges = mesh.edges()
-    ea = mesh.nodes[edges[:, 0]]
-    eb = mesh.nodes[edges[:, 1]]
-    d = eb - ea
-    denom = seg[0] * (-d[:, 1]) - seg[1] * (-d[:, 0])
-    rhs = ea - p0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rhs[:, 0] * (-d[:, 1]) - rhs[:, 1] * (-d[:, 0])) / denom
-        s = (seg[0] * rhs[:, 1] - seg[1] * rhs[:, 0]) / denom
-    ok = (np.abs(denom) > 1e-14) & (t >= -1e-12) & (t <= 1 + 1e-12)
-    ok &= (s >= -1e-12) & (s <= 1 + 1e-12)
-    # collinear edges: their endpoints on the segment are cuts as well
-    col = np.abs(denom) <= 1e-14
-    q = np.concatenate([ea[col], eb[col]])
-    tq = np.vecdot(q - p0, seg) / (length * length)
-    on = (tq >= -1e-12) & (tq <= 1 + 1e-12)
-    tq = np.clip(tq, 0.0, 1.0)
-    on &= np.linalg.norm(q - (p0 + tq[:, None] * seg), axis=1) <= 1e-12
-
-    cuts = np.unique(np.concatenate([[0.0, 1.0], np.clip(t[ok], 0.0, 1.0), tq[on]]))
-    cuts = cuts[np.concatenate([[True], np.diff(cuts) > 1e-13])]
-    t0, t1 = cuts[:-1, None], cuts[1:, None]
-
-    gauss_x, gauss_w = np.polynomial.legendre.leggauss(order)
-    taus = 0.5 * (t1 - t0) * gauss_x + 0.5 * (t0 + t1)
-    u, inside = evaluate_batch(mesh, nodal_values, (p0 + taus[..., None] * seg).reshape(-1, 2))
-    if not inside.all():
-        raise MeshError("segment exits the meshed region")
-    u2 = (u * u).reshape(taus.shape)
-    arclength = taus * length
-    scale = 0.5 * (t1[:, 0] - t0[:, 0]) * length  # per piece
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(4)
+    t = 0.5 * (gauss_x + 1.0)  # the Gauss points on [0, 1], from a to b
+    xa, xb = mesh.nodes[a, 0], mesh.nodes[b, 0]
+    ua, ub = nodal_values[a], nodal_values[b]
+    x = xa[:, None] + (xb - xa)[:, None] * t
+    u2 = (ua[:, None] + (ub - ua)[:, None] * t) ** 2
+    scale = 0.5 * (hi - lo)  # per edge
 
     def integrate(weight: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
-        f = u2 if weight is None else u2 * np.asarray(weight(arclength))
-        total = 0.0
-        for c, fk in zip(scale, f):
-            total += c * float(np.dot(gauss_w, fk))
-        return float(total)
+        f = u2 if weight is None else u2 * np.asarray(weight(x))
+        return float(scale @ (f @ gauss_w))
 
     return integrate
-

@@ -199,14 +199,18 @@ def test_hardy_corollary_with_larger_r0():
 
 
 def test_hardy_sample_validation():
-    with pytest.raises(HardyError):
-        HardySample(breakpoints=np.array([1.0, 5.0]), values=np.array([1.0, 0.1]))
-    with pytest.raises(HardyError):
-        HardySample(breakpoints=np.array([1.5, 20.0]), values=np.array([1.0, 0.0]))
-    with pytest.raises(HardyError):
-        HardySample(
-            breakpoints=np.array([1.0, 20.0]), values=np.array([1.0, 0.0]), r0=1.0
-        )
+    for breakpoints, values, r0, message in [
+        ([1.0, 20.0], [1.0, 0.5, 0.0], 2.0, "equal length"),
+        ([1.5, 20.0], [1.0, 0.0], 2.0, "start at z = 1"),
+        ([1.0, 5.0, 5.0, 20.0], [1.0, 0.5, 0.2, 0.0], 2.0, "strictly increasing"),
+        ([1.0, 5.0], [1.0, 0.1], 2.0, "Z_max"),
+        ([1.0, 20.0], [1.0, 0.1], 2.0, "decay to 0"),
+        ([1.0, 20.0], [1.0, 0.0], 1.0, "R0"),
+    ]:
+        with pytest.raises(HardyError, match=message):
+            HardySample(
+                breakpoints=np.array(breakpoints), values=np.array(values), r0=r0
+            )
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,8 +274,8 @@ def _recorded_solves(monkeypatch):
     calls = []
     solve = es.smallest_eigenpairs
 
-    def recording(problem, num_pairs, tol, seed, start, shift):
-        result = solve(problem, num_pairs, tol, seed, start, shift)
+    def recording(problem, num_pairs, seed, start, shift):
+        result = solve(problem, num_pairs, seed, start, shift)
         calls.append((problem, start, shift, result))
         return result
 

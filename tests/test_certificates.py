@@ -24,7 +24,7 @@ from polylayer.geometry import (
 )
 from polylayer.errors import ConfigError
 from polylayer.grid3d import voxelize
-from polylayer.mesh2d import segment_rule
+from polylayer.mesh2d import axis_rule
 
 PI = math.pi
 
@@ -145,10 +145,10 @@ def test_veps_gamma0_rule_matches_segment_quadrature():
     L = 1.0 / math.sin(half)
     for eps in [*np.geomspace(1e-3, 1.0, 13), 0.0, 1e-4]:
 
-        def wfun(tau):
-            return np.exp(-2.0 * eps * cot_a * (np.asarray(tau) - L) * math.cos(half))
+        def wfun(x):
+            return np.exp(-2.0 * eps * cot_a * (x - L) * math.cos(half))
 
-        g0 = segment_rule(mesh, v, (0.0, 0.0), (L, 0.0))(wfun)
+        g0 = axis_rule(mesh, v, L)(wfun)
         assert terms(float(eps))["T3"] == float(-cot_a * math.sin(half) * g0)
 
 

@@ -77,7 +77,6 @@ def test_config_round_trip(tmp_path):
         "levels": 2,
         "R": 4.0,
         "num_pairs": 1,
-        "tol": 1e-8,
         "seed": 0,
         "out": str(out),
         "formats": ["json"],
@@ -434,11 +433,18 @@ def _no_convergence(*args, **kwargs):
          EXIT_CONFIG, "config error:"),
         (["hardy", "--case", "exp", "--seed", "3"], EXIT_CONFIG, "config error:"),
         (["hardy", "--case", "invz", "--count", "5"], EXIT_CONFIG, "config error:"),
+        # --n and the --alpha count follow --kind
+        (["layer", "--kind", "regular", "--alpha", "60deg"], EXIT_CONFIG, "config error:"),
+        (["layer", "--kind", "regular", "--n", "3", "--alpha", "60deg,60deg,60deg"],
+         EXIT_CONFIG, "config error:"),
+        (["layer", "--kind", "trihedral", "--alpha", "90deg,90deg"],
+         EXIT_CONFIG, "config error:"),
     ],
     ids=["ok", "config-geometry", "config-pairs-400", "config-pairs-0",
          "config-levels-0", "config-trihedral-n", "config-levels-1",
          "config-out-not-a-dir", "nonconverged", "inconclusive",
-         "config-waveguide-csv", "config-hardy-exp-seed", "config-hardy-invz-count"],
+         "config-waveguide-csv", "config-hardy-exp-seed", "config-hardy-invz-count",
+         "config-regular-no-n", "config-regular-three-alpha", "config-trihedral-two-alpha"],
 )
 def test_exit_codes(argv, expected, stderr_prefix, tmp_path, capsys, monkeypatch):
     if expected == EXIT_NONCONVERGED:
@@ -513,13 +519,18 @@ def test_nested_fan_out_runs_serially(tmp_path, capsys, monkeypatch):
         ([*SMALL_CERTIFY, "--levels", "1", "--R", "2"], "R must be >= 3"),
         ([*SMALL_CERTIFY, "--levels", "2"], "h must be <= 1/3"),  # coarsest level h = 0.5
         (["waveguide", "--theta", "90deg", "--pairs", "0"], "num_pairs"),
+        # the auto-R rule would solve its coarse chain at max(h, 0.2) first
+        (["waveguide", "--theta", "90deg", "--h", "-1"], "h = -1.0 must lie in (0, 0.5]"),
+        (["waveguide", "--theta", "90deg", "--h", "0"], "h = 0.0 must lie in (0, 0.5]"),
+        ([*SMALL_CERTIFY, "--levels", "1", "--thr-h", "0"], "h = 0.0 must lie"),
         (["weyl", *FICHERA, "--h", "0.25", "--indices", "2,0"], "window index"),
         (["weyl", *FICHERA, "--h", "0.25", "--h-grid", "0.3"], "too coarse"),
         # alpha_star < 1.4, the bisection bracket's upper end
         (["absence", "--alpha", "1.4rad"], "alpha_star"),
     ],
     ids=["certify", "absence", "certify-thr-levels-1", "absence-thr-levels-1",
-         "certify-R-2", "certify-coarsest-h", "waveguide-pairs-0", "weyl-index-0",
+         "certify-R-2", "certify-coarsest-h", "waveguide-pairs-0", "waveguide-h-negative",
+         "waveguide-h-0", "certify-thr-h-0", "weyl-index-0",
          "weyl-h-grid", "absence-alpha-above-bracket"],
 )
 def test_levels_checked_before_any_solve(argv, message, tmp_path, capsys, monkeypatch):
@@ -616,6 +627,10 @@ def test_dry_run_never_solves(name, tmp_path, monkeypatch):
         ["certify-veps", *REGULAR, "--tol", "1e-3"],
         ["absence", "--alpha", "0.26rad", "--pairs", "7"],
         ["absence", "--alpha", "0.26rad", "--tol", "1e-3"],
+        ["waveguide", "--theta", "90deg", "--tol", "1e-3"],
+        ["scan-theta", "--thetas", "0.8rad,1.2rad", "--tol", "1e-3"],
+        ["scan-R", "--theta", "90deg", "--R-list", "2,3", "--tol", "1e-3"],
+        ["count", "--theta", "90deg", "--tol", "1e-3"],
         ["scan-R", "--theta", "90deg", "--R-list", "2,3", "--R", "3"],
         ["scan-theta", "--thetas", "0.8rad,1.2rad", "--pairs", "2"],
         ["scan-R", "--theta", "90deg", "--R-list", "2,3", "--pairs", "2"],
@@ -628,7 +643,8 @@ def test_dry_run_never_solves(name, tmp_path, monkeypatch):
         ["hardy", "--formats", "json"],
     ],
     ids=["certify-pairs", "certify-tol", "certify-veps-pairs", "certify-veps-tol",
-         "absence-pairs", "absence-tol", "scan-R-R", "scan-theta-pairs", "scan-R-pairs",
+         "absence-pairs", "absence-tol", "waveguide-tol", "scan-theta-tol", "scan-R-tol",
+         "count-tol", "scan-R-R", "scan-theta-pairs", "scan-R-pairs",
          "angle-seed", "layer-seed",
          "count-threads", "angle-formats", "count-formats", "certify-formats",
          "hardy-formats"],

@@ -97,9 +97,11 @@ def test_num_pairs_guard():
 
 
 def test_waveguide_numerics_validation():
-    # the only way outside input reaches the solver's num_pairs and tol
-    with pytest.raises(ConfigError, match="tolerance"):
-        WaveguideNumerics(tol=0.5)
+    # the only way outside input reaches the mesh size and the solver's num_pairs
+    for h in (-1.0, 0.0, 0.6, math.nan):
+        with pytest.raises(ConfigError, match=r"must lie in \(0, 0.5\]"):
+            WaveguideNumerics(h=h)
+    WaveguideNumerics(h=0.5)
     with pytest.raises(ConfigError, match="num_pairs"):
         WaveguideNumerics(num_pairs=0)
 
@@ -115,11 +117,12 @@ def test_arpack_no_convergence_raises(monkeypatch):
         smallest_eigenpairs(prob, num_pairs=2)
 
 
-def test_residual_above_tol_raises():
+def test_residual_above_tol_raises(monkeypatch):
     prob = assemble_p1(mesh_rectangle(1.0, 1.0, h=0.125))
     assert smallest_eigenpairs(prob).residuals[0] > 1e-20
-    with pytest.raises(AnalysisError, match="above tol"):
-        smallest_eigenpairs(prob, tol=1e-20)
+    monkeypatch.setattr(es, "RESIDUAL_TOL", 1e-20)
+    with pytest.raises(AnalysisError, match="above 1.0e-20"):
+        smallest_eigenpairs(prob)
 
 
 def test_non_orthonormal_arpack_vectors_are_reorthonormalized(monkeypatch):
@@ -192,7 +195,7 @@ def test_shift_above_lambda1_backs_off(above, monkeypatch):
         return sigma, solve
 
     monkeypatch.setattr(es, "_shifted_inverse", recording)
-    start = np.ones(prob.node_to_eq.size)  # nodal
+    start = np.ones(prob.K_raw.n)  # nodal
     warm = smallest_eigenpairs(prob, num_pairs=3, start=start, shift=above * cold.eigenvalues[2])
     assert 0.0 <= shifts[0] < cold.eigenvalues[0]
     assert (shifts[0] == 0.0) == (above == 3.0)

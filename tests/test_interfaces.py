@@ -183,3 +183,39 @@ def test_payloads_conform_to_shipped_schemas(tmp_path):
 
     _shallow_validate(build_regular(3, PI / 3).to_report(), _schema("angle"))
     _shallow_validate(make_layer(build_regular(3, PI / 3)).to_report(), _schema("layer"))
+
+    # a scan-R whose gaps clear their indicators, so that the fit is an object
+    scan = scan_truncation(PI / 2, (0.5, 1.0, 1.5, 2.0), WN(h=0.25, levels=3)).to_json()
+    schema = _schema("scan_R")
+    _shallow_validate(scan, schema)
+    _shallow_validate(scan["fit"], schema["properties"]["fit"]["oneOf"][0])
+
+    from polylayer.analysis import alpha_star
+
+    _shallow_validate(alpha_star(0.05, WN(h=0.25, levels=2)).to_json(), _schema("alpha_star"))
+
+    from polylayer.cli import EXIT_OK, main
+
+    # the hardy and weyl payloads are assembled by the CLI
+    for argv in (["hardy", "--case", "random", "--count", "2"], ["hardy", "--case", "exp"],
+                 ["weyl", "--kind", "trihedral", "--alpha", "90deg,90deg,90deg",
+                  "--indices", "2", "--h", "0.25", "--R", "4"]):
+        out = tmp_path / "-".join(argv[:3])
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / f"{argv[0]}.json").read_text())["payload"]
+        schema = _schema(argv[0])
+        _shallow_validate(payload, schema)
+        for key in ("report", "reports", "elements"):
+            if key in payload:
+                sub = schema["properties"][key]
+                for item in payload[key] if sub["type"] == "array" else [payload[key]]:
+                    _shallow_validate(item, sub.get("items", sub))
+
+
+def test_json_default_serializes_numpy_and_nothing_else():
+    from polylayer.report import payload_bytes
+
+    payload = {"i": np.int64(3), "f": np.float32(0.5), "a": np.arange(3.0)}
+    assert json.loads(payload_bytes(payload)) == {"i": 3, "f": 0.5, "a": [0.0, 1.0, 2.0]}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        payload_bytes({"x": object()})

@@ -10,6 +10,7 @@ from polylayer.mesh2d import (
     MeshError,
     TriMesh,
     _edges,
+    axis_rule,
     check_conforming,
     evaluate_batch,
     free_node_orbits,
@@ -17,7 +18,6 @@ from polylayer.mesh2d import (
     mesh_rectangle,
     prolong,
     refine,
-    segment_rule,
 )
 from polylayer.report import sha256_of_arrays
 
@@ -72,7 +72,6 @@ def _broken(mesh, triangles=None, boundary=slice(None)):
         triangles=mesh.triangles if triangles is None else triangles,
         boundary_edges=mesh.boundary_edges[boundary],
         boundary_tags=mesh.boundary_tags[boundary],
-        h=mesh.h,
     )
 
 
@@ -354,47 +353,47 @@ def test_evaluate_continuous_across_edges(mesh_right_angle):
         assert abs(interp_in(t1, p) - interp_in(t2, p)) < 1e-12
 
 
-def test_segment_quadrature_constant(mesh_right_angle):
-    ones = np.ones(mesh_right_angle.num_nodes)
-    # a segment of length 2 along outlet 1 axis, inside the strip
-    half = PI / 4
-    d1 = np.array([math.cos(half), math.sin(half)])
-    p0 = np.array([2 ** 0.5, 0.0]) + 0.5 * d1 + 0.2 * np.array([-d1[1], d1[0]])
-    val = segment_rule(mesh_right_angle, ones, p0, p0 + 2.0 * d1)()
-    assert val == pytest.approx(2.0, abs=1e-10)
+def test_segment_quadrature_constant():
+    # the axis edges of [0, 2], a part of the side y = 0
+    mesh = mesh_rectangle(3.0, 1.0, h=0.25)
+    val = axis_rule(mesh, np.ones(mesh.num_nodes), 2.0)()
+    assert val == pytest.approx(2.0, abs=1e-13)
 
 
 def test_segment_quadrature_polynomial():
     mesh = mesh_rectangle(1.0, 1.0, h=0.25)
     f = mesh.nodes[:, 0].copy()
-    val = segment_rule(mesh, f, (0.0, 0.5), (1.0, 0.5))()
-    assert val == pytest.approx(1.0 / 3.0, abs=1e-8)
+    val = axis_rule(mesh, f, 1.0)()
+    assert val == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
 def test_segment_quadrature_exponential_weight():
     mesh = mesh_rectangle(2.0, 1.0, h=0.2)
     ones = np.ones(mesh.num_nodes)
     c = 0.7
-    val = segment_rule(mesh, ones, (0.0, 0.4), (2.0, 0.4))(lambda t: np.exp(-2 * c * t))
+    val = axis_rule(mesh, ones, 2.0)(lambda x: np.exp(-2 * c * x))
     exact = (1.0 - math.exp(-4 * c)) / (2 * c)
     assert val == pytest.approx(exact, abs=1e-8)
 
 
 def test_segment_quadrature_exits_domain(mesh_right_angle):
-    ones = np.ones(mesh_right_angle.num_nodes)
-    with pytest.raises(MeshError):
-        segment_rule(mesh_right_angle, ones, (-0.5, 0.0), (1.0, 0.0))
+    # the axis ends at the inner vertex O; a segment between nodes is not
+    # covered by whole edges
+    length = lshape_profile(PI / 2, 4.0).corner_distance
+    for mesh, end in ((mesh_right_angle, 1.5 * length), (mesh_rectangle(2.0, 1.0, 0.25), 1.1)):
+        with pytest.raises(MeshError, match="do not cover"):
+            axis_rule(mesh, np.ones(mesh.num_nodes), end)
 
 
 def test_segment_along_mesh_edges():
-    # the axis O'O lies on triangle edges; quadrature must still work
-    profile = lshape_profile(PI / 2, 2.0)
-    mesh = mesh_lshape(profile, h=0.25)
-    ones = np.ones(mesh.num_nodes)
-    p0 = np.zeros(2)
-    p1 = profile.inner_vertex
-    val = segment_rule(mesh, ones, p0, p1)()
-    assert val == pytest.approx(profile.corner_distance, abs=1e-10)
+    # O'O lies on triangle edges at every angle, the graded sharp ones too,
+    # and on every refined level
+    for theta in (0.15, PI / 2, 2.9):
+        profile = lshape_profile(theta, 2.0)
+        mesh = mesh_lshape(profile, h=0.25)
+        for fine in (mesh, refine(mesh)):
+            val = axis_rule(fine, np.ones(fine.num_nodes), profile.corner_distance)()
+            assert val == pytest.approx(profile.corner_distance, rel=1e-13)
 
 
 def test_min_angle_reported_for_sharp_theta():
