@@ -9,7 +9,9 @@ prints, per command, every float field that moved with its largest relative
 change, and every other difference: exit code, ints, booleans, strings,
 list lengths, keys, side-file bytes.  List indices are folded to ``[*]``, so
 ``levels[*].upper_bound`` stands for the field in every level.  A command
-whose payload and side files keep every byte prints ``identical``.
+whose payload and side files keep every byte prints ``identical``.  The
+exit status is 0 when every command is identical and 1 otherwise, also when
+the payload bytes differ but every value is equal.
 """
 
 import json
@@ -78,6 +80,7 @@ def main() -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     old, new = (run_checkout(src) for src in sys.argv[1:])
+    all_identical = True
     for command in COMMANDS:
         a, b = old[command], new[command]
         moved, other = {}, {}
@@ -88,14 +91,17 @@ def main() -> int:
             if a["files"].get(name) != b["files"].get(name):
                 other[name] = "bytes differ"
         print(command)
-        if not moved and not other:
-            same = a["payload_sha256"] == b["payload_sha256"]
-            print("    identical" if same else "    payload bytes differ, every value equal")
+        same = not moved and not other and a["payload_sha256"] == b["payload_sha256"]
+        all_identical &= same
+        if same:
+            print("    identical")
+        elif not moved and not other:
+            print("    payload bytes differ, every value equal")
         for path, rel in moved.items():
             print(f"    {path}  max rel. change {rel:.2e}")
         for path, change in other.items():
             print(f"    {path}  {change}")
-    return 0
+    return 0 if all_identical else 1
 
 
 if __name__ == "__main__":

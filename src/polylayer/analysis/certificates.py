@@ -23,14 +23,15 @@ import numpy as np
 from ..assembly import assemble_q1
 from ..eigensolve import invariant_ground_state
 from ..errors import ABSENT_CONSISTENT, INCONCLUSIVE, NONEMPTY, AnalysisError, ConfigError
+from ..fanout import fan_out
 from ..geometry import GeometryError, LayerGeometry, build_trihedral, make_layer
 from ..grid3d import check_plan, free_node_orbits, voxelize
 from ..mesh2d import axis_rule
 from .waveguide import (
     PI2,
+    ThresholdResult,
     WaveguideNumerics,
     lambda1_waveguide,
-    prefetch_lambda1,
     solve_waveguide_mode,
     threshold,
 )
@@ -111,13 +112,14 @@ def _threshold_and_bounds(
     layer: LayerGeometry, numerics: WaveguideNumerics, R: float, h: float, levels: int
 ) -> tuple:
     """The layer's threshold and its ``voxel_upper_bounds``, two independent
-    computations solved concurrently (the threshold through the memo), both
-    from the seed ``numerics.seed``."""
-    (bounds,) = prefetch_lambda1(
-        [(layer.beta_min, numerics)],
-        [partial(voxel_upper_bounds, layer, R, h, levels, numerics.seed)],
+    computations solved concurrently, both from the seed ``numerics.seed``."""
+    thr, bounds = fan_out(
+        [
+            partial(threshold, layer, numerics),
+            partial(voxel_upper_bounds, layer, R, h, levels, numerics.seed),
+        ]
     )
-    return threshold(layer, numerics), bounds
+    return thr, bounds
 
 
 def certify_discrete(
@@ -347,20 +349,20 @@ def alpha_star(
         raise ConfigError("alpha_star tolerance below 1e-3 is not supported")
     target = PI2 / 2.0
     lo, hi = (float(b) for b in bracket)
-    prefetch_lambda1([(lo, numerics), (hi, numerics)])
     evals = []
 
-    def f(a: float) -> float:
-        val = lambda1_waveguide(a, numerics).extrapolated - target
+    def f(a: float, res: ThresholdResult) -> float:
+        val = res.extrapolated - target
         evals.append({"alpha": a, "lambda1": val + target})
         return val
 
-    flo, fhi = f(lo), f(hi)
+    ends = fan_out(partial(lambda1_waveguide, a, numerics) for a in (lo, hi))
+    flo, fhi = f(lo, ends[0]), f(hi, ends[1])
     if flo >= 0.0 or fhi <= 0.0:
         raise AnalysisError("bracket does not straddle pi^2/2; widen it")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
+        if f(mid, lambda1_waveguide(mid, numerics)) < 0.0:
             lo = mid
         else:
             hi = mid

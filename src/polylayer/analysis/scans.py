@@ -1,26 +1,26 @@
 """Parameter scans: opening-angle monotonicity, truncation convergence with
 its exponential-rate fit, and eigenvalue counting below the threshold.
 
-The points of a scan are independent waveguide problems: each scan hands
-them to ``prefetch_lambda1`` at once, which solves the memo's misses
-concurrently, and then reads every point back from the memo."""
+The points of a scan are independent waveguide problems, solved
+concurrently through ``fanout.fan_out``."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..extrapolate import richardson
+from ..fanout import fan_out
 from .waveguide import (
     PI2,
     ThresholdResult,
     WaveguideNumerics,
     lambda1_waveguide,
-    prefetch_lambda1,
     solve_waveguide_mode,
 )
 
@@ -83,14 +83,13 @@ def scan_theta(
     """Extrapolated lambda_1 over an ascending list of opening angles.
 
     Reports whether the values are strictly increasing and whether every
-    value lies inside (pi^2/4, pi^2).  The angles are independent problems,
-    solved concurrently through ``prefetch_lambda1``.
+    value lies inside (pi^2/4, pi^2).  The angles are solved concurrently.
     """
     thetas = [float(t) for t in theta_list]
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ConfigError("theta values must be strictly ascending")
-    prefetch_lambda1([(theta, numerics) for theta in thetas])
-    records = [ScanRecord.of(theta, lambda1_waveguide(theta, numerics)) for theta in thetas]
+    results = fan_out(partial(lambda1_waveguide, theta, numerics) for theta in thetas)
+    records = [ScanRecord.of(theta, res) for theta, res in zip(thetas, results)]
     values = np.array([r.eigenvalues[0] for r in records])
     return ThetaScan(
         records=records,
@@ -168,8 +167,7 @@ def scan_truncation(
     moving nodes), which requires every R to be an integer multiple of the
     axial spacing.  The largest-R extrapolation serves as the asymptote for
     the exponential-gap fit; fit points are restricted to gaps exceeding ten
-    times the error indicator.  The outlet lengths are independent problems,
-    solved concurrently through ``prefetch_lambda1``.
+    times the error indicator.  The outlet lengths are solved concurrently.
     """
     Rs = [float(R) for R in R_list]
     if any(b <= a for a, b in zip(Rs, Rs[1:])):
@@ -181,8 +179,8 @@ def scan_truncation(
                 f"R = {R} is not an integer multiple of h = {numerics.h}; "
                 "the outlet meshes would not be nested across R"
             )
-    prefetch_lambda1([(theta, replace(numerics, R=R)) for R in Rs])
-    records = [ScanRecord.of(R, lambda1_waveguide(theta, replace(numerics, R=R))) for R in Rs]
+    results = fan_out(partial(lambda1_waveguide, theta, replace(numerics, R=R)) for R in Rs)
+    records = [ScanRecord.of(R, res) for R, res in zip(Rs, results)]
     values = np.array([r.eigenvalues[0] for r in records])
     indicators = np.array([r.error_indicators[0] for r in records])
     asymptote = float(values[-1])

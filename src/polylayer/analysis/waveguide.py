@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -23,7 +22,6 @@ from ..assembly import assemble_p1
 from ..eigensolve import invariant_ground_state, smallest_eigenpairs
 from ..errors import AnalysisError, ConfigError
 from ..extrapolate import richardson
-from ..fanout import fan_out
 from ..geometry import LayerGeometry, lshape_profile
 from ..mesh2d import TriMesh, free_node_orbits, mesh_lshape, prolong, refine
 
@@ -167,10 +165,8 @@ def auto_outlet_length(theta: float, numerics: WaveguideNumerics) -> float:
     coarse = replace(numerics, R=base, h=max(numerics.h, 0.2), levels=2, num_pairs=1)
     lams, _, _ = _solve_chain(theta, coarse)
     lam_coarse, _, _ = richardson(lams[:, 0])
-    gap = PI2 - lam_coarse
-    if gap <= 1e-6:
-        return R_CAP
-    rule = 4.0 / math.sqrt(gap)
+    # a gap at or below 1e-6 (upward bias may overshoot pi^2) gives the cap
+    rule = 4.0 / math.sqrt(max(PI2 - lam_coarse, 1e-6))
     return float(min(max(base, rule), R_CAP))
 
 
@@ -224,53 +220,11 @@ def _validate_threshold(result: ThresholdResult) -> None:
         raise AnalysisError("per-level estimates are not monotone nonincreasing")
 
 
-# the package's only result memo; scans, thresholds and the alpha_star
-# bisection share it.  ``prefetch_lambda1`` fills it, solving its misses
-# concurrently; ``lambda1_waveguide`` reads it.
-_WAVEGUIDE_CACHE: dict = {}
-
-
-def _cache_key(theta: float, numerics: WaveguideNumerics) -> tuple:
-    return (round(float(theta), 14), numerics)
-
-
-def _solved_threshold(theta: float, numerics: WaveguideNumerics) -> ThresholdResult:
-    return solve_waveguide_mode(theta, numerics).threshold
-
-
-def prefetch_lambda1(pairs, alongside=()) -> list:
-    """Put ``lambda1_waveguide(theta, numerics)`` of every (theta, numerics)
-    pair in the memo, and return the results of the ``alongside`` thunks.
-
-    The pairs the memo lacks are solved at the same time as each other and
-    as the thunks (``fanout.fan_out``); each solve runs the code a single
-    ``lambda1_waveguide`` call runs, so the memo's contents do not depend on
-    the CPU count.  The stored arrays are read-only.
-    """
-    misses: dict = {}
-    for theta, numerics in pairs:
-        key = _cache_key(theta, numerics)
-        if key not in _WAVEGUIDE_CACHE:
-            misses.setdefault(key, partial(_solved_threshold, theta, numerics))
-    results = fan_out([*misses.values(), *alongside])
-    for key, hit in zip(misses, results):
-        for arr in (hit.lambda_estimates, hit.extrapolated_all, hit.error_indicators):
-            arr.flags.writeable = False
-        _WAVEGUIDE_CACHE[key] = hit
-    return results[len(misses) :]
-
-
 def lambda1_waveguide(
     theta: float, numerics: WaveguideNumerics = WaveguideNumerics()
 ) -> ThresholdResult:
-    """Extrapolated first waveguide eigenvalue (cached, deterministic).
-
-    Every caller of one key shares the cached result, so its arrays are
-    read-only.  Callers with several keys at hand pass them to
-    ``prefetch_lambda1`` first, so that the misses are solved concurrently.
-    """
-    prefetch_lambda1([(theta, numerics)])
-    return _WAVEGUIDE_CACHE[_cache_key(theta, numerics)]
+    """Extrapolated first waveguide eigenvalue (deterministic)."""
+    return solve_waveguide_mode(theta, numerics).threshold
 
 
 def threshold(

@@ -57,18 +57,19 @@ def test_lambda1_determinism():
 
 
 def test_threshold_uses_smallest_dihedral(lam_right_angle):
+    # each layer's threshold is solved at its own beta_min, which need not
+    # be the angle it approximates (Fichera: one ulp below pi/2)
     fichera = make_layer(fichera_angle())
     thr = threshold(fichera, MEDIUM)
-    assert thr.extrapolated == lam_right_angle.extrapolated
-    with pytest.raises(ValueError, match="read-only"):  # shared cached result
-        thr.lambda_estimates[0, 0] = 0.0
-    assert thr.theta_used == pytest.approx(PI / 2, abs=1e-12)
+    assert thr.theta_used == fichera.beta_min
+    assert thr.extrapolated == pytest.approx(lam_right_angle.extrapolated, rel=1e-12)
 
-    alpha = 0.8
-    lay = make_layer(build_trihedral((PI / 2, alpha, PI / 2)))
+    lay = make_layer(build_trihedral((PI / 2, 0.8, PI / 2)))
     thr2 = threshold(lay, COARSE)
-    assert thr2.theta_used == pytest.approx(alpha, abs=1e-12)
-    assert thr2.extrapolated == lambda1_waveguide(alpha, COARSE).extrapolated
+    assert thr2.theta_used == lay.beta_min == pytest.approx(0.8, abs=1e-12)
+    same = lambda1_waveguide(lay.beta_min, COARSE)
+    assert thr2.extrapolated == same.extrapolated
+    assert np.array_equal(thr2.lambda_estimates, same.lambda_estimates)
 
 
 def test_threshold_regular_layer_face_invariance():
@@ -86,25 +87,24 @@ def test_scan_theta_monotone_and_banded():
     assert values == sorted(values)
 
 
-def test_scan_theta_fills_the_memo(monkeypatch):
-    # the scan's angles are solved concurrently, their results stored in the
-    # memo; reading them back solves nothing again
-    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
+def test_scan_records_are_the_solves_at_their_parameters():
+    # the scan points are solved concurrently; each record is the solve at
+    # its own parameter, bit for bit, in input order
     thetas = (0.6, 1.1, 1.7)
-    scan = scan_theta(thetas, COARSE)
-
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("solved again")
-
-    monkeypatch.setattr(waveguide, "solve_waveguide_mode", must_not_run)
-    assert len(waveguide._WAVEGUIDE_CACHE) == len(thetas)
-    for theta, rec in zip(thetas, scan.records):
-        res = lambda1_waveguide(theta, COARSE)
-        assert res is waveguide._WAVEGUIDE_CACHE[(theta, COARSE)]
-        assert res.extrapolated == rec.eigenvalues[0]
-        for arr in (res.lambda_estimates, res.extrapolated_all, res.error_indicators):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
+    Rs = (2.0, 3.0)
+    num = WaveguideNumerics(h=0.25, levels=2)
+    cases = [
+        (scan_theta(thetas, COARSE).records, thetas, [(t, COARSE) for t in thetas]),
+        (scan_truncation(1.1, Rs, num).records, Rs, [(1.1, replace(num, R=R)) for R in Rs]),
+    ]
+    for records, parameters, solves in cases:
+        assert [r.parameter for r in records] == list(parameters)
+        for rec, (theta, numerics) in zip(records, solves):
+            res = lambda1_waveguide(theta, numerics)
+            assert np.array_equal(rec.eigenvalues, res.extrapolated_all)
+            assert np.array_equal(rec.error_indicators, res.error_indicators)
+            assert np.array_equal(rec.level_estimates, res.lambda_estimates)
+            assert rec.R == res.R
 
 
 def test_scan_theta_requires_ascending():
@@ -157,6 +157,44 @@ def test_auto_outlet_rule():
     gap = PI2 - res.extrapolated
     assert res.R >= min(4.0 / math.sqrt(gap), 12.0) - 1e-9
     assert res.R >= 4.0
+
+
+@pytest.mark.parametrize("gap", (0.05, 1e-9, 0.0, -1e-3))
+def test_auto_outlet_caps_a_vanishing_gap(gap, monkeypatch):
+    # near-straight waveguides, whose coarse lambda_1 may even overshoot
+    # pi^2 (the bias is upward), take the longest outlet
+    monkeypatch.setattr(waveguide, "richardson", lambda values: (PI2 - gap, 0.0, None))
+    assert waveguide.auto_outlet_length(3.0, COARSE) == waveguide.R_CAP
+
+
+def _crafted_threshold(extrapolated, lambda1_levels):
+    lams = np.array(lambda1_levels)[:, None]
+    return waveguide.ThresholdResult(
+        theta_used=1.0,
+        lambda_estimates=lams,
+        extrapolated=extrapolated,
+        R=4.0,
+        h=0.2,
+        levels=len(lams),
+        extrapolated_all=np.array([extrapolated]),
+        error_indicators=np.array([1e-3]),
+    )
+
+
+@pytest.mark.parametrize(
+    "extrapolated,levels,message",
+    [
+        (PI2 / 4, [2.6, 2.5], "escapes"),
+        (PI2 + 2e-3, [9.9, 9.88], "escapes"),
+        (9.0, [9.3, 9.35], "not monotone"),
+    ],
+    ids=["below-band", "above-band-beyond-indicator", "rising-levels"],
+)
+def test_validate_threshold_rejects_broken_numerics(extrapolated, levels, message):
+    waveguide._validate_threshold(_crafted_threshold(9.0, [9.4, 9.2]))  # a sound result
+    waveguide._validate_threshold(_crafted_threshold(PI2 + 5e-4, [9.9, 9.88]))  # within 1e-3
+    with pytest.raises(AnalysisError, match=message):
+        waveguide._validate_threshold(_crafted_threshold(extrapolated, levels))
 
 
 # ---------------------------------------------------------------- hardy ----

@@ -112,7 +112,7 @@ def test_payload_bytes_reproducible(tmp_path):
     assert payloads[0] == payloads[1]
 
 
-def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch, blas_threads):
+def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path, blas_threads):
     commands = [
         # a six-pair count: ARPACK's dense BLAS sums in a thread-dependent
         # order unless the CLI pins BLAS to one thread
@@ -141,7 +141,6 @@ def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch, blas
     # these OpenBLAS builds may give the same bytes at any thread count, so
     # the pin itself is read back after an in-process run
     blas_threads(2)
-    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
     code, argv = commands[1]
     assert main([*argv, "--out", str(tmp_path / "in-process")]) == code
     assert blas_threads() == [1, 1]
@@ -341,6 +340,27 @@ def test_hardy_cli(tmp_path):
     assert len(bundle["payload"]["reports"]) == 25
 
 
+def test_hardy_cli_inverse_case(tmp_path):
+    code, out = run_cli(["hardy", "--case", "invz"], tmp_path, "invz")
+    assert code == EXIT_OK
+    payload = json.loads((out / "hardy.json").read_text())["payload"]
+    assert payload["case"] == "invz"
+    assert payload["report"]["lemma"]["holds"] is True
+    assert payload["report"]["corollary"]["holds"] is True
+
+
+def test_alpha_star_cli(tmp_path):
+    argv = ["alpha-star", "--star-tol", "0.05", "--h", "0.25", "--levels", "2"]
+    code, out = run_cli(argv, tmp_path, "star")
+    assert code == EXIT_OK
+    payload = json.loads((out / "alpha-star.json").read_text())["payload"]
+    assert payload["lo"] < payload["hi"] <= payload["lo"] + 0.05
+    # the bracket ends first, then one midpoint per halving
+    alphas = [e["alpha"] for e in payload["evaluations"]]
+    assert alphas[:2] == [0.2, 1.4]
+    assert {payload["lo"], payload["hi"]} <= set(alphas)
+
+
 def test_certify_inconclusive_exit_code(tmp_path):
     code, out = run_cli(
         [
@@ -463,10 +483,9 @@ SMALL_SCAN = ["scan-theta", "--thetas", "0.8rad,1.2rad,1.6rad", "--h", "0.25",
               "--levels", "2", "--R", "4"]
 
 
-def _exits_nonconverged(argv, tmp_path, capsys, monkeypatch) -> str:
-    """Run ``argv`` with an empty memo, so that every solve runs; check the
-    exit code, the message and that no worker outlives ``main``."""
-    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
+def _exits_nonconverged(argv, tmp_path, capsys) -> str:
+    """Run ``argv``; check the exit code, the message and that no worker
+    outlives ``main``."""
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_NONCONVERGED
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
@@ -478,7 +497,7 @@ def _exits_nonconverged(argv, tmp_path, capsys, monkeypatch) -> str:
 def test_failure_in_a_fanned_out_solve_exits_3(tmp_path, capsys, monkeypatch):
     # the workers are forked after the patch, so every scan angle fails
     monkeypatch.setattr(sla, "eigsh", _no_convergence)
-    _exits_nonconverged(SMALL_SCAN, tmp_path, capsys, monkeypatch)
+    _exits_nonconverged(SMALL_SCAN, tmp_path, capsys)
 
 
 @pytest.mark.skipif(cpus() < 2, reason="one CPU: the solves run in-process, no worker to lose")
@@ -489,7 +508,7 @@ def test_worker_death_exits_3(tmp_path, capsys, monkeypatch):
         os._exit(1)
 
     monkeypatch.setattr(waveguide, "solve_waveguide_mode", die)
-    err = _exits_nonconverged(SMALL_SCAN, tmp_path, capsys, monkeypatch)
+    err = _exits_nonconverged(SMALL_SCAN, tmp_path, capsys)
     assert "worker process died" in err
 
 
@@ -503,7 +522,7 @@ def test_nested_fan_out_runs_serially(tmp_path, capsys, monkeypatch):
         raise AnalysisError(f"task {os.getpid()} nested {sorted(set(pids))}")
 
     monkeypatch.setattr(certificates, "voxel_upper_bounds", nested_bounds)
-    err = _exits_nonconverged([*SMALL_CERTIFY, "--levels", "1"], tmp_path, capsys, monkeypatch)
+    err = _exits_nonconverged([*SMALL_CERTIFY, "--levels", "1"], tmp_path, capsys)
     task, nested = re.search(r"task (\d+) nested \[(\d+)\]", err).groups()
     assert nested == task
     assert (int(task) != os.getpid()) == (cpus() >= 2)
@@ -545,7 +564,6 @@ def test_levels_checked_before_any_solve(argv, message, tmp_path, capsys, monkey
 
     for module in (eigensolve, waveguide):
         monkeypatch.setattr(module, "smallest_eigenpairs", must_not_run)
-    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
     assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not marker.exists()
@@ -573,7 +591,6 @@ def test_seed_reaches_every_solve(argv, tmp_path, monkeypatch):
         return default_rng(seed)
 
     monkeypatch.setattr(fanout, "cpus", lambda: 1)  # every solve in this process
-    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
     monkeypatch.setattr(np.random, "default_rng", recording)
     code = main([*argv, "--seed", "7", "--out", str(tmp_path)])
     assert code in (EXIT_OK, EXIT_INCONCLUSIVE)

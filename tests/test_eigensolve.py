@@ -5,7 +5,7 @@ import pytest
 
 import polylayer.eigensolve as es
 from polylayer.assembly import assemble_p1, assemble_q1
-from polylayer.analysis import WaveguideNumerics, waveguide
+from polylayer.analysis import WaveguideNumerics
 from polylayer.cli import EXIT_NONCONVERGED, main
 from polylayer.eigensolve import band_cholesky, smallest_eigenpairs
 from polylayer.errors import AnalysisError, ConfigError
@@ -32,6 +32,14 @@ def test_unit_square_first_eigenvalue():
     lams = _square_lambdas(0.25, 3)[:, 0]
     value, _, _ = richardson(lams)
     assert abs(value - 2 * PI**2) / (2 * PI**2) < 0.002
+
+
+def test_richardson_needs_two_levels():
+    with pytest.raises(ValueError, match="at least two mesh levels"):
+        richardson([9.2])
+    # exact on an O(h^2) sequence; two values: the correction bounds the error
+    value, indicator, ext = richardson([5.0 + 4.0, 5.0 + 1.0])
+    assert (value, indicator, ext.tolist()) == (5.0, 1.0, [5.0])
 
 
 def test_nested_refinement_monotone_upper_bounds():
@@ -173,7 +181,6 @@ def test_indefinite_stiffness_raises(tmp_path, capsys, monkeypatch):
         band_cholesky(prob.K.full - 20.0 * prob.M.full)
     assert exc.value.exit_code == EXIT_NONCONVERGED
     # the CLI reports a failed factor as a numerical failure
-    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
     monkeypatch.setattr(es, "dpbtrf", lambda ab, **kw: (ab, 1))
     argv = ["waveguide", "--theta", "90deg", "--h", "0.25", "--levels", "2"]
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_NONCONVERGED
@@ -216,7 +223,6 @@ def test_band_allocation_failure_raises(tmp_path, capsys, monkeypatch):
     with pytest.raises(AnalysisError, match="out of memory for the band factor") as exc:
         smallest_eigenpairs(_waveguide_pencil())
     assert exc.value.exit_code == EXIT_NONCONVERGED
-    monkeypatch.setattr(waveguide, "_WAVEGUIDE_CACHE", {})
     argv = ["waveguide", "--theta", "90deg", "--h", "0.25", "--levels", "2"]
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_NONCONVERGED
     assert capsys.readouterr().err.startswith("numerical failure: out of memory")

@@ -56,6 +56,12 @@ def test_h_too_large_rejected():
         mesh_lshape(lshape_profile(PI / 2, 4.0), h=0.6)
 
 
+@pytest.mark.parametrize("h", (0.0, -0.1))
+def test_h_not_positive_rejected(h):
+    with pytest.raises(MeshError, match="positive"):
+        mesh_lshape(lshape_profile(PI / 2, 4.0), h=h)
+
+
 @pytest.mark.parametrize("theta,R", [(0.1, 3.0), (0.4, 3.0), (2.6, 2.0), (3.1, 2.0)])
 def test_meshes_across_angles(theta, R):
     mesh = mesh_lshape(lshape_profile(theta, R), h=0.2)
