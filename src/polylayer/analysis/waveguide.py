@@ -154,14 +154,15 @@ def _solve_chain(theta: float, numerics: WaveguideNumerics):
 
 
 def auto_outlet_length(theta: float, numerics: WaveguideNumerics) -> float:
-    """Outlet length from the truncation rule R >= 4 / sqrt(pi^2 - lambda1).
+    """Outlet length from the truncation rule R >= 4 / sqrt(pi^2 - lambda1),
+    for numerics without an outlet length (``numerics.R`` is not read).
 
-    A coarse solve estimates lambda1; the rule is capped at ``R_CAP`` since
-    near-straight waveguides (lambda1 -> pi^2) would otherwise demand
-    unbounded outlets while their truncation error is already negligible
-    against the spectral gap.
+    A coarse solve at R = 4 estimates lambda1, and the length is at least
+    4; the rule is capped at ``R_CAP`` since near-straight waveguides
+    (lambda1 -> pi^2) would otherwise demand unbounded outlets while their
+    truncation error is already negligible against the spectral gap.
     """
-    base = max(4.0, numerics.R or 0.0)
+    base = 4.0
     coarse = replace(numerics, R=base, h=max(numerics.h, 0.2), levels=2, num_pairs=1)
     lams, _, _ = _solve_chain(theta, coarse)
     lam_coarse, _, _ = richardson(lams[:, 0])

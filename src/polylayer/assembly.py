@@ -1,28 +1,30 @@
 """Finite-element assembly: P1 on triangles, trilinear Q1 on voxel cells.
 
-Element matrices are closed-form (no quadrature knob).  Stiffness and mass
-are stored upper-triangular and mirrored, so symmetry is exact in storage.
-Dirichlet conditions are imposed by row/column elimination, keeping the
-reduced stiffness positive definite.
+Element matrices are closed-form (no quadrature knob).  Dirichlet nodes are
+eliminated as the entries are gathered: each upper-triangle entry (row <=
+col) goes to its pair of free equations, and an entry on a Dirichlet node
+drops out, which keeps the reduced stiffness positive definite.  One
+builder sums stiffness and mass into the same slots and lays both out as
+full CSR matrices on one shared pattern: each off-diagonal sum is stored
+at (i, j) and at (j, i), so symmetry is exact by construction, and K -
+sigma M is one array expression on the stored values.
 
-Assembly accumulates element contributions in a fixed element order, so the
-matrices are bit-identical across runs regardless of thread counts used by
-the underlying BLAS.
+Sums run in a fixed order of the element entries, so the matrices are
+bit-identical across runs regardless of thread counts used by the
+underlying BLAS.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import fsum
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import PolylayerError
 from .grid3d import GridError, VoxelGrid
-from .mesh2d import TriMesh
+from .mesh2d import TriMesh, _edges
 
 
 class AssemblyError(PolylayerError, ValueError):
@@ -31,94 +33,82 @@ class AssemblyError(PolylayerError, ValueError):
 
 @dataclass(eq=False)
 class SparseSymmetric:
-    """Symmetric sparse matrix stored as its upper triangle.
+    """Symmetric sparse matrix in full CSR: (i, j) and (j, i) hold one sum."""
 
-    The mirrored full matrix reuses the stored floats, so the symmetry
-    defect is exactly zero.
-    """
-
-    n: int
-    upper: sp.csr_matrix
-
-    _full: Optional[sp.csr_matrix] = None
-
-    @classmethod
-    def from_upper_coo(cls, n, rows, cols, vals) -> "SparseSymmetric":
-        upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        upper.sum_duplicates()
-        return cls(n=n, upper=upper)
+    full: sp.csr_matrix
 
     @property
-    def full(self) -> sp.csr_matrix:
-        if self._full is None:
-            diag = sp.diags(self.upper.diagonal())
-            full = (self.upper + self.upper.T - diag).tocsr()
-            full.sum_duplicates()
-            self._full = full
-        return self._full
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.full @ x
-
-    def symmetry_defect(self) -> float:
-        d = self.full - self.full.T
-        return float(np.abs(d.data).max()) if d.nnz else 0.0
-
-    def submatrix(self, keep: np.ndarray) -> "SparseSymmetric":
-        sub = self.upper[keep][:, keep].tocsr()
-        return SparseSymmetric(n=int(len(keep)), upper=sub)
-
-    def entries_sum(self) -> float:
-        diag = self.upper.diagonal().sum()
-        return float(2.0 * self.upper.sum() - diag)
+    def upper(self) -> sp.csr_matrix:
+        """The stored entries with row <= col, copied out (the benchmark's
+        tracer counts them)."""
+        return sp.triu(self.full, format="csr")
 
 
 @dataclass(eq=False)
 class DiscreteProblem:
     """Reduced SPD pencil (K, M) with the node <-> equation bookkeeping.
 
-    ``free_nodes[eq]`` is the mesh/grid node behind equation ``eq``.
-    ``K_raw`` and ``M_raw`` keep the pre-elimination matrices for audits.
+    ``free_nodes[eq]`` is the mesh/grid node behind equation ``eq``.  K and
+    M share one ``indptr``/``indices``.
     """
 
     K: SparseSymmetric
     M: SparseSymmetric
     free_nodes: np.ndarray
-    K_raw: SparseSymmetric
-    M_raw: SparseSymmetric
 
     @property
     def n(self) -> int:
-        return self.K.n
+        return self.K.full.shape[0]
 
 
-def _emit_upper_varying(global_ids: np.ndarray, elements: np.ndarray):
-    """COO triplets of per-element matrices (n_elements, n_loc, n_loc) mapped
-    to the global upper triangle; (rows, cols, vals) with rows <= cols.
+def _pencil(n: int, rows, cols, k_vals, m_vals) -> tuple:
+    """(K, M) of order n from upper triplets (rows <= cols), each summed per
+    (row, col) in triplet order, as full CSR on one shared pattern."""
+    keys = rows * n + cols
+    # stable: the sorted runs of the input (one per local entry in Q1, two
+    # in P1) merge in linear passes
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.r_[True, keys[1:] != keys[:-1]]
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    keys = keys[first]
+    k = np.bincount(slot, k_vals, len(keys))
+    m = np.bincount(slot, m_vals, len(keys))
+    r, c = np.divmod(keys, n)
+    off = r != c
+    # the mirrored entries first: bucketing by row, which keeps input
+    # order, then leaves every row's columns ascending
+    rows = np.concatenate([c[off], r])
+    cols = np.concatenate([r[off], c])
+    at = sp.csr_matrix((np.arange(len(rows)), (rows, cols)), shape=(n, n))
+    return tuple(
+        SparseSymmetric(
+            sp.csr_matrix((np.concatenate([v[off], v])[at.data], at.indices, at.indptr), (n, n))
+        )
+        for v in (k, m)
+    )
 
-    A matrix shared by every element is passed as a broadcast view, which
-    the indexing below reads without copying it out in full.
-    """
-    n_loc = elements.shape[1]
-    ii, jj = np.triu_indices(n_loc)
-    # element matrices symmetric: entry (a, b) with a <= b locally covers both
-    ga = global_ids[:, ii]
-    gb = global_ids[:, jj]
-    rows = np.minimum(ga, gb).ravel()
-    cols = np.maximum(ga, gb).ravel()
-    vals = elements[:, ii, jj].ravel()
-    return rows, cols, vals
+
+def _equations(fixed: np.ndarray) -> tuple:
+    """``(free, eq)``: the free nodes, ascending, and each node's equation
+    (-1 on a fixed node).  Equations keep node order, so a pair a <= b of
+    free nodes has eq[a] <= eq[b]."""
+    free = np.flatnonzero(~fixed)
+    if len(free) == 0:
+        raise AssemblyError("all nodes are Dirichlet: empty problem")
+    return free, np.where(fixed, -1, np.cumsum(~fixed) - 1)
 
 
 def assemble_p1(mesh: TriMesh) -> DiscreteProblem:
     """Exact P1 stiffness and consistent mass on a triangle mesh.
 
-    Dirichlet-tagged boundary nodes are eliminated; Neumann sides are natural.
+    Dirichlet-tagged boundary nodes are eliminated; Neumann sides are
+    natural.  The sides' entries are summed per edge and the corners' per
+    node before the free ones go to the pencil builder.
     """
     tris = mesh.triangles
-    pts = mesh.nodes[tris]
-    x = pts[..., 0]
-    y = pts[..., 1]
+    x, y = mesh.nodes[:, 0][tris], mesh.nodes[:, 1][tris]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     area = mesh.signed_areas()
@@ -126,21 +116,33 @@ def assemble_p1(mesh: TriMesh) -> DiscreteProblem:
     if bad.any():
         raise AssemblyError(f"degenerate triangle at index {int(np.argmax(bad))}")
 
-    Ke = (
-        b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
-    ) / (4.0 * area[:, None, None])
-    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    Me = area[:, None, None] * base[None, :, :]
-
     n = mesh.num_nodes
-    rk = _emit_upper_varying(tris, Ke)
-    rm = _emit_upper_varying(tris, Me)
-    K_raw = SparseSymmetric.from_upper_coo(n, *rk)
-    M_raw = SparseSymmetric.from_upper_coo(n, *rm)
+    edges, side_edge = _edges(mesh)
+    p, q = [0, 1, 2], [1, 2, 0]  # the sides in ``_edges`` order
+    four_area = 4.0 * area[:, None]
+    k_side = ((b[:, p] * b[:, q] + c[:, p] * c[:, q]) / four_area).T.ravel()
+    k_corner = (b * b + c * c) / four_area
+    m_side = np.tile(area * (1.0 / 12.0), 3)
+    m_corner = np.repeat(area * (2.0 / 12.0), 3)
+    k_edge = np.bincount(side_edge, k_side, len(edges))
+    m_edge = np.bincount(side_edge, m_side, len(edges))
+    k_node = np.bincount(tris.ravel(), k_corner.ravel(), n)
+    m_node = np.bincount(tris.ravel(), m_corner, n)
 
     fixed = np.zeros(n, dtype=bool)
     fixed[mesh.dirichlet_nodes()] = True
-    return _reduce(K_raw, M_raw, fixed)
+    free, eq = _equations(fixed)
+    ea, eb = eq[edges[:, 0]], eq[edges[:, 1]]
+    inner = (ea >= 0) & (eb >= 0)
+    ids = np.arange(len(free))
+    K, M = _pencil(
+        len(free),
+        np.concatenate([ids, ea[inner]]),
+        np.concatenate([ids, eb[inner]]),
+        np.concatenate([k_node[free], k_edge[inner]]),
+        np.concatenate([m_node[free], m_edge[inner]]),
+    )
+    return DiscreteProblem(K=K, M=M, free_nodes=free)
 
 
 def q1_element_matrices(h: float):
@@ -166,63 +168,46 @@ def assemble_q1(grid: VoxelGrid) -> DiscreteProblem:
     if len(cells) == 0:
         raise GridError("no active cells to assemble")
     K8, M8 = q1_element_matrices(grid.h)
-    n = grid.num_nodes
-    shape = (len(cells), 8, 8)
-    K_raw = SparseSymmetric.from_upper_coo(
-        n, *_emit_upper_varying(cells, np.broadcast_to(K8, shape))
-    )
-    M_raw = SparseSymmetric.from_upper_coo(
-        n, *_emit_upper_varying(cells, np.broadcast_to(M8, shape))
-    )
-    return _reduce(K_raw, M_raw, grid.dirichlet)
-
-
-def _reduce(
-    K_raw: SparseSymmetric, M_raw: SparseSymmetric, fixed: np.ndarray
-) -> DiscreteProblem:
-    free = np.flatnonzero(~fixed)
-    if len(free) == 0:
-        raise AssemblyError("all nodes are Dirichlet: empty problem")
-    return DiscreteProblem(
-        K=K_raw.submatrix(free),
-        M=M_raw.submatrix(free),
-        free_nodes=free,
-        K_raw=K_raw,
-        M_raw=M_raw,
-    )
+    free, eq = _equations(grid.dirichlet)
+    ii, jj = np.triu_indices(8)
+    # element matrices symmetric: entry (a, b) with a <= b locally covers
+    # both; one row per local entry, over the cells
+    e = eq[cells.T]
+    rows, cols = np.minimum(e[ii], e[jj]), np.maximum(e[ii], e[jj])
+    keep = rows >= 0
+    local = np.broadcast_to(np.arange(len(ii))[:, None], keep.shape)[keep]
+    K, M = _pencil(len(free), rows[keep], cols[keep], K8[ii, jj][local], M8[ii, jj][local])
+    return DiscreteProblem(K=K, M=M, free_nodes=free)
 
 
 def symmetric_subproblem(problem: DiscreteProblem, labels: np.ndarray) -> DiscreteProblem:
     """The pencil (P' K P, P' M P) on the vectors constant on each orbit.
 
     P is the 0/1 equation-to-orbit matrix, ``labels[eq]`` the orbit of
-    equation ``eq`` (orbits numbered in order of first appearance).  Each
-    stored entry K_ij lands on its orbit pair, twice for i != j in one
-    orbit (K_ij and K_ji).  Equation ``o`` stands for the first node of
-    orbit ``o``; with one orbit per equation the pencil keeps every bit.
+    equation ``eq`` (orbits numbered in order of first appearance).  Every
+    stored entry K_ij whose orbit pair (a, b) has a <= b lands on it, so an
+    orbit's diagonal gets both K_ij and K_ji.  Equation ``o`` stands for the
+    first node of orbit ``o``; with one orbit per equation the pencil keeps
+    every bit.
     """
-    n = int(labels.max()) + 1
-
-    def project(A: SparseSymmetric) -> SparseSymmetric:
-        upper = A.upper.tocoo()
-        a, b = labels[upper.row], labels[upper.col]
-        twice = (a == b) & (upper.row != upper.col)
-        vals = np.where(twice, 2.0 * upper.data, upper.data)
-        return SparseSymmetric.from_upper_coo(n, np.minimum(a, b), np.maximum(a, b), vals)
-
+    K, M = problem.K.full, problem.M.full
+    a = labels[np.repeat(np.arange(problem.n), np.diff(K.indptr))]
+    b = labels[K.indices]
+    upper = a <= b
+    sub_K, sub_M = _pencil(
+        int(labels.max()) + 1, a[upper], b[upper], K.data[upper], M.data[upper]
+    )
     return DiscreteProblem(
-        K=project(problem.K),
-        M=project(problem.M),
+        K=sub_K,
+        M=sub_M,
         free_nodes=problem.free_nodes[np.unique(labels, return_index=True)[1]],
-        K_raw=problem.K_raw,
-        M_raw=problem.M_raw,
     )
 
 
 def rayleigh_quotient(problem: DiscreteProblem, vec: np.ndarray) -> float:
     """(v' K v) / (v' M v) with compensated summation of the products."""
     vec = np.asarray(vec, dtype=float)
-    return _quotient(vec, problem.K.matvec(vec), problem.M.matvec(vec))
+    return _quotient(vec, problem.K.full @ vec, problem.M.full @ vec)
 
 
 def _quotient(vec: np.ndarray, Kv: np.ndarray, Mv: np.ndarray) -> float:
@@ -232,4 +217,3 @@ def _quotient(vec: np.ndarray, Kv: np.ndarray, Mv: np.ndarray) -> float:
     if den <= 0.0:
         raise AssemblyError("vector has zero M-norm")
     return num / den
-

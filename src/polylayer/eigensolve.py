@@ -5,10 +5,12 @@ of Ericsson and Ruhe.  A cold solve shifts to sigma = 0 and starts from a
 seeded random vector, so runs are deterministic.  A warm solve starts from
 a given vector (a coarser level's eigenvector, prolonged) at a shift sigma
 just below the smallest eigenvalue, in a small Krylov space.  Inner solves
-(K - sigma M) x = b go through a banded Cholesky factor (``band_cholesky``)
-of the matrix in reverse Cuthill-McKee order, which suits the thin strips
-and slabs the pencils live on; it needs no pivoting, and its memory,
-(bw + 1) n doubles for half-bandwidth bw, is known before it is computed.
+(K - sigma M) x = b go through a banded Cholesky factor of the matrix in
+reverse Cuthill-McKee order, which suits the thin strips and slabs the
+pencils live on; it needs no pivoting, and its memory, (bw + 1) n doubles
+for half-bandwidth bw, is known before it is computed.  K and M share one
+sparsity pattern (``assembly``), so K - sigma M is formed on the stored
+values, and the ordering is computed once per pencil for every shift.
 By Sylvester's law of inertia the factor exists exactly when sigma lies
 below the smallest eigenvalue, so the shift certifies itself: a failed
 factor lowers sigma, toward 0.  Every reported pair is re-verified with
@@ -47,62 +49,70 @@ class EigenResult:
     ortho_defect: float
 
 
-def band_cholesky(K: sp.csr_matrix):
-    """``solve(b)`` returning K^{-1} b, from a Cholesky factor of the SPD
-    matrix K (symmetric, no duplicate entries) in LAPACK band storage.
+def band_cholesky(pattern: sp.csr_matrix):
+    """``factor(data)``: ``solve(b)`` returning A^{-1} b, from a Cholesky
+    factor in LAPACK band storage of the SPD matrix A with ``data`` on the
+    symmetric pattern (no duplicate entries) of ``pattern``.
 
-    K is ordered by reverse Cuthill-McKee; its permuted upper triangle goes
-    straight from COO indices into ``ab[bw + i - j, j]``, a (bw + 1) x n
-    array for half-bandwidth bw, which ``dpbtrf`` factors in place.  A K
-    that is not positive definite, or a band that cannot be allocated,
-    raises AnalysisError.
+    The pattern is ordered by reverse Cuthill-McKee once; each factor puts
+    the permuted upper triangle of its ``data`` into ``ab[bw + i - j, j]``,
+    a (bw + 1) x n array for half-bandwidth bw, for ``dpbtrf``.  An A that
+    is not positive definite, or a band that cannot be allocated, raises
+    AnalysisError.
     """
-    n = K.shape[0]
-    perm = reverse_cuthill_mckee(K, symmetric_mode=True)
+    n = pattern.shape[0]
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(n, dtype=perm.dtype)
-    coo = K.tocoo()
-    i, j = inv[coo.row], inv[coo.col]
+    i = inv[np.repeat(np.arange(n), np.diff(pattern.indptr))]
+    j = inv[pattern.indices]
     upper = i <= j
     i, j = i[upper], j[upper]
     bw = int((j - i).max(initial=0))
-    try:
-        ab = np.zeros((bw + 1, n), order="F")
-    except MemoryError:
-        raise AnalysisError(
-            f"out of memory for the band factor of {n} equations at half-bandwidth "
-            f"{bw} ({(bw + 1) * n * 8} bytes)"
-        ) from None
-    ab[bw + i - j, j] = coo.data[upper]
-    factor, info = dpbtrf(ab, overwrite_ab=1)
-    if info:
-        raise AnalysisError(
-            f"stiffness not positive definite on {n} equations (dpbtrf info = {info})"
-        )
 
-    def solve(b):
-        x = np.empty(b.shape)
-        x[perm] = dpbtrs(factor, b[perm], overwrite_b=1)[0]
-        return x
+    def factor(data):
+        try:
+            ab = np.zeros((bw + 1, n), order="F")
+        except MemoryError:
+            raise AnalysisError(
+                f"out of memory for the band factor of {n} equations at half-bandwidth "
+                f"{bw} ({(bw + 1) * n * 8} bytes)"
+            ) from None
+        ab[bw + i - j, j] = data[upper]
+        chol, info = dpbtrf(ab, overwrite_ab=1)
+        if info:
+            raise AnalysisError(
+                f"stiffness not positive definite on {n} equations (dpbtrf info = {info})"
+            )
 
-    return solve
+        def solve(b):
+            x = np.empty(b.shape)
+            x[perm] = dpbtrs(chol, b[perm], overwrite_b=1)[0]
+            return x
+
+        return solve
+
+    return factor
 
 
 def _shifted_inverse(K: sp.csr_matrix, M: sp.csr_matrix, shift: float) -> tuple:
     """``(sigma, solve)`` with ``solve(b)`` = (K - sigma M)^{-1} b, at the
     first sigma of ``BACK_OFF * shift`` and then 0 whose band factor exists.
 
-    By Sylvester's law the factor of K - sigma M exists exactly when sigma
-    lies below the pencil's smallest eigenvalue, so the eigenvalues nearest
-    sigma are the smallest ones.  A failure above 0 only lowers sigma; the
-    error of the factor of K itself is raised.
+    K and M share one pattern, so K - sigma M is ``K.data - sigma * M.data``
+    on it, and one band ordering serves every sigma.  By Sylvester's law the
+    factor of K - sigma M exists exactly when sigma lies below the pencil's
+    smallest eigenvalue, so the eigenvalues nearest sigma are the smallest
+    ones.  A failure above 0 only lowers sigma; the error of the factor of
+    K itself is raised.
     """
+    factor = band_cholesky(K)
     for sigma in (f * shift for f in BACK_OFF if shift > 0.0):
         try:
-            return sigma, band_cholesky(K - sigma * M)
+            return sigma, factor(K.data - sigma * M.data)
         except AnalysisError:
             pass
-    return 0.0, band_cholesky(K)
+    return 0.0, factor(K.data)
 
 
 def _m_orthonormalize(M: sp.csr_matrix, vecs: np.ndarray) -> np.ndarray:
@@ -235,7 +245,7 @@ def invariant_ground_state(
     sector = symmetric_subproblem(problem, labels)
     result = smallest_eigenpairs(sector, 1, seed, start, shift)
     x = result.eigenvectors[labels, :1]  # lifted: x = P y
-    x /= math.sqrt(float(x[:, 0] @ problem.M.matvec(x[:, 0])))
+    x /= math.sqrt(float(x[:, 0] @ (problem.M.full @ x[:, 0])))
     rq, residuals, defect = _verify(problem, x)
     if not residuals[0] <= RESIDUAL_TOL:
         raise AnalysisError(f"full-{space} residual {residuals[0]:.3e} at {at}")

@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from polylayer.assembly import (
     AssemblyError,
     assemble_p1,
     assemble_q1,
+    q1_element_matrices,
     rayleigh_quotient,
     symmetric_subproblem,
 )
 from polylayer.geometry import fichera_angle, lshape_profile, make_layer
 from polylayer.grid3d import box_grid, free_node_orbits, voxelize
-from polylayer.mesh2d import mesh_lshape, mesh_rectangle
+from polylayer.mesh2d import NEUMANN, mesh_lshape, mesh_rectangle
 
 PI = math.pi
+ALL_NEUMANN = dict.fromkeys(("left", "right", "bottom", "top"), NEUMANN)
 
 
 @pytest.fixture(scope="module")
@@ -22,25 +25,34 @@ def square_problem():
     return assemble_p1(mesh_rectangle(1.0, 1.0, h=0.125))
 
 
-def test_p1_mass_sum_equals_area(square_problem):
-    assert square_problem.M_raw.entries_sum() == pytest.approx(1.0, abs=1e-10)
-    mesh = mesh_lshape(lshape_profile(PI / 2, 4.0), h=0.25)
+@pytest.fixture(scope="module")
+def neumann_square():
+    # no Dirichlet node: every node is an equation, in node order
+    mesh = mesh_rectangle(1.0, 1.0, h=0.125, tags=ALL_NEUMANN)
     prob = assemble_p1(mesh)
-    assert prob.M_raw.entries_sum() == pytest.approx(9.0, abs=1e-10)
+    assert np.array_equal(prob.free_nodes, np.arange(mesh.num_nodes))
+    return mesh, prob
 
 
-def test_p1_stiffness_annihilates_constants(square_problem):
-    ones = np.ones(square_problem.K_raw.n)
-    assert np.max(np.abs(square_problem.K_raw.matvec(ones))) < 1e-10
+def test_p1_mass_sum_equals_area(neumann_square):
+    _, prob = neumann_square
+    assert prob.M.full.sum() == pytest.approx(1.0, abs=1e-10)
+    strip = assemble_p1(mesh_rectangle(3.0, 1.5, h=0.25, tags=ALL_NEUMANN))
+    assert strip.M.full.sum() == pytest.approx(4.5, abs=1e-10)
 
 
-def test_p1_five_point_stencil(square_problem):
+def test_p1_stiffness_annihilates_constants(neumann_square):
+    _, prob = neumann_square
+    assert np.max(np.abs(prob.K.full @ np.ones(prob.n))) < 1e-10
+
+
+def test_p1_five_point_stencil(neumann_square):
     # uniform right-triangle grid over a square: the interior stiffness row is
     # the classical 5-point Laplacian stencil (4 on the diagonal, -1 sides)
-    K = square_problem.K_raw.full.tocsr()
-    n_side = int(round(math.sqrt(square_problem.K_raw.n)))
+    _, prob = neumann_square
+    n_side = int(round(math.sqrt(prob.n)))
     interior = (n_side // 2) * n_side + n_side // 2
-    row = K.getrow(interior).toarray().ravel()
+    row = prob.K.full.getrow(interior).toarray().ravel()
     assert row[interior] == pytest.approx(4.0, abs=1e-12)
     assert sorted(np.round(row[row != 0.0], 12).tolist()) == pytest.approx(
         [-1.0, -1.0, -1.0, -1.0, 4.0]
@@ -48,15 +60,14 @@ def test_p1_five_point_stencil(square_problem):
 
 
 def test_p1_symmetry_exact(square_problem):
-    assert square_problem.K.symmetry_defect() == 0.0
-    assert square_problem.M.symmetry_defect() == 0.0
+    for A in (square_problem.K.full, square_problem.M.full):
+        assert (A != A.T).nnz == 0
 
 
-def test_p1_patch_test_linear_energy(square_problem):
-    mesh = mesh_rectangle(1.0, 1.0, h=0.125)
-    prob = square_problem
+def test_p1_patch_test_linear_energy(neumann_square):
+    mesh, prob = neumann_square
     f = 2.0 * mesh.nodes[:, 0] - 0.7 * mesh.nodes[:, 1]
-    energy = float(f @ prob.K_raw.matvec(f))
+    energy = float(f @ (prob.K.full @ f))
     assert energy == pytest.approx((4.0 + 0.49) * 1.0, abs=1e-10)
 
 
@@ -68,6 +79,84 @@ def test_p1_degenerate_triangle_named():
         assemble_p1(mesh)
 
 
+def _dense_p1(mesh):
+    """K, M on the free nodes, summed triangle by triangle in Python."""
+    n = mesh.num_nodes
+    K = np.zeros((n, n))
+    M = np.zeros((n, n))
+    for tri in mesh.triangles:
+        (x0, y0), (x1, y1), (x2, y2) = mesh.nodes[tri]
+        area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+        b = (y1 - y2, y2 - y0, y0 - y1)
+        c = (x2 - x1, x0 - x2, x1 - x0)
+        for p in range(3):
+            for q in range(3):
+                K[tri[p], tri[q]] += (b[p] * b[q] + c[p] * c[q]) / (4.0 * area)
+                M[tri[p], tri[q]] += area * (2.0 if p == q else 1.0) / 12.0
+    free = np.setdiff1d(np.arange(n), mesh.dirichlet_nodes())
+    return K[np.ix_(free, free)], M[np.ix_(free, free)], free
+
+
+def _dense_q1(grid):
+    """K, M on the free nodes, summed cell by cell in Python."""
+    K8, M8 = q1_element_matrices(grid.h)
+    n = grid.num_nodes
+    K = np.zeros((n, n))
+    M = np.zeros((n, n))
+    for corners in grid.active_cell_corners():
+        for a in range(8):
+            for b in range(8):
+                K[corners[a], corners[b]] += K8[a, b]
+                M[corners[a], corners[b]] += M8[a, b]
+    free = np.flatnonzero(~grid.dirichlet)
+    return K[np.ix_(free, free)], M[np.ix_(free, free)], free
+
+
+def _fichera_grid():
+    return voxelize(make_layer(fichera_angle()), R=3.0, h=0.25)
+
+
+def _coarse_lshape():
+    return mesh_lshape(lshape_profile(0.3, 4.0), h=0.4)
+
+
+PENCILS = [(_coarse_lshape, assemble_p1, _dense_p1), (_fichera_grid, assemble_q1, _dense_q1)]
+
+
+@pytest.mark.parametrize("domain,assemble,reference", PENCILS, ids=("p1", "q1"))
+def test_pencil_matches_dense_reference(domain, assemble, reference):
+    prob = assemble(domain())
+    K_ref, M_ref, free = reference(domain())
+    assert np.array_equal(prob.free_nodes, free)
+    for A, ref in ((prob.K.full, K_ref), (prob.M.full, M_ref)):
+        assert np.abs(A.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("domain,assemble,_", PENCILS, ids=("p1", "q1"))
+def test_pencil_shares_one_symmetric_pattern(domain, assemble, _):
+    prob = assemble(domain())
+    K, M = prob.K.full, prob.M.full
+    assert np.shares_memory(K.indptr, M.indptr) and np.shares_memory(K.indices, M.indices)
+    assert K.has_canonical_format and M.has_canonical_format
+    for A in (K, M):
+        assert (A != A.T).nnz == 0
+    # the upper triangle holds the diagonal and one of each mirrored pair
+    assert prob.K.upper.nnz == prob.M.upper.nnz == (K.nnz + prob.n) // 2
+
+
+@pytest.mark.parametrize("domain,assemble,_", PENCILS, ids=("p1", "q1"))
+def test_shifted_pencil_matches_sparse_subtraction(domain, assemble, _):
+    prob = assemble(domain())
+    K, M = prob.K.full, prob.M.full
+    sigma = 7.3
+    ours = sp.csr_matrix((K.data - sigma * M.data, K.indices, K.indptr), K.shape)
+    scipy_diff = (K - sigma * M).tocsr()
+    scipy_diff.sort_indices()
+    assert np.array_equal(ours.indptr, scipy_diff.indptr)
+    assert np.array_equal(ours.indices, scipy_diff.indices)
+    assert np.array_equal(ours.data.view(np.int64), scipy_diff.data.view(np.int64))
+
+
 @pytest.fixture(scope="module")
 def fichera_problem():
     layer = make_layer(fichera_angle())
@@ -76,28 +165,35 @@ def fichera_problem():
 
 
 def test_q1_mass_sum_equals_volume(fichera_problem):
-    prob, grid = fichera_problem
-    assert prob.M_raw.entries_sum() == pytest.approx(grid.volume, abs=1e-10)
+    _, grid = fichera_problem
+    h = grid.h
+    _, M8 = q1_element_matrices(h)
+    assert M8.sum() == pytest.approx(h**3, rel=1e-14)
+    assert grid.num_active_cells * h**3 == pytest.approx(grid.volume, rel=1e-14)
+    box = assemble_q1(box_grid((1.0, 0.5, 0.75), h=0.25, dirichlet_boundary=False))
+    assert box.M.full.sum() == pytest.approx(0.375, abs=1e-12)
 
 
 def test_q1_stiffness_annihilates_constants(fichera_problem):
-    prob, _ = fichera_problem
-    ones = np.ones(prob.K_raw.n)
-    assert np.max(np.abs(prob.K_raw.matvec(ones))) < 1e-10
+    _, grid = fichera_problem
+    K8, _ = q1_element_matrices(grid.h)
+    assert np.max(np.abs(K8 @ np.ones(8))) < 1e-14
+    box = assemble_q1(box_grid((1.0, 0.5, 0.75), h=0.25, dirichlet_boundary=False))
+    assert np.max(np.abs(box.K.full @ np.ones(box.n))) < 1e-12
 
 
 def test_q1_symmetry_exact(fichera_problem):
     prob, _ = fichera_problem
-    assert prob.K.symmetry_defect() == 0.0
-    assert prob.M.symmetry_defect() == 0.0
+    for A in (prob.K.full, prob.M.full):
+        assert (A != A.T).nnz == 0
 
 
 def test_q1_patch_test_linear_energy():
-    grid = box_grid((1.0, 1.0, 1.0), h=0.25)
+    grid = box_grid((1.0, 1.0, 1.0), h=0.25, dirichlet_boundary=False)
     prob = assemble_q1(grid)
-    pos = grid.node_positions()
+    pos = grid.node_positions()[prob.free_nodes]
     f = 1.5 * pos[:, 0] - 0.5 * pos[:, 1] + 2.0 * pos[:, 2]
-    energy = float(f @ prob.K_raw.matvec(f))
+    energy = float(f @ (prob.K.full @ f))
     assert energy == pytest.approx(1.5**2 + 0.5**2 + 2.0**2, abs=1e-10)
 
 
@@ -133,7 +229,7 @@ def test_symmetric_subproblem_is_projected_pencil():
     for full, reduced in ((prob.K, sub.K), (prob.M, sub.M)):
         dense = P.T @ full.full.toarray() @ P
         assert np.allclose(reduced.full.toarray(), dense, rtol=0.0, atol=1e-14)
-        assert reduced.symmetry_defect() == 0.0
+        assert (reduced.full != reduced.full.T).nnz == 0
     # equation o stands for the first node of orbit o
     first = np.searchsorted(prob.free_nodes, sub.free_nodes)
     assert np.array_equal(first, [np.flatnonzero(labels == o)[0] for o in range(sub.n)])

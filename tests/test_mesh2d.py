@@ -7,6 +7,7 @@ import pytest
 from polylayer import mesh2d
 from polylayer.geometry import lshape_profile
 from polylayer.mesh2d import (
+    NEUMANN,
     MeshError,
     TriMesh,
     _edges,
@@ -481,6 +482,21 @@ def test_free_node_orbits_without_a_valid_mirror(mesh_right_angle):
         mesh.mirror = mirror
         labels, order = free_node_orbits(mesh)
         assert order == 1 and np.array_equal(labels, np.arange(n_free))
+
+
+def test_free_node_orbits_order_one_when_triangle_keys_overflow():
+    # (N + 1)^3 >= 2^63 at N = 2.1 M: no int64 key per triangle, so the
+    # identity, a mirror that keeps everything, is not tried
+    n = 2_100_000
+    mesh = TriMesh(
+        nodes=np.broadcast_to(np.zeros(2), (n, 2)),
+        triangles=np.array([[0, 1, 2]]),
+        boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
+        boundary_tags=np.array([NEUMANN] * 3),
+        mirror=np.arange(n),
+    )
+    labels, order = free_node_orbits(mesh)
+    assert order == 1 and np.array_equal(labels, np.arange(n))
 
 
 def test_edge_table_matches_row_unique():
