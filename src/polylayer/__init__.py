@@ -8,27 +8,23 @@ eigenvalue counting) at desk scale.
 
 from .geometry import (
     GeometryError,
-    LShapeProfile,
     LayerGeometry,
     PolyhedralAngle,
     build_regular,
     build_trihedral,
     fichera_angle,
     from_rays,
-    lshape_profile,
     make_layer,
 )
 
 __all__ = [
     "GeometryError",
-    "LShapeProfile",
     "LayerGeometry",
     "PolyhedralAngle",
     "build_regular",
     "build_trihedral",
     "fichera_angle",
     "from_rays",
-    "lshape_profile",
     "make_layer",
 ]
 

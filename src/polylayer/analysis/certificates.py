@@ -258,6 +258,10 @@ def veps_certificate(
     alpha, beta = _regular_layer_angles(layer)
     if eps_grid is None:
         eps_grid = np.geomspace(1e-3, 1.0, 13)
+    # V^eps is in L^2 only for eps > 0; negated, so that NaN fails it
+    bad = [float(e) for e in eps_grid if not 0.0 < e < math.inf]
+    if bad:
+        raise ConfigError(f"eps must be finite and > 0, got {bad}")
     if numerics.levels < 3:
         raise ConfigError("the 2D eigenfunction needs at least 3 levels")
     mode = solve_waveguide_mode(beta, numerics)

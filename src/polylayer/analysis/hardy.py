@@ -52,52 +52,40 @@ class HardySample:
         object.__setattr__(self, "values", v)
 
 
-def _segment_coeffs(sample: HardySample):
-    z = sample.breakpoints
-    v = sample.values
-    slope = np.diff(v) / np.diff(z)
-    intercept = v[:-1] - slope * z[:-1]
-    return z[:-1], z[1:], intercept, slope
+def _clipped(sample: HardySample, a: float, b: float):
+    """(lo, hi, c0, c1): the segments v = c0 + c1 z that overlap [a, b],
+    clipped to it (v = 0 beyond Z_max)."""
+    z, v = sample.breakpoints, sample.values
+    c1 = np.diff(v) / np.diff(z)
+    c0 = v[:-1] - c1 * z[:-1]
+    lo = np.maximum(z[:-1], a)
+    hi = np.minimum(z[1:], b)
+    mask = hi > lo
+    return lo[mask], hi[mask], c0[mask], c1[mask]
 
 
 def _int_v2(sample: HardySample, a: float, b: float) -> float:
-    """Integral of v^2 over [a, b] (exact; v = 0 beyond Z_max)."""
-    z0, z1, c0, c1 = _segment_coeffs(sample)
-    lo = np.maximum(z0, a)
-    hi = np.minimum(z1, b)
-    mask = hi > lo
-    if not mask.any():
-        return 0.0
+    """Integral of v^2 over [a, b] (exact)."""
+    lo, hi, c0, c1 = _clipped(sample, a, b)
 
-    def anti(x, c0, c1):
+    def anti(x):
         return c0 * c0 * x + c0 * c1 * x * x + c1 * c1 * x**3 / 3.0
 
-    return float(
-        (anti(hi[mask], c0[mask], c1[mask]) - anti(lo[mask], c0[mask], c1[mask])).sum()
-    )
+    return float((anti(hi) - anti(lo)).sum())
 
 
 def _int_dv2(sample: HardySample, a: float, b: float) -> float:
-    z0, z1, _, c1 = _segment_coeffs(sample)
-    lo = np.maximum(z0, a)
-    hi = np.minimum(z1, b)
-    mask = hi > lo
-    return float((c1[mask] ** 2 * (hi[mask] - lo[mask])).sum())
+    lo, hi, _, c1 = _clipped(sample, a, b)
+    return float((c1**2 * (hi - lo)).sum())
 
 
 def _int_v2_over_z2(sample: HardySample, a: float, b: float) -> float:
-    z0, z1, c0, c1 = _segment_coeffs(sample)
-    lo = np.maximum(z0, a)
-    hi = np.minimum(z1, b)
-    mask = hi > lo
-    if not mask.any():
-        return 0.0
-    c0m, c1m, lom, him = c0[mask], c1[mask], lo[mask], hi[mask]
+    lo, hi, c0, c1 = _clipped(sample, a, b)
 
     def anti(x):
-        return -c0m * c0m / x + 2.0 * c0m * c1m * np.log(x) + c1m * c1m * x
+        return -c0 * c0 / x + 2.0 * c0 * c1 * np.log(x) + c1 * c1 * x
 
-    return float((anti(him) - anti(lom)).sum())
+    return float((anti(hi) - anti(lo)).sum())
 
 
 @dataclass(eq=False)

@@ -144,18 +144,14 @@ def _gap_indicators(records) -> np.ndarray:
     Compares the gap computed from the last two extrapolation orders; needs
     at least three levels, otherwise falls back to the per-R indicators.
     """
-    last = records[-1]
-    out = np.empty(len(records) - 1)
-    for k, rec in enumerate(records[:-1]):
-        _, _, ext_r = richardson(rec.level_estimates[:, 0])
-        _, _, ext_m = richardson(last.level_estimates[:, 0])
-        if len(ext_r) >= 2 and len(ext_m) >= 2:
-            gap_last = ext_m[-1] - ext_r[-1]
-            gap_prev = ext_m[-2] - ext_r[-2]
-            out[k] = abs(gap_last - gap_prev)
-        else:
-            out[k] = max(rec.error_indicators[0], last.error_indicators[0])
-    return out
+    # one column per record; every record has the same number of levels
+    _, _, ext = richardson(np.stack([r.level_estimates[:, 0] for r in records], axis=1))
+    if len(ext) < 2:
+        indicators = np.array([r.error_indicators[0] for r in records])
+        return np.maximum(indicators[:-1], indicators[-1])
+    gap_last = ext[-1, -1] - ext[-1, :-1]
+    gap_prev = ext[-2, -1] - ext[-2, :-1]
+    return np.abs(gap_last - gap_prev)
 
 
 def scan_truncation(

@@ -22,7 +22,7 @@ from ..assembly import assemble_p1
 from ..eigensolve import invariant_ground_state, smallest_eigenpairs
 from ..errors import AnalysisError, ConfigError
 from ..extrapolate import richardson
-from ..geometry import LayerGeometry, lshape_profile
+from ..geometry import LayerGeometry
 from ..mesh2d import TriMesh, free_node_orbits, mesh_lshape, prolong, refine
 
 PI2 = math.pi**2
@@ -66,12 +66,15 @@ class ThresholdResult:
 
     theta_used: float
     lambda_estimates: np.ndarray
-    extrapolated: float
     R: float
     h: float
     levels: int
     extrapolated_all: np.ndarray
     error_indicators: np.ndarray
+
+    @property
+    def extrapolated(self) -> float:
+        return float(self.extrapolated_all[0])
 
     @property
     def error_indicator(self) -> float:
@@ -97,14 +100,22 @@ class ThresholdResult:
 
 @dataclass(eq=False)
 class WaveguideMode:
-    """Finest-level eigenpairs plus the extrapolation record."""
+    """The extrapolation record plus every level's mesh and nodal
+    eigenfunctions (columns, M-normalized)."""
 
     threshold: ThresholdResult
-    mesh: TriMesh
-    values: np.ndarray  # nodal eigenfunctions, columns, M-normalized
-    eigenvalues: np.ndarray  # finest-level eigenvalues
     meshes: list
     values_per_level: list
+
+    @property
+    def mesh(self) -> TriMesh:
+        """The finest mesh."""
+        return self.meshes[-1]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The finest level's nodal eigenfunctions."""
+        return self.values_per_level[-1]
 
 
 def _solve_chain(theta: float, numerics: WaveguideNumerics):
@@ -128,7 +139,7 @@ def _solve_chain(theta: float, numerics: WaveguideNumerics):
     the eigensolver lowers if it is not below this level's lambda_1.
     """
     num_pairs, seed = numerics.num_pairs or 1, numerics.seed
-    mesh = mesh_lshape(lshape_profile(theta, numerics.R), h=numerics.h)
+    mesh = mesh_lshape(theta, numerics.R, numerics.h)
     lams = []
     meshes = []
     vals_all = []
@@ -181,14 +192,10 @@ def solve_waveguide_mode(
     """
     R = numerics.R if numerics.R is not None else auto_outlet_length(theta, numerics)
     lams, meshes, vals = _solve_chain(theta, replace(numerics, R=R))
-    ext_all = np.empty(lams.shape[1])
-    ind_all = np.empty(lams.shape[1])
-    for j in range(lams.shape[1]):
-        ext_all[j], ind_all[j], _ = richardson(lams[:, j])
+    ext_all, ind_all, _ = richardson(lams)
     result = ThresholdResult(
         theta_used=float(theta),
         lambda_estimates=lams,
-        extrapolated=float(ext_all[0]),
         R=float(R),
         h=float(numerics.h),
         levels=int(numerics.levels),
@@ -196,14 +203,7 @@ def solve_waveguide_mode(
         error_indicators=ind_all,
     )
     _validate_threshold(result)
-    return WaveguideMode(
-        threshold=result,
-        mesh=meshes[-1],
-        values=vals[-1],
-        eigenvalues=lams[-1],
-        meshes=meshes,
-        values_per_level=vals,
-    )
+    return WaveguideMode(threshold=result, meshes=meshes, values_per_level=vals)
 
 
 def _validate_threshold(result: ThresholdResult) -> None:

@@ -62,9 +62,12 @@ class WeylConfig:
     def __post_init__(self):
         if self.index < 1:
             raise ConfigError("window index must be >= 1")
-        if self.kappa < 0.0:
-            raise ConfigError("longitudinal frequency must be >= 0")
-        if self.h_grid > min(Z_WIDTH, CHI_WIDTH) / 4.0:
+        # negated, so that NaN fails them
+        if not 0.0 <= self.kappa < math.inf:
+            raise ConfigError(f"kappa = {self.kappa} must be finite and >= 0")
+        if not 0.0 < self.h_grid:
+            raise ConfigError(f"grid spacing h_grid = {self.h_grid} must be positive")
+        if not self.h_grid <= min(Z_WIDTH, CHI_WIDTH) / 4.0:
             raise ConfigError("grid too coarse relative to the cut-off derivative scale")
 
 
@@ -131,7 +134,7 @@ def _transverse_fields(layer, mode, config, outlet_len):
     """
     mesh = mode.mesh
     v = mode.values[:, 0]
-    lam = float(mode.eigenvalues[0])
+    lam = float(mode.threshold.lambda_estimates[-1, 0])
     theta = layer.beta_min
     half = theta / 2.0
     inner = np.array([1.0 / math.sin(half), 0.0])

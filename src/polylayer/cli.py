@@ -186,6 +186,8 @@ def _check_args(args: argparse.Namespace) -> None:
     if args.subcommand == "hardy":  # --seed and --count drive --case random only
         if args.case == "random":
             args.seed, args.count = getattr(args, "seed", 0), getattr(args, "count", 100)
+            if args.count < 1:
+                raise ConfigError(f"hardy --count {args.count} checks no sample; give >= 1")
         elif hasattr(args, "seed") or hasattr(args, "count"):
             raise ConfigError(f"hardy --case {args.case} takes no --seed or --count")
     kind = getattr(args, "kind", None)
@@ -433,7 +435,8 @@ def run(args: argparse.Namespace) -> tuple:
     return payload, code, files
 
 
-def _mode_heatmap(mode, resolution: int = 400):
+def _mode_heatmap(mode):
+    """|v_1| on a grid 400 samples wide over the finest mesh's bounding box."""
     import numpy as np
 
     from .mesh2d import evaluate_batch
@@ -441,8 +444,8 @@ def _mode_heatmap(mode, resolution: int = 400):
     nodes = mode.mesh.nodes
     lo = nodes.min(axis=0)
     hi = nodes.max(axis=0)
-    nx = resolution
-    ny = max(2, int(resolution * (hi[1] - lo[1]) / max(hi[0] - lo[0], 1e-9)))
+    nx = 400
+    ny = max(2, int(nx * (hi[1] - lo[1]) / max(hi[0] - lo[0], 1e-9)))
     xs = np.linspace(lo[0], hi[0], nx)
     ys = np.linspace(lo[1], hi[1], ny)
     X, Y = np.meshgrid(xs, ys, indexing="xy")

@@ -4,23 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
+# h halves per level and the leading error is O(h^2): (2^2 v_fine - v_coarse) / 3
+FACTOR = 4.0
 
-def richardson(values, order: float = 2.0, ratio: float = 2.0):
-    """Eliminate the leading O(h^order) error from a halving sequence.
 
-    ``values`` are estimates on meshes h, h/ratio, h/ratio^2, ...  Returns
-    (extrapolated, error_indicator, extrapolants).  The indicator is the
-    difference of the last two extrapolants; with only two input values it is
-    the magnitude of the single Richardson correction, a conservative bound.
+def richardson(values):
+    """Eliminate the leading O(h^2) error from halving sequences.
+
+    ``values`` holds estimates on meshes h, h/2, h/4, ... along axis 0, one
+    column per eigenvalue when 2D.  Returns (extrapolated, error_indicator,
+    extrapolants), each per column.  The indicator is the difference of the
+    last two extrapolants; with only two levels it is the magnitude of the
+    single Richardson correction, a conservative bound.
     """
     v = np.asarray(values, dtype=float)
-    if v.size < 2:
+    if len(v) < 2:
         raise ValueError("extrapolation needs at least two mesh levels")
-    factor = ratio**order
-    ext = (factor * v[1:] - v[:-1]) / (factor - 1.0)
-    value = float(ext[-1])
-    if ext.size >= 2:
-        indicator = abs(float(ext[-1] - ext[-2]))
-    else:
-        indicator = abs(float(ext[-1] - v[-1]))
-    return value, indicator, ext
+    ext = (FACTOR * v[1:] - v[:-1]) / (FACTOR - 1.0)
+    indicator = np.abs(ext[-1] - (ext[-2] if len(ext) >= 2 else v[-1]))
+    return ext[-1], indicator, ext

@@ -1,4 +1,4 @@
-"""Exact geometry of polyhedral angles, unit-width layers and L-shaped profiles.
+"""Exact geometry of polyhedral angles and unit-width layers.
 
 All angles are in radians.  Degree conversion happens only at the CLI
 boundary.  Every object here is immutable after construction and safe to
@@ -139,8 +139,6 @@ def from_rays(rays) -> PolyhedralAngle:
     dihedral_angles = np.array(
         [math.pi - vector_angle(normals[j - 1], normals[j]) for j in range(n)]
     )
-    if np.any(vertex_angles <= 0.0) or np.any(vertex_angles >= math.pi):
-        raise GeometryError("vertex angles must lie in (0, pi)")
     if np.any(dihedral_angles <= 0.0) or np.any(dihedral_angles >= math.pi):
         raise GeometryError("dihedral angles must lie in (0, pi)")
 
@@ -319,73 +317,3 @@ def make_layer(angle: PolyhedralAngle) -> LayerGeometry:
         partition_normals=_readonly(normals_m),
         inscribed_ball_residual=residual,
     )
-
-
-@dataclass(frozen=True)
-class LShapeProfile:
-    """Planar profile of the truncated L-shaped waveguide.
-
-    The strip of unit width is bent at ``theta``; outlets have length
-    ``outlet_length`` measured from the interior vertex O along the outlet
-    axes.  Vertices are listed counterclockwise:
-
-        O' (outer vertex), A2 (outer end of outlet 2), B2 (inner end of
-        outlet 2), O (interior vertex), B1, A1.
-
-    B1 and B2 are the feet of the perpendiculars from A1 and A2 onto the
-    inner walls.  The bisector is the +x axis; outlet 1 points along
-    (cos(theta/2), sin(theta/2)), outlet 2 mirrors it below the axis.
-    """
-
-    theta: float
-    outlet_length: float
-    vertices: np.ndarray
-
-    @property
-    def area(self) -> float:
-        return 1.0 / math.tan(self.theta / 2.0) + 2.0 * self.outlet_length
-
-    @property
-    def outer_vertex(self) -> np.ndarray:
-        return self.vertices[0]
-
-    @property
-    def inner_vertex(self) -> np.ndarray:
-        return self.vertices[3]
-
-    @property
-    def corner_distance(self) -> float:
-        """|O'O| = 1/sin(theta/2)."""
-        return 1.0 / math.sin(self.theta / 2.0)
-
-
-def lshape_profile(theta: float, outlet_length: float) -> LShapeProfile:
-    """Closed-form hexagon for the truncated waveguide; area cot(theta/2) + 2R."""
-    if not 0.0 < theta < math.pi:
-        raise GeometryError(f"opening angle theta = {theta} not in (0, pi)")
-    if outlet_length <= 0.0:
-        raise GeometryError("outlet length must be positive")
-    half = theta / 2.0
-    s, c = math.sin(half), math.cos(half)
-    cot = c / s
-    R = float(outlet_length)
-    d1 = np.array([c, s])
-    d2 = np.array([c, -s])
-    O = np.array([1.0 / s, 0.0])
-    A1 = (cot + R) * d1
-    B1 = O + R * d1
-    A2 = (cot + R) * d2
-    B2 = O + R * d2
-    verts = np.array([[0.0, 0.0], A2, B2, O, B1, A1])
-    assert _polygon_area(verts) > 0.0  # counterclockwise by construction
-    return LShapeProfile(
-        theta=float(theta),
-        outlet_length=R,
-        vertices=_readonly(verts),
-    )
-
-
-def _polygon_area(verts: np.ndarray) -> float:
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-

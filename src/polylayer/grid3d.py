@@ -212,7 +212,8 @@ def free_node_orbits(grid: VoxelGrid) -> tuple:
 def box_grid(extent, h: float, dirichlet_boundary: bool = True) -> VoxelGrid:
     """All-active grid over the box (0, lx) x (0, ly) x (0, lz).
 
-    Benchmark helper: every boundary node is Dirichlet by default.
+    A test oracle for the Q1 assembly and the eigensolver: every boundary
+    node is Dirichlet by default.
     """
     extent = np.asarray(extent, dtype=float)
     n_cells = np.round(extent / h).astype(int)

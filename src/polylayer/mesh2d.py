@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PolylayerError
-from .geometry import LShapeProfile
+from .geometry import GeometryError
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -48,7 +48,6 @@ class TriMesh:
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
     parent: Optional["TriMesh"] = None
-    quality_min_angle: Optional[float] = None  # reported at build time
     mirror: Optional[np.ndarray] = None
     _locator: Optional["_TriangleLocator"] = field(default=None, repr=False)
     _edge_table: Optional[tuple] = field(default=None, repr=False)
@@ -164,8 +163,13 @@ def _cells(counts: np.ndarray) -> tuple:
     return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
 
 
-def mesh_lshape(profile: LShapeProfile, h: float) -> TriMesh:
+def mesh_lshape(theta: float, R: float, h: float) -> TriMesh:
     """Triangulation of the truncated waveguide with size target h.
+
+    The unit-width strip is bent at the opening angle ``theta``; each outlet
+    runs a length ``R`` from the interior vertex O, so the area is
+    cot(theta/2) + 2R.  The bisector is the +x axis, the outer vertex O' is
+    the origin and outlet 1 points along (cos(theta/2), sin(theta/2)).
 
     The half y >= 0 is meshed in rows across outlet 1 and mirrored.  In wall
     coordinates (t along the outer wall from O', s toward the inner wall)
@@ -177,12 +181,15 @@ def mesh_lshape(profile: LShapeProfile, h: float) -> TriMesh:
     along the diagonal that ``_block_quads`` uses.  Node count and tags are
     deterministic functions of (theta, R, h).
     """
+    if not 0.0 < theta < math.pi:
+        raise GeometryError(f"opening angle theta = {theta} not in (0, pi)")
+    if R <= 0.0:
+        raise GeometryError("outlet length must be positive")
     if h > 0.5:
         raise MeshError("h must be <= 0.5 (at least two elements across the width)")
     if h <= 0.0:
         raise MeshError("h must be positive")
-    theta = profile.theta
-    R = profile.outlet_length
+    theta, R = float(theta), float(R)
     half = theta / 2.0
     cot = 1.0 / math.tan(half)
 
@@ -237,11 +244,9 @@ def mesh_lshape(profile: LShapeProfile, h: float) -> TriMesh:
         boundary_tags=np.concatenate(edge_tags),
         mirror=np.concatenate([image, off]),
     )
-    if abs(mesh.total_area - profile.area) > 1e-10 * max(1.0, profile.area):
-        raise MeshError("triangle areas do not sum to the profile area")
-    # uniform refinement splits triangles into similar ones, so this bound is
-    # inherited by the whole nested family (theta-dependent, never silent)
-    mesh.quality_min_angle = mesh.min_angle()
+    area = cot + 2.0 * R
+    if abs(mesh.total_area - area) > 1e-10 * max(1.0, area):
+        raise MeshError("triangle areas do not sum to cot(theta/2) + 2R")
     return mesh
 
 
@@ -324,7 +329,6 @@ def refine(mesh: TriMesh) -> TriMesh:
         boundary_edges=edges,
         boundary_tags=np.repeat(mesh.boundary_tags, 2),
         parent=mesh,
-        quality_min_angle=mesh.quality_min_angle,
         mirror=mirror,
     )
 

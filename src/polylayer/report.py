@@ -10,7 +10,7 @@ import hashlib
 import json
 import os
 import time
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -77,21 +77,14 @@ def _csv_cell(x) -> str:
     return str(x)
 
 
-def write_svg_lines(
-    path: str,
-    series: dict,
-    xlabel: str,
-    ylabel: str,
-    hlines: Optional[dict] = None,
-    size=(640, 480),
-) -> None:
-    """Minimal deterministic SVG line plot; ``series`` maps label -> (x, y)."""
-    W, H = size
+def write_svg_lines(path: str, series: dict, xlabel: str, ylabel: str, hlines: dict) -> None:
+    """Minimal deterministic 640 x 480 SVG line plot; ``series`` maps label
+    -> (x, y), ``hlines`` label -> y of a dashed reference line."""
+    W, H = 640, 480
     margin = 60
     xs = np.concatenate([np.asarray(x, dtype=float) for x, _ in series.values()])
     ys = np.concatenate([np.asarray(y, dtype=float) for _, y in series.values()])
-    if hlines:
-        ys = np.concatenate([ys, np.array(list(hlines.values()), dtype=float)])
+    ys = np.concatenate([ys, np.array(list(hlines.values()), dtype=float)])
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
     if x1 == x0:
@@ -130,16 +123,15 @@ def write_svg_lines(
             f'<text x="{margin - 8}" y="{sy(yv) + 4:.1f}" text-anchor="end" '
             f'font-size="11">{yv:.4g}</text>'
         )
-    if hlines:
-        for label, y in hlines.items():
-            parts.append(
-                f'<line x1="{margin}" y1="{sy(y):.2f}" x2="{W - margin}" '
-                f'y2="{sy(y):.2f}" stroke="#888" stroke-dasharray="6 4"/>'
-            )
-            parts.append(
-                f'<text x="{W - margin - 4}" y="{sy(y) - 5:.2f}" text-anchor="end" '
-                f'font-size="11" fill="#555">{label}</text>'
-            )
+    for label, y in hlines.items():
+        parts.append(
+            f'<line x1="{margin}" y1="{sy(y):.2f}" x2="{W - margin}" '
+            f'y2="{sy(y):.2f}" stroke="#888" stroke-dasharray="6 4"/>'
+        )
+        parts.append(
+            f'<text x="{W - margin - 4}" y="{sy(y) - 5:.2f}" text-anchor="end" '
+            f'font-size="11" fill="#555">{label}</text>'
+        )
     for idx, (label, (x, y)) in enumerate(series.items()):
         pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
         color = colors[idx % len(colors)]
@@ -155,8 +147,9 @@ def write_svg_lines(
     write_atomic(path, "\n".join(parts).encode())
 
 
-def write_pgm(path: str, image: np.ndarray, max_gray: int = 255) -> None:
-    """Plain-text PGM (P2) heatmap of a nonnegative field."""
+def write_pgm(path: str, image: np.ndarray) -> None:
+    """Plain-text PGM (P2) heatmap of a nonnegative field, 255 gray levels."""
+    max_gray = 255
     img = np.asarray(image, dtype=float)
     top = img.max()
     scaled = np.zeros_like(img, dtype=int) if top == 0 else np.rint(

@@ -172,7 +172,6 @@ def _crafted_threshold(extrapolated, lambda1_levels):
     return waveguide.ThresholdResult(
         theta_used=1.0,
         lambda_estimates=lams,
-        extrapolated=extrapolated,
         R=4.0,
         h=0.2,
         levels=len(lams),

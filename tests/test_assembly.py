@@ -12,8 +12,8 @@ from polylayer.assembly import (
     rayleigh_quotient,
     symmetric_subproblem,
 )
-from polylayer.geometry import fichera_angle, lshape_profile, make_layer
-from polylayer.grid3d import box_grid, free_node_orbits, voxelize
+from polylayer.geometry import fichera_angle, make_layer
+from polylayer.grid3d import GridError, box_grid, free_node_orbits, voxelize
 from polylayer.mesh2d import NEUMANN, mesh_lshape, mesh_rectangle
 
 PI = math.pi
@@ -117,7 +117,7 @@ def _fichera_grid():
 
 
 def _coarse_lshape():
-    return mesh_lshape(lshape_profile(0.3, 4.0), h=0.4)
+    return mesh_lshape(0.3, 4.0, h=0.4)
 
 
 PENCILS = [(_coarse_lshape, assemble_p1, _dense_p1), (_fichera_grid, assemble_q1, _dense_q1)]
@@ -201,6 +201,11 @@ def test_q1_single_cell_all_dirichlet_rejected():
     grid = box_grid((1.0, 1.0, 1.0), h=1.0)
     with pytest.raises(AssemblyError, match="empty problem"):
         assemble_q1(grid)
+
+
+def test_q1_flat_box_has_no_active_cells():
+    with pytest.raises(GridError, match="no active cells"):
+        assemble_q1(box_grid((0.0, 1.0, 1.0), 0.25))
 
 
 def test_rayleigh_quotient_contracts(square_problem):

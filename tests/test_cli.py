@@ -305,6 +305,16 @@ def test_scan_theta_formats_stay_in_outdir(tmp_path):
     assert (out / "scan_theta.svg").read_text().startswith("<svg")
 
 
+def test_one_point_scan_plots_on_a_unit_x_range(tmp_path):
+    # a single angle spans no x range; the plot widens it to one unit
+    argv = ["scan-theta", "--thetas", "1.2rad", "--h", "0.25", "--levels", "2", "--R", "4",
+            "--formats", "json,svg"]
+    code, out = run_cli(argv, tmp_path, "one")
+    assert code == EXIT_OK
+    svg = (out / "scan_theta.svg").read_text()
+    assert 'font-size="11">1.2</text>' in svg and 'font-size="11">2.2</text>' in svg
+
+
 def test_waveguide_pgm_heatmap(tmp_path):
     code, out = run_cli(
         [
@@ -453,6 +463,9 @@ def _no_convergence(*args, **kwargs):
          EXIT_CONFIG, "config error:"),
         (["hardy", "--case", "exp", "--seed", "3"], EXIT_CONFIG, "config error:"),
         (["hardy", "--case", "invz", "--count", "5"], EXIT_CONFIG, "config error:"),
+        # a random run over no samples would report all_hold over nothing
+        (["hardy", "--count", "0"], EXIT_CONFIG, "config error:"),
+        (["hardy", "--count", "-1"], EXIT_CONFIG, "config error:"),
         # --n and the --alpha count follow --kind
         (["layer", "--kind", "regular", "--alpha", "60deg"], EXIT_CONFIG, "config error:"),
         (["layer", "--kind", "regular", "--n", "3", "--alpha", "60deg,60deg,60deg"],
@@ -464,6 +477,7 @@ def _no_convergence(*args, **kwargs):
          "config-levels-0", "config-trihedral-n", "config-levels-1",
          "config-out-not-a-dir", "nonconverged", "inconclusive",
          "config-waveguide-csv", "config-hardy-exp-seed", "config-hardy-invz-count",
+         "config-hardy-count-0", "config-hardy-count-negative",
          "config-regular-no-n", "config-regular-three-alpha", "config-trihedral-two-alpha"],
 )
 def test_exit_codes(argv, expected, stderr_prefix, tmp_path, capsys, monkeypatch):
@@ -544,13 +558,25 @@ def test_nested_fan_out_runs_serially(tmp_path, capsys, monkeypatch):
         ([*SMALL_CERTIFY, "--levels", "1", "--thr-h", "0"], "h = 0.0 must lie"),
         (["weyl", *FICHERA, "--h", "0.25", "--indices", "2,0"], "window index"),
         (["weyl", *FICHERA, "--h", "0.25", "--h-grid", "0.3"], "too coarse"),
+        (["weyl", *FICHERA, "--h", "0.25", "--h-grid", "0"], "h_grid = 0.0 must be positive"),
+        (["weyl", *FICHERA, "--h", "0.25", "--h-grid", "-0.05"], "must be positive"),
+        (["weyl", *FICHERA, "--h", "0.25", "--h-grid", "nan"], "h_grid = nan must be positive"),
+        (["weyl", *FICHERA, "--h", "0.25", "--kappa", "nan"], "kappa = nan must be finite"),
+        (["weyl", *FICHERA, "--h", "0.25", "--kappa", "inf"], "kappa = inf must be finite"),
+        # V^eps is in L^2 only for eps > 0
+        (["certify-veps", *REGULAR, "--eps", "0"], "eps must be finite and > 0, got [0.0]"),
+        (["certify-veps", *REGULAR, "--eps", "0.1,-1"], "got [-1.0]"),
+        (["certify-veps", *REGULAR, "--eps", "nan"], "got [nan]"),
+        (["certify-veps", *REGULAR, "--eps", "inf"], "got [inf]"),
         # alpha_star < 1.4, the bisection bracket's upper end
         (["absence", "--alpha", "1.4rad"], "alpha_star"),
     ],
     ids=["certify", "absence", "certify-thr-levels-1", "absence-thr-levels-1",
          "certify-R-2", "certify-coarsest-h", "waveguide-pairs-0", "waveguide-h-negative",
          "waveguide-h-0", "certify-thr-h-0", "weyl-index-0",
-         "weyl-h-grid", "absence-alpha-above-bracket"],
+         "weyl-h-grid", "weyl-h-grid-0", "weyl-h-grid-negative", "weyl-h-grid-nan",
+         "weyl-kappa-nan", "weyl-kappa-inf", "veps-eps-0", "veps-eps-negative",
+         "veps-eps-nan", "veps-eps-inf", "absence-alpha-above-bracket"],
 )
 def test_levels_checked_before_any_solve(argv, message, tmp_path, capsys, monkeypatch):
     from polylayer import eigensolve

@@ -10,7 +10,7 @@ from polylayer.cli import EXIT_NONCONVERGED, main
 from polylayer.eigensolve import band_cholesky, smallest_eigenpairs
 from polylayer.errors import AnalysisError, ConfigError
 from polylayer.extrapolate import richardson
-from polylayer.geometry import fichera_angle, lshape_profile, make_layer
+from polylayer.geometry import fichera_angle, make_layer
 from polylayer.grid3d import box_grid, voxelize
 from polylayer.mesh2d import mesh_lshape, mesh_rectangle, refine
 
@@ -40,6 +40,18 @@ def test_richardson_needs_two_levels():
     # exact on an O(h^2) sequence; two values: the correction bounds the error
     value, indicator, ext = richardson([5.0 + 4.0, 5.0 + 1.0])
     assert (value, indicator, ext.tolist()) == (5.0, 1.0, [5.0])
+
+
+def test_richardson_table_is_per_column():
+    # one call on the (levels x pairs) table gives every column's own result
+    table = np.array([[9.5, 20.0, 41.0], [9.3, 19.5, 40.2], [9.25, 19.4, 40.05]])
+    value, indicator, ext = richardson(table)
+    for j in range(3):
+        v, i, e = richardson(table[:, j])
+        assert (value[j], indicator[j]) == (v, i)
+        assert np.array_equal(ext[:, j], e)
+    value, indicator, _ = richardson(table[:2])
+    assert np.array_equal(indicator, np.abs(value - table[1]))
 
 
 def test_nested_refinement_monotone_upper_bounds():
@@ -158,7 +170,7 @@ def test_non_orthonormal_arpack_vectors_are_reorthonormalized(monkeypatch):
 
 
 def _waveguide_mesh():
-    return mesh_lshape(lshape_profile(PI / 2, 4.0), h=0.25)
+    return mesh_lshape(PI / 2, 4.0, h=0.25)
 
 
 def _waveguide_pencil():

@@ -11,7 +11,6 @@ from polylayer.geometry import (
     build_trihedral,
     fichera_angle,
     from_rays,
-    lshape_profile,
     make_layer,
     trihedral_dihedrals_lawcos,
     vector_angle,
@@ -152,42 +151,49 @@ def test_partition_covers_layer_with_measure_zero_overlap(angle):
     assert np.mean(n_claims == 1) > 0.999
 
 
-def test_lshape_profile_geometry():
-    p = lshape_profile(PI / 2, 4.0)
-    assert p.area == pytest.approx(9.0, abs=1e-12)
-    assert p.corner_distance == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    q = lshape_profile(2 * PI / 3, 2.0)
-    assert q.area == pytest.approx(1.0 / math.tan(PI / 3) + 4.0, abs=1e-12)
-    with pytest.raises(GeometryError):
-        lshape_profile(PI, 2.0)
-    with pytest.raises(GeometryError):
-        lshape_profile(-0.1, 2.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(0.05, 3.1), st.floats(0.5, 8.0))
-def test_lshape_profile_invariants(theta, R):
-    p = lshape_profile(theta, R)
-    verts = p.vertices
-    # |O'O| = 1/sin(theta/2)
-    d = np.linalg.norm(p.inner_vertex - p.outer_vertex)
-    assert d == pytest.approx(1.0 / math.sin(theta / 2.0), rel=1e-12)
-    # inner walls at perpendicular distance exactly 1 from the outer rays
-    half = theta / 2.0
-    for sign in (+1.0, -1.0):
-        ray = np.array([math.cos(half), sign * math.sin(half)])
-        normal = np.array([-ray[1], ray[0]])
-        inner_pts = [p.inner_vertex, p.inner_vertex + R * ray]
-        for q in inner_pts:
-            assert abs(abs(float(q @ normal)) - 1.0) < 1e-12
-    # simple, positively oriented hexagon
-    x, y = verts[:, 0], verts[:, 1]
-    area2 = float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-    assert area2 > 0.0
-    assert abs(0.5 * area2 - p.area) < 1e-10 * max(1.0, p.area)
-
-
 def test_vector_angle_stability():
     u = np.array([1.0, 0.0, 0.0])
     v = np.array([math.cos(1e-8), math.sin(1e-8), 0.0])
     assert vector_angle(u, v) == pytest.approx(1e-8, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "rays,message",
+    [
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "zero vector"),
+        ([[1, 0, 0], [0, 1, 0]], "at least 3 rays"),
+        ([[1, 0, 0], [2, 0, 0], [0, 1, 0]], "rays 0 and 1 are collinear"),
+        ([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0.3, 0.3, 1]], "not a convex polyhedral angle"),
+        ([[1, 0, 0], [0, 1, 0], [-1, -1, 0]], "non-solid"),
+        # ray 1 lies in the plane of rays 0 and 2: a dihedral angle of pi
+        ([[1, 0, 1], [0.5, 0.5, 1], [0, 1, 1], [-1, -1, 1]], r"dihedral angles .* \(0, pi\)"),
+    ],
+    ids=["zero-ray", "two-rays", "collinear", "non-convex", "coplanar", "flat-edge"],
+)
+def test_from_rays_rejects_with_named_reason(rays, message):
+    with pytest.raises(GeometryError, match=message):
+        from_rays(rays)
+
+
+def test_from_rays_clockwise_order_keeps_inward_normals():
+    # reversed order: every cross product of consecutive rays points out
+    # and is flipped
+    angle = from_rays(np.eye(3)[::-1])
+    assert np.allclose(angle.dihedral_angles, PI / 2, atol=1e-12)
+    assert (angle.normals @ angle.rays.T >= -1e-12).all()
+    assert (angle.normals @ np.ones(3) > 0.0).all()
+
+
+def test_constructors_reject_malformed_input():
+    with pytest.raises(GeometryError, match="trihedral angles only"):
+        trihedral_dihedrals_lawcos((1.0, 1.0))
+    with pytest.raises(GeometryError, match="exactly 3 vertex angles"):
+        build_trihedral((1.0, 1.0))
+    # feasible by the strict inequalities, flat to rounding
+    with pytest.raises(GeometryError, match="degenerate third ray"):
+        build_trihedral((1.0, 0.5, 0.5 + 1e-15))
+    with pytest.raises(GeometryError, match="n >= 3 faces"):
+        build_regular(2, 1.0)
+    for alpha in (0.0, math.nan):
+        with pytest.raises(GeometryError, match=r"not in \(0, pi\)"):
+            build_regular(3, alpha)

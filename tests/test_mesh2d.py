@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polylayer import mesh2d
-from polylayer.geometry import lshape_profile
+from polylayer.geometry import GeometryError
 from polylayer.mesh2d import (
     NEUMANN,
     MeshError,
@@ -27,7 +27,7 @@ PI = math.pi
 
 @pytest.fixture(scope="module")
 def mesh_right_angle():
-    return mesh_lshape(lshape_profile(PI / 2, 4.0), h=0.25)
+    return mesh_lshape(PI / 2, 4.0, h=0.25)
 
 
 def test_lshape_area_exact(mesh_right_angle):
@@ -54,18 +54,28 @@ def test_dirichlet_covers_walls(mesh_right_angle):
 
 def test_h_too_large_rejected():
     with pytest.raises(MeshError):
-        mesh_lshape(lshape_profile(PI / 2, 4.0), h=0.6)
+        mesh_lshape(PI / 2, 4.0, h=0.6)
 
 
 @pytest.mark.parametrize("h", (0.0, -0.1))
 def test_h_not_positive_rejected(h):
     with pytest.raises(MeshError, match="positive"):
-        mesh_lshape(lshape_profile(PI / 2, 4.0), h=h)
+        mesh_lshape(PI / 2, 4.0, h=h)
+
+
+def test_mesh_lshape_rejects_theta_and_R():
+    # checked before h
+    for theta in (PI, -0.1, math.nan):
+        with pytest.raises(GeometryError, match=r"opening angle .* not in \(0, pi\)"):
+            mesh_lshape(theta, 2.0, h=0.6)
+    for R in (0.0, -1.0):
+        with pytest.raises(GeometryError, match="outlet length must be positive"):
+            mesh_lshape(PI / 2, R, h=0.6)
 
 
 @pytest.mark.parametrize("theta,R", [(0.1, 3.0), (0.4, 3.0), (2.6, 2.0), (3.1, 2.0)])
 def test_meshes_across_angles(theta, R):
-    mesh = mesh_lshape(lshape_profile(theta, R), h=0.2)
+    mesh = mesh_lshape(theta, R, h=0.2)
     check_conforming(mesh)
     assert mesh.total_area == pytest.approx(
         1.0 / math.tan(theta / 2) + 2 * R, rel=1e-12
@@ -119,9 +129,9 @@ def test_mesh_arrays_pinned(key):
     if key == "rectangle":
         mesh = mesh_rectangle(2.0, 1.0, 0.25, tags={"left": "neumann", "right": "neumann"})
     elif key == "refine":
-        mesh = refine(mesh_lshape(lshape_profile(PI / 2, 2.0), h=0.25))
+        mesh = refine(mesh_lshape(PI / 2, 2.0, h=0.25))
     else:
-        mesh = mesh_lshape(lshape_profile(key, 2.0), h=0.25)
+        mesh = mesh_lshape(key, 2.0, h=0.25)
     assert _mesh_digest(mesh) == MESH_DIGESTS[key]
 
 
@@ -145,11 +155,11 @@ RIGHT_ANGLE_TRIANGLE_SETS = {
 
 @pytest.mark.parametrize("R,h", list(RIGHT_ANGLE_TRIANGLE_SETS))
 def test_right_angle_triangle_set_pinned(R, h):
-    mesh = mesh_lshape(lshape_profile(PI / 2, R), h)
+    mesh = mesh_lshape(PI / 2, R, h)
     assert _triangle_set_digest(mesh) == RIGHT_ANGLE_TRIANGLE_SETS[(R, h)]
 
 
-# smallest quality_min_angle of the kite-and-outlets construction over
+# smallest min_angle() of the kite-and-outlets construction over
 # R in {2, 4, 12} and h in {0.5, 0.25, 0.15, 0.1}, per theta
 KITE_MIN_ANGLE = {
     0.1: 0.049710256769215956,
@@ -170,7 +180,7 @@ def test_node_count_grows_with_area_not_cot_squared(theta):
     cot = 1.0 / math.tan(theta / 2)
     for R in (2.0, 4.0, 12.0):
         for h in (0.5, 0.25, 0.15, 0.1):
-            mesh = mesh_lshape(lshape_profile(theta, R), h)
+            mesh = mesh_lshape(theta, R, h)
             # the kite construction: n_c cells along both kite sides and
             # across both outlets, n_a along them
             n_c = max(2, math.ceil(max(1.0, cot) / h - 1e-9))
@@ -178,7 +188,7 @@ def test_node_count_grows_with_area_not_cot_squared(theta):
             assert mesh.num_nodes <= (n_c + 1) ** 2 + 2 * n_a * (n_c + 1)
             assert mesh.num_nodes <= NODES_PER_AREA * (cot + 2 * R) / h**2
             # equal triangles can differ by coordinate rounding: allow 1e-12
-            assert mesh.quality_min_angle >= KITE_MIN_ANGLE[theta] - 1e-12
+            assert mesh.min_angle() >= KITE_MIN_ANGLE[theta] - 1e-12
 
 
 def test_locate_tie_rule_pinned(mesh_right_angle):
@@ -219,7 +229,7 @@ def _locate_reference(loc, pts):
 
 @pytest.mark.parametrize("theta", [0.3, PI / 2, 2.6])
 def test_locate_matches_reference(theta):
-    mesh = refine(mesh_lshape(lshape_profile(theta, 2.0), h=0.25))
+    mesh = refine(mesh_lshape(theta, 2.0, h=0.25))
     rng = np.random.default_rng(11)
     lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
     e = mesh.edges()
@@ -278,7 +288,7 @@ def test_nested_chain_depth_three(mesh_right_angle):
 @pytest.mark.parametrize("theta", [0.15, 0.3, 1.0, PI / 2, 2.4, 2.9])
 def test_refine_children_positively_oriented(theta):
     # refine relies on every child inheriting its parent's orientation
-    mesh = mesh_lshape(lshape_profile(theta, 1.0), h=0.5)
+    mesh = mesh_lshape(theta, 1.0, h=0.5)
     for _ in range(3):
         mesh = refine(mesh)
         assert (mesh.signed_areas() > 0.0).all()
@@ -386,7 +396,7 @@ def test_segment_quadrature_exponential_weight():
 def test_segment_quadrature_exits_domain(mesh_right_angle):
     # the axis ends at the inner vertex O; a segment between nodes is not
     # covered by whole edges
-    length = lshape_profile(PI / 2, 4.0).corner_distance
+    length = math.sqrt(2.0)  # |O'O| = 1/sin(theta/2)
     for mesh, end in ((mesh_right_angle, 1.5 * length), (mesh_rectangle(2.0, 1.0, 0.25), 1.1)):
         with pytest.raises(MeshError, match="do not cover"):
             axis_rule(mesh, np.ones(mesh.num_nodes), end)
@@ -396,21 +406,29 @@ def test_segment_along_mesh_edges():
     # O'O lies on triangle edges at every angle, the graded sharp ones too,
     # and on every refined level
     for theta in (0.15, PI / 2, 2.9):
-        profile = lshape_profile(theta, 2.0)
-        mesh = mesh_lshape(profile, h=0.25)
+        length = 1.0 / math.sin(theta / 2.0)  # |O'O|
+        mesh = mesh_lshape(theta, 2.0, h=0.25)
         for fine in (mesh, refine(mesh)):
-            val = axis_rule(fine, np.ones(fine.num_nodes), profile.corner_distance)()
-            assert val == pytest.approx(profile.corner_distance, rel=1e-13)
+            val = axis_rule(fine, np.ones(fine.num_nodes), length)()
+            assert val == pytest.approx(length, rel=1e-13)
 
 
 def test_min_angle_reported_for_sharp_theta():
-    mesh = mesh_lshape(lshape_profile(0.18, 2.0), h=0.2)
+    mesh = mesh_lshape(0.18, 2.0, h=0.2)
     check_conforming(mesh)
     assert mesh.total_area == pytest.approx(1 / math.tan(0.09) + 4.0, rel=1e-12)
-    # theta-dependent bound, reported at build time: no silent slivers
-    assert mesh.quality_min_angle is not None
-    assert mesh.quality_min_angle > 0.01
-    assert refine(mesh).quality_min_angle == mesh.quality_min_angle
+    # theta-dependent bound, no silent slivers; the 4-split children are
+    # similar to their parent, so refinement keeps it
+    assert mesh.min_angle() > 0.01
+    assert refine(mesh).min_angle() == pytest.approx(mesh.min_angle(), abs=1e-12)
+
+
+def test_rectangle_mesh_rejects_bad_input():
+    for h in (0.0, -0.25):
+        with pytest.raises(MeshError, match="h must be positive"):
+            mesh_rectangle(1.0, 1.0, h)
+    with pytest.raises(MeshError, match=r"unknown rectangle sides: \['front'\]"):
+        mesh_rectangle(1.0, 1.0, 0.25, tags={"left": NEUMANN, "front": NEUMANN})
 
 
 def test_rectangle_mesh_tags_and_area():
@@ -423,7 +441,7 @@ def test_rectangle_mesh_tags_and_area():
 
 def _mirror_chain(theta):
     # R = 2.3 is no multiple of h, so the outlets' last cells are short
-    mesh = mesh_lshape(lshape_profile(theta, 2.3), h=0.25)
+    mesh = mesh_lshape(theta, 2.3, h=0.25)
     return [mesh, refine(mesh), refine(refine(mesh))]
 
 
@@ -500,7 +518,7 @@ def test_free_node_orbits_order_one_when_triangle_keys_overflow():
 
 
 def test_edge_table_matches_row_unique():
-    mesh = refine(mesh_lshape(lshape_profile(0.4, 2.3), h=0.25))
+    mesh = refine(mesh_lshape(0.4, 2.3, h=0.25))
     tris = mesh.triangles
     sides = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
     ref, ref_inverse = np.unique(sides, axis=0, return_inverse=True)
