@@ -94,7 +94,7 @@ def voxel_upper_bounds(
         grid = voxelize(layer, R=R, h=h_lev)
         problem = assemble_q1(grid)
         labels, _ = free_node_orbits(grid)
-        result = invariant_ground_state(problem, labels, "grid", f"level {lev}", seed=seed)
+        result = invariant_ground_state(problem, labels, f"level {lev}", seed)
         records.append(
             {
                 "h": h_lev,
@@ -205,10 +205,11 @@ def _veps_terms(mesh, v: np.ndarray, alpha: float, beta: float):
     vertex, x along one outer face.  T1 conservatively dominates
     eps^2 ||V^eps||^2 including the pocket of the wedge below the inner
     vertex (depth cot(alpha/2) * cot(beta/2) along the wedge axis); T2 is a
-    2D quadrature over the half-waveguide; T3 is the boundary integral along
-    the symmetry segment gamma_0 from O' to O, which the mesh's own axis
-    edges cover (``mesh2d.axis_rule``), with the single-counted coefficient
-    cot(alpha/2) sin(beta/2) (verified against the 3D wedge energy).
+    2D quadrature over the half-waveguide, the half mesh y >= 0 ``mesh``;
+    T3 is the boundary integral along the symmetry segment gamma_0 from O'
+    to O, which the mesh's own axis edges cover (``mesh2d.axis_rule``), with
+    the single-counted coefficient cot(alpha/2) sin(beta/2) (verified
+    against the 3D wedge energy).
     """
     half = beta / 2.0
     cot_a = 1.0 / math.tan(alpha / 2.0)
@@ -223,14 +224,13 @@ def _veps_terms(mesh, v: np.ndarray, alpha: float, beta: float):
     vq2 = np.einsum("qk,tk->tq", _TRI_BARY, v[mesh.triangles]) ** 2
     area = np.abs(mesh.signed_areas())
     x_dag = (qp - inner) @ d1
-    upper = qp[..., 1] > 0.0  # the half-waveguide along the x_dag outlet
     gamma0 = axis_rule(mesh, v, L)
 
     def terms(eps: float) -> dict:
         t1 = 0.5 * eps * math.exp(2.0 * eps * pocket)  # ||v||_{L2} = 1 (M-normalized)
         w = np.exp(-2.0 * eps * cot_a * x_dag)
         t2 = 2.0 * eps * cot_a**2 * float(
-            ((vq2 * w * upper) @ _TRI_W * area).sum()
+            ((vq2 * w) @ _TRI_W * area).sum()
         )
 
         def wfun(x):
@@ -264,7 +264,8 @@ def veps_certificate(
         raise ConfigError(f"eps must be finite and > 0, got {bad}")
     if numerics.levels < 3:
         raise ConfigError("the 2D eigenfunction needs at least 3 levels")
-    mode = solve_waveguide_mode(beta, numerics)
+    # one pair: the mode on the half mesh, over which T2 integrates
+    mode = solve_waveguide_mode(beta, replace(numerics, num_pairs=1))
 
     terms = _veps_terms(mode.mesh, mode.values[:, 0], alpha, beta)
     rows = [terms(float(e)) for e in eps_grid]
@@ -349,8 +350,8 @@ def alpha_star(
     The two bracket ends are solved concurrently; ``evaluations`` lists lo,
     hi, then the midpoints in bisection order.
     """
-    if tol < 1e-3:
-        raise ConfigError("alpha_star tolerance below 1e-3 is not supported")
+    if not tol >= 1e-3:  # negated, so that NaN fails it
+        raise ConfigError(f"alpha_star tolerance {tol} is not supported: give >= 1e-3")
     target = PI2 / 2.0
     lo, hi = (float(b) for b in bracket)
     evals = []

@@ -168,6 +168,8 @@ def scan_truncation(
     Rs = [float(R) for R in R_list]
     if any(b <= a for a, b in zip(Rs, Rs[1:])):
         raise ConfigError("R values must be strictly ascending")
+    # built first: each refuses a non-finite R before round() sees it
+    per_R = [replace(numerics, R=R) for R in Rs]
     for R in Rs:
         ratio = R / numerics.h
         if abs(ratio - round(ratio)) > 1e-9:
@@ -175,7 +177,7 @@ def scan_truncation(
                 f"R = {R} is not an integer multiple of h = {numerics.h}; "
                 "the outlet meshes would not be nested across R"
             )
-    results = fan_out(partial(lambda1_waveguide, theta, replace(numerics, R=R)) for R in Rs)
+    results = fan_out(partial(lambda1_waveguide, theta, n) for n in per_R)
     records = [ScanRecord.of(R, res) for R, res in zip(Rs, results)]
     values = np.array([r.eigenvalues[0] for r in records])
     indicators = np.array([r.error_indicators[0] for r in records])

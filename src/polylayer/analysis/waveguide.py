@@ -19,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from ..assembly import assemble_p1
-from ..eigensolve import invariant_ground_state, smallest_eigenpairs
+from ..eigensolve import smallest_eigenpairs
 from ..errors import AnalysisError, ConfigError
 from ..extrapolate import richardson
 from ..geometry import LayerGeometry
-from ..mesh2d import TriMesh, free_node_orbits, mesh_lshape, prolong, refine
+from ..mesh2d import TriMesh, mesh_lshape, mirrored, prolong, refine
 
 PI2 = math.pi**2
 
@@ -49,6 +49,8 @@ class WaveguideNumerics:
             )
         if self.levels < 2:
             raise ConfigError("extrapolation needs at least two refinement levels")
+        if self.R is not None and not 0.0 < self.R < math.inf:
+            raise ConfigError(f"R = {self.R} must be finite and > 0")
         if self.num_pairs is not None and self.num_pairs < 1:
             raise ConfigError("num_pairs must be >= 1")
 
@@ -101,7 +103,8 @@ class ThresholdResult:
 @dataclass(eq=False)
 class WaveguideMode:
     """The extrapolation record plus every level's mesh and nodal
-    eigenfunctions (columns, M-normalized)."""
+    eigenfunctions (columns, M-normalized on the whole waveguide).  A
+    single-pair mode lives on the half mesh y >= 0 (``_solve_chain``)."""
 
     threshold: ThresholdResult
     meshes: list
@@ -122,16 +125,17 @@ def _solve_chain(theta: float, numerics: WaveguideNumerics):
     """Eigenvalues, meshes and nodal vectors of the nested levels, with the
     outlet length ``numerics.R`` (not None here).
 
-    A single pair is solved on the mirror-invariant functions
-    (``mesh2d.free_node_orbits``), about half the equations.  Perron-
-    Frobenius does not apply here, since the P1 stiffness can have positive
-    off-diagonal entries (+3.05 at theta = 0.3, h = 0.25); inclusion does.
-    No triangle crosses the axis, so the invariant functions are the P1
-    space of the half mesh with a natural (Neumann) axis, and the
-    antisymmetric ones are that of the same half mesh with a Dirichlet
-    axis, a subspace of it.  The smallest antisymmetric eigenvalue is
-    therefore no smaller than the smallest invariant one, and lambda_1 lies
-    in the invariant sector.  The lifted vector is audited on the full mesh.
+    A single pair is solved on the half mesh with a natural (Neumann) axis
+    (``mesh2d.mesh_lshape``).  No triangle crosses the axis, so its P1 space
+    is the space of mirror-invariant functions, and the antisymmetric ones
+    are that of the same half mesh with a Dirichlet axis, a subspace of it.
+    The smallest antisymmetric eigenvalue is therefore no smaller than the
+    smallest invariant one, and lambda_1 lies in the invariant sector.
+    Perron-Frobenius does not give this, since the P1 stiffness can have
+    positive off-diagonal entries (+3.05 at theta = 0.3, h = 0.25).  The
+    stored half field is scaled by 1/sqrt(2): it is the M-normalized mode
+    of the whole waveguide, restricted to the half.  More pairs are solved
+    on the whole waveguide (``mesh2d.mirrored``).
 
     Level 0 starts cold from the seed.  Each later level starts from the
     sum of the last level's vectors, prolonged (nested P1 spaces keep the
@@ -140,22 +144,20 @@ def _solve_chain(theta: float, numerics: WaveguideNumerics):
     """
     num_pairs, seed = numerics.num_pairs or 1, numerics.seed
     mesh = mesh_lshape(theta, numerics.R, numerics.h)
+    scale = math.sqrt(0.5)
+    if num_pairs > 1:
+        mesh, scale = mirrored(mesh), 1.0
     lams = []
     meshes = []
     vals_all = []
     start, shift = None, 0.0
     for lev in range(numerics.levels):
         problem = assemble_p1(mesh)
-        if num_pairs == 1:
-            labels, _ = free_node_orbits(mesh)
-            at = f"level {lev} (theta={theta})"
-            result = invariant_ground_state(problem, labels, "mesh", at, seed, start, shift)
-        else:
-            result = smallest_eigenpairs(problem, num_pairs, seed, start, shift)
+        result = smallest_eigenpairs(problem, num_pairs, seed, start, shift)
         lams.append(result.eigenvalues)
         meshes.append(mesh)
         nodal = np.zeros((mesh.num_nodes, num_pairs))
-        nodal[problem.free_nodes] = result.eigenvectors
+        nodal[problem.free_nodes] = scale * result.eigenvectors
         vals_all.append(nodal)
         if lev + 1 < numerics.levels:
             mesh = refine(mesh)

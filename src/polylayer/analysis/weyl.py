@@ -150,7 +150,8 @@ def _transverse_fields(layer, mode, config, outlet_len):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
 
-    vals, inside = evaluate_batch(mesh, v, pts)
+    # the mode is even in y: the mesh may hold only the half y >= 0
+    vals, inside = evaluate_batch(mesh, v, np.stack([X.ravel(), np.abs(Y.ravel())], axis=1))
     V = vals.reshape(X.shape)
     IN = inside.reshape(X.shape)
 

@@ -230,8 +230,24 @@ def _numerics(args):
     return WaveguideNumerics(**{k: v for k, v in vars(args).items() if k in names})
 
 
+def _threshold_numerics(args):
+    """The threshold chain's numerics of ``certify`` and ``absence``, from
+    --thr-h, --thr-levels and the run's one seed."""
+    from .analysis import WaveguideNumerics
+
+    return WaveguideNumerics(h=args.thr_h, levels=args.thr_levels, seed=args.seed)
+
+
 def _dry_run_payload(args) -> dict:
-    """Geometry validation and solve plan, no eigensolves."""
+    """Geometry validation, the plan checks the run makes before its first
+    solve, and the solve plan; no eigensolves."""
+    if hasattr(args, "thr_h"):  # certify and absence
+        from .grid3d import check_plan
+
+        check_plan(args.R, args.h, args.levels)
+        _threshold_numerics(args)
+    elif hasattr(args, "levels"):
+        _numerics(args)
     payload: dict = {"dry_run": True, "plan": {}}
     if hasattr(args, "alpha"):
         layer = _build_layer(args)
@@ -320,16 +336,14 @@ def _count(args, files):
 
 
 def _certify(args, files):
-    from .analysis import WaveguideNumerics, certify_discrete
+    from .analysis import certify_discrete
 
-    # the one seed of the run: threshold chain and voxel bounds
-    thr = WaveguideNumerics(h=args.thr_h, levels=args.thr_levels, seed=args.seed)
-    return certify_discrete(
+    return certify_discrete(  # the one seed: threshold chain and voxel bounds
         _build_layer(args),
         R=args.R,
         h=args.h,
         levels=args.levels,
-        threshold_numerics=thr,
+        threshold_numerics=_threshold_numerics(args),
     ).to_json()
 
 
@@ -349,16 +363,14 @@ def _certify_veps(args, files):
 
 
 def _absence(args, files):
-    from .analysis import WaveguideNumerics, absence_experiment
+    from .analysis import absence_experiment
 
-    # the one seed of the run: threshold chain, voxel bounds and alpha_star
-    thr = WaveguideNumerics(h=args.thr_h, levels=args.thr_levels, seed=args.seed)
-    return absence_experiment(
+    return absence_experiment(  # the one seed: threshold chain, voxel bounds, alpha_star
         args.alpha,
         R=args.R,
         h=args.h,
         levels=args.levels,
-        threshold_numerics=thr,
+        threshold_numerics=_threshold_numerics(args),
         star_tol=args.star_tol,
     ).to_json()
 
@@ -436,7 +448,9 @@ def run(args: argparse.Namespace) -> tuple:
 
 
 def _mode_heatmap(mode):
-    """|v_1| on a grid 400 samples wide over the finest mesh's bounding box."""
+    """|v_1| on a grid 400 samples wide over the whole waveguide's bounding
+    box; v_1 is even in y, so it is read at (x, |y|) (the mesh may hold only
+    the half y >= 0)."""
     import numpy as np
 
     from .mesh2d import evaluate_batch
@@ -444,12 +458,13 @@ def _mode_heatmap(mode):
     nodes = mode.mesh.nodes
     lo = nodes.min(axis=0)
     hi = nodes.max(axis=0)
+    lo[1] = -hi[1]
     nx = 400
     ny = max(2, int(nx * (hi[1] - lo[1]) / max(hi[0] - lo[0], 1e-9)))
     xs = np.linspace(lo[0], hi[0], nx)
     ys = np.linspace(lo[1], hi[1], ny)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    pts = np.stack([X.ravel(), np.abs(Y.ravel())], axis=1)
     vals, inside = evaluate_batch(mode.mesh, mode.values[:, 0], pts)
     img = np.abs(vals).reshape(ny, nx)
     img[~inside.reshape(ny, nx)] = 0.0

@@ -223,32 +223,25 @@ def smallest_eigenpairs(
 
 
 def invariant_ground_state(
-    problem: DiscreteProblem,
-    labels: np.ndarray,
-    space: str,
-    at: str,
-    seed: int = 0,
-    start: Optional[np.ndarray] = None,
-    shift: float = 0.0,
+    problem: DiscreteProblem, labels: np.ndarray, at: str, seed: int = 0
 ) -> EigenResult:
-    """The smallest eigenpair of (K, M) among the vectors constant on each
-    orbit of ``labels`` (``assembly.symmetric_subproblem``), lifted to the
-    full equations, M-normalized and audited on the full pencil.  A warm
-    ``start`` (nodal, invariant) and ``shift`` go to ``smallest_eigenpairs``.
+    """The smallest eigenpair of a voxel grid's pencil (K, M) among the
+    vectors constant on each orbit of ``labels``
+    (``assembly.symmetric_subproblem``), lifted to the full equations,
+    M-normalized and audited on the full pencil.
 
     The caller states why the ground state is invariant; the audit checks
     it: orbits that are no symmetry give a lifted vector that is no
-    eigenvector, and a full-pencil residual above ``RESIDUAL_TOL`` raises
-    AnalysisError.  ``space`` ("grid", "mesh") and ``at`` name the problem
-    in the errors.
+    eigenvector, and a full-grid residual above ``RESIDUAL_TOL`` raises
+    AnalysisError.  ``at`` names the problem in the error.
     """
     sector = symmetric_subproblem(problem, labels)
-    result = smallest_eigenpairs(sector, 1, seed, start, shift)
+    result = smallest_eigenpairs(sector, 1, seed)
     x = result.eigenvectors[labels, :1]  # lifted: x = P y
     x /= math.sqrt(float(x[:, 0] @ (problem.M.full @ x[:, 0])))
     rq, residuals, defect = _verify(problem, x)
     if not residuals[0] <= RESIDUAL_TOL:
-        raise AnalysisError(f"full-{space} residual {residuals[0]:.3e} at {at}")
+        raise AnalysisError(f"full-grid residual {residuals[0]:.3e} at {at}")
     return EigenResult(
         eigenvalues=rq,
         eigenvectors=x,

@@ -123,13 +123,14 @@ def check_plan(R: float, h: float, levels: int = 1) -> None:
     sizes h * 2^(levels-1), ..., 2h, h at truncation R, with levels >= 1."""
     if levels < 1:
         raise GridError(f"levels = {levels}: the voxel bounds need levels >= 1")
-    if h * 2 ** (levels - 1) > 1.0 / 3.0 + 1e-12:
+    # negated comparisons, so that NaN fails them
+    if not 0.0 < h * 2 ** (levels - 1) <= 1.0 / 3.0 + 1e-12:
         raise GridError(
             f"coarsest cell size h * 2^(levels-1) = {h * 2 ** (levels - 1):g}: "
-            "h must be <= 1/3 (three cells across the unit wall)"
+            "h must be > 0 and h must be <= 1/3 (three cells across the unit wall)"
         )
-    if R < 3.0:
-        raise GridError("truncation radius R must be >= 3")
+    if not 3.0 <= R < np.inf:
+        raise GridError(f"truncation radius R = {R}: R must be >= 3 and finite")
 
 
 def voxelize(layer: LayerGeometry, R: float, h: float) -> VoxelGrid:

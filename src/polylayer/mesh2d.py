@@ -1,13 +1,14 @@
 """Conforming triangulations of truncated L-shaped waveguides.
 
-The half of the hexagonal domain above its symmetry axis is meshed in rows
-across the strip, each graded to its own width, and mirrored across the
-axis; the mirror images are appended by index.  The nodes on the axis have
+The waveguide is symmetric about its bisector, the x axis, and no triangle
+crosses that axis, so ``mesh_lshape`` meshes only the half y >= 0, in rows
+across the strip, each graded to its own width.  The nodes on the axis have
 y = 0 exactly, so the axis from O' to O is a chain of mesh edges on every
-level (``axis_rule``).  Nested refinement keeps the parent nodes as a
-prefix of the child nodes.  Boundary edges carry 'dirichlet' tags on the
-walls shared with the infinite waveguide and 'neumann' tags on the two end
-cross-sections.
+level (``axis_rule``).  ``mirrored`` appends the reflection for the full
+waveguide.  Nested refinement keeps the parent nodes as a prefix of the
+child nodes.  Boundary edges carry 'dirichlet' tags on the walls shared
+with the infinite waveguide and 'neumann' tags on the end cross-sections
+and on the half mesh's axis.
 
 Meshes are treated as immutable after construction; evaluation and
 quadrature are read-only and safe to share across threads.
@@ -40,7 +41,6 @@ class TriMesh:
     oriented; boundary_edges: (E, 2) node pairs with per-edge tags in
     {'dirichlet', 'neumann'}.  ``parent`` points to the coarser mesh this one
     refines (node indices of the parent are a prefix of this mesh's).
-    ``mirror`` is the node permutation of the reflection y -> -y, or None.
     """
 
     nodes: np.ndarray
@@ -48,7 +48,6 @@ class TriMesh:
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
     parent: Optional["TriMesh"] = None
-    mirror: Optional[np.ndarray] = None
     _locator: Optional["_TriangleLocator"] = field(default=None, repr=False)
     _edge_table: Optional[tuple] = field(default=None, repr=False)
 
@@ -164,30 +163,33 @@ def _cells(counts: np.ndarray) -> tuple:
 
 
 def mesh_lshape(theta: float, R: float, h: float) -> TriMesh:
-    """Triangulation of the truncated waveguide with size target h.
+    """Triangulation of the half y >= 0 of the truncated waveguide with
+    size target h.
 
     The unit-width strip is bent at the opening angle ``theta``; each outlet
-    runs a length ``R`` from the interior vertex O, so the area is
-    cot(theta/2) + 2R.  The bisector is the +x axis, the outer vertex O' is
-    the origin and outlet 1 points along (cos(theta/2), sin(theta/2)).
+    runs a length ``R`` from the interior vertex O, so the whole waveguide
+    has the area cot(theta/2) + 2R and the half one half of it.  The
+    bisector is the +x axis, the outer vertex O' is the origin and outlet 1,
+    the one meshed, points along (cos(theta/2), sin(theta/2)).  The axis
+    edges from O' to O are tagged 'neumann'; ``mirrored`` gives the whole
+    waveguide.
 
-    The half y >= 0 is meshed in rows across outlet 1 and mirrored.  In wall
-    coordinates (t along the outer wall from O', s toward the inner wall)
-    the half is 0 <= s <= min(1, t / cot(theta/2)): n_k rows up to t = cot
-    (where the axis y = 0 bounds them) and n_a rows over the outlet.  Row i
-    spans the width w_i = W_i / n_k in m_i = ceil(w_i / h) equal cells, so
-    the node count grows with the area, (cot + 2R) / h^2, not with cot^2.
-    One rule joins consecutive rows; on two equal rows it splits every quad
-    along the diagonal that ``_block_quads`` uses.  Node count and tags are
-    deterministic functions of (theta, R, h).
+    In wall coordinates (t along the outer wall from O', s toward the inner
+    wall) the half is 0 <= s <= min(1, t / cot(theta/2)): n_k rows up to
+    t = cot (where the axis y = 0 bounds them) and n_a rows over the outlet.
+    Row i spans the width w_i = W_i / n_k in m_i = ceil(w_i / h) equal
+    cells, so the node count grows with the area, (cot + 2R) / h^2, not
+    with cot^2.  One rule joins consecutive rows; on two equal rows it
+    splits every quad along the diagonal that ``_block_quads`` uses.  Node
+    count and tags are deterministic functions of (theta, R, h).
     """
     if not 0.0 < theta < math.pi:
         raise GeometryError(f"opening angle theta = {theta} not in (0, pi)")
-    if R <= 0.0:
-        raise GeometryError("outlet length must be positive")
+    if not 0.0 < R < math.inf:
+        raise GeometryError(f"outlet length must be positive and finite, got R = {R}")
     if h > 0.5:
         raise MeshError("h must be <= 0.5 (at least two elements across the width)")
-    if h <= 0.0:
+    if not h > 0.0:
         raise MeshError("h must be positive")
     theta, R = float(theta), float(R)
     half = theta / 2.0
@@ -227,27 +229,43 @@ def mesh_lshape(theta: float, R: float, h: float) -> TriMesh:
         [start[j] + p, start[j + 1] + k + 1, start[j + 1] + k], axis=1
     )
 
-    # y -> -y: the nodes off the axis get images appended in order
-    off = np.setdiff1d(np.arange(len(nodes)), axis)
-    image = np.arange(len(nodes))
-    image[off] = len(nodes) + np.arange(len(off))
     wall, inner = start, start[n_k:] + m[n_k:]
     end = start[-1] + np.arange(m[-1] + 1)
     edges, edge_tags = zip(*(
-        _sides((path, tag), (image[path], tag))
-        for path, tag in ((wall, DIRICHLET), (inner, DIRICHLET), (end, NEUMANN))
+        _sides((path, tag))
+        for path, tag in ((wall, DIRICHLET), (inner, DIRICHLET), (end, NEUMANN), (axis, NEUMANN))
     ))
     mesh = TriMesh(
-        nodes=np.vstack([nodes, nodes[off] * [1.0, -1.0]]),
-        triangles=np.vstack([tris, image[tris][:, [0, 2, 1]]]),
+        nodes=nodes,
+        triangles=tris,
         boundary_edges=np.concatenate(edges),
         boundary_tags=np.concatenate(edge_tags),
-        mirror=np.concatenate([image, off]),
     )
-    area = cot + 2.0 * R
+    area = 0.5 * (cot + 2.0 * R)
     if abs(mesh.total_area - area) > 1e-10 * max(1.0, area):
-        raise MeshError("triangle areas do not sum to cot(theta/2) + 2R")
+        raise MeshError("triangle areas do not sum to (cot(theta/2) + 2R) / 2")
     return mesh
+
+
+def mirrored(mesh: TriMesh) -> TriMesh:
+    """The half mesh together with its reflection y -> -y across the axis.
+
+    The axis nodes are those with y == 0 exactly; the images of the other
+    nodes are appended in order, the reflected triangles follow the
+    triangles, and every boundary edge off the axis is followed by its
+    image.  The axis edges are interior edges of the result and drop out.
+    """
+    off = np.flatnonzero(mesh.nodes[:, 1] != 0.0)
+    image = np.arange(mesh.num_nodes)
+    image[off] = mesh.num_nodes + np.arange(len(off))
+    keep = (mesh.nodes[mesh.boundary_edges, 1] != 0.0).any(axis=1)
+    edges = mesh.boundary_edges[keep]
+    return TriMesh(
+        nodes=np.vstack([mesh.nodes, mesh.nodes[off] * [1.0, -1.0]]),
+        triangles=np.vstack([mesh.triangles, image[mesh.triangles][:, [0, 2, 1]]]),
+        boundary_edges=np.stack([edges, image[edges]], axis=1).reshape(-1, 2),
+        boundary_tags=np.repeat(mesh.boundary_tags[keep], 2),
+    )
 
 
 def mesh_rectangle(
@@ -292,8 +310,7 @@ def refine(mesh: TriMesh) -> TriMesh:
 
     The children are positively oriented as their parent is: a corner child
     keeps the parent's vertex order, and the middle child is the parent's
-    point reflection, scaled by 1/2.  The midpoint of edge (a, b) mirrors to
-    the midpoint of edge (mirror a, mirror b).
+    point reflection, scaled by 1/2.
     """
     tris = mesh.triangles
     edges_unique, inverse = _edges(mesh)
@@ -314,14 +331,6 @@ def refine(mesh: TriMesh) -> TriMesh:
     a, b = mesh.boundary_edges.T
     edges = np.stack([a, mid_ids[lookup], mid_ids[lookup], b], axis=1).reshape(-1, 2)
 
-    mirror = None
-    if mesh.mirror is not None:
-        image = np.sort(mesh.mirror[edges_unique], axis=1)
-        # a pair that is no edge lands on some other midpoint, which
-        # free_node_orbits then rejects
-        found = np.searchsorted(keys, _edge_keys(image, mesh.num_nodes))
-        mirror = np.concatenate([mesh.mirror, mid_ids[np.minimum(found, len(keys) - 1)]])
-
     all_nodes = np.vstack([mesh.nodes, mid_coords])
     return TriMesh(
         nodes=all_nodes,
@@ -329,7 +338,6 @@ def refine(mesh: TriMesh) -> TriMesh:
         boundary_edges=edges,
         boundary_tags=np.repeat(mesh.boundary_tags, 2),
         parent=mesh,
-        mirror=mirror,
     )
 
 
@@ -339,51 +347,6 @@ def prolong(mesh: TriMesh, nodal: np.ndarray) -> np.ndarray:
     its edge's, in the order ``refine`` numbers them."""
     a, b = mesh.edges().T
     return np.concatenate([nodal, 0.5 * (nodal[a] + nodal[b])])
-
-
-def free_node_orbits(mesh: TriMesh) -> tuple:
-    """``(labels, order)``: the orbit of each free equation (numbered in
-    order of first appearance) under the mesh's symmetry group, and the
-    group's order, as ``grid3d.free_node_orbits`` gives them for a grid.
-
-    The group is the identity and ``mesh.mirror``, kept only if the mirror
-    is an involution that maps the triangle set and the Dirichlet nodes onto
-    themselves; otherwise the order is 1 and every equation its own orbit.
-    An orbit is named by its least image.
-    """
-    fixed = np.zeros(mesh.num_nodes, dtype=bool)
-    fixed[mesh.dirichlet_nodes()] = True
-    n_free = mesh.num_nodes - int(fixed.sum())
-    mirror = mesh.mirror
-    if mirror is None or not _is_symmetry(mesh, mirror, fixed):
-        return np.arange(n_free), 1
-    eq = np.cumsum(~fixed) - 1  # equation of each free node
-    image = eq[mirror[~fixed]]
-    return np.unique(np.minimum(np.arange(n_free), image), return_inverse=True)[1], 2
-
-
-def _is_symmetry(mesh: TriMesh, perm: np.ndarray, fixed: np.ndarray) -> bool:
-    """Whether the node map ``perm`` is an involution that keeps the
-    triangle set and the ``fixed`` nodes.  Meshes with (N + 1)^3 >= 2^63,
-    too large for ``_triangle_keys``, get False: the trivial group is always
-    a symmetry group."""
-    n, tris = mesh.num_nodes, mesh.triangles
-    ids = np.arange(n)
-    return (
-        (n + 1) ** 3 < 2**63
-        and perm.shape == ids.shape
-        and np.array_equal(np.sort(perm), ids)
-        and np.array_equal(perm[perm], ids)
-        and np.array_equal(fixed[perm], fixed)
-        and np.array_equal(_triangle_keys(tris, n), _triangle_keys(perm[tris], n))
-    )
-
-
-def _triangle_keys(tris: np.ndarray, num_nodes: int) -> np.ndarray:
-    """The triangles as vertex sets: one (a (N+1) + b) (N+1) + c per
-    triangle a < b < c, sorted."""
-    rows = np.sort(tris, axis=1)
-    return np.sort(_edge_keys(rows[:, :2], num_nodes) * (num_nodes + 1) + rows[:, 2])
 
 
 class _TriangleLocator:

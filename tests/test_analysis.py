@@ -28,6 +28,7 @@ from polylayer.assembly import assemble_p1
 from polylayer.eigensolve import _verify, smallest_eigenpairs
 from polylayer.errors import AnalysisError, ConfigError
 from polylayer.geometry import build_regular, build_trihedral, fichera_angle, make_layer
+from polylayer.mesh2d import mirrored
 
 PI = math.pi
 PI2 = PI**2
@@ -282,27 +283,21 @@ def test_weyl_window_supports_disjoint():
 
 @pytest.mark.parametrize("theta", [0.3, PI / 2, 2.9])
 def test_single_pair_chain_solved_on_mirror_sector(theta):
-    # lambda_1 of the mirror-invariant sector is the full lambda_1; the
-    # lifted vector is an M-normalized eigenvector of the full mesh
+    # the half mesh with a Neumann axis is the mirror-invariant sector: its
+    # vector, lifted onto the whole waveguide, is an M-normalized
+    # eigenvector of the full pencil, and its lambda_1 is the full one
     lams, meshes, vals = waveguide._solve_chain(theta, WaveguideNumerics(h=0.25, levels=3, R=2.3))
-    for lev, mesh in enumerate(meshes):
-        problem = assemble_p1(mesh)
+    for lev, half in enumerate(meshes):
+        off = np.flatnonzero(half.nodes[:, 1] != 0.0)
+        nodal = np.concatenate([vals[lev][:, 0], vals[lev][off, 0]])  # mirrored's numbering
+        problem = assemble_p1(mirrored(half))
+        x = nodal[problem.free_nodes][:, None]
+        rq, residual, _ = _verify(problem, x)
+        assert residual[0] <= 1e-8
+        assert rq[0] == pytest.approx(lams[lev, 0], rel=1e-12, abs=0.0)
+        assert float(x[:, 0] @ (problem.M.full @ x[:, 0])) == pytest.approx(1.0, abs=1e-12)
         full = smallest_eigenpairs(problem, num_pairs=1, seed=0)
         assert lams[lev, 0] == pytest.approx(full.eigenvalues[0], rel=1e-12, abs=0.0)
-        rq, residual, defect = _verify(problem, vals[lev][problem.free_nodes])
-        assert rq[0] == lams[lev, 0]
-        assert residual[0] <= 1e-8
-        assert defect <= 1e-12
-
-
-def test_single_pair_chain_refuses_orbits_that_are_no_symmetry(monkeypatch):
-    def pairs(mesh):
-        n = mesh.num_nodes - len(mesh.dirichlet_nodes())
-        return np.arange(n) // 2, 1
-
-    monkeypatch.setattr(waveguide, "free_node_orbits", pairs)
-    with pytest.raises(AnalysisError, match="full-mesh residual"):
-        waveguide._solve_chain(PI / 2, WaveguideNumerics(h=0.25, levels=2, R=2.0))
 
 
 def _recorded_solves(monkeypatch):
@@ -323,7 +318,7 @@ def _recorded_solves(monkeypatch):
 
 @pytest.mark.parametrize("num_pairs", [1, 6])
 def test_warm_levels_match_cold_solves_in_fewer_inner_solves(num_pairs, monkeypatch):
-    # the mirror-sector chain and a six-pair chain: each refined level starts
+    # the half-mesh chain and a six-pair chain: each refined level starts
     # from the last level's vectors, prolonged, at a shift below lambda_1
     calls, solve = _recorded_solves(monkeypatch)
     numerics = WaveguideNumerics(h=0.15, levels=3, R=4.0, num_pairs=num_pairs)

@@ -117,7 +117,7 @@ def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path, blas_threads):
         # a six-pair count: ARPACK's dense BLAS sums in a thread-dependent
         # order unless the CLI pins BLAS to one thread
         (EXIT_OK, ["count", "--theta", "0.15rad", "--h", "0.4", "--levels", "3"]),
-        # single-pair chains, solved on the mirror-invariant sector
+        # single-pair chains, solved on the half mesh
         (EXIT_OK, ["waveguide", "--theta", "0.3rad", "--h", "0.25", "--levels", "2"]),
         # a reduced 3D pencil of 1,484 equations at half-bandwidth 144: the
         # band Cholesky factor takes LAPACK's blocked, BLAS-3 path
@@ -570,13 +570,34 @@ def test_nested_fan_out_runs_serially(tmp_path, capsys, monkeypatch):
         (["certify-veps", *REGULAR, "--eps", "inf"], "got [inf]"),
         # alpha_star < 1.4, the bisection bracket's upper end
         (["absence", "--alpha", "1.4rad"], "alpha_star"),
+        # non-finite values fail the negated bounds, dry runs included
+        (["alpha-star", "--star-tol", "nan"], "tolerance nan"),
+        (["absence", "--alpha", "0.26rad", "--star-tol", "nan"], "tolerance nan"),
+        (["waveguide", "--theta", "90deg", "--R", "nan"], "R = nan must be finite"),
+        (["waveguide", "--theta", "90deg", "--R", "inf"], "R = inf must be finite"),
+        (["waveguide", "--theta", "90deg", "--R", "inf", "--dry-run"], "R = inf"),
+        (["scan-R", "--theta", "90deg", "--R-list", "2,nan"], "R = nan must be finite"),
+        (["scan-R", "--theta", "90deg", "--R-list", "2,inf"], "R = inf must be finite"),
+        (["weyl", *FICHERA, "--R", "nan"], "R = nan must be finite"),
+        (["weyl", *FICHERA, "--R", "inf"], "R = inf must be finite"),
+        ([*SMALL_CERTIFY, "--levels", "1", "--R", "nan"], "R must be >= 3 and finite"),
+        ([*SMALL_CERTIFY, "--levels", "1", "--R", "inf"], "R must be >= 3 and finite"),
+        ([*SMALL_CERTIFY, "--levels", "1", "--R", "nan", "--dry-run"], "R must be >= 3 and finite"),
+        ([*SMALL_CERTIFY, "--levels", "1", "--R", "inf", "--dry-run"], "R must be >= 3 and finite"),
+        ([*SMALL_CERTIFY, "--levels", "1", "--h", "nan"], "h must be > 0"),
+        ([*SMALL_CERTIFY, "--h", "nan", "--dry-run"], "h must be > 0"),
+        ([*SMALL_CERTIFY, "--levels", "1", "--thr-h", "nan", "--dry-run"], "h = nan must lie"),
     ],
     ids=["certify", "absence", "certify-thr-levels-1", "absence-thr-levels-1",
          "certify-R-2", "certify-coarsest-h", "waveguide-pairs-0", "waveguide-h-negative",
          "waveguide-h-0", "certify-thr-h-0", "weyl-index-0",
          "weyl-h-grid", "weyl-h-grid-0", "weyl-h-grid-negative", "weyl-h-grid-nan",
          "weyl-kappa-nan", "weyl-kappa-inf", "veps-eps-0", "veps-eps-negative",
-         "veps-eps-nan", "veps-eps-inf", "absence-alpha-above-bracket"],
+         "veps-eps-nan", "veps-eps-inf", "absence-alpha-above-bracket",
+         "alpha-star-tol-nan", "absence-star-tol-nan", "waveguide-R-nan", "waveguide-R-inf",
+         "waveguide-R-inf-dry", "scan-R-nan", "scan-R-inf", "weyl-R-nan", "weyl-R-inf",
+         "certify-R-nan", "certify-R-inf", "certify-R-nan-dry", "certify-R-inf-dry",
+         "certify-h-nan", "certify-h-nan-dry", "certify-thr-h-nan-dry"],
 )
 def test_levels_checked_before_any_solve(argv, message, tmp_path, capsys, monkeypatch):
     from polylayer import eigensolve
@@ -653,7 +674,8 @@ def test_dry_run_never_solves(name, tmp_path, monkeypatch):
         raise AssertionError("a dry run solved")
 
     # every solve goes through eigensolve.smallest_eigenpairs, called from
-    # waveguide directly or through eigensolve.invariant_ground_state
+    # waveguide directly or, for voxel grids, through
+    # eigensolve.invariant_ground_state
     for module in (eigensolve, waveguide):
         monkeypatch.setattr(module, "smallest_eigenpairs", must_not_run)
     code, out = run_cli([name, *DRY_RUN_ARGV[name], "--dry-run"], tmp_path, name)

@@ -54,6 +54,13 @@ def test_preconditions(fichera_layer):
         check_plan(R=3.0, h=0.25, levels=0)
     with pytest.raises(GridError, match="R must be >= 3"):
         check_plan(R=2.0, h=0.25, levels=1)
+    # negated bounds: NaN, infinities and h <= 0 fail them
+    for R in (math.nan, math.inf):
+        with pytest.raises(GridError, match="R must be >= 3 and finite"):
+            check_plan(R=R, h=0.25, levels=1)
+    for h in (math.nan, 0.0, -0.25):
+        with pytest.raises(GridError, match="h must be > 0"):
+            check_plan(R=3.0, h=h, levels=1)
 
 
 @pytest.fixture(scope="module")

@@ -14,9 +14,9 @@ from polylayer.mesh2d import (
     axis_rule,
     check_conforming,
     evaluate_batch,
-    free_node_orbits,
     mesh_lshape,
     mesh_rectangle,
+    mirrored,
     prolong,
     refine,
 )
@@ -26,13 +26,34 @@ PI = math.pi
 
 
 @pytest.fixture(scope="module")
-def mesh_right_angle():
+def half_right_angle():
     return mesh_lshape(PI / 2, 4.0, h=0.25)
+
+
+@pytest.fixture(scope="module")
+def mesh_right_angle(half_right_angle):
+    return mirrored(half_right_angle)
 
 
 def test_lshape_area_exact(mesh_right_angle):
     assert mesh_right_angle.total_area == pytest.approx(9.0, abs=1e-10)
     assert (mesh_right_angle.signed_areas() > 0.0).all()
+
+
+def test_half_mesh_has_a_neumann_axis(half_right_angle):
+    half = half_right_angle
+    check_conforming(half)
+    assert half.total_area == pytest.approx(4.5, abs=1e-10)
+    assert (half.signed_areas() > 0.0).all() and (half.nodes[:, 1] >= 0.0).all()
+    # Neumann: the end cross-section (1) and the axis O'O (sqrt 2);
+    # Dirichlet: the outer wall (cot + R) and the inner wall (R)
+    assert half.boundary_length("neumann") == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
+    assert half.boundary_length("dirichlet") == pytest.approx(9.0, abs=1e-10)
+    on_axis = (half.nodes[half.boundary_edges, 1] == 0.0).all(axis=1)
+    assert (half.boundary_tags[on_axis] == NEUMANN).all() and on_axis.sum() == 4
+    # O' and O, the axis ends, lie on the walls
+    dirichlet = half.nodes[half.dirichlet_nodes()]
+    assert (dirichlet[:, 1] == 0.0).sum() == 2
 
 
 def test_lshape_conformity(mesh_right_angle):
@@ -57,7 +78,7 @@ def test_h_too_large_rejected():
         mesh_lshape(PI / 2, 4.0, h=0.6)
 
 
-@pytest.mark.parametrize("h", (0.0, -0.1))
+@pytest.mark.parametrize("h", (0.0, -0.1, math.nan))
 def test_h_not_positive_rejected(h):
     with pytest.raises(MeshError, match="positive"):
         mesh_lshape(PI / 2, 4.0, h=h)
@@ -68,19 +89,20 @@ def test_mesh_lshape_rejects_theta_and_R():
     for theta in (PI, -0.1, math.nan):
         with pytest.raises(GeometryError, match=r"opening angle .* not in \(0, pi\)"):
             mesh_lshape(theta, 2.0, h=0.6)
-    for R in (0.0, -1.0):
+    for R in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(GeometryError, match="outlet length must be positive"):
             mesh_lshape(PI / 2, R, h=0.6)
 
 
 @pytest.mark.parametrize("theta,R", [(0.1, 3.0), (0.4, 3.0), (2.6, 2.0), (3.1, 2.0)])
 def test_meshes_across_angles(theta, R):
-    mesh = mesh_lshape(theta, R, h=0.2)
-    check_conforming(mesh)
-    assert mesh.total_area == pytest.approx(
-        1.0 / math.tan(theta / 2) + 2 * R, rel=1e-12
-    )
-    assert mesh.min_angle() > 0.0
+    half = mesh_lshape(theta, R, h=0.2)
+    for mesh, fraction in ((half, 0.5), (mirrored(half), 1.0)):
+        check_conforming(mesh)
+        assert mesh.total_area == pytest.approx(
+            fraction * (1.0 / math.tan(theta / 2) + 2 * R), rel=1e-12
+        )
+        assert mesh.min_angle() > 0.0
 
 
 def _broken(mesh, triangles=None, boundary=slice(None)):
@@ -106,9 +128,9 @@ def test_check_conforming_rejects_an_untagged_boundary_edge(mesh_right_angle):
         check_conforming(broken)
 
 
-# sha256 of (nodes, triangles, boundary_edges, boundary_tags) as the
-# builders produce them: node, triangle and boundary-edge order enter every
-# payload's mesh_sha256
+# sha256 of (nodes, triangles, boundary_edges, boundary_tags) of the whole
+# waveguide, ``mirrored(mesh_lshape(...))``, and of a rectangle: node and
+# triangle order enter the payloads (``mesh_sha256``, the solves' sums)
 MESH_DIGESTS = {
     0.3: "4a165e22ccaeb7910b93ac2be0a1b006aa9284c2008f9ab7cdc7347d5c2ed0dc",
     PI / 2: "e4dd99a3cda72f7bc716f36cffffde3c5439cc1f412983c9bc095c1542378ffa",
@@ -129,9 +151,9 @@ def test_mesh_arrays_pinned(key):
     if key == "rectangle":
         mesh = mesh_rectangle(2.0, 1.0, 0.25, tags={"left": "neumann", "right": "neumann"})
     elif key == "refine":
-        mesh = refine(mesh_lshape(PI / 2, 2.0, h=0.25))
+        mesh = refine(mirrored(mesh_lshape(PI / 2, 2.0, h=0.25)))
     else:
-        mesh = mesh_lshape(key, 2.0, h=0.25)
+        mesh = mirrored(mesh_lshape(key, 2.0, h=0.25))
     assert _mesh_digest(mesh) == MESH_DIGESTS[key]
 
 
@@ -155,7 +177,7 @@ RIGHT_ANGLE_TRIANGLE_SETS = {
 
 @pytest.mark.parametrize("R,h", list(RIGHT_ANGLE_TRIANGLE_SETS))
 def test_right_angle_triangle_set_pinned(R, h):
-    mesh = mesh_lshape(PI / 2, R, h)
+    mesh = mirrored(mesh_lshape(PI / 2, R, h))
     assert _triangle_set_digest(mesh) == RIGHT_ANGLE_TRIANGLE_SETS[(R, h)]
 
 
@@ -180,7 +202,7 @@ def test_node_count_grows_with_area_not_cot_squared(theta):
     cot = 1.0 / math.tan(theta / 2)
     for R in (2.0, 4.0, 12.0):
         for h in (0.5, 0.25, 0.15, 0.1):
-            mesh = mesh_lshape(theta, R, h)
+            mesh = mirrored(mesh_lshape(theta, R, h))
             # the kite construction: n_c cells along both kite sides and
             # across both outlets, n_a along them
             n_c = max(2, math.ceil(max(1.0, cot) / h - 1e-9))
@@ -416,7 +438,7 @@ def test_segment_along_mesh_edges():
 def test_min_angle_reported_for_sharp_theta():
     mesh = mesh_lshape(0.18, 2.0, h=0.2)
     check_conforming(mesh)
-    assert mesh.total_area == pytest.approx(1 / math.tan(0.09) + 4.0, rel=1e-12)
+    assert mesh.total_area == pytest.approx((1 / math.tan(0.09) + 4.0) / 2, rel=1e-12)
     # theta-dependent bound, no silent slivers; the 4-split children are
     # similar to their parent, so refinement keeps it
     assert mesh.min_angle() > 0.01
@@ -439,7 +461,7 @@ def test_rectangle_mesh_tags_and_area():
     assert mesh.boundary_length("dirichlet") == pytest.approx(6.0, abs=1e-12)
 
 
-def _mirror_chain(theta):
+def _half_chain(theta):
     # R = 2.3 is no multiple of h, so the outlets' last cells are short
     mesh = mesh_lshape(theta, 2.3, h=0.25)
     return [mesh, refine(mesh), refine(refine(mesh))]
@@ -451,70 +473,31 @@ def _triangle_set(tris):
 
 @pytest.mark.parametrize("theta", [0.1, 0.15, 0.3, PI / 2, 2.9, 3.1])
 def test_mirror_map_is_the_reflection(theta):
-    for mesh in _mirror_chain(theta):
-        mirror = mesh.mirror
-        np.testing.assert_allclose(
-            mesh.nodes[mirror], mesh.nodes * [1.0, -1.0], rtol=0.0, atol=1e-14
-        )
+    # mirrored keeps the half's nodes and triangles as prefixes and appends
+    # the images of the nodes off the axis (y != 0) in order: on level 0
+    # that is the numbering of MESH_DIGESTS
+    for half in _half_chain(theta):
+        mesh = mirrored(half)
+        check_conforming(mesh)
+        n, t = half.num_nodes, half.num_triangles
+        off = np.flatnonzero(half.nodes[:, 1] != 0.0)
+        assert np.array_equal(mesh.nodes[:n], half.nodes)
+        assert np.array_equal(mesh.triangles[:t], half.triangles)
+        assert mesh.num_nodes == n + len(off) and mesh.num_triangles == 2 * t
+        mirror = np.arange(mesh.num_nodes)
+        mirror[off], mirror[n:] = np.arange(n, mesh.num_nodes), off
+        assert np.array_equal(mesh.nodes[mirror], mesh.nodes * [1.0, -1.0])
         assert np.array_equal(mirror[mirror], np.arange(mesh.num_nodes))
         assert _triangle_set(mirror[mesh.triangles]) == _triangle_set(mesh.triangles)
+        assert (mesh.signed_areas() > 0.0).all()
+        # the Dirichlet nodes: the half's, and their images
         dirichlet = mesh.dirichlet_nodes()
         assert np.array_equal(np.sort(mirror[dirichlet]), dirichlet)
+        assert np.array_equal(dirichlet[dirichlet < n], half.dirichlet_nodes())
+        assert mesh.boundary_length(NEUMANN) == pytest.approx(2.0, abs=1e-12)
         # every triangle on one closed side of the axis y = 0
         y = mesh.nodes[mesh.triangles, 1]
-        assert ((y >= -1e-14).all(axis=1) | (y <= 1e-14).all(axis=1)).all()
-
-
-@pytest.mark.parametrize("theta", [0.3, 2.9])
-def test_free_node_orbits_pair_mirror_images(theta):
-    for mesh in _mirror_chain(theta):
-        labels, order = free_node_orbits(mesh)
-        assert order == 2
-        fixed = np.zeros(mesh.num_nodes, dtype=bool)
-        fixed[mesh.dirichlet_nodes()] = True
-        free = np.flatnonzero(~fixed)
-        eq = np.full(mesh.num_nodes, -1)
-        eq[free] = np.arange(len(free))
-        image = eq[mesh.mirror[free]]
-        assert (labels == labels[image]).all()
-        # one orbit per pair, one per axis node, named in order of first appearance
-        on_axis = int((image == np.arange(len(free))).sum())
-        assert labels.max() + 1 == on_axis + (len(free) - on_axis) // 2
-        firsts = np.unique(labels, return_index=True)[1]
-        assert (np.diff(firsts) > 0).all()
-
-
-def test_free_node_orbits_without_a_valid_mirror(mesh_right_angle):
-    n_free = mesh_right_angle.num_nodes - len(mesh_right_angle.dirichlet_nodes())
-    rect = mesh_rectangle(2.0, 1.0, 0.25)
-    assert rect.mirror is None
-    labels, order = free_node_orbits(rect)
-    assert order == 1 and np.array_equal(labels, np.arange(len(labels)))
-    # two nodes of different triangles swapped: the triangle set breaks
-    broken = np.array(mesh_right_angle.mirror)
-    a, b = mesh_right_angle.triangles[[0, -1], 0]
-    broken[[a, b]] = broken[[b, a]]
-    reversed_ids = np.arange(mesh_right_angle.num_nodes)[::-1]
-    for mirror in (broken, mesh_right_angle.mirror[:-1], reversed_ids):
-        mesh = _broken(mesh_right_angle)
-        mesh.mirror = mirror
-        labels, order = free_node_orbits(mesh)
-        assert order == 1 and np.array_equal(labels, np.arange(n_free))
-
-
-def test_free_node_orbits_order_one_when_triangle_keys_overflow():
-    # (N + 1)^3 >= 2^63 at N = 2.1 M: no int64 key per triangle, so the
-    # identity, a mirror that keeps everything, is not tried
-    n = 2_100_000
-    mesh = TriMesh(
-        nodes=np.broadcast_to(np.zeros(2), (n, 2)),
-        triangles=np.array([[0, 1, 2]]),
-        boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
-        boundary_tags=np.array([NEUMANN] * 3),
-        mirror=np.arange(n),
-    )
-    labels, order = free_node_orbits(mesh)
-    assert order == 1 and np.array_equal(labels, np.arange(n))
+        assert ((y >= 0.0).all(axis=1) | (y <= 0.0).all(axis=1)).all()
 
 
 def test_edge_table_matches_row_unique():
