@@ -11,7 +11,7 @@ a change keeps every byte, run it against two checkouts and diff:
     diff old.txt new.txt
 
 ``payload_fields.py OLD_SRC NEW_SRC`` runs the same commands and names the
-fields that moved, with their largest relative change.
+fields that moved, with their largest relative and absolute change.
 
 The CLI pins BLAS to one thread in-process, so the output does not depend
 on the host's thread count.  A checkout from before that pin does depend on

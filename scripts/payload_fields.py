@@ -6,12 +6,16 @@
 Runs every command of ``payload_digests.COMMANDS`` once with ``OLD_SRC`` and
 once with ``NEW_SRC`` on ``PYTHONPATH`` (each in its own interpreter), then
 prints, per command, every float field that moved with its largest relative
-change, and every other difference: exit code, ints, booleans, strings,
-list lengths, keys, side-file bytes.  List indices are folded to ``[*]``, so
-``levels[*].upper_bound`` stands for the field in every level.  A command
-whose payload and side files keep every byte prints ``identical``.  The
-exit status is 0 when every command is identical and 1 otherwise, also when
-the payload bytes differ but every value is equal.
+and its largest absolute change, and every other difference: exit code,
+ints, booleans, strings, list lengths, keys, side-file bytes.  List indices
+are folded to ``[*]``, so ``levels[*].upper_bound`` stands for the field in
+every level, and its two largest changes may come from different levels.
+The absolute change tells roundoff in a difference of near-equal values
+(an error indicator, a margin) from a real move: such a field's relative
+change can be 100-1000 times that of the eigenvalues it is computed from.
+A command whose payload and side files keep every byte prints
+``identical``.  The exit status is 0 when every command is identical and 1
+otherwise, also when the payload bytes differ but every value is equal.
 """
 
 import json
@@ -47,12 +51,15 @@ def run_checkout(src: str) -> dict:
 
 
 def compare(old, new, path, moved, other):
-    """Collect float moves (path -> largest relative change) and other
-    differences (path -> "old -> new") between two JSON values."""
+    """Collect float moves (path -> largest relative and largest absolute
+    change) and other differences (path -> "old -> new") between two JSON
+    values."""
     if isinstance(old, float) and isinstance(new, float):
         if old != new:
-            rel = abs(new - old) / abs(old) if old else float("inf")
-            moved[path] = max(moved.get(path, 0.0), rel)
+            change = abs(new - old)
+            rel = change / abs(old) if old else float("inf")
+            largest = moved.get(path, (0.0, 0.0))
+            moved[path] = (max(largest[0], rel), max(largest[1], change))
     elif isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(set(old) | set(new)):
             sub = f"{path}.{key}" if path else key
@@ -97,8 +104,8 @@ def main() -> int:
             print("    identical")
         elif not moved and not other:
             print("    payload bytes differ, every value equal")
-        for path, rel in moved.items():
-            print(f"    {path}  max rel. change {rel:.2e}")
+        for path, (rel, change) in moved.items():
+            print(f"    {path}  max rel. change {rel:.2e}, max abs. change {change:.2e}")
         for path, change in other.items():
             print(f"    {path}  {change}")
     return 0 if all_identical else 1

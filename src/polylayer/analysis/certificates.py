@@ -350,8 +350,7 @@ def alpha_star(
     The two bracket ends are solved concurrently; ``evaluations`` lists lo,
     hi, then the midpoints in bisection order.
     """
-    if not tol >= 1e-3:  # negated, so that NaN fails it
-        raise ConfigError(f"alpha_star tolerance {tol} is not supported: give >= 1e-3")
+    check_star_tol(tol)
     target = PI2 / 2.0
     lo, hi = (float(b) for b in bracket)
     evals = []
@@ -392,10 +391,9 @@ def absence_experiment(
     ABSENT_CONSISTENT, which is explicitly not a proof of absence.
     """
     check_plan(R, h, levels)  # before any solve, which would run in vain
-    # alpha_star < STAR_BRACKET[1]: an alpha this check refuses needs no bisection
-    _check_below_star(alpha, STAR_BRACKET[1], f"alpha_star < {STAR_BRACKET[1]}")
+    check_below_star(alpha)
     star = alpha_star(star_tol, replace(STAR_NUMERICS, seed=threshold_numerics.seed))
-    _check_below_star(alpha, star.lo, f"alpha_star in [{star.lo:.4f}, {star.hi:.4f}]")
+    check_below_star(alpha, star.lo, f"alpha_star in [{star.lo:.4f}, {star.hi:.4f}]")
     layer = make_layer(build_trihedral((math.pi / 2, alpha, math.pi / 2)))
     thr, bounds = _threshold_and_bounds(layer, threshold_numerics, R, h, levels)
     cutoff = 0.999 * thr.extrapolated
@@ -422,6 +420,15 @@ def absence_experiment(
     )
 
 
-def _check_below_star(alpha: float, star_lo: float, what: str) -> None:
-    if not alpha < star_lo - 0.05:
+def check_star_tol(tol: float) -> None:
+    """Refuse a bisection tolerance ``alpha_star`` does not support."""
+    if not tol >= 1e-3:  # negated, so that NaN fails it
+        raise ConfigError(f"alpha_star tolerance {tol} is not supported: give >= 1e-3")
+
+
+def check_below_star(alpha: float, lo=STAR_BRACKET[1], what=f"alpha_star < {STAR_BRACKET[1]}"):
+    """Refuse an alpha not below ``lo`` - 0.05: the bisected bracket's lower
+    end, or by default ``STAR_BRACKET[1]``, above alpha_star, so that an
+    alpha refused there needs no bisection."""
+    if not alpha < lo - 0.05:
         raise ConfigError(f"alpha = {alpha} is not below alpha_star - 0.05 ({what})")

@@ -154,17 +154,9 @@ def _gap_indicators(records) -> np.ndarray:
     return np.abs(gap_last - gap_prev)
 
 
-def scan_truncation(
-    theta: float, R_list, numerics: WaveguideNumerics = WaveguideNumerics()
-) -> TruncationScan:
-    """lambda_1 of the truncated waveguide over ascending outlet lengths.
-
-    The mesh family is nested in R (extending an outlet adds elements without
-    moving nodes), which requires every R to be an integer multiple of the
-    axial spacing.  The largest-R extrapolation serves as the asymptote for
-    the exponential-gap fit; fit points are restricted to gaps exceeding ten
-    times the error indicator.  The outlet lengths are solved concurrently.
-    """
+def truncation_numerics(R_list, numerics: WaveguideNumerics) -> list:
+    """The numerics of each outlet length of a truncation scan, once the R
+    values are found strictly ascending, finite and multiples of h."""
     Rs = [float(R) for R in R_list]
     if any(b <= a for a, b in zip(Rs, Rs[1:])):
         raise ConfigError("R values must be strictly ascending")
@@ -177,6 +169,22 @@ def scan_truncation(
                 f"R = {R} is not an integer multiple of h = {numerics.h}; "
                 "the outlet meshes would not be nested across R"
             )
+    return per_R
+
+
+def scan_truncation(
+    theta: float, R_list, numerics: WaveguideNumerics = WaveguideNumerics()
+) -> TruncationScan:
+    """lambda_1 of the truncated waveguide over ascending outlet lengths.
+
+    The mesh family is nested in R (extending an outlet adds elements without
+    moving nodes), which requires every R to be an integer multiple of the
+    axial spacing.  The largest-R extrapolation serves as the asymptote for
+    the exponential-gap fit; fit points are restricted to gaps exceeding ten
+    times the error indicator.  The outlet lengths are solved concurrently.
+    """
+    per_R = truncation_numerics(R_list, numerics)
+    Rs = [n.R for n in per_R]
     results = fan_out(partial(lambda1_waveguide, theta, n) for n in per_R)
     records = [ScanRecord.of(R, res) for R, res in zip(Rs, results)]
     values = np.array([r.eigenvalues[0] for r in records])

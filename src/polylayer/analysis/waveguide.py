@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ..assembly import assemble_p1
-from ..eigensolve import smallest_eigenpairs
+from ..eigensolve import check_pairs, smallest_eigenpairs
 from ..errors import AnalysisError, ConfigError
 from ..extrapolate import richardson
 from ..geometry import LayerGeometry
@@ -184,6 +184,14 @@ def auto_outlet_length(theta: float, numerics: WaveguideNumerics) -> float:
     return float(min(max(base, rule), R_CAP))
 
 
+def check_pair_count(theta: float, numerics: WaveguideNumerics) -> None:
+    """Refuse more pairs than level 0 gives at the longest outlet the run
+    could use (``numerics.R``, else ``R_CAP``), before any solve."""
+    if (numerics.num_pairs or 1) > 1:
+        mesh = mirrored(mesh_lshape(theta, numerics.R or R_CAP, numerics.h))
+        check_pairs(numerics.num_pairs, mesh.num_nodes - len(mesh.dirichlet_nodes()))
+
+
 def solve_waveguide_mode(
     theta: float, numerics: WaveguideNumerics = WaveguideNumerics()
 ) -> WaveguideMode:
@@ -192,6 +200,7 @@ def solve_waveguide_mode(
     Returns the Richardson-extrapolated eigenvalues together with the
     finest-level eigenfunctions (M-normalized nodal fields).
     """
+    check_pair_count(theta, numerics)
     R = numerics.R if numerics.R is not None else auto_outlet_length(theta, numerics)
     lams, meshes, vals = _solve_chain(theta, replace(numerics, R=R))
     ext_all, ind_all, _ = richardson(lams)

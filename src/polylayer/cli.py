@@ -241,13 +241,23 @@ def _threshold_numerics(args):
 def _dry_run_payload(args) -> dict:
     """Geometry validation, the plan checks the run makes before its first
     solve, and the solve plan; no eigensolves."""
-    if hasattr(args, "thr_h"):  # certify and absence
+    if hasattr(args, "levels"):  # every subcommand that solves
+        from .analysis import certificates, scans, waveguide
         from .grid3d import check_plan
 
-        check_plan(args.R, args.h, args.levels)
-        _threshold_numerics(args)
-    elif hasattr(args, "levels"):
-        _numerics(args)
+        if hasattr(args, "thr_h"):  # certify and absence
+            check_plan(args.R, args.h, args.levels)
+            _threshold_numerics(args)
+        else:  # the voxel --h and --levels are no waveguide numerics
+            numerics = _numerics(args)
+        if args.subcommand == "absence":
+            certificates.check_below_star(args.alpha)
+        if hasattr(args, "star_tol"):  # absence and alpha-star
+            certificates.check_star_tol(args.star_tol)
+        if hasattr(args, "R_list"):  # scan-R
+            scans.truncation_numerics(args.R_list, numerics)
+        if hasattr(args, "num_pairs"):  # waveguide and count
+            waveguide.check_pair_count(args.theta, numerics)
     payload: dict = {"dry_run": True, "plan": {}}
     if hasattr(args, "alpha"):
         layer = _build_layer(args)

@@ -150,6 +150,11 @@ def _verify(problem: DiscreteProblem, vecs):
     return rq, residuals, defect
 
 
+def check_pairs(num_pairs: int, n: int) -> None:
+    if num_pairs >= max(2, n // 10):
+        raise ConfigError(f"num_pairs = {num_pairs} too large for dimension {n}")
+
+
 def smallest_eigenpairs(
     problem: DiscreteProblem,
     num_pairs: int = 1,
@@ -170,8 +175,7 @@ def smallest_eigenpairs(
     contract.
     """
     n = problem.n
-    if num_pairs >= max(2, n // 10):
-        raise ConfigError(f"num_pairs = {num_pairs} too large for dimension {n}")
+    check_pairs(num_pairs, n)
 
     K = problem.K.full
     M = problem.M.full

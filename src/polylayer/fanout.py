@@ -13,8 +13,11 @@ layers and numerics) would have to be pickled.  A forked worker inherits
 them in ``_TASKS`` and receives only an index; only results are pickled.
 The pool forks all of its workers on the first submit, before it starts
 its manager thread; the only other threads are OpenBLAS's, which it stops
-before a fork.  Every worker pins OpenBLAS to one thread (``pin_blas``)
-before its first task, whoever the caller is: two workers that each ran
+before a fork.  Before its first task each worker binds itself to its own
+CPU of the caller's affinity set, which stays as it is: unbound workers
+start on their parent's CPU and can stay there for a whole sub-second
+fan-out, each waiting about as long as it runs.  Each also pins OpenBLAS to
+one thread (``pin_blas``), whoever the caller is: two workers that each ran
 one BLAS thread per CPU would spin against each other.  Peak memory grows
 with the number of tasks that run at once, each worker holding one task's
 meshes and factors.
@@ -66,6 +69,11 @@ def pin_blas() -> bool:
     return all(pinned)
 
 
+def _bind(cpu_ids) -> None:  # each worker's initializer
+    os.sched_setaffinity(0, {cpu_ids.get()})
+    pin_blas()
+
+
 def _run(index: int):
     global _IN_WORKER
     _IN_WORKER = True  # in a worker: nested fan-outs run serially
@@ -90,10 +98,16 @@ def fan_out(thunks) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    context = multiprocessing.get_context("fork")
+    cpu_ids = context.SimpleQueue()  # the caller's CPUs, one per worker
+    # read again, so that every worker finds a CPU should the set have shrunk
+    bound = sorted(os.sched_getaffinity(0))[:workers]
+    for cpu in bound:
+        cpu_ids.put(cpu)
     _TASKS = thunks
     try:
         with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"), initializer=pin_blas
+            len(bound), mp_context=context, initializer=_bind, initargs=(cpu_ids,)
         ) as pool:
             futures = [pool.submit(_run, i) for i in range(len(thunks))]
             try:
@@ -103,5 +117,6 @@ def fan_out(thunks) -> list:
                 raise
     except BrokenProcessPool as exc:
         raise AnalysisError(f"a worker process died: {exc}") from None
-    finally:
+    finally:  # every worker has been joined
         _TASKS = []
+        cpu_ids.close()

@@ -472,17 +472,35 @@ def _no_convergence(*args, **kwargs):
          EXIT_CONFIG, "config error:"),
         (["layer", "--kind", "trihedral", "--alpha", "90deg,90deg"],
          EXIT_CONFIG, "config error:"),
+        # a dry run refuses what the run would refuse
+        (["scan-R", "--theta", "90deg", "--R-list", "2,nan", "--dry-run"],
+         EXIT_CONFIG, "config error:"),
+        (["scan-R", "--theta", "90deg", "--R-list", "4,3", "--dry-run"],
+         EXIT_CONFIG, "config error:"),
+        (["absence", "--alpha", "0.26rad", "--star-tol", "nan", "--dry-run"],
+         EXIT_CONFIG, "config error:"),
+        (["absence", "--alpha", "1.5rad", "--dry-run"], EXIT_CONFIG, "config error:"),
     ],
     ids=["ok", "config-geometry", "config-pairs-400", "config-pairs-0",
          "config-levels-0", "config-trihedral-n", "config-levels-1",
          "config-out-not-a-dir", "nonconverged", "inconclusive",
          "config-waveguide-csv", "config-hardy-exp-seed", "config-hardy-invz-count",
          "config-hardy-count-0", "config-hardy-count-negative",
-         "config-regular-no-n", "config-regular-three-alpha", "config-trihedral-two-alpha"],
+         "config-regular-no-n", "config-regular-three-alpha", "config-trihedral-two-alpha",
+         "dry-scan-R-nan", "dry-scan-R-descending", "dry-absence-star-tol-nan",
+         "dry-absence-alpha-above-bracket"],
 )
 def test_exit_codes(argv, expected, stderr_prefix, tmp_path, capsys, monkeypatch):
+    from polylayer import eigensolve
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved before the configuration was checked")
+
     if expected == EXIT_NONCONVERGED:
         monkeypatch.setattr(sla, "eigsh", _no_convergence)
+    if expected == EXIT_CONFIG:  # refused before any solve
+        for module in (eigensolve, waveguide):
+            monkeypatch.setattr(module, "smallest_eigenpairs", must_not_run)
     if "--out" not in argv:
         argv = [*argv, "--out", str(tmp_path)]
     code = main(argv)
@@ -587,6 +605,11 @@ def test_nested_fan_out_runs_serially(tmp_path, capsys, monkeypatch):
         ([*SMALL_CERTIFY, "--levels", "1", "--h", "nan"], "h must be > 0"),
         ([*SMALL_CERTIFY, "--h", "nan", "--dry-run"], "h must be > 0"),
         ([*SMALL_CERTIFY, "--levels", "1", "--thr-h", "nan", "--dry-run"], "h = nan must lie"),
+        (["alpha-star", "--star-tol", "nan", "--dry-run"], "tolerance nan"),
+        # too many pairs even at the longest automatic outlet, R_CAP
+        (["count", "--theta", "90deg", "--pairs", "400"], "too large for dimension"),
+        (["count", "--theta", "90deg", "--pairs", "400", "--dry-run"], "too large"),
+        (["waveguide", "--theta", "90deg", "--pairs", "90", "--R", "4"], "too large"),
     ],
     ids=["certify", "absence", "certify-thr-levels-1", "absence-thr-levels-1",
          "certify-R-2", "certify-coarsest-h", "waveguide-pairs-0", "waveguide-h-negative",
@@ -597,7 +620,9 @@ def test_nested_fan_out_runs_serially(tmp_path, capsys, monkeypatch):
          "alpha-star-tol-nan", "absence-star-tol-nan", "waveguide-R-nan", "waveguide-R-inf",
          "waveguide-R-inf-dry", "scan-R-nan", "scan-R-inf", "weyl-R-nan", "weyl-R-inf",
          "certify-R-nan", "certify-R-inf", "certify-R-nan-dry", "certify-R-inf-dry",
-         "certify-h-nan", "certify-h-nan-dry", "certify-thr-h-nan-dry"],
+         "certify-h-nan", "certify-h-nan-dry", "certify-thr-h-nan-dry",
+         "alpha-star-tol-nan-dry", "count-pairs-400", "count-pairs-400-dry",
+         "waveguide-pairs-90-R-4"],
 )
 def test_levels_checked_before_any_solve(argv, message, tmp_path, capsys, monkeypatch):
     from polylayer import eigensolve

@@ -50,3 +50,49 @@ def test_workers_pin_blas_to_one_thread(blas_threads):
     assert blas_threads() == [2, 2]
     assert fan_out([blas_threads] * 2) == [[1, 1]] * 2
     assert blas_threads() == [2, 2]
+
+
+def _affinity_once_all_run(barrier):
+    # no worker returns before every task has started, so each task has its own
+    barrier.wait(timeout=30)
+    return os.sched_getaffinity(0)
+
+
+def _affinities(workers):
+    barrier = multiprocessing.get_context("fork").Barrier(workers)
+    return fan_out([partial(_affinity_once_all_run, barrier)] * workers)
+
+
+@pytest.mark.skipif(cpus() < 2, reason="one CPU: thunks run in-process, nothing to bind")
+def test_each_worker_is_bound_to_its_own_cpu():
+    parent = os.sched_getaffinity(0)
+    sets = _affinities(cpus())
+    assert all(len(s) == 1 and s <= parent for s in sets)
+    assert len(set().union(*sets)) == len(sets)  # disjoint
+    assert os.sched_getaffinity(0) == parent
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(cpus() < 3, reason="needs a CPU set with a gap")
+def test_workers_bind_inside_a_non_contiguous_cpu_set():
+    parent = os.sched_getaffinity(0)
+    gapped = {min(parent), max(parent)}
+    os.sched_setaffinity(0, gapped)
+    try:
+        sets = _affinities(2)
+    finally:
+        os.sched_setaffinity(0, parent)
+    assert sorted(sets, key=min) == [{min(parent)}, {max(parent)}]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_a_cpu_set_shrunk_after_counting_binds_fewer_workers(monkeypatch):
+    parent = os.sched_getaffinity(0)
+    monkeypatch.setattr(fanout, "cpus", lambda: 2)  # counted before the set shrank
+    os.sched_setaffinity(0, {min(parent)})
+    try:
+        sets = fan_out([partial(os.sched_getaffinity, 0)] * 2)
+    finally:
+        os.sched_setaffinity(0, parent)
+    assert sets == [{min(parent)}] * 2
+    assert multiprocessing.active_children() == []
