@@ -13,10 +13,13 @@ layers and numerics) would have to be pickled.  A forked worker inherits
 them in ``_TASKS`` and receives only an index; only results are pickled.
 The pool forks all of its workers on the first submit, before it starts
 its manager thread; the only other threads are OpenBLAS's, which it stops
-before a fork.  Before its first task each worker binds itself to its own
-CPU of the caller's affinity set, which stays as it is: unbound workers
-start on their parent's CPU and can stay there for a whole sub-second
-fan-out, each waiting about as long as it runs.  Each also pins OpenBLAS to
+before a fork.  Before its first task worker i moves itself to the i-th
+CPU of the caller's affinity set, then takes that whole set back: left
+alone, workers start on their parent's CPU and can stay there for a whole
+sub-second fan-out, each waiting about as long as it runs.  Taking the set
+back lets the scheduler move a worker off a CPU that other load keeps busy,
+or off the low CPUs where the workers of concurrent runs are first placed;
+the caller's affinity is never changed.  Each also pins OpenBLAS to
 one thread (``pin_blas``), whoever the caller is: two workers that each ran
 one BLAS thread per CPU would spin against each other.  Peak memory grows
 with the number of tasks that run at once, each worker holding one task's
@@ -40,12 +43,17 @@ _TASKS: list = []  # the running fan-out's thunks, inherited by its workers
 _IN_WORKER = False
 
 
-def cpus() -> int:
-    """The number of CPUs a fan-out may use: the process's CPU affinity on
-    Linux, 1 elsewhere."""
+def _allowed() -> list:
+    """The CPUs a fan-out may use, in ascending order: the process's CPU
+    affinity on Linux, one unnamed CPU elsewhere."""
     if not sys.platform.startswith("linux"):
-        return 1
-    return len(os.sched_getaffinity(0))
+        return [None]
+    return sorted(os.sched_getaffinity(0))
+
+
+def cpus() -> int:
+    """The number of CPUs a fan-out may use."""
+    return len(_allowed())
 
 
 def pin_blas() -> bool:
@@ -69,8 +77,9 @@ def pin_blas() -> bool:
     return all(pinned)
 
 
-def _bind(cpu_ids) -> None:  # each worker's initializer
-    os.sched_setaffinity(0, {cpu_ids.get()})
+def _place(cpu_ids, allowed) -> None:  # each worker's initializer
+    os.sched_setaffinity(0, {cpu_ids.get()})  # returns once moved there
+    os.sched_setaffinity(0, allowed)  # the scheduler may move it again
     pin_blas()
 
 
@@ -90,7 +99,8 @@ def fan_out(thunks) -> list:
     """
     global _TASKS
     thunks = list(thunks)
-    workers = min(len(thunks), cpus())
+    allowed = _allowed()
+    workers = min(len(thunks), len(allowed))
     if workers <= 1 or _IN_WORKER:
         return [thunk() for thunk in thunks]
 
@@ -100,14 +110,12 @@ def fan_out(thunks) -> list:
 
     context = multiprocessing.get_context("fork")
     cpu_ids = context.SimpleQueue()  # the caller's CPUs, one per worker
-    # read again, so that every worker finds a CPU should the set have shrunk
-    bound = sorted(os.sched_getaffinity(0))[:workers]
-    for cpu in bound:
+    for cpu in allowed[:workers]:
         cpu_ids.put(cpu)
     _TASKS = thunks
     try:
         with ProcessPoolExecutor(
-            len(bound), mp_context=context, initializer=_bind, initargs=(cpu_ids,)
+            workers, mp_context=context, initializer=_place, initargs=(cpu_ids, allowed)
         ) as pool:
             futures = [pool.submit(_run, i) for i in range(len(thunks))]
             try:

@@ -662,7 +662,7 @@ def test_seed_reaches_every_solve(argv, tmp_path, monkeypatch):
             seeds.add(seed)
         return default_rng(seed)
 
-    monkeypatch.setattr(fanout, "cpus", lambda: 1)  # every solve in this process
+    monkeypatch.setattr(fanout, "_allowed", lambda: [None])  # every solve in this process
     monkeypatch.setattr(np.random, "default_rng", recording)
     code = main([*argv, "--seed", "7", "--out", str(tmp_path)])
     assert code in (EXIT_OK, EXIT_INCONCLUSIVE)

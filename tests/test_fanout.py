@@ -38,7 +38,7 @@ def test_first_exception_in_input_order_is_raised():
 def test_tasks_run_in_workers_unless_one_cpu(monkeypatch):
     pids = fan_out([os.getpid] * 2)
     assert (os.getpid() in pids) == (cpus() < 2)
-    monkeypatch.setattr(fanout, "cpus", lambda: 1)
+    monkeypatch.setattr(fanout, "_allowed", lambda: [None])
     assert fan_out([os.getpid] * 2) == [os.getpid()] * 2
 
 
@@ -52,47 +52,53 @@ def test_workers_pin_blas_to_one_thread(blas_threads):
     assert blas_threads() == [2, 2]
 
 
-def _affinity_once_all_run(barrier):
+def _cpu_now():
+    return int(open("/proc/self/stat").read().rsplit(")", 1)[1].split()[36])
+
+
+def _placement_once_all_run(barrier, calls):
     # no worker returns before every task has started, so each task has its own
     barrier.wait(timeout=30)
-    return os.sched_getaffinity(0)
+    return calls, os.sched_getaffinity(0)
 
 
-def _affinities(workers):
+def _placements(workers, monkeypatch):
+    """Per worker: the CPU sets its initializer set, each with the CPU it
+    ran on right after the call, and the worker's affinity once it runs."""
+    calls = []  # each forked worker appends to its own copy
+    set_affinity = os.sched_setaffinity
+
+    def recorded(pid, mask):
+        set_affinity(pid, mask)
+        calls.append((set(mask), _cpu_now()))
+
+    monkeypatch.setattr(os, "sched_setaffinity", recorded)
     barrier = multiprocessing.get_context("fork").Barrier(workers)
-    return fan_out([partial(_affinity_once_all_run, barrier)] * workers)
+    return fan_out([partial(_placement_once_all_run, barrier, calls)] * workers)
 
 
-@pytest.mark.skipif(cpus() < 2, reason="one CPU: thunks run in-process, nothing to bind")
-def test_each_worker_is_bound_to_its_own_cpu():
+@pytest.mark.skipif(cpus() < 2, reason="one CPU: thunks run in-process, nothing to place")
+def test_each_worker_is_placed_on_its_own_cpu_then_freed(monkeypatch):
     parent = os.sched_getaffinity(0)
-    sets = _affinities(cpus())
-    assert all(len(s) == 1 and s <= parent for s in sets)
-    assert len(set().union(*sets)) == len(sets)  # disjoint
+    placed = []
+    for calls, affinity in _placements(cpus(), monkeypatch):
+        (own, cpu_then), (freed, _) = calls
+        assert own == {cpu_then} and cpu_then in parent  # moved before the call returned
+        assert freed == affinity == parent
+        placed.append(cpu_then)
+    assert sorted(placed) == sorted(parent)  # one worker per CPU
     assert os.sched_getaffinity(0) == parent
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(cpus() < 3, reason="needs a CPU set with a gap")
-def test_workers_bind_inside_a_non_contiguous_cpu_set():
+def test_workers_are_placed_inside_a_non_contiguous_cpu_set(monkeypatch):
     parent = os.sched_getaffinity(0)
     gapped = {min(parent), max(parent)}
     os.sched_setaffinity(0, gapped)
     try:
-        sets = _affinities(2)
+        placements = _placements(2, monkeypatch)
     finally:
         os.sched_setaffinity(0, parent)
-    assert sorted(sets, key=min) == [{min(parent)}, {max(parent)}]
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
-def test_a_cpu_set_shrunk_after_counting_binds_fewer_workers(monkeypatch):
-    parent = os.sched_getaffinity(0)
-    monkeypatch.setattr(fanout, "cpus", lambda: 2)  # counted before the set shrank
-    os.sched_setaffinity(0, {min(parent)})
-    try:
-        sets = fan_out([partial(os.sched_getaffinity, 0)] * 2)
-    finally:
-        os.sched_setaffinity(0, parent)
-    assert sets == [{min(parent)}] * 2
-    assert multiprocessing.active_children() == []
+    assert sorted(calls[0][1] for calls, _ in placements) == sorted(gapped)
+    assert all(affinity == gapped for _, affinity in placements)
