@@ -50,6 +50,8 @@ COMMANDS = [
     "absence --alpha 0.26rad --R 4 --h 0.125 --levels 2 --thr-h 0.25 --thr-levels 2"
     " --star-tol 0.05",
     f"weyl {FICHERA} --indices 2,3,4,5 --h 0.16",
+    # a slanted mesh: the smallest dihedral angle of a regular layer is not pi/2
+    f"weyl {REGULAR} --indices 2,3,4 --h 0.16",
     "hardy --case random --count 5 --seed 3",
     "hardy --case exp",
     "hardy --case invz",

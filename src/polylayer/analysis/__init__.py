@@ -17,7 +17,6 @@ from .hardy import HardyReport, HardySample, hardy_check, random_decaying_sample
 from .scans import (
     CountResult,
     DecayFit,
-    ScanRecord,
     ThetaScan,
     TruncationScan,
     count_below_threshold,
@@ -45,7 +44,6 @@ __all__ = [
     "DecayFit",
     "HardyReport",
     "HardySample",
-    "ScanRecord",
     "ThetaScan",
     "ThresholdResult",
     "TruncationScan",

@@ -242,6 +242,23 @@ def _veps_terms(mesh, v: np.ndarray, alpha: float, beta: float):
     return terms
 
 
+def veps_plan(layer: LayerGeometry, eps_grid, numerics: WaveguideNumerics) -> tuple:
+    """(alpha, beta, eps grid) of a V^eps certificate: the vertex and
+    dihedral angle of the regular ``layer`` and ``eps_grid`` (None: the
+    default grid), once every eps is found finite and > 0 and ``numerics``
+    has at least 3 levels; no solve."""
+    alpha, beta = _regular_layer_angles(layer)
+    if eps_grid is None:
+        eps_grid = np.geomspace(1e-3, 1.0, 13)
+    # V^eps is in L^2 only for eps > 0; negated, so that NaN fails it
+    bad = [float(e) for e in eps_grid if not 0.0 < e < math.inf]
+    if bad:
+        raise ConfigError(f"eps must be finite and > 0, got {bad}")
+    if numerics.levels < 3:
+        raise ConfigError("the 2D eigenfunction needs at least 3 levels")
+    return alpha, beta, eps_grid
+
+
 def veps_certificate(
     layer: LayerGeometry,
     eps_grid=None,
@@ -255,15 +272,7 @@ def veps_certificate(
     estimated by re-evaluating the terms on the previous refinement level;
     NONEMPTY requires the best value to be negative beyond that estimate.
     """
-    alpha, beta = _regular_layer_angles(layer)
-    if eps_grid is None:
-        eps_grid = np.geomspace(1e-3, 1.0, 13)
-    # V^eps is in L^2 only for eps > 0; negated, so that NaN fails it
-    bad = [float(e) for e in eps_grid if not 0.0 < e < math.inf]
-    if bad:
-        raise ConfigError(f"eps must be finite and > 0, got {bad}")
-    if numerics.levels < 3:
-        raise ConfigError("the 2D eigenfunction needs at least 3 levels")
+    alpha, beta, eps_grid = veps_plan(layer, eps_grid, numerics)
     # one pair: the mode on the half mesh, over which T2 integrates
     mode = solve_waveguide_mode(beta, replace(numerics, num_pairs=1))
 
@@ -390,11 +399,12 @@ def absence_experiment(
     refinements drops below 0.999 * threshold, the verdict is
     ABSENT_CONSISTENT, which is explicitly not a proof of absence.
     """
-    check_plan(R, h, levels)  # before any solve, which would run in vain
+    # before any solve, which would run in vain
+    layer = make_layer(build_trihedral((math.pi / 2, alpha, math.pi / 2)))
+    check_plan(R, h, levels)
     check_below_star(alpha)
     star = alpha_star(star_tol, replace(STAR_NUMERICS, seed=threshold_numerics.seed))
     check_below_star(alpha, star.lo, f"alpha_star in [{star.lo:.4f}, {star.hi:.4f}]")
-    layer = make_layer(build_trihedral((math.pi / 2, alpha, math.pi / 2)))
     thr, bounds = _threshold_and_bounds(layer, threshold_numerics, R, h, levels)
     cutoff = 0.999 * thr.extrapolated
     details = [{key: d[key] for key in ("h", "upper_bound", "cells")} for d in bounds]

@@ -16,6 +16,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..extrapolate import richardson
 from ..fanout import fan_out
+from ..mesh2d import check_opening_angle
 from .waveguide import (
     PI2,
     ThresholdResult,
@@ -27,54 +28,42 @@ from .waveguide import (
 COUNT_PAIRS = 6  # eigenvalues a count examines unless its numerics name a number
 
 
-@dataclass(eq=False)
-class ScanRecord:
-    """One scan point: parameter value, extrapolated eigenvalues, mesh data."""
-
-    parameter: float
-    eigenvalues: np.ndarray  # extrapolated, ascending
-    error_indicators: np.ndarray
-    level_estimates: np.ndarray  # per level x per pair
-    R: float
-    h: float
-    levels: int
-
-    @classmethod
-    def of(cls, parameter: float, res: ThresholdResult) -> ScanRecord:
-        """The record of the waveguide solved at ``parameter``."""
-        return cls(
-            parameter=parameter,
-            eigenvalues=res.extrapolated_all,
-            error_indicators=res.error_indicators,
-            level_estimates=res.lambda_estimates,
-            R=res.R,
-            h=res.h,
-            levels=res.levels,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "eigenvalues": self.eigenvalues.tolist(),
-            "error_indicators": self.error_indicators.tolist(),
-            "R": self.R,
-            "h": self.h,
-            "levels": self.levels,
-        }
+def _record_json(res: ThresholdResult, parameter: float) -> dict:
+    """The JSON record of one scan point: the waveguide ``res`` solved at
+    ``parameter`` (its ``theta_used`` or ``R``)."""
+    return {
+        "parameter": parameter,
+        "eigenvalues": res.extrapolated_all.tolist(),
+        "error_indicators": res.error_indicators.tolist(),
+        "R": res.R,
+        "h": res.h,
+        "levels": res.levels,
+    }
 
 
 @dataclass(eq=False)
 class ThetaScan:
-    records: list
+    records: list  # ThresholdResult per angle, ascending
     strictly_increasing: bool
     inside_band: bool
 
     def to_json(self) -> dict:
         return {
-            "records": [r.to_json() for r in self.records],
+            "records": [_record_json(r, r.theta_used) for r in self.records],
             "strictly_increasing": self.strictly_increasing,
             "inside_band": self.inside_band,
         }
+
+
+def check_thetas(theta_list) -> list:
+    """The angles of a theta scan as floats, once found strictly ascending
+    and each an opening angle in (0, pi)."""
+    thetas = [float(t) for t in theta_list]
+    if any(b <= a for a, b in zip(thetas, thetas[1:])):
+        raise ConfigError("theta values must be strictly ascending")
+    for theta in thetas:
+        check_opening_angle(theta)
+    return thetas
 
 
 def scan_theta(
@@ -85,12 +74,9 @@ def scan_theta(
     Reports whether the values are strictly increasing and whether every
     value lies inside (pi^2/4, pi^2).  The angles are solved concurrently.
     """
-    thetas = [float(t) for t in theta_list]
-    if any(b <= a for a, b in zip(thetas, thetas[1:])):
-        raise ConfigError("theta values must be strictly ascending")
-    results = fan_out(partial(lambda1_waveguide, theta, numerics) for theta in thetas)
-    records = [ScanRecord.of(theta, res) for theta, res in zip(thetas, results)]
-    values = np.array([r.eigenvalues[0] for r in records])
+    thetas = check_thetas(theta_list)
+    records = fan_out(partial(lambda1_waveguide, theta, numerics) for theta in thetas)
+    values = np.array([r.extrapolated for r in records])
     return ThetaScan(
         records=records,
         strictly_increasing=bool((np.diff(values) > 0.0).all()),
@@ -118,7 +104,7 @@ class DecayFit:
 
 @dataclass(eq=False)
 class TruncationScan:
-    records: list
+    records: list  # ThresholdResult per outlet length, ascending
     asymptote: float
     asymptote_indicator: float
     nondecreasing: bool
@@ -128,7 +114,7 @@ class TruncationScan:
 
     def to_json(self) -> dict:
         return {
-            "records": [r.to_json() for r in self.records],
+            "records": [_record_json(r, r.R) for r in self.records],
             "asymptote": self.asymptote,
             "asymptote_indicator": self.asymptote_indicator,
             "nondecreasing": self.nondecreasing,
@@ -145,9 +131,9 @@ def _gap_indicators(records) -> np.ndarray:
     at least three levels, otherwise falls back to the per-R indicators.
     """
     # one column per record; every record has the same number of levels
-    _, _, ext = richardson(np.stack([r.level_estimates[:, 0] for r in records], axis=1))
+    _, _, ext = richardson(np.stack([r.lambda1_estimates for r in records], axis=1))
     if len(ext) < 2:
-        indicators = np.array([r.error_indicators[0] for r in records])
+        indicators = np.array([r.error_indicator for r in records])
         return np.maximum(indicators[:-1], indicators[-1])
     gap_last = ext[-1, -1] - ext[-1, :-1]
     gap_prev = ext[-2, -1] - ext[-2, :-1]
@@ -185,10 +171,9 @@ def scan_truncation(
     """
     per_R = truncation_numerics(R_list, numerics)
     Rs = [n.R for n in per_R]
-    results = fan_out(partial(lambda1_waveguide, theta, n) for n in per_R)
-    records = [ScanRecord.of(R, res) for R, res in zip(Rs, results)]
-    values = np.array([r.eigenvalues[0] for r in records])
-    indicators = np.array([r.error_indicators[0] for r in records])
+    records = fan_out(partial(lambda1_waveguide, theta, n) for n in per_R)
+    values = np.array([r.extrapolated for r in records])
+    indicators = np.array([r.error_indicator for r in records])
     asymptote = float(values[-1])
     asym_ind = float(indicators[-1])
 
@@ -249,7 +234,7 @@ class CountResult:
     certified: list
     near_threshold: list
     guard: float
-    record: ScanRecord
+    record: ThresholdResult
 
     def to_json(self) -> dict:
         return {
@@ -258,7 +243,7 @@ class CountResult:
             "certified": self.certified,
             "near_threshold": self.near_threshold,
             "guard": self.guard,
-            "record": self.record.to_json(),
+            "record": _record_json(self.record, self.record.theta_used),
         }
 
 
@@ -279,5 +264,5 @@ def count_below_threshold(
         certified=certified,
         near_threshold=near,
         guard=guard,
-        record=ScanRecord.of(theta, res),
+        record=res,
     )

@@ -239,25 +239,8 @@ def _threshold_numerics(args):
 
 
 def _dry_run_payload(args) -> dict:
-    """Geometry validation, the plan checks the run makes before its first
-    solve, and the solve plan; no eigensolves."""
-    if hasattr(args, "levels"):  # every subcommand that solves
-        from .analysis import certificates, scans, waveguide
-        from .grid3d import check_plan
-
-        if hasattr(args, "thr_h"):  # certify and absence
-            check_plan(args.R, args.h, args.levels)
-            _threshold_numerics(args)
-        else:  # the voxel --h and --levels are no waveguide numerics
-            numerics = _numerics(args)
-        if args.subcommand == "absence":
-            certificates.check_below_star(args.alpha)
-        if hasattr(args, "star_tol"):  # absence and alpha-star
-            certificates.check_star_tol(args.star_tol)
-        if hasattr(args, "R_list"):  # scan-R
-            scans.truncation_numerics(args.R_list, numerics)
-        if hasattr(args, "num_pairs"):  # waveguide and count
-            waveguide.check_pair_count(args.theta, numerics)
+    """Geometry validation, the checks the run makes before its first solve,
+    through the functions the run calls, and the solve plan; no eigensolves."""
     payload: dict = {"dry_run": True, "plan": {}}
     if hasattr(args, "alpha"):
         layer = _build_layer(args)
@@ -268,6 +251,32 @@ def _dry_run_payload(args) -> dict:
                 "h": getattr(args, "thr_h", args.h),
                 "levels": getattr(args, "thr_levels", args.levels),
             }
+    if hasattr(args, "levels"):  # every subcommand that solves
+        from .analysis import certificates, scans, waveguide
+        from .grid3d import check_plan
+        from .mesh2d import check_opening_angle
+
+        if hasattr(args, "thr_h"):  # certify and absence, in the runs' order
+            _threshold_numerics(args)
+            check_plan(args.R, args.h, args.levels)
+        else:  # the voxel --h and --levels are no waveguide numerics
+            numerics = _numerics(args)
+        if hasattr(args, "theta"):  # waveguide, scan-R and count
+            check_opening_angle(args.theta)
+        if hasattr(args, "thetas"):  # scan-theta
+            scans.check_thetas(args.thetas)
+        if args.subcommand == "certify-veps":
+            certificates.veps_plan(layer, args.eps, numerics)
+        if args.subcommand == "weyl":
+            _weyl_configs(args)
+        if args.subcommand == "absence":
+            certificates.check_below_star(args.alpha)
+        if hasattr(args, "star_tol"):  # absence and alpha-star
+            certificates.check_star_tol(args.star_tol)
+        if hasattr(args, "R_list"):  # scan-R
+            scans.truncation_numerics(args.R_list, numerics)
+        if hasattr(args, "num_pairs"):  # waveguide and count
+            waveguide.check_pair_count(args.theta, numerics)
     if hasattr(args, "theta"):
         payload["plan"]["waveguide"] = {
             "theta": args.theta,
@@ -305,20 +314,20 @@ def _waveguide(args, files):
 
 def _scan_files(args, files, scan, x_name, x_label, refs, columns=()):
     """The side files of a scan: a CSV table (the parameter, lambda1, its
-    indicator and the named record ``columns``) and an SVG plot of lambda1."""
+    indicator and the named record ``columns``) and an SVG plot of lambda1.
+    The parameter is the records' ``theta_used`` or ``R``, as ``x_name``."""
     stem = f"scan_{x_name}"
+    xs = [getattr(r, "theta_used" if x_name == "theta" else "R") for r in scan.records]
+    ys = [r.extrapolated_all[0] for r in scan.records]
     if "csv" in args.formats:
         files[f"{stem}.csv"] = (
             [x_name, "lambda1", "error_indicator", *columns],
             [
-                [r.parameter, r.eigenvalues[0], r.error_indicators[0]]
-                + [getattr(r, c) for c in columns]
-                for r in scan.records
+                [x, y, r.error_indicators[0]] + [getattr(r, c) for c in columns]
+                for x, y, r in zip(xs, ys, scan.records)
             ],
         )
     if "svg" in args.formats:
-        xs = [r.parameter for r in scan.records]
-        ys = [r.eigenvalues[0] for r in scan.records]
         files[f"{stem}.svg"] = ({f"lambda1({x_name})": (xs, ys)}, x_label, "lambda1", refs)
     return scan.to_json()
 
@@ -408,14 +417,18 @@ def _hardy(args, files):
     }
 
 
+def _weyl_configs(args) -> list:
+    from .analysis import WeylConfig
+
+    return [WeylConfig(index=n, kappa=args.kappa, h_grid=args.h_grid) for n in args.indices]
+
+
 def _weyl(args, files):
-    from .analysis import WeylConfig, solve_waveguide_mode, weyl_residual
+    from .analysis import solve_waveguide_mode, weyl_residual
 
     layer = _build_layer(args)
-    configs = [  # checked before the solve
-        WeylConfig(index=n, kappa=args.kappa, h_grid=args.h_grid) for n in args.indices
-    ]
-    mode = solve_waveguide_mode(layer.beta_min, _numerics(args))
+    numerics, configs = _numerics(args), _weyl_configs(args)  # checked before the solve
+    mode = solve_waveguide_mode(layer.beta_min, numerics)
     rows = [weyl_residual(layer, cfg, mode=mode).to_json() for cfg in configs]
     return {"elements": rows, "kappa": args.kappa}
 
@@ -463,7 +476,7 @@ def _mode_heatmap(mode):
     the half y >= 0)."""
     import numpy as np
 
-    from .mesh2d import evaluate_batch
+    from .mesh2d import sample_grid
 
     nodes = mode.mesh.nodes
     lo = nodes.min(axis=0)
@@ -472,13 +485,9 @@ def _mode_heatmap(mode):
     nx = 400
     ny = max(2, int(nx * (hi[1] - lo[1]) / max(hi[0] - lo[0], 1e-9)))
     xs = np.linspace(lo[0], hi[0], nx)
-    ys = np.linspace(lo[1], hi[1], ny)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    pts = np.stack([X.ravel(), np.abs(Y.ravel())], axis=1)
-    vals, inside = evaluate_batch(mode.mesh, mode.values[:, 0], pts)
-    img = np.abs(vals).reshape(ny, nx)
-    img[~inside.reshape(ny, nx)] = 0.0
-    return img[::-1]
+    abs_ys, row = np.unique(np.abs(np.linspace(lo[1], hi[1], ny)), return_inverse=True)
+    vals, _ = sample_grid(mode.mesh, mode.values[:, 0], xs, abs_ys)  # 0 outside
+    return np.abs(vals[:, row]).T[::-1]
 
 
 def _write_outputs(args, payload: dict, files: dict, started: float, blas_pinned: bool):

@@ -84,7 +84,7 @@ def test_scan_theta_monotone_and_banded():
     scan = scan_theta((0.5, 0.9, 1.4, 2.0, 2.6), COARSE)
     assert scan.strictly_increasing
     assert scan.inside_band
-    values = [r.eigenvalues[0] for r in scan.records]
+    values = [r.extrapolated for r in scan.records]
     assert values == sorted(values)
 
 
@@ -95,17 +95,17 @@ def test_scan_records_are_the_solves_at_their_parameters():
     Rs = (2.0, 3.0)
     num = WaveguideNumerics(h=0.25, levels=2)
     cases = [
-        (scan_theta(thetas, COARSE).records, thetas, [(t, COARSE) for t in thetas]),
-        (scan_truncation(1.1, Rs, num).records, Rs, [(1.1, replace(num, R=R)) for R in Rs]),
+        (scan_theta(thetas, COARSE).records, "theta_used", thetas, [(t, COARSE) for t in thetas]),
+        (scan_truncation(1.1, Rs, num).records, "R", Rs, [(1.1, replace(num, R=R)) for R in Rs]),
     ]
-    for records, parameters, solves in cases:
-        assert [r.parameter for r in records] == list(parameters)
+    for records, name, parameters, solves in cases:
+        assert [getattr(r, name) for r in records] == list(parameters)
         for rec, (theta, numerics) in zip(records, solves):
             res = lambda1_waveguide(theta, numerics)
-            assert np.array_equal(rec.eigenvalues, res.extrapolated_all)
+            assert np.array_equal(rec.extrapolated_all, res.extrapolated_all)
             assert np.array_equal(rec.error_indicators, res.error_indicators)
-            assert np.array_equal(rec.level_estimates, res.lambda_estimates)
-            assert rec.R == res.R
+            assert np.array_equal(rec.lambda_estimates, res.lambda_estimates)
+            assert (rec.theta_used, rec.R) == (res.theta_used, res.R)
 
 
 def test_scan_theta_requires_ascending():
@@ -115,7 +115,7 @@ def test_scan_theta_requires_ascending():
 
 def test_scan_truncation_structure():
     scan = scan_truncation(PI / 2, (2.0, 3.0, 4.0, 5.0), WaveguideNumerics(h=0.25, levels=2))
-    values = np.array([r.eigenvalues[0] for r in scan.records])
+    values = np.array([r.extrapolated for r in scan.records])
     assert scan.nondecreasing
     assert scan.below_asymptote
     assert scan.asymptote == pytest.approx(values[-1])
@@ -149,8 +149,9 @@ def test_count_below_threshold_sharp_angle():
 
 def test_count_examines_the_pairs_its_numerics_name():
     num = WaveguideNumerics(h=0.25, levels=2, R=4.0)
-    assert len(count_below_threshold(PI / 2, replace(num, num_pairs=3)).record.eigenvalues) == 3
-    assert len(count_below_threshold(PI / 2, num).record.eigenvalues) == 6  # COUNT_PAIRS
+    for pairs, examined in ((3, 3), (None, 6)):  # None: COUNT_PAIRS
+        record = count_below_threshold(PI / 2, replace(num, num_pairs=pairs)).record
+        assert len(record.extrapolated_all) == examined
 
 
 def test_auto_outlet_rule():

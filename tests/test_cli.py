@@ -560,69 +560,89 @@ def test_nested_fan_out_runs_serially(tmp_path, capsys, monkeypatch):
     assert (int(task) != os.getpid()) == (cpus() >= 2)
 
 
+# (id, argv, message): each case runs, and runs again with --dry-run as id-dry
+_CHECKED_BEFORE_SOLVE = [
+    ("certify", [*SMALL_CERTIFY, "--levels", "0"], "levels"),
+    ("absence", ["absence", "--alpha", "0.26rad", "--levels", "0"], "levels"),
+    ("certify-thr-levels-1", [*SMALL_CERTIFY, "--levels", "1", "--thr-levels", "1"],
+     "refinement levels"),
+    ("absence-thr-levels-1", ["absence", "--alpha", "0.26rad", "--thr-levels", "1"],
+     "refinement levels"),
+    ("certify-R-2", [*SMALL_CERTIFY, "--levels", "1", "--R", "2"], "R must be >= 3"),
+    # coarsest level h = 0.5
+    ("certify-coarsest-h", [*SMALL_CERTIFY, "--levels", "2"], "h must be <= 1/3"),
+    ("waveguide-pairs-0", ["waveguide", "--theta", "90deg", "--pairs", "0"], "num_pairs"),
+    # the auto-R rule would solve its coarse chain at max(h, 0.2) first
+    ("waveguide-h-negative", ["waveguide", "--theta", "90deg", "--h", "-1"],
+     "h = -1.0 must lie in (0, 0.5]"),
+    ("waveguide-h-0", ["waveguide", "--theta", "90deg", "--h", "0"],
+     "h = 0.0 must lie in (0, 0.5]"),
+    ("certify-thr-h-0", [*SMALL_CERTIFY, "--levels", "1", "--thr-h", "0"], "h = 0.0 must lie"),
+    ("weyl-index-0", ["weyl", *FICHERA, "--h", "0.25", "--indices", "2,0"], "window index"),
+    ("weyl-h-grid", ["weyl", *FICHERA, "--h", "0.25", "--h-grid", "0.3"], "too coarse"),
+    ("weyl-h-grid-0", ["weyl", *FICHERA, "--h", "0.25", "--h-grid", "0"],
+     "h_grid = 0.0 must be positive"),
+    ("weyl-h-grid-negative", ["weyl", *FICHERA, "--h", "0.25", "--h-grid", "-0.05"],
+     "must be positive"),
+    ("weyl-h-grid-nan", ["weyl", *FICHERA, "--h", "0.25", "--h-grid", "nan"],
+     "h_grid = nan must be positive"),
+    ("weyl-kappa-nan", ["weyl", *FICHERA, "--h", "0.25", "--kappa", "nan"],
+     "kappa = nan must be finite"),
+    ("weyl-kappa-inf", ["weyl", *FICHERA, "--h", "0.25", "--kappa", "inf"],
+     "kappa = inf must be finite"),
+    # V^eps is in L^2 only for eps > 0
+    ("veps-eps-0", ["certify-veps", *REGULAR, "--eps", "0"],
+     "eps must be finite and > 0, got [0.0]"),
+    ("veps-eps-negative", ["certify-veps", *REGULAR, "--eps", "0.1,-1"], "got [-1.0]"),
+    ("veps-eps-nan", ["certify-veps", *REGULAR, "--eps", "nan"], "got [nan]"),
+    ("veps-eps-inf", ["certify-veps", *REGULAR, "--eps", "inf"], "got [inf]"),
+    # alpha_star < 1.4, the bisection bracket's upper end
+    ("absence-alpha-above-bracket", ["absence", "--alpha", "1.4rad"], "alpha_star"),
+    # non-finite values fail the negated bounds
+    ("alpha-star-tol-nan", ["alpha-star", "--star-tol", "nan"], "tolerance nan"),
+    ("absence-star-tol-nan", ["absence", "--alpha", "0.26rad", "--star-tol", "nan"],
+     "tolerance nan"),
+    ("waveguide-R-nan", ["waveguide", "--theta", "90deg", "--R", "nan"], "R = nan must be finite"),
+    ("waveguide-R-inf", ["waveguide", "--theta", "90deg", "--R", "inf"], "R = inf must be finite"),
+    ("scan-R-nan", ["scan-R", "--theta", "90deg", "--R-list", "2,nan"], "R = nan must be finite"),
+    ("scan-R-inf", ["scan-R", "--theta", "90deg", "--R-list", "2,inf"], "R = inf must be finite"),
+    ("weyl-R-nan", ["weyl", *FICHERA, "--R", "nan"], "R = nan must be finite"),
+    ("weyl-R-inf", ["weyl", *FICHERA, "--R", "inf"], "R = inf must be finite"),
+    ("certify-R-nan", [*SMALL_CERTIFY, "--levels", "1", "--R", "nan"],
+     "R must be >= 3 and finite"),
+    ("certify-R-inf", [*SMALL_CERTIFY, "--levels", "1", "--R", "inf"],
+     "R must be >= 3 and finite"),
+    ("certify-h-nan", [*SMALL_CERTIFY, "--levels", "1", "--h", "nan"], "h must be > 0"),
+    ("certify-thr-h-nan", [*SMALL_CERTIFY, "--levels", "1", "--thr-h", "nan"],
+     "h = nan must lie"),
+    # too many pairs even at the longest automatic outlet, R_CAP
+    ("count-pairs-400", ["count", "--theta", "90deg", "--pairs", "400"],
+     "too large for dimension"),
+    ("waveguide-pairs-90-R-4", ["waveguide", "--theta", "90deg", "--pairs", "90", "--R", "4"],
+     "too large"),
+    ("veps-eps-0-1", ["certify-veps", *REGULAR, "--eps", "0,1"], "got [0.0]"),
+    ("veps-levels-2", ["certify-veps", *REGULAR, "--levels", "2"], "at least 3 levels"),
+    ("veps-not-regular", ["certify-veps", "--kind", "trihedral", "--alpha", "90deg,60deg,90deg"],
+     "regular polyhedral layer"),
+    ("scan-theta-descending", ["scan-theta", "--thetas", "2rad,1rad"], "strictly ascending"),
+    ("scan-theta-above-pi", ["scan-theta", "--thetas", "0.5rad,4rad"],
+     "opening angle theta = 4.0 not in (0, pi)"),
+    ("weyl-kappa-nan-default-h", ["weyl", *FICHERA, "--kappa", "nan"],
+     "kappa = nan must be finite"),
+    ("weyl-indices-0", ["weyl", *FICHERA, "--indices", "0"], "window index"),
+    ("weyl-h-grid-0.5", ["weyl", *FICHERA, "--h-grid", "0.5"], "too coarse"),
+    ("waveguide-theta-200deg", ["waveguide", "--theta", "200deg"], "not in (0, pi)"),
+    ("absence-alpha-0", ["absence", "--alpha", "0rad"], "alpha_2 = 0.0 not in (0, pi)"),
+]
+
+
 @pytest.mark.parametrize(
     "argv, message",
-    [
-        ([*SMALL_CERTIFY, "--levels", "0"], "levels"),
-        (["absence", "--alpha", "0.26rad", "--levels", "0"], "levels"),
-        ([*SMALL_CERTIFY, "--levels", "1", "--thr-levels", "1"], "refinement levels"),
-        (["absence", "--alpha", "0.26rad", "--thr-levels", "1"], "refinement levels"),
-        ([*SMALL_CERTIFY, "--levels", "1", "--R", "2"], "R must be >= 3"),
-        ([*SMALL_CERTIFY, "--levels", "2"], "h must be <= 1/3"),  # coarsest level h = 0.5
-        (["waveguide", "--theta", "90deg", "--pairs", "0"], "num_pairs"),
-        # the auto-R rule would solve its coarse chain at max(h, 0.2) first
-        (["waveguide", "--theta", "90deg", "--h", "-1"], "h = -1.0 must lie in (0, 0.5]"),
-        (["waveguide", "--theta", "90deg", "--h", "0"], "h = 0.0 must lie in (0, 0.5]"),
-        ([*SMALL_CERTIFY, "--levels", "1", "--thr-h", "0"], "h = 0.0 must lie"),
-        (["weyl", *FICHERA, "--h", "0.25", "--indices", "2,0"], "window index"),
-        (["weyl", *FICHERA, "--h", "0.25", "--h-grid", "0.3"], "too coarse"),
-        (["weyl", *FICHERA, "--h", "0.25", "--h-grid", "0"], "h_grid = 0.0 must be positive"),
-        (["weyl", *FICHERA, "--h", "0.25", "--h-grid", "-0.05"], "must be positive"),
-        (["weyl", *FICHERA, "--h", "0.25", "--h-grid", "nan"], "h_grid = nan must be positive"),
-        (["weyl", *FICHERA, "--h", "0.25", "--kappa", "nan"], "kappa = nan must be finite"),
-        (["weyl", *FICHERA, "--h", "0.25", "--kappa", "inf"], "kappa = inf must be finite"),
-        # V^eps is in L^2 only for eps > 0
-        (["certify-veps", *REGULAR, "--eps", "0"], "eps must be finite and > 0, got [0.0]"),
-        (["certify-veps", *REGULAR, "--eps", "0.1,-1"], "got [-1.0]"),
-        (["certify-veps", *REGULAR, "--eps", "nan"], "got [nan]"),
-        (["certify-veps", *REGULAR, "--eps", "inf"], "got [inf]"),
-        # alpha_star < 1.4, the bisection bracket's upper end
-        (["absence", "--alpha", "1.4rad"], "alpha_star"),
-        # non-finite values fail the negated bounds, dry runs included
-        (["alpha-star", "--star-tol", "nan"], "tolerance nan"),
-        (["absence", "--alpha", "0.26rad", "--star-tol", "nan"], "tolerance nan"),
-        (["waveguide", "--theta", "90deg", "--R", "nan"], "R = nan must be finite"),
-        (["waveguide", "--theta", "90deg", "--R", "inf"], "R = inf must be finite"),
-        (["waveguide", "--theta", "90deg", "--R", "inf", "--dry-run"], "R = inf"),
-        (["scan-R", "--theta", "90deg", "--R-list", "2,nan"], "R = nan must be finite"),
-        (["scan-R", "--theta", "90deg", "--R-list", "2,inf"], "R = inf must be finite"),
-        (["weyl", *FICHERA, "--R", "nan"], "R = nan must be finite"),
-        (["weyl", *FICHERA, "--R", "inf"], "R = inf must be finite"),
-        ([*SMALL_CERTIFY, "--levels", "1", "--R", "nan"], "R must be >= 3 and finite"),
-        ([*SMALL_CERTIFY, "--levels", "1", "--R", "inf"], "R must be >= 3 and finite"),
-        ([*SMALL_CERTIFY, "--levels", "1", "--R", "nan", "--dry-run"], "R must be >= 3 and finite"),
-        ([*SMALL_CERTIFY, "--levels", "1", "--R", "inf", "--dry-run"], "R must be >= 3 and finite"),
-        ([*SMALL_CERTIFY, "--levels", "1", "--h", "nan"], "h must be > 0"),
-        ([*SMALL_CERTIFY, "--h", "nan", "--dry-run"], "h must be > 0"),
-        ([*SMALL_CERTIFY, "--levels", "1", "--thr-h", "nan", "--dry-run"], "h = nan must lie"),
-        (["alpha-star", "--star-tol", "nan", "--dry-run"], "tolerance nan"),
-        # too many pairs even at the longest automatic outlet, R_CAP
-        (["count", "--theta", "90deg", "--pairs", "400"], "too large for dimension"),
-        (["count", "--theta", "90deg", "--pairs", "400", "--dry-run"], "too large"),
-        (["waveguide", "--theta", "90deg", "--pairs", "90", "--R", "4"], "too large"),
+    [pytest.param(argv, message, id=name) for name, argv, message in _CHECKED_BEFORE_SOLVE]
+    + [
+        pytest.param([*argv, "--dry-run"], message, id=f"{name}-dry")
+        for name, argv, message in _CHECKED_BEFORE_SOLVE
     ],
-    ids=["certify", "absence", "certify-thr-levels-1", "absence-thr-levels-1",
-         "certify-R-2", "certify-coarsest-h", "waveguide-pairs-0", "waveguide-h-negative",
-         "waveguide-h-0", "certify-thr-h-0", "weyl-index-0",
-         "weyl-h-grid", "weyl-h-grid-0", "weyl-h-grid-negative", "weyl-h-grid-nan",
-         "weyl-kappa-nan", "weyl-kappa-inf", "veps-eps-0", "veps-eps-negative",
-         "veps-eps-nan", "veps-eps-inf", "absence-alpha-above-bracket",
-         "alpha-star-tol-nan", "absence-star-tol-nan", "waveguide-R-nan", "waveguide-R-inf",
-         "waveguide-R-inf-dry", "scan-R-nan", "scan-R-inf", "weyl-R-nan", "weyl-R-inf",
-         "certify-R-nan", "certify-R-inf", "certify-R-nan-dry", "certify-R-inf-dry",
-         "certify-h-nan", "certify-h-nan-dry", "certify-thr-h-nan-dry",
-         "alpha-star-tol-nan-dry", "count-pairs-400", "count-pairs-400-dry",
-         "waveguide-pairs-90-R-4"],
 )
 def test_levels_checked_before_any_solve(argv, message, tmp_path, capsys, monkeypatch):
     from polylayer import eigensolve

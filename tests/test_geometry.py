@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polylayer import geometry
 from polylayer.geometry import (
     GeometryError,
     build_regular,
@@ -88,6 +89,25 @@ def test_regular_four_faces_equal_dihedrals_and_inscribed():
 def test_regular_infeasible_alpha_names_bound():
     with pytest.raises(GeometryError, match="2\\*pi/n"):
         build_regular(4, PI / 2)  # alpha must be < pi/2 for n = 4
+
+
+def test_trihedral_dihedrals_cross_checked(monkeypatch):
+    # a law-of-cosines oracle that disagrees by more than 1e-10 is refused
+    lawcos = geometry.trihedral_dihedrals_lawcos
+    monkeypatch.setattr(geometry, "trihedral_dihedrals_lawcos", lambda a: lawcos(a) + 1e-9)
+    with pytest.raises(GeometryError, match="spherical-law cross-check"):
+        build_trihedral((PI / 2, PI / 3, PI / 2))
+
+
+def test_regular_construction_checks_equal_dihedrals(monkeypatch):
+    def tilted(rays):
+        rays = np.array(rays, dtype=float)
+        rays[0, 2] += 0.1  # one ray off the cone: the angle is no longer regular
+        return from_rays(rays)
+
+    monkeypatch.setattr(geometry, "from_rays", tilted)
+    with pytest.raises(GeometryError, match="unequal dihedral angles"):
+        build_regular(4, PI / 3)
 
 
 def test_regular_equilateral_matches_trihedral_oracle():

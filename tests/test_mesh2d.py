@@ -13,12 +13,12 @@ from polylayer.mesh2d import (
     _edges,
     axis_rule,
     check_conforming,
-    evaluate_batch,
     mesh_lshape,
     mesh_rectangle,
     mirrored,
     prolong,
     refine,
+    sample_grid,
 )
 from polylayer.report import sha256_of_arrays
 
@@ -92,6 +92,14 @@ def test_mesh_lshape_rejects_theta_and_R():
     for R in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(GeometryError, match="outlet length must be positive"):
             mesh_lshape(PI / 2, R, h=0.6)
+
+
+def test_mesh_lshape_checks_its_area(monkeypatch):
+    # the triangles must tile the half waveguide; halved areas do not
+    signed_areas = mesh2d._signed_areas
+    monkeypatch.setattr(mesh2d, "_signed_areas", lambda *a: 0.5 * signed_areas(*a))
+    with pytest.raises(MeshError, match="triangle areas do not sum"):
+        mesh_lshape(PI / 2, 2.0, h=0.5)
 
 
 @pytest.mark.parametrize("theta,R", [(0.1, 3.0), (0.4, 3.0), (2.6, 2.0), (3.1, 2.0)])
@@ -213,73 +221,88 @@ def test_node_count_grows_with_area_not_cot_squared(theta):
             assert mesh.min_angle() >= KITE_MIN_ANGLE[theta] - 1e-12
 
 
-def test_locate_tie_rule_pinned(mesh_right_angle):
-    # nodes and edge midpoints lie in several triangles at once; the locator
-    # returns the first of its bin's list, in ascending triangle order
-    mesh = mesh_right_angle
-    e = mesh.edges()
-    pts = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[e[:, 0]] + mesh.nodes[e[:, 1]])])
-    tri, _ = mesh.locator().locate(pts)
-    assert len(pts) == 657 and (tri >= 0).all()
-    assert sha256_of_arrays(tri) == (
-        "56234c6cce8339f19decb4c6809c021bfcbeb598f3a3583d6ca469f10a68277d"
-    )
+def _sample_reference(mesh, nodal, xs, ys):
+    """Point by point over all triangles: the lowest-index triangle whose
+    barycentric coordinates are all >= -1e-12, interpolated there."""
+    p = mesh.nodes[mesh.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    det = 2.0 * mesh.signed_areas()
+    rows, tris, points = [], [], []
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys):
+            rx, ry = x - p[:, 0, 0], y - p[:, 0, 1]
+            l1 = d2[:, 1] / det * rx + -d2[:, 0] / det * ry
+            l2 = -d1[:, 1] / det * rx + d1[:, 0] / det * ry
+            bary = np.stack([1.0 - l1 - l2, l1, l2], axis=1)
+            hits = np.flatnonzero((bary >= -1e-12).all(axis=1))
+            if len(hits):
+                rows.append(bary[hits[0]])
+                tris.append(hits[0])
+                points.append((a, b))
+    values = np.zeros((len(xs), len(ys)))
+    inside = np.zeros((len(xs), len(ys)), dtype=bool)
+    if points:
+        a, b = np.array(points).T
+        values[a, b] = np.einsum("ij,ij->i", np.array(rows), nodal[mesh.triangles[tris]])
+        inside[a, b] = True
+    return values, inside
+
+
+def test_locate_tie_rule_pinned():
+    # nodes and edge midpoints lie in several triangles at once; each takes
+    # the lowest-index one, bit for bit.  The points 1e-14 outside the
+    # rectangle pass the barycentric test, though they lie outside every
+    # triangle's bounding box
+    mesh = mesh_rectangle(2.0, 1.0, h=0.25)
+    nodal = np.random.default_rng(4).normal(size=mesh.num_nodes)
+    xs = np.concatenate([[-1e-14], np.linspace(0.0, 2.0, 17), [2.0 + 1e-14]])  # spacing h / 2
+    ys = np.concatenate([[-1e-14], np.linspace(0.0, 1.0, 9), [1.0 + 1e-14]])
+    values, inside = sample_grid(mesh, nodal, xs, ys)
+    ref_values, ref_inside = _sample_reference(mesh, nodal, xs, ys)
+    assert inside.all() and ref_inside.all()
+    assert values.tobytes() == ref_values.tobytes()
+    # two triangles over the same ground, with different nodal values: the
+    # first one's values are read wherever both contain a point
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for order in ([0, 1], [1, 0]):
+        twins = TriMesh(
+            nodes=np.vstack([corners, corners]),
+            triangles=np.array([[0, 1, 2], [3, 4, 5]])[order],
+            boundary_edges=np.empty((0, 2), dtype=np.int64),
+            boundary_tags=np.empty(0, dtype=str),
+        )
+        values, inside = sample_grid(twins, np.repeat([1.0, 2.0], 3), [0.0, 0.25, 0.5], [0.0, 0.5])
+        assert inside.all() and (values == 1.0 + order[0]).all()
 
 
 def test_locate_no_points(mesh_right_angle):
-    tri, bary = mesh_right_angle.locator().locate(np.empty((0, 2)))
-    assert tri.shape == (0,) and bary.shape == (0, 3)
-
-
-def _locate_reference(loc, pts):
-    """Point by point: the first triangle of the point's bin that contains it."""
-    tri = np.full(len(pts), -1, dtype=np.int64)
-    bary = np.zeros((len(pts), 3))
-    for i, (i_bin, j_bin) in enumerate(loc._cells(pts)):
-        b = i_bin * loc.n_bins + j_bin
-        for t in loc._bin_tris[loc._bin_start[b] : loc._bin_start[b + 1]]:
-            rel = pts[i] - loc._p0[t]
-            inv = loc._inv[t]
-            l1 = inv[0] * rel[0] + inv[1] * rel[1]
-            l2 = inv[2] * rel[0] + inv[3] * rel[1]
-            lam = np.array([1.0 - l1 - l2, l1, l2])
-            if (lam >= -loc.tol).all():
-                tri[i], bary[i] = t, lam
-                break
-    return tri, bary
+    nodal = np.ones(mesh_right_angle.num_nodes)
+    for xs, ys in (([], [0.5, 1.0]), ([0.5, 1.0], []), ([], [])):
+        values, inside = sample_grid(mesh_right_angle, nodal, xs, ys)
+        assert values.shape == inside.shape == (len(xs), len(ys))
 
 
 @pytest.mark.parametrize("theta", [0.3, PI / 2, 2.6])
 def test_locate_matches_reference(theta):
     mesh = refine(mesh_lshape(theta, 2.0, h=0.25))
     rng = np.random.default_rng(11)
+    nodal = rng.normal(size=mesh.num_nodes)
     lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
-    e = mesh.edges()
-    pts = np.vstack([
-        lo - 0.5 + (hi - lo + 1.0) * rng.random((2000, 2)),  # inside and outside
-        mesh.nodes,
-        0.5 * (mesh.nodes[e[:, 0]] + mesh.nodes[e[:, 1]]),
-    ])
-    tri, bary = mesh.locator().locate(pts)
-    ref_tri, ref_bary = _locate_reference(mesh.locator(), pts)
-    assert (tri >= 0).any() and (tri < 0).any()
-    assert np.array_equal(tri, ref_tri)
-    assert bary.tobytes() == ref_bary.tobytes()
+    xs, ys = (np.sort(rng.uniform(lo[k] - 0.5, hi[k] + 0.5, 40)) for k in (0, 1))
+    values, inside = sample_grid(mesh, nodal, xs, ys)
+    ref_values, ref_inside = _sample_reference(mesh, nodal, xs, ys)
+    assert inside.any() and not inside.all()
+    assert np.array_equal(inside, ref_inside)
+    assert values.tobytes() == ref_values.tobytes()
 
 
-def test_evaluate_batch_across_chunks_matches_reference(mesh_right_angle):
-    mesh = mesh_right_angle
-    rng = np.random.default_rng(12)
-    values = rng.normal(size=mesh.num_nodes)
-    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
-    pts = lo + (hi - lo) * rng.random((mesh2d._CHUNK + 500, 2))
-    vals, inside = evaluate_batch(mesh, values, pts)
-    tri, bary = _locate_reference(mesh.locator(), pts)
-    assert np.array_equal(inside, tri >= 0)
-    ok = tri >= 0
-    want = np.einsum("ij,ij->i", bary[ok], values[mesh.triangles[tri[ok]]])
-    assert vals[ok].tobytes() == want.tobytes()
-    assert (vals[~ok] == 0.0).all()
+def test_sample_grid_outside_is_flagged_zero(mesh_right_angle):
+    xs, ys = np.linspace(-2.0, 6.0, 33), np.linspace(-4.0, 4.0, 33)
+    values, inside = sample_grid(mesh_right_angle, np.ones(mesh_right_angle.num_nodes), xs, ys)
+    assert inside.any() and not inside.all()
+    assert not inside[0].any()  # x = -2 lies left of the waveguide
+    assert (values[~inside] == 0.0).all()
+    assert np.allclose(values[inside], 1.0, rtol=0.0, atol=1e-13)
 
 
 def test_refine_counts_area_nesting_tags(mesh_right_angle):
@@ -316,50 +339,58 @@ def test_refine_children_positively_oriented(theta):
         assert (mesh.signed_areas() > 0.0).all()
 
 
-def test_prolong_keeps_the_p1_field(mesh_right_angle):
+def _p1_oracle(mesh, nodal, pts):
+    """The P1 field at each point, from the first triangle found containing
+    it by solving for its barycentric coordinates."""
+    out = np.empty(len(pts))
+    for i, pt in enumerate(pts):
+        for tri in mesh.triangles:
+            a, b, c = mesh.nodes[tri]
+            l12 = np.linalg.solve(np.array([b - a, c - a]).T, pt - a)
+            lam = np.array([1.0 - l12.sum(), *l12])
+            if (lam >= -1e-12).all():
+                out[i] = lam @ nodal[tri]
+                break
+        else:
+            raise AssertionError(f"{pt} lies in no triangle")
+    return out
+
+
+def test_prolong_keeps_the_p1_field():
     # nested P1 spaces: the prolonged values are the coarse field's values
     # at the fine nodes, column by column
-    fine = refine(mesh_right_angle)
-    nodal = np.random.default_rng(3).standard_normal((mesh_right_angle.num_nodes, 2))
-    values = prolong(mesh_right_angle, nodal)
+    coarse = mesh_lshape(PI / 2, 1.0, h=0.5)
+    fine = refine(coarse)
+    nodal = np.random.default_rng(3).standard_normal((coarse.num_nodes, 2))
+    values = prolong(coarse, nodal)
     assert values.shape == (fine.num_nodes, 2)
     for j in range(2):
-        expected, inside = evaluate_batch(mesh_right_angle, nodal[:, j], fine.nodes)
-        assert inside.all()
+        expected = _p1_oracle(coarse, nodal[:, j], fine.nodes)
         assert np.allclose(values[:, j], expected, rtol=0.0, atol=1e-12)
 
 
 def test_evaluate_partition_of_unity(mesh_right_angle):
     ones = np.ones(mesh_right_angle.num_nodes)
-    rng = np.random.default_rng(5)
-    half = PI / 4
-    d1 = np.array([math.cos(half), math.sin(half)])
-    n1 = np.array([d1[1], -d1[0]])  # from ray 1 toward the strip interior
-    s, u = rng.uniform([0.5, 0.1], [4.0, 0.9], size=(20, 2)).T  # s, u per point
-    pts = s[:, None] * d1 + u[:, None] * n1
-    vals, inside = evaluate_batch(mesh_right_angle, ones, pts)
-    assert inside.all()
-    assert np.allclose(vals, 1.0, rtol=0.0, atol=1e-13)
+    # the whole waveguide's bounding box: the grid points in the strip are inside
+    xs, ys = np.linspace(0.0, 5.0, 51), np.linspace(-3.5, 3.5, 71)
+    vals, inside = sample_grid(mesh_right_angle, ones, xs, ys)
+    assert inside.sum() > 500
+    assert np.allclose(vals[inside], 1.0, rtol=0.0, atol=1e-13)
 
 
 def test_evaluate_reproduces_linears(mesh_right_angle):
-    f = mesh_right_angle.nodes[:, 0].copy()
     rng = np.random.default_rng(6)
-    pts = rng.uniform([0.0, -3.5], [5.0, 3.5], size=(400, 2))
-    vals, inside = evaluate_batch(mesh_right_angle, f, pts)
+    xs, ys = np.sort(rng.uniform(0.0, 5.0, 30)), np.sort(rng.uniform(-3.5, 3.5, 30))
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    nodes = mesh_right_angle.nodes
+    f = 0.5 + nodes[:, 0] - 2.0 * nodes[:, 1]
+    vals, inside = sample_grid(mesh_right_angle, f, xs, ys)
     assert inside.sum() > 100
-    assert np.allclose(vals[inside], pts[inside, 0], atol=1e-12)
-    # evaluation at a node returns the nodal value
+    assert np.allclose(vals[inside], (0.5 + X - 2.0 * Y)[inside], atol=1e-12)
+    # a grid point on a node reads the nodal value
     nid = 17
-    vals, inside = evaluate_batch(mesh_right_angle, f, mesh_right_angle.nodes[[nid]])
-    assert inside[0] and vals[0] == pytest.approx(f[nid], abs=1e-12)
-
-
-def test_evaluate_batch_outside_is_flagged_zero(mesh_right_angle):
-    vals, inside = evaluate_batch(
-        mesh_right_angle, np.ones(mesh_right_angle.num_nodes), np.array([[-1.0, -1.0]])
-    )
-    assert not inside[0] and vals[0] == 0.0
+    vals, inside = sample_grid(mesh_right_angle, f, nodes[[nid], 0], nodes[[nid], 1])
+    assert inside[0, 0] and vals[0, 0] == pytest.approx(f[nid], abs=1e-12)
 
 
 def test_evaluate_continuous_across_edges(mesh_right_angle):
