@@ -19,8 +19,8 @@ default unit.  Results are written atomically into the output directory as a
 JSON bundle whose payload section is byte-reproducible for identical configs
 and seeds, whatever the host's BLAS thread count or CPU count (run metadata
 such as wall time lives in the separate meta section).  Exit codes: 0
-success, 2 config error (invalid input), 3 numerical non-convergence, 4
-inconclusive certificate.
+success, 2 config error (invalid input), 3 numerical non-convergence (or
+out of memory), 4 inconclusive certificate.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import INCONCLUSIVE, ConfigError, PolylayerError
+from .errors import INCONCLUSIVE, AnalysisError, ConfigError, PolylayerError
 from .fanout import pin_blas
 
 EXIT_OK = 0
@@ -517,8 +517,12 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
         started = time.time()
         payload, code, files = run(args)
-    except (PolylayerError, ValueError) as exc:
-        # a ValueError from numpy/scipy is bad input as well
+    except (PolylayerError, ValueError, MemoryError) as exc:
+        # a ValueError from numpy/scipy is bad input as well; an allocation
+        # that fails anywhere in the run is a numerical failure, as for the
+        # band factor
+        if isinstance(exc, MemoryError):
+            exc = AnalysisError(f"out of memory ({exc})" if str(exc) else "out of memory")
         code = getattr(exc, "exit_code", EXIT_CONFIG)
         label = "numerical failure" if code == EXIT_NONCONVERGED else "config error"
         print(f"{label}: {exc}", file=sys.stderr)

@@ -1,18 +1,24 @@
 """Smallest eigenpairs of SPD pencils (K, M) with verified residuals.
 
 The algorithm is shift-invert Lanczos (ARPACK), the spectral transformation
-of Ericsson and Ruhe.  A cold solve shifts to sigma = 0 and starts from a
-seeded random vector, so runs are deterministic.  A warm solve starts from
-a given vector (a coarser level's eigenvector, prolonged) at a shift sigma
-just below the smallest eigenvalue, in a small Krylov space.  Inner solves
-(K - sigma M) x = b go through a banded Cholesky factor of the matrix in
-reverse Cuthill-McKee order, which suits the thin strips and slabs the
-pencils live on; it needs no pivoting, and its memory, (bw + 1) n doubles
-for half-bandwidth bw, is known before it is computed.  K and M share one
-sparsity pattern (``assembly``), so K - sigma M is formed on the stored
-values, and the ordering is computed once per pencil for every shift.
-By Sylvester's law of inertia the factor exists exactly when sigma lies
-below the smallest eigenvalue, so the shift certifies itself: a failed
+of Ericsson and Ruhe, run as a standard symmetric problem.  With the banded
+Cholesky factor U^T U of K - sigma M in the band order P, the matrix
+C = U^{-T} (P^T M P) U^{-1} is symmetric and similar to (K - sigma M)^{-1} M:
+an eigenpair (nu, y) of C gives lambda = sigma + 1/nu and x = P U^{-1} y.
+So Lanczos runs in the plain Euclidean inner product, and each step (one
+inner solve) is two triangular band solves and one product with M; ARPACK
+asks for no M-inner products.
+A cold solve shifts to sigma = 0 and starts from a seeded random vector, so
+runs are deterministic.  A warm solve starts from a given vector (a coarser
+level's eigenvector, prolonged, mapped to y = U x) at a shift sigma just
+below the smallest eigenvalue, in a small Krylov space.  The factor is
+taken in reverse Cuthill-McKee order, which suits the thin strips and slabs
+the pencils live on; it needs no pivoting, and its memory, (bw + 1) n
+doubles for half-bandwidth bw, is known before it is computed.  K and M
+share one sparsity pattern (``assembly``), so K - sigma M is formed on the
+stored values, and the ordering is computed once per pencil for every
+shift.  By Sylvester's law of inertia the factor exists exactly when sigma
+lies below the smallest eigenvalue, so the shift certifies itself: a failed
 factor lowers sigma, toward 0.  Every reported pair is re-verified with
 plain matrix-vector products before it is returned.
 """
@@ -26,7 +32,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.blas import dtbmv
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .assembly import DiscreteProblem, _quotient, symmetric_subproblem
@@ -45,20 +52,21 @@ class EigenResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, M-orthonormal
     residuals: np.ndarray  # ||K x - lambda M x|| / ||K x||
-    iterations: int  # inner linear solves consumed
+    iterations: int  # inner solves: applications of U^{-T} M U^{-1}
     ortho_defect: float
 
 
 def band_cholesky(pattern: sp.csr_matrix):
-    """``factor(data)``: ``solve(b)`` returning A^{-1} b, from a Cholesky
-    factor in LAPACK band storage of the SPD matrix A with ``data`` on the
-    symmetric pattern (no duplicate entries) of ``pattern``.
+    """``factor(data)``: ``(U, perm)``, the upper Cholesky factor of
+    A[perm][:, perm] = U^T U in LAPACK band storage, for the SPD matrix A
+    with ``data`` on the symmetric pattern (no duplicate entries) of
+    ``pattern``.
 
-    The pattern is ordered by reverse Cuthill-McKee once; each factor puts
-    the permuted upper triangle of its ``data`` into ``ab[bw + i - j, j]``,
-    a (bw + 1) x n array for half-bandwidth bw, for ``dpbtrf``.  An A that
-    is not positive definite, or a band that cannot be allocated, raises
-    AnalysisError.
+    The order ``perm`` is reverse Cuthill-McKee, computed once; each factor
+    puts the permuted upper triangle of its ``data`` into ``ab[bw + i - j,
+    j]``, a (bw + 1) x n array for half-bandwidth bw, for ``dpbtrf``, and
+    U comes back in the same storage.  An A that is not positive definite,
+    or a band that cannot be allocated, raises AnalysisError.
     """
     n = pattern.shape[0]
     perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
@@ -84,20 +92,15 @@ def band_cholesky(pattern: sp.csr_matrix):
             raise AnalysisError(
                 f"stiffness not positive definite on {n} equations (dpbtrf info = {info})"
             )
-
-        def solve(b):
-            x = np.empty(b.shape)
-            x[perm] = dpbtrs(chol, b[perm], overwrite_b=1)[0]
-            return x
-
-        return solve
+        return chol, perm
 
     return factor
 
 
 def _shifted_inverse(K: sp.csr_matrix, M: sp.csr_matrix, shift: float) -> tuple:
-    """``(sigma, solve)`` with ``solve(b)`` = (K - sigma M)^{-1} b, at the
-    first sigma of ``BACK_OFF * shift`` and then 0 whose band factor exists.
+    """``(sigma, (U, perm))``: the band factor of ``band_cholesky`` of
+    K - sigma M, at the first sigma of ``BACK_OFF * shift`` and then 0
+    whose factor exists.
 
     K and M share one pattern, so K - sigma M is ``K.data - sigma * M.data``
     on it, and one band ordering serves every sigma.  By Sylvester's law the
@@ -164,8 +167,8 @@ def smallest_eigenpairs(
 ) -> EigenResult:
     """The ``num_pairs`` smallest eigenpairs of (K, M), ascending.
 
-    Shift-invert Lanczos at ``shift`` (lowered until K - shift M factors)
-    from a seeded random start, or warm from ``start``: a nodal field whose
+    Shift-invert Lanczos at ``shift`` (lowered until K - shift M factors),
+    on the standard problem of the band factor, from a seeded random start, or warm from ``start``: a nodal field whose
     values at ``problem.free_nodes`` start the iteration, in ``WARM_NCV``
     Lanczos vectors for a single pair.  Eigenvalues are replaced by their
     independently recomputed Rayleigh quotients, vectors are M-orthonormal,
@@ -179,26 +182,24 @@ def smallest_eigenpairs(
 
     K = problem.K.full
     M = problem.M.full
+    sigma, (U, perm) = _shifted_inverse(K, M, shift)
+    Mp = M[perm][:, perm]  # P^T M P
     if start is None:
         v0, ncv = np.random.default_rng(seed).standard_normal(n), None
     else:
-        v0, ncv = start[problem.free_nodes], (WARM_NCV if num_pairs == 1 else None)
-    sigma, solve = _shifted_inverse(K, M, shift)
+        x0 = start[problem.free_nodes][perm]
+        v0, ncv = dtbmv(U.shape[0] - 1, U, x0), (WARM_NCV if num_pairs == 1 else None)
     inner_solves = 0
 
-    def inner(b):
+    def op(y):  # y -> U^{-T} M U^{-1} y, one inner solve
         nonlocal inner_solves
         inner_solves += 1
-        return solve(b)
+        return dtbtrs(U, Mp @ dtbtrs(U, y)[0], trans="T")[0]
 
-    op_inv = sla.LinearOperator((n, n), matvec=inner)
     try:
-        vals, vecs = sla.eigsh(
-            K,
+        nu, ys = sla.eigsh(
+            sla.LinearOperator((n, n), matvec=op, dtype=float),
             k=num_pairs,
-            M=M,
-            sigma=sigma,
-            OPinv=op_inv,
             v0=v0,
             ncv=ncv,
             maxiter=ARPACK_MAXITER,
@@ -207,8 +208,10 @@ def smallest_eigenpairs(
     except sla.ArpackNoConvergence as exc:
         raise AnalysisError(f"eigensolve did not converge on {n} equations ({exc})") from None
 
-    order = np.argsort(vals)
-    vecs = vecs[:, order]
+    order = np.argsort(sigma + 1.0 / nu)
+    vecs = np.empty((n, num_pairs))
+    vecs[perm] = dtbtrs(U, ys[:, order])[0]  # x = P U^{-1} y
+    vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, M @ vecs))
     rq, residuals, defect = _verify(problem, vecs)
     if defect > 1e-10:
         vecs = _m_orthonormalize(M, vecs)

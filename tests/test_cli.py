@@ -532,6 +532,26 @@ def test_failure_in_a_fanned_out_solve_exits_3(tmp_path, capsys, monkeypatch):
     _exits_nonconverged(SMALL_SCAN, tmp_path, capsys)
 
 
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # an allocation that fails outside the band factor (here a refinement)
+    # is a numerical failure too, with no traceback, in the CLI process and
+    # in forked workers alike
+    def no_memory(message):
+        def refine(mesh):
+            raise MemoryError(*message)
+
+        return refine
+
+    argv = ["waveguide", "--theta", "90deg", "--h", "0.25", "--levels", "3"]
+    monkeypatch.setattr(waveguide, "refine", no_memory(["Unable to allocate 16.5 MiB"]))
+    err = _exits_nonconverged(argv, tmp_path, capsys)
+    assert err == "numerical failure: out of memory (Unable to allocate 16.5 MiB)\n"
+    monkeypatch.setattr(waveguide, "refine", no_memory([]))
+    for command in (argv, SMALL_SCAN):
+        err = _exits_nonconverged(command, tmp_path, capsys)
+        assert err == "numerical failure: out of memory\n"
+
+
 @pytest.mark.skipif(cpus() < 2, reason="one CPU: the solves run in-process, no worker to lose")
 def test_worker_death_exits_3(tmp_path, capsys, monkeypatch):
     def die(*args, **kwargs):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg.blas import dtbmv
+from scipy.linalg.lapack import dtbtrs
 
 import polylayer.eigensolve as es
 from polylayer.assembly import assemble_p1, assemble_q1
@@ -161,7 +164,22 @@ def test_non_orthonormal_arpack_vectors_are_reorthonormalized(monkeypatch):
         calls.append(v.shape)
         return orthonormalize(M, v)
 
-    monkeypatch.setattr(es.sla, "eigsh", lambda *a, **kw: (ref.eigenvalues, vecs))
+    # ARPACK returns nu = 1 / (lambda - sigma) and y = U x[perm], where
+    # U^T U is the band factor of K - sigma M in the order perm
+    factors = []
+    shifted_inverse = es._shifted_inverse
+
+    def recording(K, M, shift):
+        factors.append(shifted_inverse(K, M, shift))
+        return factors[-1]
+
+    def mixed_eigsh(*args, **kwargs):
+        sigma, (U, perm) = factors[-1]
+        ys = np.column_stack([dtbmv(U.shape[0] - 1, U, x[perm]) for x in vecs.T])
+        return 1.0 / (ref.eigenvalues - sigma), ys
+
+    monkeypatch.setattr(es, "_shifted_inverse", recording)
+    monkeypatch.setattr(es.sla, "eigsh", mixed_eigsh)
     monkeypatch.setattr(es, "_m_orthonormalize", reorthonormalize)
     res = smallest_eigenpairs(prob, num_pairs=4)
     assert calls == [vecs.shape]
@@ -186,7 +204,9 @@ def test_band_cholesky_matches_dense_solve(pencil):
     K = pencil().K.full
     b = np.random.default_rng(5).standard_normal(K.shape[0])
     dense = np.linalg.solve(K.toarray(), b)
-    x = band_cholesky(K)(K.data)(b)
+    U, perm = band_cholesky(K)(K.data)  # K[perm][:, perm] = U^T U
+    x = np.empty_like(b)
+    x[perm] = dtbtrs(U, dtbtrs(U, b[perm], trans="T")[0])[0]
     assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
@@ -243,3 +263,48 @@ def test_band_allocation_failure_raises(tmp_path, capsys, monkeypatch):
     argv = ["waveguide", "--theta", "90deg", "--h", "0.25", "--levels", "2"]
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_NONCONVERGED
     assert capsys.readouterr().err.startswith("numerical failure: out of memory")
+
+
+def test_lanczos_runs_on_the_reduced_standard_problem(monkeypatch):
+    # ARPACK gets the operator U^{-T} M U^{-1} and no M: one application is
+    # one inner solve, and the pairs are those of the pencil (K, M)
+    mesh = refine(_waveguide_mesh())
+    prob = assemble_p1(mesh)
+    dense = scipy.linalg.eigh(prob.K.full.toarray(), prob.M.full.toarray(), eigvals_only=True)
+    eigsh = es.sla.eigsh
+    applied = []
+
+    def counting(A, **kwargs):
+        assert kwargs.get("M") is None and kwargs.get("sigma") is None
+        op = es.sla.LinearOperator(
+            A.shape, matvec=lambda y: (applied.append(1), A.matvec(y))[1], dtype=A.dtype
+        )
+        return eigsh(op, **kwargs)
+
+    monkeypatch.setattr(es.sla, "eigsh", counting)
+    start = np.ones(mesh.num_nodes)  # nodal
+    for k in (1, 3, 6):
+        for warm in (False, True):
+            applied.clear()
+            if warm:
+                res = smallest_eigenpairs(prob, k, start=start, shift=0.97 * dense[0])
+            else:
+                res = smallest_eigenpairs(prob, k)
+            assert res.iterations == len(applied) > 0
+            assert np.allclose(res.eigenvalues, dense[:k], rtol=1e-12, atol=0.0)
+            assert (res.residuals <= 1e-8).all()
+
+
+def test_degenerate_cube_triple_is_m_orthonormal_without_gram_schmidt(monkeypatch):
+    # the cube's 6 pi^2 is a triple eigenvalue; orthonormal Lanczos vectors
+    # y give M-orthonormal x = P U^{-1} y with no second pass
+    def must_not_run(M, vecs):
+        raise AssertionError("_m_orthonormalize called")
+
+    monkeypatch.setattr(es, "_m_orthonormalize", must_not_run)
+    prob = assemble_q1(box_grid((1.0, 1.0, 1.0), h=0.125))
+    res = smallest_eigenpairs(prob, num_pairs=4)
+    assert np.ptp(res.eigenvalues[1:]) <= 1e-10 * res.eigenvalues[1]
+    gram = res.eigenvectors.T @ (prob.M.full @ res.eigenvectors)
+    assert np.abs(gram - np.eye(4)).max() <= 1e-10
+    assert res.ortho_defect <= 1e-10
