@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import PolylayerError
-from .grid3d import GridError, VoxelGrid
+from .grid3d import GridError, Orbits, VoxelGrid
 from .mesh2d import TriMesh, _edges
 
 
@@ -162,46 +163,60 @@ def q1_element_matrices(h: float):
     return K8, M8
 
 
-def assemble_q1(grid: VoxelGrid) -> DiscreteProblem:
-    """Trilinear stiffness and consistent mass on the active voxel cells."""
+def _q1_cells(grid: VoxelGrid) -> tuple:
+    """``(cells, K8, M8, free, eq)``: the active cells' corner nodes, the
+    element matrices and ``_equations`` of the grid's Dirichlet flags."""
     cells = grid.active_cell_corners()
     if len(cells) == 0:
         raise GridError("no active cells to assemble")
-    K8, M8 = q1_element_matrices(grid.h)
-    free, eq = _equations(grid.dirichlet)
+    return (cells, *q1_element_matrices(grid.h), *_equations(grid.dirichlet))
+
+
+def assemble_q1(grid: VoxelGrid, orbits: Optional[Orbits] = None) -> DiscreteProblem:
+    """Trilinear stiffness and consistent mass on the active voxel cells, or,
+    with the grid's ``orbits`` (``grid3d.free_node_orbits``), the pencil
+    (P' K P, P' M P) on the vectors constant on each equation orbit.
+
+    P is the 0/1 equation-to-orbit matrix.  One cell per cell orbit is
+    visited, its entries weighted by the orbit's size: a symmetry maps a
+    cell's corners onto its image's by a signed axis permutation of the
+    cube, which keeps the element matrices and each corner's orbit, so every
+    cell of an orbit adds the same entries.  A local entry (p, q), p <= q,
+    lands on its orbit pair in ascending order, and counts twice when p < q
+    share an orbit, for (q, p).  Sector equation ``o`` stands for the first
+    node of orbit ``o``.  With one orbit per equation and per cell the
+    pencil keeps every bit of the full one.
+    """
+    cells, K8, M8, free, eq = _q1_cells(grid)
+    sizes = 1
+    if orbits is not None:
+        cells, sizes = cells[orbits.cells], orbits.sizes
+        eq = np.where(eq >= 0, orbits.labels[eq], -1)
+        free = free[np.unique(orbits.labels, return_index=True)[1]]
     ii, jj = np.triu_indices(8)
     # element matrices symmetric: entry (a, b) with a <= b locally covers
     # both; one row per local entry, over the cells
     e = eq[cells.T]
     rows, cols = np.minimum(e[ii], e[jj]), np.maximum(e[ii], e[jj])
+    weight = sizes * np.where((ii < jj)[:, None] & (rows == cols), 2.0, 1.0)
     keep = rows >= 0
     local = np.broadcast_to(np.arange(len(ii))[:, None], keep.shape)[keep]
-    K, M = _pencil(len(free), rows[keep], cols[keep], K8[ii, jj][local], M8[ii, jj][local])
+    weight = weight[keep]
+    K, M = _pencil(
+        len(free), rows[keep], cols[keep], K8[ii, jj][local] * weight, M8[ii, jj][local] * weight
+    )
     return DiscreteProblem(K=K, M=M, free_nodes=free)
 
 
-def symmetric_subproblem(problem: DiscreteProblem, labels: np.ndarray) -> DiscreteProblem:
-    """The pencil (P' K P, P' M P) on the vectors constant on each orbit.
-
-    P is the 0/1 equation-to-orbit matrix, ``labels[eq]`` the orbit of
-    equation ``eq`` (orbits numbered in order of first appearance).  Every
-    stored entry K_ij whose orbit pair (a, b) has a <= b lands on it, so an
-    orbit's diagonal gets both K_ij and K_ji.  Equation ``o`` stands for the
-    first node of orbit ``o``; with one orbit per equation the pencil keeps
-    every bit.
-    """
-    K, M = problem.K.full, problem.M.full
-    a = labels[np.repeat(np.arange(problem.n), np.diff(K.indptr))]
-    b = labels[K.indices]
-    upper = a <= b
-    sub_K, sub_M = _pencil(
-        int(labels.max()) + 1, a[upper], b[upper], K.data[upper], M.data[upper]
-    )
-    return DiscreteProblem(
-        K=sub_K,
-        M=sub_M,
-        free_nodes=problem.free_nodes[np.unique(labels, return_index=True)[1]],
-    )
+def q1_products(grid: VoxelGrid, vec: np.ndarray) -> tuple:
+    """``(K x, M x)`` of ``assemble_q1(grid)`` for the equation vector
+    ``vec``, summed cell by cell, without assembling K or M."""
+    cells, K8, M8, free, eq = _q1_cells(grid)
+    e = eq[cells]
+    x = np.append(vec, 0.0)[e]  # a Dirichlet corner (e = -1) holds 0
+    keep = e >= 0
+    # K8 and M8 are symmetric: row c of x @ K8 is K8 times cell c's values
+    return tuple(np.bincount(e[keep], (x @ A)[keep], len(free)) for A in (K8, M8))
 
 
 def rayleigh_quotient(problem: DiscreteProblem, vec: np.ndarray) -> float:

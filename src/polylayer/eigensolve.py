@@ -36,8 +36,9 @@ from scipy.linalg.blas import dtbmv
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .assembly import DiscreteProblem, _quotient, symmetric_subproblem
+from .assembly import DiscreteProblem, _quotient, q1_products
 from .errors import AnalysisError, ConfigError
+from .grid3d import VoxelGrid
 
 ARPACK_MAXITER = 20_000  # per eigensolve
 RESIDUAL_TOL = 1e-8  # audited relative residual of every returned pair
@@ -133,9 +134,16 @@ def _m_orthonormalize(M: sp.csr_matrix, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _audit(x: np.ndarray, Kx: np.ndarray, Mx: np.ndarray) -> tuple:
+    """``(rq, residual)``: the Rayleigh quotient (``rayleigh_quotient``'s,
+    bit for bit) and ||K x - lambda M x|| / ||K x|| from the products."""
+    lam = float(x @ Kx) / float(x @ Mx)
+    return _quotient(x, Kx, Mx), np.linalg.norm(Kx - lam * Mx) / np.linalg.norm(Kx)
+
+
 def _verify(problem: DiscreteProblem, vecs):
-    """Residuals and Rayleigh quotients (``rayleigh_quotient``'s, bit for
-    bit) from one plain K x and M x per pair."""
+    """Rayleigh quotients and residuals (``_audit``) from one plain K x and
+    M x per pair, and the M-orthonormality defect."""
     K = problem.K.full
     M = problem.M.full
     n_pairs = vecs.shape[1]
@@ -143,11 +151,7 @@ def _verify(problem: DiscreteProblem, vecs):
     rq = np.empty(n_pairs)
     for j in range(n_pairs):
         x = vecs[:, j]
-        Kx = K @ x
-        Mx = M @ x
-        lam = float(x @ Kx) / float(x @ Mx)
-        rq[j] = _quotient(x, Kx, Mx)
-        residuals[j] = np.linalg.norm(Kx - lam * Mx) / np.linalg.norm(Kx)
+        rq[j], residuals[j] = _audit(x, K @ x, M @ x)
     gram = vecs.T @ (M @ vecs)
     defect = float(np.abs(gram - np.eye(n_pairs)).max())
     return rq, residuals, defect
@@ -230,29 +234,31 @@ def smallest_eigenpairs(
 
 
 def invariant_ground_state(
-    problem: DiscreteProblem, labels: np.ndarray, at: str, seed: int = 0
+    sector: DiscreteProblem, grid: VoxelGrid, labels: np.ndarray, at: str, seed: int = 0
 ) -> EigenResult:
     """The smallest eigenpair of a voxel grid's pencil (K, M) among the
-    vectors constant on each orbit of ``labels``
-    (``assembly.symmetric_subproblem``), lifted to the full equations,
-    M-normalized and audited on the full pencil.
+    vectors constant on each orbit of ``labels``: solved on the ``sector``
+    pencil (``assembly.assemble_q1(grid, orbits)``), lifted to the full
+    equations, M-normalized and audited with the full grid's cell-wise
+    products (``assembly.q1_products``), so K and M are never assembled.
 
     The caller states why the ground state is invariant; the audit checks
     it: orbits that are no symmetry give a lifted vector that is no
     eigenvector, and a full-grid residual above ``RESIDUAL_TOL`` raises
     AnalysisError.  ``at`` names the problem in the error.
     """
-    sector = symmetric_subproblem(problem, labels)
     result = smallest_eigenpairs(sector, 1, seed)
-    x = result.eigenvectors[labels, :1]  # lifted: x = P y
-    x /= math.sqrt(float(x[:, 0] @ (problem.M.full @ x[:, 0])))
-    rq, residuals, defect = _verify(problem, x)
-    if not residuals[0] <= RESIDUAL_TOL:
-        raise AnalysisError(f"full-grid residual {residuals[0]:.3e} at {at}")
+    x = result.eigenvectors[labels, 0]  # lifted: x = P y
+    Kx, Mx = q1_products(grid, x)
+    scale = math.sqrt(float(x @ Mx))
+    x, Kx, Mx = x / scale, Kx / scale, Mx / scale  # M-normalized
+    rq, residual = _audit(x, Kx, Mx)
+    if not residual <= RESIDUAL_TOL:
+        raise AnalysisError(f"full-grid residual {residual:.3e} at {at}")
     return EigenResult(
-        eigenvalues=rq,
-        eigenvectors=x,
-        residuals=residuals,
+        eigenvalues=np.array([rq]),
+        eigenvectors=x[:, None],
+        residuals=np.array([residual]),
         iterations=result.iterations,
-        ortho_defect=defect,
+        ortho_defect=abs(float(x @ Mx) - 1.0),
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,36 +179,51 @@ def voxelize(layer: LayerGeometry, R: float, h: float) -> VoxelGrid:
     )
 
 
-def free_node_orbits(grid: VoxelGrid) -> tuple:
-    """``(labels, order)``: the orbit of each free equation (numbered in
-    order of first appearance) under the grid's symmetry group, and the
-    group's order.  The group is the signed axis permutations about the apex
-    (lattice point 0) that keep the active cells and the free nodes, read
-    from the mask and the Dirichlet flags, never from matrix entries.
+class Orbits(NamedTuple):
+    """A voxel grid's symmetry orbits (``free_node_orbits``)."""
+
+    labels: np.ndarray  # the orbit of each free equation
+    order: int  # the group's order
+    cells: np.ndarray  # one active cell per cell orbit, its least index
+    sizes: np.ndarray  # the number of cells in each of those orbits
+
+
+def free_node_orbits(grid: VoxelGrid) -> Orbits:
+    """The orbits of the free equations and of the active cells under the
+    grid's symmetry group, and the group's order.
+
+    The group is the signed axis permutations about the apex (lattice point
+    0) that keep the active cells and the free nodes, read from the mask and
+    the Dirichlet flags, never from matrix entries.  Equation orbits are
+    numbered in order of first appearance; cells are indexed as the rows of
+    ``active_cell_corners``.
     """
     shift = np.rint(grid.origin / grid.h).astype(np.int64)
     cells = np.argwhere(grid.active) + shift  # absolute lattice indices
     nodes = np.argwhere(grid.node_ids >= 0)[~grid.dirichlet] + shift  # equation order
     m = int(np.abs(cells).max()) + 1  # cells, nodes and their images lie in [-m, m]
-    is_cell = np.zeros((2 * m + 1,) * 3, dtype=bool)
-    is_cell[tuple((cells + m).T)] = True
-    eq_at = np.full(is_cell.shape, -1, dtype=np.int64)
+    cell_at = np.full((2 * m + 1,) * 3, -1, dtype=np.int64)
+    cell_at[tuple((cells + m).T)] = np.arange(len(cells))
+    eq_at = np.full(cell_at.shape, -1, dtype=np.int64)
     eq_at[tuple((nodes + m).T)] = np.arange(len(nodes))
     box = np.array([cells.min(axis=0), cells.max(axis=0)])
-    images = []
+    node_images, cell_images = [], []
     for perm in map(list, permutations(range(3))):
         for signs in product((1, -1), repeat=3):
             flip = np.array(signs) < 0
             if not np.array_equal(np.where(flip, -1 - box[::-1, perm], box[:, perm]), box):
                 continue  # the cells' bounding box must map onto itself
-            cell_img = np.where(flip, -1 - cells[:, perm], cells[:, perm])  # cell k -> -k-1
+            image = np.where(flip, -1 - cells[:, perm], cells[:, perm])  # cell k -> -k-1
+            cell_img = cell_at[tuple((image + m).T)]
             node_img = eq_at[tuple((np.where(flip, -nodes[:, perm], nodes[:, perm]) + m).T)]
             # a one-to-one image inside the set is the whole set
-            if is_cell[tuple((cell_img + m).T)].all() and (node_img >= 0).all():
-                images.append(node_img)
-    # the symmetries form a group, so an orbit is named by its least equation
-    labels = np.unique(np.min(images, axis=0), return_inverse=True)[1]
-    return labels, len(images)
+            if (cell_img >= 0).all() and (node_img >= 0).all():
+                node_images.append(node_img)
+                cell_images.append(cell_img)
+    # the symmetries form a group, so an orbit is named by its least member
+    labels = np.unique(np.min(node_images, axis=0), return_inverse=True)[1]
+    reps, sizes = np.unique(np.min(cell_images, axis=0), return_counts=True)
+    return Orbits(labels, len(node_images), reps, sizes)
 
 
 def box_grid(extent, h: float, dirichlet_boundary: bool = True) -> VoxelGrid:

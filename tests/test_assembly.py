@@ -9,11 +9,11 @@ from polylayer.assembly import (
     assemble_p1,
     assemble_q1,
     q1_element_matrices,
+    q1_products,
     rayleigh_quotient,
-    symmetric_subproblem,
 )
-from polylayer.geometry import fichera_angle, make_layer
-from polylayer.grid3d import GridError, box_grid, free_node_orbits, voxelize
+from polylayer.geometry import build_regular, fichera_angle, make_layer
+from polylayer.grid3d import GridError, Orbits, box_grid, free_node_orbits, voxelize
 from polylayer.mesh2d import NEUMANN, mesh_lshape, mesh_rectangle
 
 PI = math.pi
@@ -223,27 +223,58 @@ def test_rayleigh_quotient_contracts(square_problem):
         rayleigh_quotient(square_problem, np.zeros(square_problem.n))
 
 
-def test_symmetric_subproblem_is_projected_pencil():
-    grid = voxelize(make_layer(fichera_angle()), R=3.0, h=0.25)
+SECTOR_GRIDS = {
+    "fichera-R4-h0.25": (fichera_angle, 4.0, 0.25),
+    "fichera-R4-h0.125": (fichera_angle, 4.0, 0.125),
+    "regular-4-R3-h0.25": (lambda: build_regular(4, PI / 3), 3.0, 0.25),
+}
+
+
+@pytest.mark.parametrize("name", SECTOR_GRIDS)
+def test_orbit_sector_is_projected_pencil(name):
+    angle, R, h = SECTOR_GRIDS[name]
+    grid = voxelize(make_layer(angle()), R=R, h=h)
     prob = assemble_q1(grid)
-    labels, order = free_node_orbits(grid)
-    assert order == 6
-    sub = symmetric_subproblem(prob, labels)
-    P = np.zeros((prob.n, sub.n))
-    P[np.arange(prob.n), labels] = 1.0
+    orbits = free_node_orbits(grid)
+    assert orbits.order > 1
+    sub = assemble_q1(grid, orbits)
+    P = sp.csr_matrix((np.ones(prob.n), (np.arange(prob.n), orbits.labels)), (prob.n, sub.n))
     for full, reduced in ((prob.K, sub.K), (prob.M, sub.M)):
-        dense = P.T @ full.full.toarray() @ P
-        assert np.allclose(reduced.full.toarray(), dense, rtol=0.0, atol=1e-14)
+        dense = (P.T @ full.full @ P).toarray()
+        got = reduced.full.toarray()
+        # entry by entry: the Q1 stiffness's zero entries stay exact zeros
+        assert (np.abs(got - dense) <= 1e-13 * np.abs(dense)).all()
         assert (reduced.full != reduced.full.T).nnz == 0
     # equation o stands for the first node of orbit o
     first = np.searchsorted(prob.free_nodes, sub.free_nodes)
-    assert np.array_equal(first, [np.flatnonzero(labels == o)[0] for o in range(sub.n)])
+    assert np.array_equal(first, [np.flatnonzero(orbits.labels == o)[0] for o in range(sub.n)])
 
 
-def test_symmetric_subproblem_trivial_orbits_keep_every_bit():
-    prob = assemble_q1(voxelize(make_layer(fichera_angle()), R=3.0, h=0.25))
-    sub = symmetric_subproblem(prob, np.arange(prob.n))
+def test_trivial_orbits_keep_every_bit():
+    grid = voxelize(make_layer(fichera_angle()), R=3.0, h=0.25)
+    prob = assemble_q1(grid)
+    cells = np.arange(grid.num_active_cells)
+    trivial = Orbits(np.arange(prob.n), 1, cells, np.ones_like(cells))
+    sub = assemble_q1(grid, trivial)
+    assert np.array_equal(sub.free_nodes, prob.free_nodes)
     for full, reduced in ((prob.K, sub.K), (prob.M, sub.M)):
-        assert (full.upper != reduced.upper).nnz == 0
-        assert np.array_equal(full.upper.indptr, reduced.upper.indptr)
-        assert np.array_equal(full.upper.indices, reduced.upper.indices)
+        assert np.array_equal(full.full.indptr, reduced.full.indptr)
+        assert np.array_equal(full.full.indices, reduced.full.indices)
+        assert np.array_equal(full.full.data.view(np.int64), reduced.full.data.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    (
+        voxelize(make_layer(fichera_angle()), R=3.0, h=0.25),
+        box_grid((1.0, 0.5, 0.75), h=0.25),
+    ),
+    ids=("fichera", "box"),
+)
+def test_cell_wise_products_match_assembled_pencil(grid):
+    assert grid.dirichlet.any()
+    prob = assemble_q1(grid)
+    x = np.random.default_rng(3).standard_normal(prob.n)
+    for product, full in zip(q1_products(grid, x), (prob.K.full, prob.M.full)):
+        ref = full @ x
+        assert np.linalg.norm(product - ref) <= 1e-14 * np.linalg.norm(ref)

@@ -23,7 +23,7 @@ from polylayer.geometry import (
     make_layer,
 )
 from polylayer.errors import ConfigError
-from polylayer.grid3d import voxelize
+from polylayer.grid3d import Orbits, free_node_orbits, voxelize
 from polylayer.mesh2d import axis_rule
 
 PI = math.pi
@@ -82,12 +82,35 @@ def test_symmetric_subspace_bound_matches_full_solve(layer_name, R, h):
     assert rec["dofs"] == problem.n
 
 
+def test_voxel_bounds_assemble_only_the_sector(fichera_layer, monkeypatch):
+    # the full grid's pencil is never built: its products are summed cell
+    # by cell for the audit
+    from polylayer import assembly
+
+    orders = []
+    pencil = assembly._pencil
+
+    def recording(n, *args):
+        orders.append(n)
+        return pencil(n, *args)
+
+    monkeypatch.setattr(assembly, "_pencil", recording)
+    recs = certificates.voxel_upper_bounds(fichera_layer, 3.0, 0.125, levels=2, seed=0)
+    assert orders == [rec["sector_dofs"] for rec in recs]
+    # the records state the sector solved beside the full grid
+    orbits = free_node_orbits(voxelize(fichera_layer, R=3.0, h=0.125))
+    assert recs[-1]["group_order"] == orbits.order == 6
+    assert recs[-1]["sector_dofs"] == orbits.labels.max() + 1
+    assert recs[-1]["dofs"] == len(orbits.labels) > recs[-1]["sector_dofs"]
+
+
 def test_lifted_vector_audited_on_full_grid(fichera_layer, monkeypatch):
     # orbits that are no symmetry of the grid give a lifted vector that is
     # no eigenvector of the full pencil: the audit must refuse it
     def pairs(grid):
         n = int((~grid.dirichlet).sum())
-        return np.arange(n) // 2, 1
+        cells = np.arange(grid.num_active_cells)
+        return Orbits(np.arange(n) // 2, 1, cells, np.ones_like(cells))
 
     monkeypatch.setattr(certificates, "free_node_orbits", pairs)
     with pytest.raises(AnalysisError, match="full-grid residual"):

@@ -194,7 +194,7 @@ SYMMETRY_ORDERS = {
 @pytest.mark.parametrize("name", SYMMETRY_ORDERS)
 def test_symmetry_group_orders(name, R, h):
     grid = voxelize(make_layer(BOUND_ANGLES[name]()), R, h)
-    labels, order = free_node_orbits(grid)
+    labels, order, cells, sizes = free_node_orbits(grid)
     assert order == SYMMETRY_ORDERS[name]
     assert len(labels) == int((~grid.dirichlet).sum())
     # orbits are numbered in order of first appearance, each orbit at most
@@ -202,16 +202,21 @@ def test_symmetry_group_orders(name, R, h):
     first = np.unique(labels, return_index=True)[1]
     assert np.array_equal(first, np.sort(first))
     assert np.bincount(labels).max() <= order
+    # the cell orbits partition the active cells, each orbit's size divides
+    # the group's order
+    assert sizes.sum() == grid.num_active_cells
+    assert np.array_equal(cells, np.unique(cells))
+    assert (order % sizes == 0).all()
     if order == 1:
         assert np.array_equal(labels, np.arange(len(labels)))
+        assert np.array_equal(cells, np.arange(grid.num_active_cells))
 
 
 def test_symmetry_read_from_the_mask_at_h_0_1(fichera_layer):
     # the Q1 matrices of this grid are symmetric only to the last bit, so a
     # comparison of matrix entries finds 2 of the 6 symmetries; the mask and
     # the Dirichlet flags find all of them
-    labels, order = free_node_orbits(voxelize(fichera_layer, R=4.0, h=0.1))
-    assert order == 6
+    assert free_node_orbits(voxelize(fichera_layer, R=4.0, h=0.1)).order == 6
 
 
 def test_one_cell_off_breaks_the_symmetry(fichera_layer):
@@ -233,6 +238,7 @@ def test_one_cell_off_breaks_the_symmetry(fichera_layer):
         node_ids=node_ids,
         dirichlet=dirichlet,
     )
-    labels, order = free_node_orbits(cut)
+    labels, order, cells, sizes = free_node_orbits(cut)
     assert order == 1
     assert np.array_equal(labels, np.arange(len(labels)))
+    assert (sizes == 1).all()
