@@ -49,7 +49,12 @@ COMMANDS = [
     "certify-veps --kind regular --n 3 --alpha 60deg --h 0.125 --levels 3 --formats json,csv",
     "absence --alpha 0.26rad --R 4 --h 0.125 --levels 2 --thr-h 0.25 --thr-levels 2"
     " --star-tol 0.05",
+    # refused by the bisected bracket, once every solve has run: exit 2
+    "absence --alpha 1.2rad --R 4 --h 0.125 --levels 1 --thr-h 0.25 --thr-levels 2"
+    " --star-tol 0.05",
     f"weyl {FICHERA} --indices 2,3,4,5 --h 0.16",
+    # long windows, whose 0.35-wide transitions a fixed quadrature grid misses
+    f"weyl {FICHERA} --indices 9,10 --h 0.16",
     # a slanted mesh: the smallest dihedral angle of a regular layer is not pi/2
     f"weyl {REGULAR} --indices 2,3,4 --h 0.16",
     "hardy --case random --count 5 --seed 3",

@@ -7,9 +7,12 @@ Verdicts are one-sided: NONEMPTY requires an upper bound below the threshold
 by more than the combined error indicator; ABSENT_CONSISTENT is explicitly a
 non-proof (conforming computations only ever bound eigenvalues from above).
 
-The threshold and the voxel bounds do not depend on each other, so
-``certify_discrete`` and ``absence_experiment`` solve them concurrently;
-``alpha_star`` solves its two bracket ends concurrently.
+A run fans out at most once, as its last solving step: ``certify_discrete``
+solves its threshold and its voxel bounds concurrently, and
+``absence_experiment`` the alpha_star bisection beside those two.  Every
+check that reads no solve runs before the fan-out.  ``alpha_star`` runs
+serially: a fan-out of its two bracket ends costs more to start than it
+saves.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from ..grid3d import check_plan, free_node_orbits, voxelize
 from ..mesh2d import axis_rule
 from .waveguide import (
     PI2,
-    ThresholdResult,
     WaveguideNumerics,
     lambda1_waveguide,
     solve_waveguide_mode,
@@ -115,20 +117,6 @@ def voxel_upper_bounds(
     return records
 
 
-def _threshold_and_bounds(
-    layer: LayerGeometry, numerics: WaveguideNumerics, R: float, h: float, levels: int
-) -> tuple:
-    """The layer's threshold and its ``voxel_upper_bounds``, two independent
-    computations solved concurrently, both from the seed ``numerics.seed``."""
-    thr, bounds = fan_out(
-        [
-            partial(threshold, layer, numerics),
-            partial(voxel_upper_bounds, layer, R, h, levels, numerics.seed),
-        ]
-    )
-    return thr, bounds
-
-
 def certify_discrete(
     layer: LayerGeometry,
     R: float = 6.0,
@@ -144,7 +132,12 @@ def certify_discrete(
     INCONCLUSIVE is a valid outcome, not an error.
     """
     check_plan(R, h, levels)  # before any solve, which would run in vain
-    thr, details = _threshold_and_bounds(layer, threshold_numerics, R, h, levels)
+    thr, details = fan_out(
+        [
+            partial(threshold, layer, threshold_numerics),
+            partial(voxel_upper_bounds, layer, R, h, levels, threshold_numerics.seed),
+        ]
+    )
     best = float(min(d["upper_bound"] for d in details))
     solver_slack = 1e-9 * abs(best)
     combined = thr.error_indicator + solver_slack
@@ -363,7 +356,7 @@ def alpha_star(
 ) -> AlphaStar:
     """Bisection for lambda_1(omega(alpha)) = pi^2 / 2 on the monotone curve.
 
-    The two bracket ends are solved concurrently; ``evaluations`` lists lo,
+    Every angle is solved in turn, in this process; ``evaluations`` lists lo,
     hi, then the midpoints in bisection order.
     """
     check_star_tol(tol)
@@ -371,18 +364,16 @@ def alpha_star(
     lo, hi = (float(b) for b in bracket)
     evals = []
 
-    def f(a: float, res: ThresholdResult) -> float:
-        val = res.extrapolated - target
+    def f(a: float) -> float:
+        val = lambda1_waveguide(a, numerics).extrapolated - target
         evals.append({"alpha": a, "lambda1": val + target})
         return val
 
-    ends = fan_out(partial(lambda1_waveguide, a, numerics) for a in (lo, hi))
-    flo, fhi = f(lo, ends[0]), f(hi, ends[1])
-    if flo >= 0.0 or fhi <= 0.0:
+    if f(lo) >= 0.0 or f(hi) <= 0.0:
         raise AnalysisError("bracket does not straddle pi^2/2; widen it")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if f(mid, lambda1_waveguide(mid, numerics)) < 0.0:
+        if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -405,14 +396,27 @@ def absence_experiment(
     with the seed of ``threshold_numerics``.  If no Rayleigh quotient across
     refinements drops below 0.999 * threshold, the verdict is
     ABSENT_CONSISTENT, which is explicitly not a proof of absence.
+
+    The bisection, the threshold and the voxel bounds are independent and
+    solved concurrently, in one fan-out.  An alpha refused by
+    ``STAR_BRACKET`` is refused before any solve; one refused only by the
+    bisected bracket therefore also pays for the threshold and the bounds,
+    and exits with the same code and message.
     """
     # before any solve, which would run in vain
     layer = make_layer(build_trihedral((math.pi / 2, alpha, math.pi / 2)))
     check_plan(R, h, levels)
     check_below_star(alpha)
-    star = alpha_star(star_tol, replace(STAR_NUMERICS, seed=threshold_numerics.seed))
+    check_star_tol(star_tol)
+    seed = threshold_numerics.seed
+    star, thr, bounds = fan_out(
+        [
+            partial(alpha_star, star_tol, replace(STAR_NUMERICS, seed=seed)),
+            partial(threshold, layer, threshold_numerics),
+            partial(voxel_upper_bounds, layer, R, h, levels, seed),
+        ]
+    )
     check_below_star(alpha, star.lo, f"alpha_star in [{star.lo:.4f}, {star.hi:.4f}]")
-    thr, bounds = _threshold_and_bounds(layer, threshold_numerics, R, h, levels)
     cutoff = 0.999 * thr.extrapolated
     details = [{key: d[key] for key in ("h", "upper_bound", "cells")} for d in bounds]
     dipped = any(d["upper_bound"] < cutoff for d in details)

@@ -32,18 +32,6 @@ def smoothstep(t):
     return t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def smoothstep_d1(t):
-    """S': 0 outside (0, 1), where the formula vanishes at the clipped ends."""
-    t = np.clip(t, 0.0, 1.0)
-    return 30.0 * t**2 * (1.0 - t) ** 2
-
-
-def smoothstep_d2(t):
-    """S'': 0 outside (0, 1), as for ``smoothstep_d1``."""
-    t = np.clip(t, 0.0, 1.0)
-    return 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
-
-
 @dataclass(frozen=True)
 class WeylConfig:
     """Parameters of one Weyl-sequence element; ``h_grid`` is the
@@ -54,8 +42,8 @@ class WeylConfig:
     h_grid: float = 0.08
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ConfigError("window index must be >= 1")
+        if not 1 <= self.index <= 1022:  # 2^(index+1) must be a finite double
+            raise ConfigError(f"window index {self.index} must lie in [1, 1022]")
         # negated, so that NaN fails them
         if not 0.0 <= self.kappa < math.inf:
             raise ConfigError(f"kappa = {self.kappa} must be finite and >= 0")
@@ -90,33 +78,20 @@ class WeylElement:
 def _window_integrals(n: int, width: float):
     """Integrals of the axial window and its derivatives over [2^n, 2^(n+1)].
 
-    The window is S((z - 2^n)/w) * S((2^(n+1) - z)/w) with the quintic
-    smoothstep S, so its support is exactly the dyadic block.
+    The window is X = S((z - 2^n)/w) * S((2^(n+1) - z)/w) with the quintic
+    smoothstep S, so its support is exactly the dyadic block.  Its two
+    transitions do not meet when 2^n >= 2w: X is 1 between them and one S
+    across each.  Over [0, 1], S^2, S'^2 and S''^2 integrate to 181/462, 10/7
+    and 120/7; I11 = int X X'' = -I1 by parts, since X vanishes at both ends.
     """
-    z0, z1 = 2.0**n, 2.0 ** (n + 1)
-    m = 20_001
-    z = np.linspace(z0, z1, m)
-    w = width
-    a = (z - z0) / w
-    b = (z1 - z) / w
-    X = smoothstep(a) * smoothstep(b)
-    X1 = (smoothstep_d1(a) * smoothstep(b) - smoothstep(a) * smoothstep_d1(b)) / w
-    X2 = (
-        smoothstep_d2(a) * smoothstep(b)
-        - 2.0 * smoothstep_d1(a) * smoothstep_d1(b)
-        + smoothstep(a) * smoothstep_d2(b)
-    ) / (w * w)
-
-    def simpson(f):
-        return float(
-            (z[1] - z[0]) / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
-        )
-
+    if not 2.0**n >= 2.0 * width:
+        raise ConfigError(f"window transitions of width {width} meet at index {n}")
+    i1 = 20.0 / (7.0 * width)
     return {
-        "I2": simpson(X * X),
-        "I11": simpson(X * X2),
-        "I22": simpson(X2 * X2),
-        "I1": simpson(X1 * X1),
+        "I2": 2.0**n - 2.0 * width * (1.0 - 181.0 / 462.0),
+        "I11": -i1,
+        "I22": 240.0 / (7.0 * width**3),
+        "I1": i1,
     }
 
 
@@ -192,15 +167,15 @@ def weyl_residual(layer: LayerGeometry, config: WeylConfig, mode: WaveguideMode)
     zi = _window_integrals(n, Z_WIDTH)
     a2, ab, b2_res, b2_all = _transverse_fields(layer, mode, config, outlet_len)
 
-    num2 = zi["I2"] * a2 - 2.0 * zi["I11"] * ab + (
-        zi["I22"] + 4.0 * config.kappa**2 * zi["I1"]
-    ) * b2_res
-    den2 = zi["I2"] * b2_all
+    # the squared defect norm over I2 ~ 2^n, divided first so that none overflows
+    defect2 = a2 + (
+        -2.0 * zi["I11"] * ab + (zi["I22"] + 4.0 * config.kappa**2 * zi["I1"]) * b2_res
+    ) / zi["I2"]
     norm = math.sqrt(2.0 ** (-n) * zi["I2"] * b2_all)
     return WeylElement(
         index=n,
         kappa=config.kappa,
-        residual=math.sqrt(max(num2, 0.0) / den2),
+        residual=math.sqrt(max(defect2, 0.0) / b2_all),
         norm=norm,
         z_support=(2.0**n, 2.0 ** (n + 1)),
         outlet_length=outlet_len,

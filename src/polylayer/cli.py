@@ -20,7 +20,7 @@ JSON bundle whose payload section is byte-reproducible for identical configs
 and seeds, whatever the host's BLAS thread count or CPU count (run metadata
 such as wall time lives in the separate meta section).  Exit codes: 0
 success, 2 config error (invalid input), 3 numerical non-convergence (or
-out of memory), 4 inconclusive certificate.
+out of memory, or a float overflow), 4 inconclusive certificate.
 """
 
 from __future__ import annotations
@@ -190,6 +190,8 @@ def _check_args(args: argparse.Namespace) -> None:
                 raise ConfigError(f"hardy --count {args.count} checks no sample; give >= 1")
         elif hasattr(args, "seed") or hasattr(args, "count"):
             raise ConfigError(f"hardy --case {args.case} takes no --seed or --count")
+    if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"--seed {args.seed} must be >= 0")
     kind = getattr(args, "kind", None)
     if kind == "regular":
         if args.n is None:
@@ -517,12 +519,14 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
         started = time.time()
         payload, code, files = run(args)
-    except (PolylayerError, ValueError, MemoryError) as exc:
+    except (PolylayerError, ValueError, MemoryError, ArithmeticError) as exc:
         # a ValueError from numpy/scipy is bad input as well; an allocation
         # that fails anywhere in the run is a numerical failure, as for the
-        # band factor
+        # band factor, and so is a float overflow
         if isinstance(exc, MemoryError):
             exc = AnalysisError(f"out of memory ({exc})" if str(exc) else "out of memory")
+        elif isinstance(exc, ArithmeticError):
+            exc = AnalysisError(f"{type(exc).__name__}: {exc}")
         code = getattr(exc, "exit_code", EXIT_CONFIG)
         label = "numerical failure" if code == EXIT_NONCONVERGED else "config error"
         print(f"{label}: {exc}", file=sys.stderr)

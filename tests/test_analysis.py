@@ -22,7 +22,7 @@ from polylayer.analysis import (
     threshold,
 )
 from polylayer import eigensolve as es
-from polylayer.analysis import waveguide
+from polylayer.analysis import waveguide, weyl
 from polylayer.analysis.hardy import HardyError
 from polylayer.assembly import assemble_p1
 from polylayer.eigensolve import _verify, smallest_eigenpairs
@@ -267,6 +267,9 @@ def test_hardy_holds_on_random_decaying_samples(seed):
 def test_weyl_config_guards():
     with pytest.raises(ConfigError):
         WeylConfig(index=0)
+    WeylConfig(index=1022)
+    with pytest.raises(ConfigError, match="must lie in"):
+        WeylConfig(index=1023)  # 2^(n+1) would overflow
     with pytest.raises(ConfigError):
         WeylConfig(index=2, kappa=-1.0)
     from polylayer.analysis import weyl_residual
@@ -280,6 +283,44 @@ def test_weyl_window_supports_disjoint():
     assert support_overlap(2, 3, 0.35) == 0.0
     assert support_overlap(3, 4, 0.35) == 0.0
     assert support_overlap(2, 2, 0.35) > 0.0
+    with pytest.raises(ConfigError, match="meet"):
+        support_overlap(1, 1, 1.5)  # transitions wider than half the block
+
+
+def test_weyl_residual_finite_at_the_largest_index():
+    # I2 ~ 2^1022 times the transverse sums would overflow to inf; the two
+    # windows see the same transverse field, uncut at outlet lengths >= 2^20
+    from polylayer.analysis import weyl_residual
+
+    layer = make_layer(fichera_angle())
+    mode = solve_waveguide_mode(layer.beta_min, WaveguideNumerics(h=0.25, levels=2, R=4.0))
+    far, last = (weyl_residual(layer, WeylConfig(index=n), mode) for n in (20, 1022))
+    assert math.isfinite(last.residual)
+    assert last.residual == pytest.approx(far.residual, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 14, 40])
+def test_window_integrals_match_a_resolved_quadrature(n):
+    # 8-point Gauss-Legendre on each transition, in its own coordinate s =
+    # z - 2^n (or 2^(n+1) - z), where no rounding of z blurs the 0.35-wide
+    # step; exact for the polynomial integrands.  X is 1 between them.
+    from numpy.polynomial import Polynomial
+
+    w, length = weyl.Z_WIDTH, 2.0**n
+    S = Polynomial([0, 0, 0, 10, -15, 6])
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    s, ds = w * (nodes + 1) / 2, w * weights / 2
+    assert np.all((length - s) / w >= 1.0)  # the other factor, S(b), is 1 here
+    X, X1, X2 = S(s / w), S.deriv(1)(s / w) / w, S.deriv(2)(s / w) / w**2
+    reference = {  # both transitions alike, by symmetry
+        "I2": (length - 2 * w) + 2 * (X * X) @ ds,
+        "I1": 2 * (X1 * X1) @ ds,
+        "I11": 2 * (X * X2) @ ds,
+        "I22": 2 * (X2 * X2) @ ds,
+    }
+    got = weyl._window_integrals(n, w)
+    for key, value in reference.items():
+        assert got[key] == pytest.approx(value, rel=1e-12), key
 
 
 @pytest.mark.parametrize("theta", [0.3, PI / 2, 2.9])

@@ -167,6 +167,9 @@ def test_payload_bytes_do_not_depend_on_cpu_count(tmp_path):
         "scan-R --theta 90deg --R-list 2,3,4 --h 0.25 --levels 2",
         "certify " + " ".join(FICHERA) + " --R 3 --h 0.125 --thr-h 0.25 --thr-levels 2",
         "alpha-star --star-tol 0.05 --h 0.25 --levels 2",
+        # three tasks on two CPUs: alpha_star, the threshold and the voxel bounds
+        "absence --alpha 0.26rad --R 4 --h 0.125 --levels 2 --thr-h 0.25 --thr-levels 2"
+        " --star-tol 0.05",
     ]
     runs = {}
     for affinity in ("1", "all"):
@@ -480,6 +483,13 @@ def _no_convergence(*args, **kwargs):
         (["absence", "--alpha", "0.26rad", "--star-tol", "nan", "--dry-run"],
          EXIT_CONFIG, "config error:"),
         (["absence", "--alpha", "1.5rad", "--dry-run"], EXIT_CONFIG, "config error:"),
+        # 2^(n+1) of a window index n >= 1023 is no finite double
+        (["weyl", *FICHERA, "--indices", "1100"], EXIT_CONFIG, "config error:"),
+        # a float overflow after the solves is a numerical failure, not a traceback
+        (["weyl", *FICHERA, "--h", "0.25", "--kappa", "1e300"],
+         EXIT_NONCONVERGED, "numerical failure: OverflowError"),
+        (["certify-veps", *REGULAR, "--h", "0.25", "--eps", "1e300"],
+         EXIT_NONCONVERGED, "numerical failure: OverflowError"),
     ],
     ids=["ok", "config-geometry", "config-pairs-400", "config-pairs-0",
          "config-levels-0", "config-trihedral-n", "config-levels-1",
@@ -488,7 +498,8 @@ def _no_convergence(*args, **kwargs):
          "config-hardy-count-0", "config-hardy-count-negative",
          "config-regular-no-n", "config-regular-three-alpha", "config-trihedral-two-alpha",
          "dry-scan-R-nan", "dry-scan-R-descending", "dry-absence-star-tol-nan",
-         "dry-absence-alpha-above-bracket"],
+         "dry-absence-alpha-above-bracket", "config-weyl-index-1100",
+         "overflow-weyl-kappa", "overflow-veps-eps"],
 )
 def test_exit_codes(argv, expected, stderr_prefix, tmp_path, capsys, monkeypatch):
     from polylayer import eigensolve
@@ -496,7 +507,7 @@ def test_exit_codes(argv, expected, stderr_prefix, tmp_path, capsys, monkeypatch
     def must_not_run(*args, **kwargs):
         raise AssertionError("solved before the configuration was checked")
 
-    if expected == EXIT_NONCONVERGED:
+    if stderr_prefix == "numerical failure:":  # ARPACK is made to fail
         monkeypatch.setattr(sla, "eigsh", _no_convergence)
     if expected == EXIT_CONFIG:  # refused before any solve
         for module in (eigensolve, waveguide):
@@ -653,6 +664,13 @@ _CHECKED_BEFORE_SOLVE = [
     ("weyl-h-grid-0.5", ["weyl", *FICHERA, "--h-grid", "0.5"], "too coarse"),
     ("waveguide-theta-200deg", ["waveguide", "--theta", "200deg"], "not in (0, pi)"),
     ("absence-alpha-0", ["absence", "--alpha", "0rad"], "alpha_2 = 0.0 not in (0, pi)"),
+    ("weyl-index-1100", ["weyl", *FICHERA, "--indices", "2,1100"], "must lie in [1, 1022]"),
+    # numpy's generators take no negative seed; certify would meet it in a worker
+    ("waveguide-seed-negative", ["waveguide", "--theta", "90deg", "--seed", "-1"],
+     "--seed -1 must be >= 0"),
+    ("certify-seed-negative", [*SMALL_CERTIFY, "--levels", "1", "--seed", "-1"],
+     "--seed -1 must be >= 0"),
+    ("hardy-seed-negative", ["hardy", "--seed", "-1"], "--seed -1 must be >= 0"),
 ]
 
 
@@ -707,6 +725,74 @@ def test_seed_reaches_every_solve(argv, tmp_path, monkeypatch):
     code = main([*argv, "--seed", "7", "--out", str(tmp_path)])
     assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
     assert seeds == {7}
+
+
+SMALL_ABSENCE = ["absence", "--R", "4", "--h", "0.125", "--levels", "1", "--thr-h", "0.25",
+                 "--thr-levels", "2", "--star-tol", "0.05"]
+
+
+def test_alpha_refused_by_the_bisected_bracket_exits_2(tmp_path, capsys):
+    # 1.2 rad passes the check against STAR_BRACKET before any solve; only
+    # the bisected bracket refuses it, once the one fan-out has returned
+    code = main([*SMALL_ABSENCE, "--alpha", "1.2rad", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "alpha_star in [0.3125, 0.3500]" in err
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+# each subcommand at a small configuration
+SMALL_RUNS = {
+    "angle": ["angle", *REGULAR],
+    "layer": ["layer", *REGULAR],
+    "waveguide": ["waveguide", "--theta", "90deg", "--h", "0.25", "--levels", "2"],
+    "scan-theta": SMALL_SCAN,
+    "scan-R": ["scan-R", "--theta", "90deg", "--R-list", "2,3,4", "--h", "0.25", "--levels", "2"],
+    "count": SMALL_COUNT,
+    "certify": [*SMALL_CERTIFY, "--levels", "1"],
+    "certify-veps": ["certify-veps", *REGULAR, "--h", "0.25"],
+    "absence": [*SMALL_ABSENCE, "--alpha", "0.26rad"],
+    "hardy": ["hardy", "--count", "2"],
+    "weyl": ["weyl", *FICHERA, "--indices", "2,3", "--h", "0.25"],
+    "alpha-star": ["alpha-star", "--star-tol", "0.05", "--h", "0.25", "--levels", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_one_fan_out_per_run_and_no_solve_after_it(name, tmp_path, monkeypatch):
+    # a run's independent solves share its one fan-out: a solve in the CLI
+    # process after the fan-out returned would have been one more task of it
+    from polylayer import eigensolve
+
+    assert set(SMALL_RUNS) == set(HANDLERS)
+    events = []  # the CLI process's: a forked worker's appends stay in the worker
+    fan_out = fanout.fan_out
+
+    def fanning(thunks):
+        events.append("fan_out")
+        try:
+            return fan_out(thunks)
+        finally:
+            events.append("returned")
+
+    def recording(solve):
+        def solving(*args, **kwargs):
+            events.append("solve")
+            return solve(*args, **kwargs)
+
+        return solving
+
+    for module in list(sys.modules.values()):  # every caller that imported it by name
+        if vars(module).get("fan_out") is fan_out:
+            monkeypatch.setattr(module, "fan_out", fanning)
+    for module in (eigensolve, waveguide):
+        monkeypatch.setattr(module, "smallest_eigenpairs", recording(module.smallest_eigenpairs))
+    assert main([*SMALL_RUNS[name], "--out", str(tmp_path)]) in (EXIT_OK, EXIT_INCONCLUSIVE)
+    assert events.count("fan_out") <= 1
+    if "returned" in events:
+        assert "solve" not in events[events.index("returned"):]
 
 
 # each subcommand with its required flags only
