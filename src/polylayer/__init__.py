@@ -6,7 +6,13 @@ spectrum, and parameter scans (monotonicity, truncation convergence,
 eigenvalue counting) at desk scale.
 """
 
-from .geometry import (
+import os
+
+# one OpenBLAS thread unless the caller chose otherwise, set before numpy
+# loads OpenBLAS, so that it starts no threads for ``fanout.pin_blas`` to idle
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .geometry import (  # noqa: E402
     GeometryError,
     LayerGeometry,
     PolyhedralAngle,

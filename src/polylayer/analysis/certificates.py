@@ -8,8 +8,8 @@ by more than the combined error indicator; ABSENT_CONSISTENT is explicitly a
 non-proof (conforming computations only ever bound eigenvalues from above).
 
 A run fans out at most once, as its last solving step: ``certify_discrete``
-solves its threshold and its voxel bounds concurrently, and
-``absence_experiment`` the alpha_star bisection beside those two.  Every
+solves its threshold and each voxel level as a task of its own, and
+``absence_experiment`` the alpha_star bisection beside those.  Every
 check that reads no solve runs before the fan-out.  ``alpha_star`` runs
 serially: a fan-out of its two bracket ends costs more to start than it
 saves.
@@ -75,16 +75,26 @@ THRESHOLD_NUMERICS = WaveguideNumerics(h=0.05, levels=3)
 def voxel_upper_bounds(
     layer: LayerGeometry, R: float, h: float, levels: int, seed: int
 ) -> list:
-    """Rayleigh-quotient upper bounds on ``levels`` inscribed voxel grids.
+    """Rayleigh-quotient upper bounds on ``levels`` inscribed voxel grids,
+    one ``voxel_level`` record per level, coarsest first.
 
     The grids approach the stated cell size from above (h * 2^(levels-1),
     ..., 2h, h), all with Dirichlet conditions; the active sets are nested,
     so the per-level bounds are monotone nonincreasing.  The recomputed
     Rayleigh quotient of the first discrete eigenvector is an upper bound
-    for lambda_1 of the full layer by extension by zero.  Returns one record
-    per level, coarsest first.
+    for lambda_1 of the full layer by extension by zero.
+    """
+    return [voxel_level(layer, R, h, levels, lev, seed) for lev in range(levels)]
 
-    Each level is solved on the functions invariant under the grid's
+
+def voxel_level(
+    layer: LayerGeometry, R: float, h: float, levels: int, lev: int, seed: int
+) -> dict:
+    """Level ``lev`` of ``voxel_upper_bounds``, at cell size
+    h * 2^(levels-1-lev); every level is cold-started from ``seed`` and reads
+    no other, so the levels can be solved in any order or at once.
+
+    The level is solved on the functions invariant under the grid's
     symmetry group.  The Q1 stiffness has no positive off-diagonal entry,
     so by Perron-Frobenius the discrete ground state is simple, positive and
     invariant: the reduced lambda_1 is the full one.  The reduced pencil is
@@ -95,26 +105,27 @@ def voxel_upper_bounds(
     products.  ``dofs`` counts the full grid's equations, ``sector_dofs``
     the ones solved, and ``group_order`` the symmetries.
     """
-    records = []
-    for lev in range(levels):
-        h_lev = h * 2 ** (levels - 1 - lev)
-        grid = voxelize(layer, R=R, h=h_lev)
-        orbits = free_node_orbits(grid)
-        sector = assemble_q1(grid, orbits)
-        result = invariant_ground_state(sector, grid, orbits.labels, f"level {lev}", seed)
-        records.append(
-            {
-                "h": h_lev,
-                "upper_bound": float(result.eigenvalues[0]),
-                "residual": float(result.residuals[0]),
-                "cells": grid.num_active_cells,
-                "volume": grid.volume,
-                "dofs": len(orbits.labels),
-                "sector_dofs": sector.n,
-                "group_order": orbits.order,
-            }
-        )
-    return records
+    h_lev = h * 2 ** (levels - 1 - lev)
+    grid = voxelize(layer, R=R, h=h_lev)
+    orbits = free_node_orbits(grid)
+    sector = assemble_q1(grid, orbits)
+    result = invariant_ground_state(sector, grid, orbits.labels, f"level {lev}", seed)
+    return {
+        "h": h_lev,
+        "upper_bound": float(result.eigenvalues[0]),
+        "residual": float(result.residuals[0]),
+        "cells": grid.num_active_cells,
+        "volume": grid.volume,
+        "dofs": len(orbits.labels),
+        "sector_dofs": sector.n,
+        "group_order": orbits.order,
+    }
+
+
+def _voxel_tasks(layer: LayerGeometry, R: float, h: float, levels: int, seed: int) -> list:
+    """One fan-out task per ``voxel_level``, finest first: the finest takes
+    longest, so it starts first."""
+    return [partial(voxel_level, layer, R, h, levels, lev, seed) for lev in range(levels)][::-1]
 
 
 def certify_discrete(
@@ -126,18 +137,17 @@ def certify_discrete(
 ) -> Certificate:
     """Existence certificate from inscribed-domain Rayleigh quotients.
 
-    The bounds come from ``voxel_upper_bounds``, solved at the same time as
-    the threshold and from its seed.  Verdict NONEMPTY iff the best bound
-    undercuts the threshold by more than the combined error indicator.
+    The bounds come from ``voxel_level``, each level solved at the same time
+    as the threshold and the other levels, from the threshold's seed.
+    Verdict NONEMPTY iff the best bound undercuts the threshold by more than
+    the combined error indicator.
     INCONCLUSIVE is a valid outcome, not an error.
     """
     check_plan(R, h, levels)  # before any solve, which would run in vain
-    thr, details = fan_out(
-        [
-            partial(threshold, layer, threshold_numerics),
-            partial(voxel_upper_bounds, layer, R, h, levels, threshold_numerics.seed),
-        ]
-    )
+    tasks = _voxel_tasks(layer, R, h, levels, threshold_numerics.seed)
+    tasks.insert(1, partial(threshold, layer, threshold_numerics))  # beside the finest
+    finest, thr, *coarser = fan_out(tasks)
+    details = [*reversed(coarser), finest]
     best = float(min(d["upper_bound"] for d in details))
     solver_slack = 1e-9 * abs(best)
     combined = thr.error_indicator + solver_slack
@@ -397,7 +407,7 @@ def absence_experiment(
     refinements drops below 0.999 * threshold, the verdict is
     ABSENT_CONSISTENT, which is explicitly not a proof of absence.
 
-    The bisection, the threshold and the voxel bounds are independent and
+    The bisection, the threshold and each voxel level are independent and
     solved concurrently, in one fan-out.  An alpha refused by
     ``STAR_BRACKET`` is refused before any solve; one refused only by the
     bisected bracket therefore also pays for the threshold and the bounds,
@@ -409,16 +419,16 @@ def absence_experiment(
     check_below_star(alpha)
     check_star_tol(star_tol)
     seed = threshold_numerics.seed
-    star, thr, bounds = fan_out(
+    star, thr, *bounds = fan_out(
         [
             partial(alpha_star, star_tol, replace(STAR_NUMERICS, seed=seed)),
             partial(threshold, layer, threshold_numerics),
-            partial(voxel_upper_bounds, layer, R, h, levels, seed),
+            *_voxel_tasks(layer, R, h, levels, seed),
         ]
     )
     check_below_star(alpha, star.lo, f"alpha_star in [{star.lo:.4f}, {star.hi:.4f}]")
     cutoff = 0.999 * thr.extrapolated
-    details = [{key: d[key] for key in ("h", "upper_bound", "cells")} for d in bounds]
+    details = [{key: d[key] for key in ("h", "upper_bound", "cells")} for d in reversed(bounds)]
     dipped = any(d["upper_bound"] < cutoff for d in details)
     verdict = NONEMPTY if dipped else ABSENT_CONSISTENT
     margin = min(d["upper_bound"] for d in details) - thr.extrapolated

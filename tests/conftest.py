@@ -27,6 +27,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+def assert_no_child_left():
+    """Every child of this process has been reaped, forked by any means:
+    ``multiprocessing.active_children`` sees only its own."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _openblas(verb):
     """numpy's and scipy's bundled OpenBLAS ``get`` or ``set`` thread
     functions, found where ``fanout.pin_blas`` finds its setters."""

@@ -3,7 +3,6 @@ import importlib
 import inspect
 import json
 import math
-import multiprocessing
 import os
 import pkgutil
 import re
@@ -13,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
+from conftest import assert_no_child_left
 
 from polylayer import fanout
 from polylayer.analysis import waveguide
@@ -209,7 +209,7 @@ def _modules_after(statements, tmp_path):
     """The module names a fresh interpreter holds after ``statements``, which
     may call ``main`` with the output directory ``out``."""
     script = (
-        f"import sys\nfrom polylayer.cli import main\nout = {str(tmp_path / 'out')!r}\n"
+        f"import os, sys\nfrom polylayer.cli import main\nout = {str(tmp_path / 'out')!r}\n"
         f"{statements}\nprint(' '.join(sys.modules))"
     )
     proc = subprocess.run(
@@ -234,6 +234,18 @@ def test_cli_certify_loads_no_scipy_optimize(tmp_path):
     modules = _modules_after(statements, tmp_path)
     assert "scipy.sparse.linalg" in modules
     assert "scipy.optimize" not in modules
+
+
+@pytest.mark.skipif(cpus() < 2, reason="one CPU: nothing is forked")
+def test_fan_out_loads_no_multiprocessing(tmp_path):
+    # the fan-out forks with os.fork and talks over plain pipes
+    fanned = _modules_after("from polylayer.fanout import fan_out\nfan_out([os.getpid] * 3)",
+                            tmp_path)
+    assert not {m for m in fanned if m.split(".")[0] in ("multiprocessing", "concurrent")}
+    # scipy brings in concurrent.futures (through numpy.testing), not multiprocessing
+    statements = f"assert main([*{SMALL_CERTIFY!r}, '--levels', '1', '--out', out]) == 4"
+    certified = _modules_after(statements, tmp_path)
+    assert not {m for m in certified if m.split(".")[0] == "multiprocessing"}
 
 
 def test_dry_run_prints_plan_without_solving(tmp_path):
@@ -533,7 +545,7 @@ def _exits_nonconverged(argv, tmp_path, capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
     assert "Traceback" not in err
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     return err
 
 
@@ -576,19 +588,45 @@ def test_worker_death_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_nested_fan_out_runs_serially(tmp_path, capsys, monkeypatch):
-    # certify fans out the threshold and the voxel bounds; a fan-out inside
-    # the bounds task must run in that task's process, forking nothing more
+    # certify fans out the threshold and each voxel level; a fan-out inside
+    # a level's task must run in that task's process, forking nothing more
     from polylayer.analysis import AnalysisError, certificates
 
-    def nested_bounds(*args):
+    def nested_level(*args):
         pids = fanout.fan_out([os.getpid] * 3)
         raise AnalysisError(f"task {os.getpid()} nested {sorted(set(pids))}")
 
-    monkeypatch.setattr(certificates, "voxel_upper_bounds", nested_bounds)
+    monkeypatch.setattr(certificates, "voxel_level", nested_level)
     err = _exits_nonconverged([*SMALL_CERTIFY, "--levels", "1"], tmp_path, capsys)
     task, nested = re.search(r"task (\d+) nested \[(\d+)\]", err).groups()
     assert nested == task
     assert (int(task) != os.getpid()) == (cpus() >= 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*SMALL_CERTIFY[:-4], "--h", "0.125", "--levels", "2", *SMALL_CERTIFY[-4:]],
+        ["absence", "--alpha", "0.26rad", "--R", "4", "--h", "0.125", "--levels", "2",
+         "--thr-h", "0.25", "--thr-levels", "2", "--star-tol", "0.05"],
+    ],
+    ids=["certify", "absence"],
+)
+def test_each_voxel_level_is_a_fan_out_task_finest_first(argv, tmp_path, monkeypatch):
+    from polylayer.analysis import certificates
+
+    handed = []  # the level index of each voxel task, in the order handed over
+
+    def serial(thunks):
+        handed.extend(t.args[4] for t in thunks if t.func is certificates.voxel_level)
+        return [thunk() for thunk in thunks]
+
+    monkeypatch.setattr(certificates, "fan_out", serial)
+    code, out = run_cli(argv, tmp_path, "levels")
+    assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
+    assert handed == [1, 0]
+    levels = json.loads((out / f"{argv[0]}.json").read_text())["payload"]["evidence"]["levels"]
+    assert [d["h"] for d in levels] == [0.25, 0.125]  # records stay coarsest first
 
 
 # (id, argv, message): each case runs, and runs again with --dry-run as id-dry
@@ -740,7 +778,7 @@ def test_alpha_refused_by_the_bisected_bracket_exits_2(tmp_path, capsys):
     assert err.startswith("config error:")
     assert "alpha_star in [0.3125, 0.3500]" in err
     assert "Traceback" not in err
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 # each subcommand at a small configuration
