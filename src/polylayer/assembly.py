@@ -4,10 +4,13 @@ Element matrices are closed-form (no quadrature knob).  Dirichlet nodes are
 eliminated as the entries are gathered: each upper-triangle entry (row <=
 col) goes to its pair of free equations, and an entry on a Dirichlet node
 drops out, which keeps the reduced stiffness positive definite.  One
-builder sums stiffness and mass into the same slots and lays both out as
-full CSR matrices on one shared pattern: each off-diagonal sum is stored
-at (i, j) and at (j, i), so symmetry is exact by construction, and K -
-sigma M is one array expression on the stored values.
+builder lays stiffness and mass out as full CSR matrices on one shared
+pattern, from their diagonals and their sums on the unique pairs i < j:
+each off-diagonal sum is stored at (i, j) and at (j, i), so symmetry is
+exact by construction, and K - sigma M is one array expression on the
+stored values.  P1 sums per edge and per node; only Q1, whose cells
+repeat pairs, sorts its entries to sum them.  A refined triangle mesh takes
+its element data from its parent.
 
 Sums run in a fixed order of the element entries, so the matrices are
 bit-identical across runs regardless of thread counts used by the
@@ -25,7 +28,7 @@ import scipy.sparse as sp
 
 from .errors import PolylayerError
 from .grid3d import GridError, Orbits, VoxelGrid
-from .mesh2d import TriMesh, _edges
+from .mesh2d import CHILD_VERTICES, TriMesh, _edges
 
 
 class AssemblyError(PolylayerError, ValueError):
@@ -62,12 +65,13 @@ class DiscreteProblem:
         return self.K.full.shape[0]
 
 
-def _pencil(n: int, rows, cols, k_vals, m_vals) -> tuple:
-    """(K, M) of order n from upper triplets (rows <= cols), each summed per
-    (row, col) in triplet order, as full CSR on one shared pattern."""
+def _summed(n: int, rows, cols, k_vals, m_vals) -> tuple:
+    """``_pencil``'s arguments after ``n`` from upper triplets (rows <= cols)
+    that repeat pairs, the values summed per pair in triplet order.  Every
+    equation has a diagonal triplet."""
     keys = rows * n + cols
-    # stable: the sorted runs of the input (one per local entry in Q1, two
-    # in P1) merge in linear passes
+    # stable: the sorted runs of the input (one per local entry) merge in
+    # linear passes
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.r_[True, keys[1:] != keys[:-1]]
@@ -76,18 +80,44 @@ def _pencil(n: int, rows, cols, k_vals, m_vals) -> tuple:
     keys = keys[first]
     k = np.bincount(slot, k_vals, len(keys))
     m = np.bincount(slot, m_vals, len(keys))
-    r, c = np.divmod(keys, n)
-    off = r != c
-    # the mirrored entries first: bucketing by row, which keeps input
-    # order, then leaves every row's columns ascending
-    rows = np.concatenate([c[off], r])
-    cols = np.concatenate([r[off], c])
-    at = sp.csr_matrix((np.arange(len(rows)), (rows, cols)), shape=(n, n))
+    rows, cols = np.divmod(keys, n)
+    off = rows != cols
+    return k[~off], m[~off], rows[off], cols[off], k[off], m[off]
+
+
+def _pencil(n: int, k_diagonal, m_diagonal, rows, cols, k, m) -> tuple:
+    """(K, M) of order n as full CSR on one shared pattern, from their
+    diagonals and the values ``k`` and ``m`` of the unique pairs rows <
+    cols, given in row-major order.
+
+    Row i holds the mirrored entries (i, j) of the pairs (j, i), then its
+    diagonal, then its own pairs, so its columns ascend.  An entry's place
+    is its rank among the entries of its kind plus the number of the other
+    kinds' entries before it; one stable sort ranks the mirrored entries.
+    """
+    ids, pairs = np.arange(n), np.arange(len(rows))
+    mirror = np.argsort(cols, kind="stable")
+    owned = np.bincount(rows, minlength=n)
+    mirrored_to = np.cumsum(np.bincount(cols, minlength=n))  # in rows <= i
+    owned_before = np.cumsum(owned) - owned  # in rows < i
+    at = np.concatenate([
+        ids + mirrored_to + owned_before,
+        pairs + (ids + 1 + mirrored_to)[rows],
+        pairs + (ids + owned_before)[cols[mirror]],
+    ])
+    index = np.int32 if len(at) < 2**31 else np.int64
+    indptr = np.r_[0, ids + 1 + mirrored_to + owned_before + owned].astype(index)
+    indices = np.empty(len(at), dtype=index)
+    indices[at] = np.concatenate([ids, cols, rows[mirror]])
+
+    def stored(diagonal, upper):
+        data = np.empty(len(at))
+        data[at] = np.concatenate([diagonal, upper, upper[mirror]])
+        return data
+
     return tuple(
-        SparseSymmetric(
-            sp.csr_matrix((np.concatenate([v[off], v])[at.data], at.indices, at.indptr), (n, n))
-        )
-        for v in (k, m)
+        SparseSymmetric(sp.csr_matrix((stored(d, v), indices, indptr), (n, n)))
+        for d, v in ((k_diagonal, k), (m_diagonal, m))
     )
 
 
@@ -101,13 +131,27 @@ def _equations(fixed: np.ndarray) -> tuple:
     return free, np.where(fixed, -1, np.cumsum(~fixed) - 1)
 
 
-def assemble_p1(mesh: TriMesh) -> DiscreteProblem:
-    """Exact P1 stiffness and consistent mass on a triangle mesh.
+def _elements(mesh: TriMesh) -> tuple:
+    """``(area, k_side, k_corner)`` per triangle: the area, the stiffness
+    entry of each side (column s for the side from vertex s to s + 1) and of
+    each corner.  Stored on the mesh.
 
-    Dirichlet-tagged boundary nodes are eliminated; Neumann sides are
-    natural.  The sides' entries are summed per edge and the corners' per
-    node before the free ones go to the pencil builder.
+    A mesh without a parent computes them from its coordinates and refuses
+    a degenerate triangle.  A refined mesh takes them from its parent: P1
+    stiffness is invariant under scaling and point reflection, so child j
+    of parent triangle t has the parent's entries in the vertex order
+    ``mesh2d.CHILD_VERTICES[j]``, and a quarter of its area.
     """
+    if mesh._elements is not None:
+        return mesh._elements
+    if mesh.parent is not None:
+        area, k_side, k_corner = _elements(mesh.parent)
+        mesh._elements = (
+            np.repeat(0.25 * area, 4),
+            k_side[:, CHILD_VERTICES].reshape(-1, 3),
+            k_corner[:, CHILD_VERTICES].reshape(-1, 3),
+        )
+        return mesh._elements
     tris = mesh.triangles
     x, y = mesh.nodes[:, 0][tris], mesh.nodes[:, 1][tris]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
@@ -116,32 +160,38 @@ def assemble_p1(mesh: TriMesh) -> DiscreteProblem:
     bad = area <= 1e-14 * np.maximum(1.0, np.abs(x).max())
     if bad.any():
         raise AssemblyError(f"degenerate triangle at index {int(np.argmax(bad))}")
-
-    n = mesh.num_nodes
-    edges, side_edge = _edges(mesh)
     p, q = [0, 1, 2], [1, 2, 0]  # the sides in ``_edges`` order
     four_area = 4.0 * area[:, None]
-    k_side = ((b[:, p] * b[:, q] + c[:, p] * c[:, q]) / four_area).T.ravel()
-    k_corner = (b * b + c * c) / four_area
-    m_side = np.tile(area * (1.0 / 12.0), 3)
-    m_corner = np.repeat(area * (2.0 / 12.0), 3)
-    k_edge = np.bincount(side_edge, k_side, len(edges))
-    m_edge = np.bincount(side_edge, m_side, len(edges))
+    k_side = (b[:, p] * b[:, q] + c[:, p] * c[:, q]) / four_area
+    mesh._elements = area, k_side, (b * b + c * c) / four_area
+    return mesh._elements
+
+
+def assemble_p1(mesh: TriMesh) -> DiscreteProblem:
+    """Exact P1 stiffness and consistent mass on a triangle mesh.
+
+    Dirichlet-tagged boundary nodes are eliminated; Neumann sides are
+    natural.  The sides' entries are summed per edge and the corners' per
+    node before the free ones go to the pencil builder with no sort: one
+    pair per edge, in row-major order already, since ``_edges`` sorts its
+    pairs and equations keep node order.
+    """
+    area, k_side, k_corner = _elements(mesh)
+    tris = mesh.triangles
+    n = mesh.num_nodes
+    edges, side_edge = _edges(mesh)
+    k_edge = np.bincount(side_edge, k_side.T.ravel(), len(edges))
+    m_edge = np.bincount(side_edge, np.tile(area * (1.0 / 12.0), 3), len(edges))
     k_node = np.bincount(tris.ravel(), k_corner.ravel(), n)
-    m_node = np.bincount(tris.ravel(), m_corner, n)
+    m_node = np.bincount(tris.ravel(), np.repeat(area * (2.0 / 12.0), 3), n)
 
     fixed = np.zeros(n, dtype=bool)
     fixed[mesh.dirichlet_nodes()] = True
     free, eq = _equations(fixed)
     ea, eb = eq[edges[:, 0]], eq[edges[:, 1]]
     inner = (ea >= 0) & (eb >= 0)
-    ids = np.arange(len(free))
     K, M = _pencil(
-        len(free),
-        np.concatenate([ids, ea[inner]]),
-        np.concatenate([ids, eb[inner]]),
-        np.concatenate([k_node[free], k_edge[inner]]),
-        np.concatenate([m_node[free], m_edge[inner]]),
+        len(free), k_node[free], m_node[free], ea[inner], eb[inner], k_edge[inner], m_edge[inner]
     )
     return DiscreteProblem(K=K, M=M, free_nodes=free)
 
@@ -201,10 +251,9 @@ def assemble_q1(grid: VoxelGrid, orbits: Optional[Orbits] = None) -> DiscretePro
     weight = sizes * np.where((ii < jj)[:, None] & (rows == cols), 2.0, 1.0)
     keep = rows >= 0
     local = np.broadcast_to(np.arange(len(ii))[:, None], keep.shape)[keep]
-    weight = weight[keep]
-    K, M = _pencil(
-        len(free), rows[keep], cols[keep], K8[ii, jj][local] * weight, M8[ii, jj][local] * weight
-    )
+    weight, n = weight[keep], len(free)
+    k, m = K8[ii, jj][local] * weight, M8[ii, jj][local] * weight
+    K, M = _pencil(n, *_summed(n, rows[keep], cols[keep], k, m))
     return DiscreteProblem(K=K, M=M, free_nodes=free)
 
 

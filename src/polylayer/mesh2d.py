@@ -10,8 +10,10 @@ child nodes.  Boundary edges carry 'dirichlet' tags on the walls shared
 with the infinite waveguide and 'neumann' tags on the end cross-sections
 and on the half mesh's axis.
 
-Meshes are treated as immutable after construction; the one thing a mesh
-stores later is its edge table, computed on first use (``_edges``).
+Meshes are treated as immutable after construction; what a mesh stores
+later is derived data: its edge table (``_edges``), which ``refine`` hands
+to the child it builds, and its P1 element data (``assembly``), which a
+refined level takes from its parent.
 ``sample_grid`` reads a P1 field on a tensor grid of points.
 """
 
@@ -50,6 +52,7 @@ class TriMesh:
     boundary_tags: np.ndarray
     parent: Optional["TriMesh"] = None
     _edge_table: Optional[tuple] = field(default=None, repr=False)
+    _elements: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def num_nodes(self) -> int:
@@ -109,7 +112,8 @@ def _edge_keys(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
 def _edges(mesh: TriMesh) -> tuple:
     """(unique, inverse): the sorted unique node pairs of the triangle sides,
     and for every side (all 0-1 sides, then 1-2, then 2-0) its row there.
-    Computed once per mesh, for ``refine`` and ``assembly.assemble_p1``."""
+    Computed once per mesh, for ``refine`` and ``assembly.assemble_p1``,
+    unless ``refine`` made the mesh: it builds the table with it."""
     if mesh._edge_table is None:
         a, b = mesh.triangles.T.ravel(), mesh.triangles[:, [1, 2, 0]].T.ravel()
         sides = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
@@ -305,20 +309,37 @@ def mesh_rectangle(
     )
 
 
+# ``refine``'s child 4t + j of triangle t: its vertex i, and its side i (from
+# vertex i to i + 1), are the half-scale images of the parent's vertex and
+# side CHILD_VERTICES[j][i]
+CHILD_VERTICES = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [2, 0, 1]])
+
+
 def refine(mesh: TriMesh) -> TriMesh:
     """Uniform 4-split by edge midpoints; parent nodes keep their indices.
 
-    The children are positively oriented as their parent is: a corner child
-    keeps the parent's vertex order, and the middle child is the parent's
-    point reflection, scaled by 1/2.
+    The children of parent triangle (v0, v1, v2), with m01 the midpoint of
+    v0 v1 and so on, are (v0, m01, m20), (v1, m12, m01), (v2, m20, m12) and
+    (m01, m12, m20).  Each is positively oriented as its parent is: a
+    corner child is the parent scaled by 1/2 about its corner, and the
+    middle child is the parent's point reflection, scaled by 1/2.  Child
+    vertex i is the image of parent vertex ``CHILD_VERTICES[j][i]``:
+    (0, 1, 2), (1, 2, 0) and (2, 0, 1) for the corners, and (2, 0, 1) for
+    the middle child.  The midpoint of parent edge e (``_edges`` order) is
+    node ``num_nodes + e``.
+
+    The child's edge table is built here, not by ``_edges``: the two halves
+    of every parent edge and the three edges inside every parent triangle,
+    all distinct, sorted once.
     """
     tris = mesh.triangles
     edges_unique, inverse = _edges(mesh)
-    keys = _edge_keys(edges_unique, mesh.num_nodes)
-    mid_ids = mesh.num_nodes + np.arange(len(edges_unique))
+    n, num_edges = mesh.num_nodes, len(edges_unique)
+    mid_ids = n + np.arange(num_edges)
     mid_coords = 0.5 * (mesh.nodes[edges_unique[:, 0]] + mesh.nodes[edges_unique[:, 1]])
 
-    m01, m12, m20 = mid_ids[inverse].reshape(3, mesh.num_triangles)
+    e01, e12, e20 = inverse.reshape(3, mesh.num_triangles)
+    m01, m12, m20 = mid_ids[e01], mid_ids[e12], mid_ids[e20]
     v0, v1, v2 = tris.T
     # four children per parent, consecutive: one per corner, then the middle
     children = np.stack(
@@ -326,18 +347,43 @@ def refine(mesh: TriMesh) -> TriMesh:
     ).reshape(-1, 3)
 
     lookup = np.searchsorted(
-        keys, _edge_keys(np.sort(mesh.boundary_edges, axis=1), mesh.num_nodes)
+        _edge_keys(edges_unique, n), _edge_keys(np.sort(mesh.boundary_edges, axis=1), n)
     )
     a, b = mesh.boundary_edges.T
     edges = np.stack([a, mid_ids[lookup], mid_ids[lookup], b], axis=1).reshape(-1, 2)
 
-    all_nodes = np.vstack([mesh.nodes, mid_coords])
+    # the child's edges: row 2e + k is the half of parent edge e at its end
+    # k, (edges_unique[e, k], m_e); row 2E + 3t + s joins the midpoints of
+    # parent t's sides s and s + 1
+    mids = np.stack([m01, m12, m20], axis=1)
+    ahead = mids[:, [1, 2, 0]]
+    pairs = np.concatenate([
+        np.column_stack([edges_unique.ravel(), np.repeat(mid_ids, 2)]),
+        np.column_stack([np.minimum(mids, ahead).ravel(), np.maximum(mids, ahead).ravel()]),
+    ])
+    order = np.argsort(_edge_keys(pairs, n + num_edges))
+    row = np.empty_like(order)
+    row[order] = np.arange(len(order))
+
+    def half(e, v, w):  # the half at v of the parent edge e from v to w
+        return 2 * e + (v > w)
+
+    inner = 2 * num_edges + 3 * np.arange(mesh.num_triangles)
+    sides = np.array([  # [child side][child j][t], child sides 0-1, 1-2, 2-0
+        [half(e01, v0, v1), half(e12, v1, v2), half(e20, v2, v0), inner],
+        [inner + 2, inner, inner + 1, inner + 1],
+        [half(e20, v0, v2), half(e01, v1, v0), half(e12, v2, v1), inner + 2],
+    ])
+
+    # np.take: several times faster than pairs[order] on the rows
+    table = np.take(pairs, order, axis=0), row[sides.transpose(0, 2, 1).ravel()]
     return TriMesh(
-        nodes=all_nodes,
+        nodes=np.vstack([mesh.nodes, mid_coords]),
         triangles=children,
         boundary_edges=edges,
         boundary_tags=np.repeat(mesh.boundary_tags, 2),
         parent=mesh,
+        _edge_table=table,
     )
 
 

@@ -14,7 +14,7 @@ from polylayer.assembly import (
 )
 from polylayer.geometry import build_regular, fichera_angle, make_layer
 from polylayer.grid3d import GridError, Orbits, box_grid, free_node_orbits, voxelize
-from polylayer.mesh2d import NEUMANN, mesh_lshape, mesh_rectangle
+from polylayer.mesh2d import NEUMANN, TriMesh, mesh_lshape, mesh_rectangle, mirrored, refine
 
 PI = math.pi
 ALL_NEUMANN = dict.fromkeys(("left", "right", "bottom", "top"), NEUMANN)
@@ -77,6 +77,41 @@ def test_p1_degenerate_triangle_named():
     mesh.nodes[mesh.triangles[3][2]] = mesh.nodes[mesh.triangles[3][1]]
     with pytest.raises(AssemblyError, match="triangle"):
         assemble_p1(mesh)
+
+
+def test_p1_degenerate_triangle_refused_on_refined_levels():
+    # a refined level takes its element data from level 0, which refuses it
+    mesh = mesh_rectangle(1.0, 1.0, h=0.5)
+    mesh.nodes.setflags(write=True)
+    mesh.nodes[mesh.triangles[3][2]] = mesh.nodes[mesh.triangles[3][1]]
+    with pytest.raises(AssemblyError, match="degenerate triangle at index 3"):
+        assemble_p1(refine(refine(mesh)))
+
+
+def _parentless(mesh):
+    return TriMesh(mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
+
+
+def test_refined_levels_inherit_their_parents_element_data(monkeypatch):
+    # no geometry on a refined level, and the pencil of a parent-less copy,
+    # computed from the coordinates, to roundoff
+    for theta in (0.15, 1.0, 2.9):
+        half = mesh_lshape(theta, 2.0, h=0.25)
+        for mesh in (half, mirrored(half)):
+            levels = [mesh]
+            for _ in range(3):
+                levels.append(refine(levels[-1]))
+            assemble_p1(mesh)
+            with monkeypatch.context() as m:
+                m.setattr(TriMesh, "signed_areas", None)  # a parent-less mesh's first step
+                inherited = [assemble_p1(level) for level in levels[1:]]
+            for level, got in zip(levels[1:], inherited):
+                ref = assemble_p1(_parentless(level))
+                assert np.array_equal(got.free_nodes, ref.free_nodes)
+                for A, B in ((got.K.full, ref.K.full), (got.M.full, ref.M.full)):
+                    assert np.array_equal(A.indptr, B.indptr)
+                    assert np.array_equal(A.indices, B.indices)
+                    assert np.abs(A.data - B.data).max() <= 1e-13 * np.abs(B.data).max()
 
 
 def _dense_p1(mesh):

@@ -276,6 +276,7 @@ def test_lanczos_runs_on_the_reduced_standard_problem(monkeypatch):
 
     def counting(A, **kwargs):
         assert kwargs.get("M") is None and kwargs.get("sigma") is None
+        assert kwargs["tol"] == es.LANCZOS_TOL == 1e-12  # not machine precision
         op = es.sla.LinearOperator(
             A.shape, matvec=lambda y: (applied.append(1), A.matvec(y))[1], dtype=A.dtype
         )
@@ -291,7 +292,7 @@ def test_lanczos_runs_on_the_reduced_standard_problem(monkeypatch):
             else:
                 res = smallest_eigenpairs(prob, k)
             assert res.iterations == len(applied) > 0
-            assert np.allclose(res.eigenvalues, dense[:k], rtol=1e-12, atol=0.0)
+            assert np.allclose(res.eigenvalues, dense[:k], rtol=1e-13, atol=0.0)
             assert (res.residuals <= 1e-8).all()
 
 

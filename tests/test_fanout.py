@@ -163,12 +163,12 @@ def _cpu_now():
 def _placement_once_all_run(barrier, calls):
     # no worker returns before every task has started, so each task has its own
     barrier.wait(timeout=30)
-    return calls, os.sched_getaffinity(0)
+    return calls, os.sched_getaffinity(0), os.getpid()
 
 
 def _placements(workers, monkeypatch):
-    """Per worker: the CPU sets its initializer set, each with the CPU it
-    ran on right after the call, and the worker's affinity once it runs."""
+    """Per worker: the CPU sets it set, each with the CPU it ran on right
+    after the call, the worker's affinity once it runs, and its pid."""
     calls = []  # each forked worker appends to its own copy
     set_affinity = os.sched_setaffinity
 
@@ -185,7 +185,7 @@ def _placements(workers, monkeypatch):
 def test_each_worker_is_placed_on_its_own_cpu_then_freed(monkeypatch):
     parent = os.sched_getaffinity(0)
     placed = []
-    for calls, affinity in _placements(cpus(), monkeypatch):
+    for calls, affinity, _ in _placements(cpus(), monkeypatch):
         (own, cpu_then), (freed, _) = calls
         assert own == {cpu_then} and cpu_then in parent  # moved before the call returned
         assert freed == affinity == parent
@@ -193,6 +193,31 @@ def test_each_worker_is_placed_on_its_own_cpu_then_freed(monkeypatch):
     assert sorted(placed) == sorted(parent)  # one worker per CPU
     assert os.sched_getaffinity(0) == parent
     assert_no_child_left()
+
+
+def test_placement_starts_after_the_callers_cpu(monkeypatch):
+    assert fanout._caller_cpu() in os.sched_getaffinity(0)
+    for caller, placed in ((2, [3, 5, 0]), (5, [0, 2, 3]), (4, [0, 2, 3]), (-1, [0, 2, 3])):
+        monkeypatch.setattr(fanout, "_caller_cpu", lambda cpu=caller: cpu)
+        assert fanout._placement([0, 2, 3, 5], 3) == placed
+
+
+@pytest.mark.skipif(cpus() < 2, reason="one CPU: thunks run in-process, nothing to place")
+def test_first_worker_is_placed_off_the_callers_cpu(monkeypatch):
+    # the caller still forks the other workers: the first one goes to the next CPU
+    allowed = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(fanout, "_caller_cpu", lambda: allowed[0])
+    forked, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    placed = {pid: calls[0][1] for calls, _, pid in _placements(len(allowed), monkeypatch)}
+    assert [placed[pid] for pid in forked] == allowed[1:] + allowed[:1]
 
 
 @pytest.mark.skipif(cpus() < 3, reason="needs a CPU set with a gap")
@@ -204,8 +229,8 @@ def test_workers_are_placed_inside_a_non_contiguous_cpu_set(monkeypatch):
         placements = _placements(2, monkeypatch)
     finally:
         os.sched_setaffinity(0, parent)
-    assert sorted(calls[0][1] for calls, _ in placements) == sorted(gapped)
-    assert all(affinity == gapped for _, affinity in placements)
+    assert sorted(calls[0][1] for calls, _, _ in placements) == sorted(gapped)
+    assert all(affinity == gapped for _, affinity, _ in placements)
 
 
 @pytest.mark.parametrize("preset", [None, "2"])

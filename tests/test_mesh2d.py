@@ -532,10 +532,37 @@ def test_mirror_map_is_the_reflection(theta):
 
 
 def test_edge_table_matches_row_unique():
-    mesh = refine(mesh_lshape(0.4, 2.3, h=0.25))
-    tris = mesh.triangles
-    sides = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
-    ref, ref_inverse = np.unique(sides, axis=0, return_inverse=True)
-    edges, inverse = _edges(mesh)
-    assert edges.dtype == ref.dtype and np.array_equal(edges, ref)
-    assert np.array_equal(inverse, ref_inverse.ravel())
+    # refine builds each child's table itself; it must be np.unique's,
+    # dtypes included, on every level of half and whole meshes
+    for theta in (0.15, 1.0, 2.9):
+        half = mesh_lshape(theta, 2.3, h=0.25)
+        for mesh in (half, mirrored(half)):
+            for _ in range(3):
+                mesh = refine(mesh)
+                tris = mesh.triangles
+                sides = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+                ref, ref_inverse = np.unique(np.sort(sides, axis=1), axis=0, return_inverse=True)
+                edges, inverse = _edges(mesh)
+                assert edges.dtype == ref.dtype and np.array_equal(edges, ref)
+                assert inverse.dtype == ref_inverse.dtype
+                assert np.array_equal(inverse, ref_inverse.ravel())
+                check_conforming(mesh)
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=("half", "mirrored"))
+def test_children_are_scaled_images_of_their_parent(whole):
+    # child j's side i is half of the parent's side CHILD_VERTICES[j][i],
+    # the same way round for a corner child, reversed for the middle one
+    mesh = mesh_lshape(0.7, 1.5, h=0.25)
+    mesh = mirrored(mesh) if whole else mesh
+    fine = refine(mesh)
+
+    def side_vectors(m):
+        p = m.nodes[m.triangles]
+        return p[:, [1, 2, 0]] - p
+
+    parent = side_vectors(mesh)[:, mesh2d.CHILD_VERTICES]  # (T, child j, side i)
+    child = side_vectors(fine).reshape(parent.shape)
+    sign = np.array([1.0, 1.0, 1.0, -1.0])[:, None, None]
+    scale = np.abs(mesh.nodes).max()
+    assert np.abs(child - 0.5 * sign * parent).max() <= 1e-15 * scale
