@@ -20,7 +20,7 @@ underlying BLAS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, isfinite
 from typing import Optional
 
 import numpy as np
@@ -69,18 +69,17 @@ def _summed(n: int, rows, cols, k_vals, m_vals) -> tuple:
     """``_pencil``'s arguments after ``n`` from upper triplets (rows <= cols)
     that repeat pairs, the values summed per pair in triplet order.  Every
     equation has a diagonal triplet."""
-    keys = rows * n + cols
-    # stable: the sorted runs of the input (one per local entry) merge in
-    # linear passes
+    index = np.int32 if n * n < 2**31 else np.int64  # the narrowest that holds every key
+    keys = rows.astype(index) * index(n) + cols.astype(index)
+    # stable, so a pair's triplets stay in triplet order; the sorted runs of
+    # the input (one per local entry) merge in linear passes
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.r_[True, keys[1:] != keys[:-1]]
-    slot = np.empty_like(order)
-    slot[order] = np.cumsum(first) - 1
-    keys = keys[first]
-    k = np.bincount(slot, k_vals, len(keys))
-    m = np.bincount(slot, m_vals, len(keys))
-    rows, cols = np.divmod(keys, n)
+    slot = np.cumsum(first) - 1
+    k = np.bincount(slot, k_vals[order])
+    m = np.bincount(slot, m_vals[order])
+    rows, cols = np.divmod(keys[first], index(n))
     off = rows != cols
     return k[~off], m[~off], rows[off], cols[off], k[off], m[off]
 
@@ -96,7 +95,8 @@ def _pencil(n: int, k_diagonal, m_diagonal, rows, cols, k, m) -> tuple:
     kinds' entries before it; one stable sort ranks the mirrored entries.
     """
     ids, pairs = np.arange(n), np.arange(len(rows))
-    mirror = np.argsort(cols, kind="stable")
+    # 16-bit columns sort by radix, in the same order
+    mirror = np.argsort(cols.astype(np.uint16) if n <= 2**16 else cols, kind="stable")
     owned = np.bincount(rows, minlength=n)
     mirrored_to = np.cumsum(np.bincount(cols, minlength=n))  # in rows <= i
     owned_before = np.cumsum(owned) - owned  # in rows < i
@@ -214,12 +214,13 @@ def q1_element_matrices(h: float):
 
 
 def _q1_cells(grid: VoxelGrid) -> tuple:
-    """``(cells, K8, M8, free, eq)``: the active cells' corner nodes, the
-    element matrices and ``_equations`` of the grid's Dirichlet flags."""
-    cells = grid.active_cell_corners()
+    """``(cells, K8, M8, free)``: the active cells' corner equations
+    (``VoxelGrid.cell_equations``, -1 on a Dirichlet corner), the element
+    matrices and the free nodes."""
+    cells = grid.cell_equations
     if len(cells) == 0:
         raise GridError("no active cells to assemble")
-    return (cells, *q1_element_matrices(grid.h), *_equations(grid.dirichlet))
+    return (cells, *q1_element_matrices(grid.h), _equations(grid.dirichlet)[0])
 
 
 def assemble_q1(grid: VoxelGrid, orbits: Optional[Orbits] = None) -> DiscreteProblem:
@@ -237,22 +238,23 @@ def assemble_q1(grid: VoxelGrid, orbits: Optional[Orbits] = None) -> DiscretePro
     node of orbit ``o``.  With one orbit per equation and per cell the
     pencil keeps every bit of the full one.
     """
-    cells, K8, M8, free, eq = _q1_cells(grid)
+    cells, K8, M8, free = _q1_cells(grid)
     sizes = 1
     if orbits is not None:
-        cells, sizes = cells[orbits.cells], orbits.sizes
-        eq = np.where(eq >= 0, orbits.labels[eq], -1)
-        free = free[np.unique(orbits.labels, return_index=True)[1]]
+        # a -1 (Dirichlet) corner takes the appended -1
+        orbit_of = np.append(orbits.labels, -1).astype(cells.dtype)
+        cells, sizes = orbit_of[cells[orbits.cells]], orbits.sizes
+        seen = np.maximum.accumulate(orbits.labels)  # labels in order of first appearance
+        free = free[np.flatnonzero(np.r_[True, seen[1:] > seen[:-1]])]
     ii, jj = np.triu_indices(8)
     # element matrices symmetric: entry (a, b) with a <= b locally covers
     # both; one row per local entry, over the cells
-    e = eq[cells.T]
+    e = cells.T
     rows, cols = np.minimum(e[ii], e[jj]), np.maximum(e[ii], e[jj])
     weight = sizes * np.where((ii < jj)[:, None] & (rows == cols), 2.0, 1.0)
     keep = rows >= 0
-    local = np.broadcast_to(np.arange(len(ii))[:, None], keep.shape)[keep]
-    weight, n = weight[keep], len(free)
-    k, m = K8[ii, jj][local] * weight, M8[ii, jj][local] * weight
+    k, m = ((A[ii, jj][:, None] * weight)[keep] for A in (K8, M8))
+    n = len(free)
     K, M = _pencil(n, *_summed(n, rows[keep], cols[keep], k, m))
     return DiscreteProblem(K=K, M=M, free_nodes=free)
 
@@ -260,12 +262,12 @@ def assemble_q1(grid: VoxelGrid, orbits: Optional[Orbits] = None) -> DiscretePro
 def q1_products(grid: VoxelGrid, vec: np.ndarray) -> tuple:
     """``(K x, M x)`` of ``assemble_q1(grid)`` for the equation vector
     ``vec``, summed cell by cell, without assembling K or M."""
-    cells, K8, M8, free, eq = _q1_cells(grid)
-    e = eq[cells]
-    x = np.append(vec, 0.0)[e]  # a Dirichlet corner (e = -1) holds 0
-    keep = e >= 0
+    cells, K8, M8, free = _q1_cells(grid)
+    x = np.append(vec, 0.0)[cells]  # a Dirichlet corner (-1) holds 0
+    keep = cells >= 0
+    at = cells[keep]
     # K8 and M8 are symmetric: row c of x @ K8 is K8 times cell c's values
-    return tuple(np.bincount(e[keep], (x @ A)[keep], len(free)) for A in (K8, M8))
+    return tuple(np.bincount(at, (x @ A)[keep], len(free)) for A in (K8, M8))
 
 
 def rayleigh_quotient(problem: DiscreteProblem, vec: np.ndarray) -> float:
@@ -276,8 +278,36 @@ def rayleigh_quotient(problem: DiscreteProblem, vec: np.ndarray) -> float:
 
 def _quotient(vec: np.ndarray, Kv: np.ndarray, Mv: np.ndarray) -> float:
     """The Rayleigh quotient from the products K v and M v."""
-    num = fsum((vec * Kv).tolist())
-    den = fsum((vec * Mv).tolist())
+    num = exact_sum(vec * Kv)
+    den = exact_sum(vec * Mv)
     if den <= 0.0:
         raise AssemblyError("vector has zero M-norm")
     return num / den
+
+
+def exact_sum(x: np.ndarray) -> float:
+    """``math.fsum(x)``, bit for bit: the exact sum of the float array
+    ``x``, correctly rounded, summed in numpy.
+
+    Each term is mant * 2^e with 0.5 <= |mant| < 1 (``np.frexp``), and
+    mant * 2^27 splits exactly into its integer part and a multiple of
+    2^-26 below 1.  Each part is summed per exponent e, exactly: below 2^26
+    terms no partial sum has more than 53 bits.  Each sum times 2^(e - 27)
+    is exact too, a multiple of 2^-1074 with at most 53 bits, so
+    ``math.fsum`` of these few per-exponent sums, being correctly rounded,
+    returns the same float as ``math.fsum`` of the terms.  Terms that are
+    not finite, that could overflow an exponent's sum (|x| >= 2^960), or
+    more than 2^26 of them, go to ``math.fsum`` itself, with its errors; so
+    does a zero sum, whose sign ``math.fsum`` decides.
+    """
+    mant, exp = np.frexp(x)
+    lo = int(exp.min(initial=0))
+    frac, whole = np.modf(mant * 2.0**27)
+    at = exp - lo
+    whole, frac = np.bincount(at, whole), np.bincount(at, frac)
+    # an infinite or NaN term makes its exponent's integer sum infinite or NaN
+    if lo + len(whole) > 961 or len(x) >= 2**26 or not isfinite(whole.sum()):
+        return fsum(x.tolist())
+    scale = np.arange(lo - 27, lo - 27 + len(whole), dtype=np.int32)
+    total = fsum(np.ldexp(whole, scale).tolist() + np.ldexp(frac, scale).tolist())
+    return total if total else fsum(x.tolist())

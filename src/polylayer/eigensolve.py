@@ -128,6 +128,19 @@ def _shifted_inverse(K: sp.csr_matrix, M: sp.csr_matrix, shift: float) -> tuple:
     return 0.0, factor(K.data)
 
 
+def _permuted(A: sp.csr_matrix, perm: np.ndarray) -> sp.csr_matrix:
+    """``A[perm][:, perm]``, with its ``indptr``, ``indices`` and ``data``:
+    the rows ``A[perm]``, each column relabelled through the inverse
+    permutation in place, since scipy's column indexing keeps a row's
+    entries in their stored order."""
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm), dtype=perm.dtype)
+    rows = A[perm]  # a copy
+    rows.indices = inv[rows.indices]
+    rows.has_sorted_indices = False
+    return rows
+
+
 def _m_orthonormalize(M: sp.csr_matrix, vecs: np.ndarray) -> np.ndarray:
     """Gram-Schmidt in the M inner product (two passes)."""
     out = vecs.copy()
@@ -197,7 +210,7 @@ def smallest_eigenpairs(
     K = problem.K.full
     M = problem.M.full
     sigma, (U, perm) = _shifted_inverse(K, M, shift)
-    Mp = M[perm][:, perm]  # P^T M P
+    Mp = _permuted(M, perm)  # P^T M P
     if start is None:
         v0, ncv = np.random.default_rng(seed).standard_normal(n), None
     else:

@@ -41,6 +41,7 @@ factors.
 
 from __future__ import annotations
 
+import functools
 import io
 import os
 import pickle
@@ -93,25 +94,35 @@ def cpus() -> int:
     return len(_allowed())
 
 
+@functools.cache
+def _blas_setters(libraries: tuple) -> tuple:
+    """Per (package, library glob, setter name) of ``libraries``, the thread
+    setters found, looked up once per process; ``fan_out`` looks up those
+    of ``_OPENBLAS`` before it forks, so that a worker only calls them."""
+    import ctypes
+    import glob
+    from importlib.util import find_spec
+
+    found = []
+    for package, pattern, setter in libraries:
+        site = os.path.dirname(os.path.dirname(find_spec(package).origin))
+        libs = [ctypes.CDLL(p) for p in glob.glob(os.path.join(site, f"{package}.libs", pattern))]
+        setters = tuple(getattr(lib, setter) for lib in libs if hasattr(lib, setter))
+        for set_threads in setters:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        found.append(setters)
+    return tuple(found)
+
+
 def pin_blas() -> bool:
     """Pin the bundled OpenBLAS of numpy and scipy to one thread, so that
     ARPACK's dense BLAS sums in one order and the payload bytes do not depend
     on the host's thread count.  True when both setters were found and
     called; False under another BLAS, which is left as it is."""
-    import ctypes
-    import glob
-    from importlib.util import find_spec
-
-    pinned = []
-    for package, pattern, setter in _OPENBLAS:
-        site = os.path.dirname(os.path.dirname(find_spec(package).origin))
-        libs = [ctypes.CDLL(p) for p in glob.glob(os.path.join(site, f"{package}.libs", pattern))]
-        setters = [getattr(lib, setter) for lib in libs if hasattr(lib, setter)]
-        for set_threads in setters:
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(1)
-        pinned.append(bool(setters))
-    return all(pinned)
+    setters = _blas_setters(_OPENBLAS)
+    for set_threads in (f for library in setters for f in library):
+        set_threads(1)
+    return all(setters)
 
 
 def _work(tasks: int, out: int, cpu, allowed) -> None:
@@ -167,6 +178,7 @@ def fan_out(thunks) -> list:
         return fan_out(thunks[:_BATCH]) + fan_out(thunks[_BATCH:])
 
     _TASKS = thunks
+    _blas_setters(_OPENBLAS)  # inherited by every worker
     pids, outputs = [], {}
     tasks, indices = os.pipe()
     try:

@@ -14,7 +14,7 @@ order; grids are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
@@ -74,20 +74,52 @@ class VoxelGrid:
 
     def active_cell_corners(self) -> np.ndarray:
         """(n_cells, 8) node ids per active cell, z fastest (kron order)."""
-        corners = _corner_views(self.node_ids, self.active.shape)
-        return np.stack([ids[self.active] for ids in corners], axis=1)
+        return self._at_corners(self.node_ids)
+
+    @cached_property
+    def equations(self) -> np.ndarray:
+        """The equation of each lattice node, -1 on Dirichlet and unused
+        nodes: free nodes are numbered in node order, which is C order.
+        Built once and shared, so read-only."""
+        index = np.int32 if self.node_ids.size < 2**31 else np.int64
+        eq = np.full(self.node_ids.shape, -1, dtype=index)
+        eq.flat[np.flatnonzero(self.node_ids >= 0)[~self.dirichlet]] = np.arange(
+            self.num_nodes - int(self.dirichlet.sum())
+        )
+        eq.flags.writeable = False
+        return eq
+
+    @cached_property
+    def cell_equations(self) -> np.ndarray:
+        """(n_cells, 8) equations per active cell, in the order of
+        ``active_cell_corners`` (-1 on a Dirichlet corner); built once, for
+        the assembly and the cell-wise products; read-only."""
+        cells = self._at_corners(self.equations)
+        cells.flags.writeable = False
+        return cells
+
+    def _at_corners(self, lattice: np.ndarray) -> np.ndarray:
+        """(n_cells, 8) values of the node lattice array ``lattice`` at the
+        corners of each active cell, cells in C order: a cell's corners lie
+        at fixed offsets of its first corner's flat index."""
+        first = np.zeros(lattice.shape, dtype=bool)
+        first[:-1, :-1, :-1] = self.active
+        _, sy, sz = lattice.shape
+        offsets = [(dx * sy + dy) * sz + dz for dx, dy, dz in _CORNERS]
+        return lattice.ravel()[np.flatnonzero(first)[:, None] + offsets]
 
 
 # the corner offsets (dx, dy, dz) of a cell, z fastest (kron order)
 _CORNERS = tuple(product((0, 1), repeat=3))
 
 
-def _corner_views(node_values: np.ndarray, cells: tuple) -> list:
-    """One view of the lattice array ``node_values`` per corner in
-    ``_CORNERS`` order: entry (i, j, k) of view c is the value at corner c of
-    cell (i, j, k), for the ``cells`` = (nx, ny, nz) cells."""
-    nx, ny, nz = cells
-    return [node_values[dx : nx + dx, dy : ny + dy, dz : nz + dz] for dx, dy, dz in _CORNERS]
+def _over_corners(op, lattice: np.ndarray) -> np.ndarray:
+    """The ufunc ``op`` (``np.minimum`` or ``np.maximum``) reduced over the
+    eight corners of each cell of the node lattice array ``lattice``: one
+    pass per axis, since both are associative and exact."""
+    lattice = op(lattice[:-1], lattice[1:])
+    lattice = op(lattice[:, :-1], lattice[:, 1:])
+    return op(lattice[:, :, :-1], lattice[:, :, 1:])
 
 
 def _coordinate_bounds(layer: LayerGeometry, R: float) -> tuple:
@@ -110,9 +142,11 @@ def _coordinate_bounds(layer: LayerGeometry, R: float) -> tuple:
 def _number_nodes(active: np.ndarray) -> tuple:
     """Active cells per lattice node, and contiguous ids (C order) of the
     nodes touched by an active cell, -1 elsewhere."""
-    node_of_cell = np.zeros(tuple(n + 1 for n in active.shape), dtype=np.int32)
-    for corner in _corner_views(node_of_cell, active.shape):
-        corner += active
+    padded = np.zeros(tuple(n + 2 for n in active.shape), dtype=np.int8)
+    padded[1:-1, 1:-1, 1:-1] = active
+    node_of_cell = padded[:-1] + padded[1:]  # summed over the cells at a node
+    node_of_cell = node_of_cell[:, :-1] + node_of_cell[:, 1:]
+    node_of_cell = node_of_cell[:, :, :-1] + node_of_cell[:, :, 1:]
     used = node_of_cell > 0
     node_ids = np.full(used.shape, -1, dtype=np.int64)
     node_ids[used] = np.arange(int(used.sum()))
@@ -151,29 +185,30 @@ def voxelize(layer: LayerGeometry, R: float, h: float) -> VoxelGrid:
     n_cells = np.ceil((hi - origin) / h + 1.0).astype(int)
     cells = tuple(int(v) for v in n_cells)
 
-    xs, ys, zs = (origin[k] + h * np.arange(cells[k] + 1) for k in range(3))
-    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-    pts = np.stack([X, Y, Z], axis=-1)
+    nodes = tuple(n + 1 for n in cells)
+    pts = np.empty((*nodes, 3))
+    pts[..., 0] = (origin[0] + h * np.arange(nodes[0]))[:, None, None]
+    pts[..., 1] = (origin[1] + h * np.arange(nodes[1]))[:, None]
+    pts[..., 2] = origin[2] + h * np.arange(nodes[2])
     face_vals = pts @ layer.angle.normals.T  # (nx+1, ny+1, nz+1, nfaces)
     cut_vals = pts @ layer.angle.rays.T
+    faces = [face_vals[..., f] for f in range(layer.n)]
+    cuts = [cut_vals[..., f] for f in range(layer.n)]
 
-    # per cell, reduced over its eight corners
-    cone_min = reduce(np.minimum, _corner_views(face_vals.min(axis=-1), cells))
-    face_max = reduce(np.maximum, _corner_views(face_vals, cells))  # per face
-    cut_max = reduce(np.maximum, _corner_views(cut_vals.max(axis=-1), cells))
-
-    active = (
-        (cone_min >= -BOUNDARY_TOL)
-        & (face_max <= 1.0 + BOUNDARY_TOL).any(axis=-1)
-        & (cut_max <= R + BOUNDARY_TOL)
+    # per cell, reduced over its eight corners, and over the faces or cuts
+    # with one exact ufunc pass each
+    cone_min = _over_corners(np.minimum, reduce(np.minimum, faces))
+    one_face = reduce(
+        np.logical_or, [_over_corners(np.maximum, f) <= 1.0 + BOUNDARY_TOL for f in faces]
     )
+    cut_max = _over_corners(np.maximum, reduce(np.maximum, cuts))
+
+    active = (cone_min >= -BOUNDARY_TOL) & one_face & (cut_max <= R + BOUNDARY_TOL)
     if not active.any():
         raise GridError("voxelization produced an empty active set")
 
     node_of_cell, node_ids = _number_nodes(active)
-    used = node_ids >= 0
-    dirichlet = np.zeros(int(used.sum()), dtype=bool)
-    dirichlet[node_ids[used & (node_of_cell < 8)]] = True
+    dirichlet = (node_of_cell < 8)[node_ids >= 0]
     return VoxelGrid(
         h=float(h), origin=origin, active=active, node_ids=node_ids, dirichlet=dirichlet
     )
@@ -188,6 +223,12 @@ class Orbits(NamedTuple):
     sizes: np.ndarray  # the number of cells in each of those orbits
 
 
+def _flat(index: list, strides, at: int) -> np.ndarray:
+    """The flat lattice indices ``at + sum(index[a] * strides[a])``."""
+    x, y, z = index
+    return x * strides[0] + y * strides[1] + z * strides[2] + at
+
+
 def free_node_orbits(grid: VoxelGrid) -> Orbits:
     """The orbits of the free equations and of the active cells under the
     grid's symmetry group, and the group's order.
@@ -197,33 +238,51 @@ def free_node_orbits(grid: VoxelGrid) -> Orbits:
     the Dirichlet flags, never from matrix entries.  Equation orbits are
     numbered in order of first appearance; cells are indexed as the rows of
     ``active_cell_corners``.
+
+    A candidate must first map the cells' bounding box [lo, hi] onto itself.
+    Then it maps every cell into that box and every node of a cell into
+    [lo, hi + 1], since a flipped axis takes cell k to -k - 1 and its nodes
+    k and k + 1 to -k and -k - 1.  Both boxes lie in the grid's node
+    lattice, so the images are looked up there, by flat index: a cell by
+    its first corner in a table of cell indices, a node in
+    ``VoxelGrid.equations``.
     """
-    shift = np.rint(grid.origin / grid.h).astype(np.int64)
-    cells = np.argwhere(grid.active) + shift  # absolute lattice indices
-    nodes = np.argwhere(grid.node_ids >= 0)[~grid.dirichlet] + shift  # equation order
-    m = int(np.abs(cells).max()) + 1  # cells, nodes and their images lie in [-m, m]
-    cell_at = np.full((2 * m + 1,) * 3, -1, dtype=np.int64)
-    cell_at[tuple((cells + m).T)] = np.arange(len(cells))
-    eq_at = np.full(cell_at.shape, -1, dtype=np.int64)
-    eq_at[tuple((nodes + m).T)] = np.arange(len(nodes))
-    box = np.array([cells.min(axis=0), cells.max(axis=0)])
-    node_images, cell_images = [], []
-    for perm in map(list, permutations(range(3))):
-        for signs in product((1, -1), repeat=3):
-            flip = np.array(signs) < 0
-            if not np.array_equal(np.where(flip, -1 - box[::-1, perm], box[:, perm]), box):
-                continue  # the cells' bounding box must map onto itself
-            image = np.where(flip, -1 - cells[:, perm], cells[:, perm])  # cell k -> -k-1
-            cell_img = cell_at[tuple((image + m).T)]
-            node_img = eq_at[tuple((np.where(flip, -nodes[:, perm], nodes[:, perm]) + m).T)]
-            # a one-to-one image inside the set is the whole set
-            if (cell_img >= 0).all() and (node_img >= 0).all():
-                node_images.append(node_img)
-                cell_images.append(cell_img)
+    shift = np.rint(grid.origin / grid.h).astype(int).tolist()  # lattice point 0 is the apex
+    eq_at = grid.equations
+    _, sy, sz = eq_at.shape
+    strides = (sy * sz, sz, 1)
+    index = np.int32 if 8 * eq_at.size < 2**31 else np.int64  # holds every partial sum
+    cells = [k.astype(index) for k in np.nonzero(grid.active)]
+    nodes = [k.astype(index) for k in np.nonzero(eq_at >= 0)]  # in equation order
+    cell_at = np.full(eq_at.size, -1, dtype=index)  # by first corner
+    cell_at[_flat(cells, strides, 0)] = np.arange(len(cells[0]))
+    eq_at = eq_at.ravel()
+    lo = [int(k.min()) + d for k, d in zip(cells, shift)]
+    hi = [int(k.max()) + d for k, d in zip(cells, shift)]
+    least_eq, least_cell = np.arange(len(nodes[0])), np.arange(len(cells[0]))
+    order = 0
+    # axis a of an image is axis perm[a] of its preimage, negated where flip[a]
+    for perm, flip in product(permutations(range(3)), product((False, True), repeat=3)):
+        box = [(-1 - hi[p], -1 - lo[p]) if f else (lo[p], hi[p]) for p, f in zip(perm, flip)]
+        if box != list(zip(lo, hi)):
+            continue  # the cells' bounding box must map onto itself
+        # index a of the image of node k is sign[a] (k[perm[a]] + shift[perm[a]])
+        # - shift[a], less one for a cell on a flipped axis
+        sign = [-1 if f else 1 for f in flip]
+        coef = [g * s for g, s in zip(sign, strides)]
+        at = sum(s * (g * shift[p] - d) for s, g, p, d in zip(strides, sign, perm, shift))
+        flipped = sum(s for s, f in zip(strides, flip) if f)
+        cell_img = cell_at[_flat([cells[p] for p in perm], coef, at - flipped)]
+        node_img = eq_at[_flat([nodes[p] for p in perm], coef, at)]
+        # a one-to-one image inside the set is the whole set
+        if cell_img.min(initial=0) >= 0 and node_img.min(initial=0) >= 0:
+            order += 1
+            np.minimum(least_eq, node_img, out=least_eq)
+            np.minimum(least_cell, cell_img, out=least_cell)
     # the symmetries form a group, so an orbit is named by its least member
-    labels = np.unique(np.min(node_images, axis=0), return_inverse=True)[1]
-    reps, sizes = np.unique(np.min(cell_images, axis=0), return_counts=True)
-    return Orbits(labels, len(node_images), reps, sizes)
+    first = least_eq == np.arange(len(least_eq))
+    reps = np.flatnonzero(least_cell == np.arange(len(least_cell)))
+    return Orbits((np.cumsum(first) - 1)[least_eq], order, reps, np.bincount(least_cell)[reps])
 
 
 def box_grid(extent, h: float, dirichlet_boundary: bool = True) -> VoxelGrid:
@@ -238,9 +297,7 @@ def box_grid(extent, h: float, dirichlet_boundary: bool = True) -> VoxelGrid:
         raise GridError("box extents must be integer multiples of h")
     active = np.ones(tuple(int(v) for v in n_cells), dtype=bool)
     node_of_cell, node_ids = _number_nodes(active)
-    dirichlet = np.zeros(node_ids.size, dtype=bool)
-    if dirichlet_boundary:
-        dirichlet[node_ids[node_of_cell < 8]] = True
+    dirichlet = (node_of_cell < 8)[node_ids >= 0] & dirichlet_boundary
     return VoxelGrid(
         h=float(h),
         origin=np.zeros(3),

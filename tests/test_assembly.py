@@ -8,6 +8,7 @@ from polylayer.assembly import (
     AssemblyError,
     assemble_p1,
     assemble_q1,
+    exact_sum,
     q1_element_matrices,
     q1_products,
     rayleigh_quotient,
@@ -313,3 +314,52 @@ def test_cell_wise_products_match_assembled_pencil(grid):
     for product, full in zip(q1_products(grid, x), (prob.K.full, prob.M.full)):
         ref = full @ x
         assert np.linalg.norm(product - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def _terms(rng, kind, n):
+    """n float terms of one of six kinds: plain, a 1e+-300 spread, exact
+    cancellation, subnormals, exponents at the subnormal edge, few values."""
+    if kind == 0:
+        return rng.standard_normal(n)
+    if kind == 1:
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+    if kind == 2:
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 20, n)
+        return rng.permutation(np.concatenate([y, -y, [1e-300]]))
+    if kind == 3:
+        return rng.standard_normal(n) * 5e-324 * rng.integers(1, 2**40, n)
+    if kind == 4:
+        mantissas = rng.integers(-(2**53), 2**53, n).astype(float)
+        return np.ldexp(mantissas, rng.integers(-1100, -1000, n))
+    return rng.choice([1.0, -1.0, 2.0**-53, -(2.0**-53), 3 * 2.0**-54, 1e16, -1e16, 0.5, -0.0], n)
+
+
+def _fsum_outcome(total, x):
+    """``total(x)``'s bits, or the type of the error it raised."""
+    try:
+        return np.float64(total(x)).view(np.int64)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def test_exact_sum_is_math_fsum_bit_for_bit():
+    rng = np.random.default_rng(11)
+    cases = [_terms(rng, t % 6, int(rng.integers(0, 400))) for t in range(3000)]
+    big = 2.0**1023
+    cases += [
+        np.array([]),
+        np.array([-0.0]),
+        np.array([-0.0, -0.0]),
+        np.array([0.0, -0.0]),
+        np.array([1e-320, -1e-320, -0.0]),
+        np.array([1.0, math.inf]),
+        np.array([1.0, -math.inf, 2.0]),
+        np.array([math.inf, -math.inf]),
+        np.array([1.0, math.nan]),
+        np.array([big, big]),  # overflows
+        np.array([big, big, -big]),  # the exact sum is finite
+        np.array([2.0**960, -(2.0**960), 1.0]),
+        rng.standard_normal(20_000) * 10.0 ** rng.uniform(-30, 30, 20_000),
+    ]
+    for x in cases:
+        assert _fsum_outcome(exact_sum, x) == _fsum_outcome(lambda x: math.fsum(x.tolist()), x)

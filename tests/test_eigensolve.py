@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg.blas import dtbmv
 from scipy.linalg.lapack import dtbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import polylayer.eigensolve as es
 from polylayer.assembly import assemble_p1, assemble_q1
@@ -309,3 +310,18 @@ def test_degenerate_cube_triple_is_m_orthonormal_without_gram_schmidt(monkeypatc
     gram = res.eigenvectors.T @ (prob.M.full @ res.eigenvectors)
     assert np.abs(gram - np.eye(4)).max() <= 1e-10
     assert res.ortho_defect <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ("p1", "q1"))
+def test_permuted_mass_keeps_the_arrays_of_double_fancy_indexing(kind):
+    if kind == "p1":
+        M = assemble_p1(refine(_waveguide_mesh())).M.full
+    else:
+        M = assemble_q1(voxelize(make_layer(fichera_angle()), R=3.0, h=0.25)).M.full
+    rng = np.random.default_rng(5)
+    rcm = reverse_cuthill_mckee(M, symmetric_mode=True)
+    for perm in (rcm, rng.permutation(M.shape[0]).astype(np.int32)):
+        got, want = es._permuted(M, perm), M[perm][:, perm]
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)

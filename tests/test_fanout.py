@@ -156,6 +156,29 @@ def test_workers_pin_blas_to_one_thread(blas_threads):
     assert blas_threads() == [2, 2]
 
 
+
+def _refuse(*args):
+    raise AssertionError("looked up again")
+
+
+def test_blas_setters_are_looked_up_once(monkeypatch):
+    import ctypes
+    import glob
+
+    first = fanout.pin_blas()
+    monkeypatch.setattr(glob, "glob", _refuse)
+    monkeypatch.setattr(ctypes, "CDLL", _refuse)
+    assert fanout.pin_blas() == first
+
+
+@pytest.mark.skipif(cpus() < 2, reason="one CPU: thunks run in-process, no worker to pin")
+def test_workers_pin_blas_when_nothing_was_looked_up(blas_threads):
+    fanout._blas_setters.cache_clear()
+    blas_threads(2)
+    assert fan_out([blas_threads] * 2) == [[1, 1]] * 2
+    assert blas_threads() == [2, 2]
+
+
 def _cpu_now():
     return int(open("/proc/self/stat").read().rsplit(")", 1)[1].split()[36])
 
