@@ -23,8 +23,8 @@ from functools import partial
 
 import numpy as np
 
-from ..assembly import assemble_q1
-from ..eigensolve import invariant_ground_state
+from ..assembly import assemble_q1, q1_products
+from ..eigensolve import RESIDUAL_TOL, _audit, smallest_eigenpairs
 from ..errors import ABSENT_CONSISTENT, INCONCLUSIVE, NONEMPTY, AnalysisError, ConfigError
 from ..fanout import fan_out
 from ..geometry import GeometryError, LayerGeometry, build_trihedral, make_layer
@@ -72,27 +72,19 @@ class Certificate:
 THRESHOLD_NUMERICS = WaveguideNumerics(h=0.05, levels=3)
 
 
-def voxel_upper_bounds(
-    layer: LayerGeometry, R: float, h: float, levels: int, seed: int
-) -> list:
-    """Rayleigh-quotient upper bounds on ``levels`` inscribed voxel grids,
-    one ``voxel_level`` record per level, coarsest first.
+def voxel_level(
+    layer: LayerGeometry, R: float, h: float, levels: int, lev: int, seed: int
+) -> dict:
+    """The Rayleigh-quotient upper bound on level ``lev`` of ``levels``
+    inscribed voxel grids, at cell size h * 2^(levels-1-lev); every level is
+    cold-started from ``seed`` and reads no other, so the levels can be
+    solved in any order or at once.
 
     The grids approach the stated cell size from above (h * 2^(levels-1),
     ..., 2h, h), all with Dirichlet conditions; the active sets are nested,
     so the per-level bounds are monotone nonincreasing.  The recomputed
     Rayleigh quotient of the first discrete eigenvector is an upper bound
     for lambda_1 of the full layer by extension by zero.
-    """
-    return [voxel_level(layer, R, h, levels, lev, seed) for lev in range(levels)]
-
-
-def voxel_level(
-    layer: LayerGeometry, R: float, h: float, levels: int, lev: int, seed: int
-) -> dict:
-    """Level ``lev`` of ``voxel_upper_bounds``, at cell size
-    h * 2^(levels-1-lev); every level is cold-started from ``seed`` and reads
-    no other, so the levels can be solved in any order or at once.
 
     The level is solved on the functions invariant under the grid's
     symmetry group.  The Q1 stiffness has no positive off-diagonal entry,
@@ -101,19 +93,27 @@ def voxel_level(
     assembled from one cell per cell orbit, weighted by the orbit's size;
     this is exact, since the Q1 element matrices are invariant under the
     cube's signed axis permutations, so every cell of an orbit adds the same
-    entries.  The lifted vector is audited with the full grid's cell-wise
-    products.  ``dofs`` counts the full grid's equations, ``sector_dofs``
-    the ones solved, and ``group_order`` the symmetries.
+    entries.  The lifted vector is M-normalized and audited with the full
+    grid's cell-wise products (``q1_products``), so the full pencil is never
+    assembled: orbits that are no symmetry give a lifted vector that is no
+    eigenvector, and a full-grid residual above ``RESIDUAL_TOL`` raises
+    AnalysisError.  ``dofs`` counts the full grid's equations,
+    ``sector_dofs`` the ones solved, and ``group_order`` the symmetries.
     """
     h_lev = h * 2 ** (levels - 1 - lev)
     grid = voxelize(layer, R=R, h=h_lev)
     orbits = free_node_orbits(grid)
     sector = assemble_q1(grid, orbits)
-    result = invariant_ground_state(sector, grid, orbits.labels, f"level {lev}", seed)
+    x = smallest_eigenpairs(sector, 1, seed).eigenvectors[orbits.labels, 0]  # lifted: x = P y
+    Kx, Mx = q1_products(grid, x)
+    scale = math.sqrt(float(x @ Mx))
+    upper_bound, residual = _audit(x / scale, Kx / scale, Mx / scale)  # M-normalized
+    if not residual <= RESIDUAL_TOL:
+        raise AnalysisError(f"full-grid residual {residual:.3e} at level {lev}")
     return {
         "h": h_lev,
-        "upper_bound": float(result.eigenvalues[0]),
-        "residual": float(result.residuals[0]),
+        "upper_bound": float(upper_bound),
+        "residual": float(residual),
         "cells": grid.num_active_cells,
         "volume": grid.volume,
         "dofs": len(orbits.labels),

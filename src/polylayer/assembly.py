@@ -270,12 +270,6 @@ def q1_products(grid: VoxelGrid, vec: np.ndarray) -> tuple:
     return tuple(np.bincount(at, (x @ A)[keep], len(free)) for A in (K8, M8))
 
 
-def rayleigh_quotient(problem: DiscreteProblem, vec: np.ndarray) -> float:
-    """(v' K v) / (v' M v) with compensated summation of the products."""
-    vec = np.asarray(vec, dtype=float)
-    return _quotient(vec, problem.K.full @ vec, problem.M.full @ vec)
-
-
 def _quotient(vec: np.ndarray, Kv: np.ndarray, Mv: np.ndarray) -> float:
     """The Rayleigh quotient from the products K v and M v."""
     num = exact_sum(vec * Kv)

@@ -33,7 +33,6 @@ two are separate constants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,9 +43,8 @@ from scipy.linalg.blas import dtbmv
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .assembly import DiscreteProblem, _quotient, q1_products
+from .assembly import DiscreteProblem, _quotient
 from .errors import AnalysisError, ConfigError
-from .grid3d import VoxelGrid
 
 ARPACK_MAXITER = 20_000  # per eigensolve
 RESIDUAL_TOL = 1e-8  # audited relative residual of every returned pair
@@ -157,8 +155,9 @@ def _m_orthonormalize(M: sp.csr_matrix, vecs: np.ndarray) -> np.ndarray:
 
 
 def _audit(x: np.ndarray, Kx: np.ndarray, Mx: np.ndarray) -> tuple:
-    """``(rq, residual)``: the Rayleigh quotient (``rayleigh_quotient``'s,
-    bit for bit) and ||K x - lambda M x|| / ||K x|| from the products."""
+    """``(rq, residual)``: the exactly summed Rayleigh quotient
+    (``assembly._quotient``) and ||K x - lambda M x|| / ||K x|| from the
+    products."""
     lam = float(x @ Kx) / float(x @ Mx)
     return _quotient(x, Kx, Mx), np.linalg.norm(Kx - lam * Mx) / np.linalg.norm(Kx)
 
@@ -253,35 +252,4 @@ def smallest_eigenpairs(
         residuals=residuals,
         iterations=inner_solves,
         ortho_defect=defect,
-    )
-
-
-def invariant_ground_state(
-    sector: DiscreteProblem, grid: VoxelGrid, labels: np.ndarray, at: str, seed: int = 0
-) -> EigenResult:
-    """The smallest eigenpair of a voxel grid's pencil (K, M) among the
-    vectors constant on each orbit of ``labels``: solved on the ``sector``
-    pencil (``assembly.assemble_q1(grid, orbits)``), lifted to the full
-    equations, M-normalized and audited with the full grid's cell-wise
-    products (``assembly.q1_products``), so K and M are never assembled.
-
-    The caller states why the ground state is invariant; the audit checks
-    it: orbits that are no symmetry give a lifted vector that is no
-    eigenvector, and a full-grid residual above ``RESIDUAL_TOL`` raises
-    AnalysisError.  ``at`` names the problem in the error.
-    """
-    result = smallest_eigenpairs(sector, 1, seed)
-    x = result.eigenvectors[labels, 0]  # lifted: x = P y
-    Kx, Mx = q1_products(grid, x)
-    scale = math.sqrt(float(x @ Mx))
-    x, Kx, Mx = x / scale, Kx / scale, Mx / scale  # M-normalized
-    rq, residual = _audit(x, Kx, Mx)
-    if not residual <= RESIDUAL_TOL:
-        raise AnalysisError(f"full-grid residual {residual:.3e} at {at}")
-    return EigenResult(
-        eigenvalues=np.array([rq]),
-        eigenvectors=x[:, None],
-        residuals=np.array([residual]),
-        iterations=result.iterations,
-        ortho_defect=abs(float(x @ Mx) - 1.0),
     )

@@ -25,14 +25,12 @@ the caller itself (an interrupt) kills the workers before it propagates.
 
 The only threads at a fork are OpenBLAS's, which it stops before a fork.
 Before its first task worker i moves itself to the i-th CPU of the caller's
-affinity set, counted from the CPU after the one the caller runs on
-(``_placement``), so the first worker does not compete with the caller
-while it forks the others.  Then the worker takes that whole set back: left
-alone, workers start on their parent's CPU and can stay there for a whole
-sub-second fan-out, each waiting about as long as it runs.  Taking the set
-back lets the scheduler move a worker off a CPU that other load keeps busy,
-or off the low CPUs where the workers of concurrent runs are first placed;
-the caller's affinity is never changed.  Each also pins OpenBLAS to one thread
+affinity set, then takes that whole set back: left alone, workers start on
+their parent's CPU and can stay there for a whole sub-second fan-out, each
+waiting about as long as it runs.  Taking the set back lets the scheduler
+move a worker off a CPU that other load keeps busy, or off the low CPUs
+where the workers of concurrent runs are first placed; the caller's
+affinity is never changed.  Each also pins OpenBLAS to one thread
 (``pin_blas``), whoever the caller is: two workers that each ran one BLAS
 thread per CPU would spin against each other.  Peak memory grows with the
 number of tasks that run at once, each worker holding one task's meshes and
@@ -68,25 +66,6 @@ def _allowed() -> list:
     if not sys.platform.startswith("linux"):
         return [None]
     return sorted(os.sched_getaffinity(0))
-
-
-def _caller_cpu() -> int:
-    """The CPU this process runs on now (libc ``sched_getcpu``; -1 if the
-    call fails)."""
-    import ctypes
-
-    sched_getcpu = ctypes.CDLL(None).sched_getcpu
-    sched_getcpu.argtypes, sched_getcpu.restype = [], ctypes.c_int
-    return sched_getcpu()
-
-
-def _placement(allowed: list, workers: int) -> list:
-    """The CPUs of ``workers`` workers, in the order they are forked: the
-    ``allowed`` ones from the CPU after the caller's, wrapping around, or
-    from the first when the caller's is not among them."""
-    cpu = _caller_cpu()
-    start = allowed.index(cpu) + 1 if cpu in allowed else 0
-    return (allowed[start:] + allowed[:start])[:workers]
 
 
 def cpus() -> int:
@@ -187,7 +166,7 @@ def fan_out(thunks) -> list:
             feed.write(b"".join(i.to_bytes(4, sys.byteorder) for i in range(len(thunks))))
         sys.stdout.flush()  # or each worker would write the caller's buffer again
         sys.stderr.flush()
-        for cpu in _placement(allowed, workers):
+        for cpu in allowed[:workers]:
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:

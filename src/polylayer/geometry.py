@@ -248,29 +248,6 @@ class LayerGeometry:
     def n(self) -> int:
         return self.angle.n
 
-    def outer_distances(self, x) -> np.ndarray:
-        """Signed distances n_i . x to all outer face planes; shape (..., n)."""
-        x = np.asarray(x, dtype=float)
-        return x @ self.angle.normals.T
-
-    def contains(self, x) -> np.ndarray:
-        """Vectorized membership oracle for the open layer."""
-        d = self.outer_distances(x)
-        return (d.min(axis=-1) > 0.0) & (d.min(axis=-1) < 1.0)
-
-    def classify_partition(self, x, tol: float = 0.0) -> list:
-        """Indices j of the partition pieces claiming the point.
-
-        Piece j lies between the bisector planes j-1 and j; points on a cut
-        plane (within ``tol``) may be claimed by two pieces.
-        """
-        x = np.asarray(x, dtype=float)
-        s = self.partition_normals @ (x - self.shift)
-        n = self.n
-        return [
-            j for j in range(n) if s[(j - 1) % n] >= -tol and s[j] <= tol
-        ]
-
     def to_report(self) -> dict:
         rep = self.angle.to_report()
         rep.update(

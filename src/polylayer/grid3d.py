@@ -63,19 +63,6 @@ class VoxelGrid:
     def volume(self) -> float:
         return self.h**3 * self.num_active_cells
 
-    def node_positions(self) -> np.ndarray:
-        """Coordinates of numbered nodes, indexed by node id."""
-        idx = np.argwhere(self.node_ids >= 0)
-        ids = self.node_ids[idx[:, 0], idx[:, 1], idx[:, 2]]
-        pos = self.origin + self.h * idx
-        out = np.empty((self.num_nodes, 3))
-        out[ids] = pos
-        return out
-
-    def active_cell_corners(self) -> np.ndarray:
-        """(n_cells, 8) node ids per active cell, z fastest (kron order)."""
-        return self._at_corners(self.node_ids)
-
     @cached_property
     def equations(self) -> np.ndarray:
         """The equation of each lattice node, -1 on Dirichlet and unused
@@ -91,9 +78,9 @@ class VoxelGrid:
 
     @cached_property
     def cell_equations(self) -> np.ndarray:
-        """(n_cells, 8) equations per active cell, in the order of
-        ``active_cell_corners`` (-1 on a Dirichlet corner); built once, for
-        the assembly and the cell-wise products; read-only."""
+        """(n_cells, 8) equations per active cell (-1 on a Dirichlet
+        corner), cells in C order, corners z fastest (kron order); built
+        once, for the assembly and the cell-wise products; read-only."""
         cells = self._at_corners(self.equations)
         cells.flags.writeable = False
         return cells
@@ -237,7 +224,7 @@ def free_node_orbits(grid: VoxelGrid) -> Orbits:
     0) that keep the active cells and the free nodes, read from the mask and
     the Dirichlet flags, never from matrix entries.  Equation orbits are
     numbered in order of first appearance; cells are indexed as the rows of
-    ``active_cell_corners``.
+    ``VoxelGrid.cell_equations``.
 
     A candidate must first map the cells' bounding box [lo, hi] onto itself.
     Then it maps every cell into that box and every node of a cell into
@@ -283,34 +270,3 @@ def free_node_orbits(grid: VoxelGrid) -> Orbits:
     first = least_eq == np.arange(len(least_eq))
     reps = np.flatnonzero(least_cell == np.arange(len(least_cell)))
     return Orbits((np.cumsum(first) - 1)[least_eq], order, reps, np.bincount(least_cell)[reps])
-
-
-def box_grid(extent, h: float, dirichlet_boundary: bool = True) -> VoxelGrid:
-    """All-active grid over the box (0, lx) x (0, ly) x (0, lz).
-
-    A test oracle for the Q1 assembly and the eigensolver: every boundary
-    node is Dirichlet by default.
-    """
-    extent = np.asarray(extent, dtype=float)
-    n_cells = np.round(extent / h).astype(int)
-    if not np.allclose(n_cells * h, extent, atol=1e-12):
-        raise GridError("box extents must be integer multiples of h")
-    active = np.ones(tuple(int(v) for v in n_cells), dtype=bool)
-    node_of_cell, node_ids = _number_nodes(active)
-    dirichlet = (node_of_cell < 8)[node_ids >= 0] & dirichlet_boundary
-    return VoxelGrid(
-        h=float(h),
-        origin=np.zeros(3),
-        active=active,
-        node_ids=node_ids,
-        dirichlet=dirichlet,
-    )
-
-
-def truncated_layer_contains(layer: LayerGeometry, R: float, pts) -> np.ndarray:
-    """Exact membership oracle for the truncated layer (cuts u_j . x <= R)."""
-    pts = np.asarray(pts, dtype=float)
-    inside = layer.contains(pts)
-    cuts = (pts @ layer.angle.rays.T <= R).all(axis=-1)
-    return inside & cuts
-

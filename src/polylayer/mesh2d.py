@@ -69,27 +69,9 @@ class TriMesh:
     def total_area(self) -> float:
         return float(self.signed_areas().sum())
 
-    def min_angle(self) -> float:
-        """Smallest interior angle over all triangles (radians)."""
-        p = self.nodes[self.triangles]
-        cross = 2.0 * np.abs(self.signed_areas())
-        angles = []
-        for k in range(3):
-            a = p[:, (k + 1) % 3] - p[:, k]
-            b = p[:, (k + 2) % 3] - p[:, k]
-            angles.append(np.arctan2(cross, (a * b).sum(axis=1)))
-        return float(np.min(angles))
-
     def dirichlet_nodes(self) -> np.ndarray:
         mask = self.boundary_tags == DIRICHLET
         return np.unique(self.boundary_edges[mask])
-
-    def boundary_length(self, tag: str) -> float:
-        mask = self.boundary_tags == tag
-        e = self.boundary_edges[mask]
-        return float(
-            np.linalg.norm(self.nodes[e[:, 1]] - self.nodes[e[:, 0]], axis=1).sum()
-        )
 
     def edges(self) -> np.ndarray:
         """Unique node pairs (smaller index first) of all triangle sides."""
@@ -120,31 +102,6 @@ def _edges(mesh: TriMesh) -> tuple:
         keys, inverse = np.unique(_edge_keys(sides, mesh.num_nodes), return_inverse=True)
         mesh._edge_table = np.stack(np.divmod(keys, mesh.num_nodes + 1), axis=1), inverse
     return mesh._edge_table
-
-
-def check_conforming(mesh: TriMesh) -> None:
-    """Raise MeshError unless every interior edge is shared by exactly two
-    triangles, boundary edges by exactly one, and tagged edges coincide with
-    the topological boundary."""
-    edges, inverse = _edges(mesh)
-    counts = np.bincount(inverse.ravel(), minlength=len(edges))
-    if (counts > 2).any():
-        raise MeshError("non-conforming: an edge is shared by more than two triangles")
-    tagged = np.unique(np.sort(mesh.boundary_edges, axis=1), axis=0)
-    if not np.array_equal(edges[counts == 1], tagged):
-        raise MeshError("tagged boundary edges do not match the topological boundary")
-
-
-def _block_quads(ids: np.ndarray) -> np.ndarray:
-    """Triangles of the quad block whose (n1+1, n2+1) node ids are ``ids``.
-
-    Every quad splits along the same local diagonal (v00, v11), so the split
-    is deterministic and every triangle is positively oriented when the ids
-    run along x first and y second.
-    """
-    v00, v10 = ids[:-1, :-1].ravel(), ids[1:, :-1].ravel()
-    v01, v11 = ids[:-1, 1:].ravel(), ids[1:, 1:].ravel()
-    return np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
 
 def _sides(*paths) -> tuple:
@@ -185,7 +142,7 @@ def mesh_lshape(theta: float, R: float, h: float) -> TriMesh:
     Row i spans the width w_i = W_i / n_k in m_i = ceil(w_i / h) equal
     cells, so the node count grows with the area, (cot + 2R) / h^2, not
     with cot^2.  One rule joins consecutive rows; on two equal rows it
-    splits every quad along the diagonal that ``_block_quads`` uses.  Node
+    splits every quad along the (v00, v11) diagonal.  Node
     count and tags are deterministic functions of (theta, R, h).
     """
     check_opening_angle(theta)
@@ -269,43 +226,6 @@ def mirrored(mesh: TriMesh) -> TriMesh:
         triangles=np.vstack([mesh.triangles, image[mesh.triangles][:, [0, 2, 1]]]),
         boundary_edges=np.stack([edges, image[edges]], axis=1).reshape(-1, 2),
         boundary_tags=np.repeat(mesh.boundary_tags[keep], 2),
-    )
-
-
-def mesh_rectangle(
-    lx: float,
-    ly: float,
-    h: float,
-    tags: Optional[dict] = None,
-) -> TriMesh:
-    """Uniform right-triangle mesh of (0, lx) x (0, ly).
-
-    ``tags`` maps sides 'left', 'right', 'bottom', 'top' to 'dirichlet' or
-    'neumann'; all sides default to 'dirichlet'.
-    """
-    if h <= 0.0:
-        raise MeshError("h must be positive")
-    side_tags = {"left": DIRICHLET, "right": DIRICHLET, "bottom": DIRICHLET, "top": DIRICHLET}
-    if tags:
-        unknown = set(tags) - set(side_tags)
-        if unknown:
-            raise MeshError(f"unknown rectangle sides: {sorted(unknown)}")
-        side_tags.update(tags)
-    nx = max(1, int(math.ceil(lx / h - 1e-9)))
-    ny = max(1, int(math.ceil(ly / h - 1e-9)))
-    xs = np.linspace(0.0, lx, nx + 1)
-    ys = np.linspace(0.0, ly, ny + 1)
-    nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    ids = np.arange(len(nodes)).reshape(nx + 1, ny + 1)
-    edges, edge_tags = zip(
-        _sides((ids[0], side_tags["left"]), (ids[nx], side_tags["right"])),
-        _sides((ids[:, 0], side_tags["bottom"]), (ids[:, ny], side_tags["top"])),
-    )
-    return TriMesh(
-        nodes=nodes,
-        triangles=_block_quads(ids),
-        boundary_edges=np.concatenate(edges),
-        boundary_tags=np.concatenate(edge_tags),
     )
 
 

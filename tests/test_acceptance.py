@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from oracles import box_grid, mesh_rectangle
 from polylayer.analysis import (
     ABSENT_CONSISTENT,
     NONEMPTY,
@@ -33,8 +34,8 @@ from polylayer.assembly import assemble_p1, assemble_q1
 from polylayer.eigensolve import smallest_eigenpairs
 from polylayer.extrapolate import richardson
 from polylayer.geometry import build_regular, fichera_angle, make_layer
-from polylayer.grid3d import box_grid, voxelize
-from polylayer.mesh2d import mesh_rectangle, refine
+from polylayer.grid3d import voxelize
+from polylayer.mesh2d import refine
 
 PI = math.pi
 PI2 = PI**2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from oracles import active_cell_corners, box_grid, mesh_rectangle, node_positions, rayleigh_quotient
 
 from polylayer.assembly import (
     AssemblyError,
@@ -11,11 +12,10 @@ from polylayer.assembly import (
     exact_sum,
     q1_element_matrices,
     q1_products,
-    rayleigh_quotient,
 )
 from polylayer.geometry import build_regular, fichera_angle, make_layer
-from polylayer.grid3d import GridError, Orbits, box_grid, free_node_orbits, voxelize
-from polylayer.mesh2d import NEUMANN, TriMesh, mesh_lshape, mesh_rectangle, mirrored, refine
+from polylayer.grid3d import GridError, Orbits, free_node_orbits, voxelize
+from polylayer.mesh2d import NEUMANN, TriMesh, mesh_lshape, mirrored, refine
 
 PI = math.pi
 ALL_NEUMANN = dict.fromkeys(("left", "right", "bottom", "top"), NEUMANN)
@@ -139,7 +139,7 @@ def _dense_q1(grid):
     n = grid.num_nodes
     K = np.zeros((n, n))
     M = np.zeros((n, n))
-    for corners in grid.active_cell_corners():
+    for corners in active_cell_corners(grid):
         for a in range(8):
             for b in range(8):
                 K[corners[a], corners[b]] += K8[a, b]
@@ -227,7 +227,7 @@ def test_q1_symmetry_exact(fichera_problem):
 def test_q1_patch_test_linear_energy():
     grid = box_grid((1.0, 1.0, 1.0), h=0.25, dirichlet_boundary=False)
     prob = assemble_q1(grid)
-    pos = grid.node_positions()[prob.free_nodes]
+    pos = node_positions(grid)[prob.free_nodes]
     f = 1.5 * pos[:, 0] - 0.5 * pos[:, 1] + 2.0 * pos[:, 2]
     energy = float(f @ (prob.K.full @ f))
     assert energy == pytest.approx(1.5**2 + 0.5**2 + 2.0**2, abs=1e-10)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import rayleigh_quotient
 
 from polylayer.analysis import (
     INCONCLUSIVE,
@@ -13,7 +14,7 @@ from polylayer.analysis import (
     veps_certificate,
 )
 from polylayer.analysis import certificates
-from polylayer.assembly import assemble_q1, rayleigh_quotient
+from polylayer.assembly import assemble_q1
 from polylayer.eigensolve import smallest_eigenpairs
 from polylayer.geometry import (
     GeometryError,
@@ -73,7 +74,7 @@ def test_symmetric_subspace_bound_matches_full_solve(layer_name, R, h):
     # bound from the reduced pencil is the full pencil's Rayleigh quotient
     angle = fichera_angle() if layer_name == "fichera" else build_regular(4, PI / 3)
     layer = make_layer(angle)
-    (rec,) = certificates.voxel_upper_bounds(layer, R, h, levels=1, seed=0)
+    rec = certificates.voxel_level(layer, R, h, levels=1, lev=0, seed=0)
     problem = assemble_q1(voxelize(layer, R=R, h=h))
     full = smallest_eigenpairs(problem, num_pairs=1, seed=0)
     ref = rayleigh_quotient(problem, full.eigenvectors[:, 0])
@@ -95,7 +96,7 @@ def test_voxel_bounds_assemble_only_the_sector(fichera_layer, monkeypatch):
         return pencil(n, *args)
 
     monkeypatch.setattr(assembly, "_pencil", recording)
-    recs = certificates.voxel_upper_bounds(fichera_layer, 3.0, 0.125, levels=2, seed=0)
+    recs = [certificates.voxel_level(fichera_layer, 3.0, 0.125, 2, lev, 0) for lev in range(2)]
     assert orders == [rec["sector_dofs"] for rec in recs]
     # the records state the sector solved beside the full grid
     orbits = free_node_orbits(voxelize(fichera_layer, R=3.0, h=0.125))
@@ -114,7 +115,7 @@ def test_lifted_vector_audited_on_full_grid(fichera_layer, monkeypatch):
 
     monkeypatch.setattr(certificates, "free_node_orbits", pairs)
     with pytest.raises(AnalysisError, match="full-grid residual"):
-        certificates.voxel_upper_bounds(fichera_layer, 3.0, 0.25, levels=1, seed=0)
+        certificates.voxel_level(fichera_layer, 3.0, 0.25, levels=1, lev=0, seed=0)
 
 
 def test_certify_discrete_indicator_never_overstated(fichera_layer):

@@ -514,7 +514,7 @@ def _no_convergence(*args, **kwargs):
          "overflow-weyl-kappa", "overflow-veps-eps"],
 )
 def test_exit_codes(argv, expected, stderr_prefix, tmp_path, capsys, monkeypatch):
-    from polylayer import eigensolve
+    from polylayer.analysis import certificates
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("solved before the configuration was checked")
@@ -522,7 +522,7 @@ def test_exit_codes(argv, expected, stderr_prefix, tmp_path, capsys, monkeypatch
     if stderr_prefix == "numerical failure:":  # ARPACK is made to fail
         monkeypatch.setattr(sla, "eigsh", _no_convergence)
     if expected == EXIT_CONFIG:  # refused before any solve
-        for module in (eigensolve, waveguide):
+        for module in (certificates, waveguide):
             monkeypatch.setattr(module, "smallest_eigenpairs", must_not_run)
     if "--out" not in argv:
         argv = [*argv, "--out", str(tmp_path)]
@@ -721,7 +721,7 @@ _CHECKED_BEFORE_SOLVE = [
     ],
 )
 def test_levels_checked_before_any_solve(argv, message, tmp_path, capsys, monkeypatch):
-    from polylayer import eigensolve
+    from polylayer.analysis import certificates
 
     # a solve in a forked worker is seen through the marker file it leaves
     marker = tmp_path / "solved"
@@ -730,7 +730,7 @@ def test_levels_checked_before_any_solve(argv, message, tmp_path, capsys, monkey
         marker.touch()
         raise AssertionError("solved before the configuration was checked")
 
-    for module in (eigensolve, waveguide):
+    for module in (certificates, waveguide):
         monkeypatch.setattr(module, "smallest_eigenpairs", must_not_run)
     assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
@@ -802,7 +802,7 @@ SMALL_RUNS = {
 def test_one_fan_out_per_run_and_no_solve_after_it(name, tmp_path, monkeypatch):
     # a run's independent solves share its one fan-out: a solve in the CLI
     # process after the fan-out returned would have been one more task of it
-    from polylayer import eigensolve
+    from polylayer.analysis import certificates
 
     assert set(SMALL_RUNS) == set(HANDLERS)
     events = []  # the CLI process's: a forked worker's appends stay in the worker
@@ -825,7 +825,7 @@ def test_one_fan_out_per_run_and_no_solve_after_it(name, tmp_path, monkeypatch):
     for module in list(sys.modules.values()):  # every caller that imported it by name
         if vars(module).get("fan_out") is fan_out:
             monkeypatch.setattr(module, "fan_out", fanning)
-    for module in (eigensolve, waveguide):
+    for module in (certificates, waveguide):
         monkeypatch.setattr(module, "smallest_eigenpairs", recording(module.smallest_eigenpairs))
     assert main([*SMALL_RUNS[name], "--out", str(tmp_path)]) in (EXIT_OK, EXIT_INCONCLUSIVE)
     assert events.count("fan_out") <= 1
@@ -852,7 +852,6 @@ DRY_RUN_ARGV = {
 
 @pytest.mark.parametrize("name", sorted(DRY_RUN_ARGV))
 def test_dry_run_never_solves(name, tmp_path, monkeypatch):
-    from polylayer import eigensolve
     from polylayer.analysis import certificates, waveguide
 
     parser = build_parser()
@@ -863,9 +862,8 @@ def test_dry_run_never_solves(name, tmp_path, monkeypatch):
         raise AssertionError("a dry run solved")
 
     # every solve goes through eigensolve.smallest_eigenpairs, called from
-    # waveguide directly or, for voxel grids, through
-    # eigensolve.invariant_ground_state
-    for module in (eigensolve, waveguide):
+    # waveguide or, for voxel grids, from certificates.voxel_level
+    for module in (certificates, waveguide):
         monkeypatch.setattr(module, "smallest_eigenpairs", must_not_run)
     code, out = run_cli([name, *DRY_RUN_ARGV[name], "--dry-run"], tmp_path, name)
     assert code == EXIT_OK

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from oracles import box_grid, mesh_rectangle
 from scipy.linalg.blas import dtbmv
 from scipy.linalg.lapack import dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -15,8 +16,8 @@ from polylayer.eigensolve import band_cholesky, smallest_eigenpairs
 from polylayer.errors import AnalysisError, ConfigError
 from polylayer.extrapolate import richardson
 from polylayer.geometry import fichera_angle, make_layer
-from polylayer.grid3d import box_grid, voxelize
-from polylayer.mesh2d import mesh_lshape, mesh_rectangle, refine
+from polylayer.grid3d import voxelize
+from polylayer.mesh2d import mesh_lshape, refine
 
 PI = math.pi
 

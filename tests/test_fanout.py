@@ -218,18 +218,9 @@ def test_each_worker_is_placed_on_its_own_cpu_then_freed(monkeypatch):
     assert_no_child_left()
 
 
-def test_placement_starts_after_the_callers_cpu(monkeypatch):
-    assert fanout._caller_cpu() in os.sched_getaffinity(0)
-    for caller, placed in ((2, [3, 5, 0]), (5, [0, 2, 3]), (4, [0, 2, 3]), (-1, [0, 2, 3])):
-        monkeypatch.setattr(fanout, "_caller_cpu", lambda cpu=caller: cpu)
-        assert fanout._placement([0, 2, 3, 5], 3) == placed
-
-
 @pytest.mark.skipif(cpus() < 2, reason="one CPU: thunks run in-process, nothing to place")
-def test_first_worker_is_placed_off_the_callers_cpu(monkeypatch):
-    # the caller still forks the other workers: the first one goes to the next CPU
+def test_kth_forked_worker_is_placed_on_the_kth_cpu(monkeypatch):
     allowed = sorted(os.sched_getaffinity(0))
-    monkeypatch.setattr(fanout, "_caller_cpu", lambda: allowed[0])
     forked, fork = [], os.fork
 
     def recording_fork():
@@ -240,7 +231,7 @@ def test_first_worker_is_placed_off_the_callers_cpu(monkeypatch):
 
     monkeypatch.setattr(os, "fork", recording_fork)
     placed = {pid: calls[0][1] for calls, _, pid in _placements(len(allowed), monkeypatch)}
-    assert [placed[pid] for pid in forked] == allowed[1:] + allowed[:1]
+    assert [placed[pid] for pid in forked] == allowed
 
 
 @pytest.mark.skipif(cpus() < 3, reason="needs a CPU set with a gap")

@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from oracles import active_cell_corners, box_grid, truncated_layer_contains
 from scipy.optimize import linprog
 
 from polylayer import grid3d
@@ -10,10 +11,8 @@ from polylayer.geometry import build_regular, build_trihedral, fichera_angle, ma
 from polylayer.grid3d import (
     GridError,
     VoxelGrid,
-    box_grid,
     check_plan,
     free_node_orbits,
-    truncated_layer_contains,
     voxelize,
 )
 
@@ -111,7 +110,7 @@ def test_cell_corners_and_node_counts_in_kron_order(fichera_layer):
     cells = np.argwhere(grid.active)
     offsets = list(product((0, 1), repeat=3))  # z fastest
     want = np.stack([grid.node_ids[tuple((cells + d).T)] for d in offsets], axis=1)
-    assert np.array_equal(grid.active_cell_corners(), want)
+    assert np.array_equal(active_cell_corners(grid), want)
     node_of_cell, node_ids = grid3d._number_nodes(grid.active)
     assert np.array_equal(node_ids, grid.node_ids)
     assert np.array_equal(np.bincount(want.ravel()), node_of_cell[node_ids >= 0])
@@ -178,7 +177,7 @@ def test_closed_form_bounds_match_lp_grids(name, R, h, monkeypatch):
 
     assert np.array_equal(cells(grid), cells(ref))
     assert np.array_equal(grid.dirichlet, ref.dirichlet)
-    assert np.array_equal(grid.active_cell_corners(), ref.active_cell_corners())
+    assert np.array_equal(active_cell_corners(grid), active_cell_corners(ref))
 
 
 SYMMETRY_ORDERS = {

@@ -1,11 +1,14 @@
+import ast
 import importlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polylayer
 from polylayer.geometry import fichera_angle, make_layer
 
 PI = math.pi
@@ -219,3 +222,38 @@ def test_json_default_serializes_numpy_and_nothing_else():
     assert json.loads(payload_bytes(payload)) == {"i": 3, "f": 0.5, "a": [0.0, 1.0, 2.0]}
     with pytest.raises(TypeError, match="not JSON serializable"):
         payload_bytes({"x": object()})
+
+
+def _unnamed_public_functions(package: Path) -> list:
+    """The public module-level functions and methods (``Class.method``) of
+    the sources under ``package`` that no source there names, as a ``Name``,
+    an ``Attribute`` or an import, and no ``__all__`` lists."""
+    defined, named = [], set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                named.update(ast.literal_eval(node.value))
+    return sorted(q for q, name in defined if not name.startswith("_") and name not in named)
+
+
+def test_no_public_function_serves_only_the_tests():
+    # test oracles and references live under tests/ (oracles.py), not in the package
+    assert _unnamed_public_functions(Path(polylayer.__file__).parent) == []

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import boundary_length, check_conforming, mesh_rectangle, min_angle
 
 from polylayer import mesh2d
 from polylayer.geometry import GeometryError
@@ -12,9 +13,7 @@ from polylayer.mesh2d import (
     TriMesh,
     _edges,
     axis_rule,
-    check_conforming,
     mesh_lshape,
-    mesh_rectangle,
     mirrored,
     prolong,
     refine,
@@ -47,8 +46,8 @@ def test_half_mesh_has_a_neumann_axis(half_right_angle):
     assert (half.signed_areas() > 0.0).all() and (half.nodes[:, 1] >= 0.0).all()
     # Neumann: the end cross-section (1) and the axis O'O (sqrt 2);
     # Dirichlet: the outer wall (cot + R) and the inner wall (R)
-    assert half.boundary_length("neumann") == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
-    assert half.boundary_length("dirichlet") == pytest.approx(9.0, abs=1e-10)
+    assert boundary_length(half, "neumann") == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
+    assert boundary_length(half, "dirichlet") == pytest.approx(9.0, abs=1e-10)
     on_axis = (half.nodes[half.boundary_edges, 1] == 0.0).all(axis=1)
     assert (half.boundary_tags[on_axis] == NEUMANN).all() and on_axis.sum() == 4
     # O' and O, the axis ends, lie on the walls
@@ -61,14 +60,14 @@ def test_lshape_conformity(mesh_right_angle):
 
 
 def test_neumann_boundary_length_is_two(mesh_right_angle):
-    assert mesh_right_angle.boundary_length("neumann") == pytest.approx(2.0, abs=1e-12)
+    assert boundary_length(mesh_right_angle, "neumann") == pytest.approx(2.0, abs=1e-12)
 
 
 def test_dirichlet_covers_walls(mesh_right_angle):
     # dirichlet length = outer boundary (2*(cot + R)) + inner walls (2*R)
     cot = 1.0
     expected = 2.0 * (cot + 4.0) + 2.0 * 4.0
-    assert mesh_right_angle.boundary_length("dirichlet") == pytest.approx(
+    assert boundary_length(mesh_right_angle, "dirichlet") == pytest.approx(
         expected, abs=1e-10
     )
 
@@ -110,7 +109,7 @@ def test_meshes_across_angles(theta, R):
         assert mesh.total_area == pytest.approx(
             fraction * (1.0 / math.tan(theta / 2) + 2 * R), rel=1e-12
         )
-        assert mesh.min_angle() > 0.0
+        assert min_angle(mesh) > 0.0
 
 
 def _broken(mesh, triangles=None, boundary=slice(None)):
@@ -218,7 +217,7 @@ def test_node_count_grows_with_area_not_cot_squared(theta):
             assert mesh.num_nodes <= (n_c + 1) ** 2 + 2 * n_a * (n_c + 1)
             assert mesh.num_nodes <= NODES_PER_AREA * (cot + 2 * R) / h**2
             # equal triangles can differ by coordinate rounding: allow 1e-12
-            assert mesh.min_angle() >= KITE_MIN_ANGLE[theta] - 1e-12
+            assert min_angle(mesh) >= KITE_MIN_ANGLE[theta] - 1e-12
 
 
 def _sample_reference(mesh, nodal, xs, ys):
@@ -315,8 +314,8 @@ def test_refine_counts_area_nesting_tags(mesh_right_angle):
     )
     assert fine.parent is mesh_right_angle
     for tag in ("dirichlet", "neumann"):
-        assert fine.boundary_length(tag) == pytest.approx(
-            mesh_right_angle.boundary_length(tag), abs=1e-10
+        assert boundary_length(fine, tag) == pytest.approx(
+            boundary_length(mesh_right_angle, tag), abs=1e-10
         )
     check_conforming(fine)
 
@@ -326,7 +325,7 @@ def test_nested_chain_depth_three(mesh_right_angle):
     for _ in range(3):
         m = refine(m)
     assert m.total_area == pytest.approx(9.0, abs=1e-10)
-    assert m.boundary_length("neumann") == pytest.approx(2.0, abs=1e-10)
+    assert boundary_length(m, "neumann") == pytest.approx(2.0, abs=1e-10)
     assert np.array_equal(m.parent.nodes, m.nodes[: m.parent.num_nodes])
 
 
@@ -472,8 +471,8 @@ def test_min_angle_reported_for_sharp_theta():
     assert mesh.total_area == pytest.approx((1 / math.tan(0.09) + 4.0) / 2, rel=1e-12)
     # theta-dependent bound, no silent slivers; the 4-split children are
     # similar to their parent, so refinement keeps it
-    assert mesh.min_angle() > 0.01
-    assert refine(mesh).min_angle() == pytest.approx(mesh.min_angle(), abs=1e-12)
+    assert min_angle(mesh) > 0.01
+    assert min_angle(refine(mesh)) == pytest.approx(min_angle(mesh), abs=1e-12)
 
 
 def test_rectangle_mesh_rejects_bad_input():
@@ -488,8 +487,8 @@ def test_rectangle_mesh_tags_and_area():
     mesh = mesh_rectangle(3.0, 1.0, h=0.25, tags={"left": "neumann", "right": "neumann"})
     check_conforming(mesh)
     assert mesh.total_area == pytest.approx(3.0, abs=1e-12)
-    assert mesh.boundary_length("neumann") == pytest.approx(2.0, abs=1e-12)
-    assert mesh.boundary_length("dirichlet") == pytest.approx(6.0, abs=1e-12)
+    assert boundary_length(mesh, "neumann") == pytest.approx(2.0, abs=1e-12)
+    assert boundary_length(mesh, "dirichlet") == pytest.approx(6.0, abs=1e-12)
 
 
 def _half_chain(theta):
@@ -525,7 +524,7 @@ def test_mirror_map_is_the_reflection(theta):
         dirichlet = mesh.dirichlet_nodes()
         assert np.array_equal(np.sort(mirror[dirichlet]), dirichlet)
         assert np.array_equal(dirichlet[dirichlet < n], half.dirichlet_nodes())
-        assert mesh.boundary_length(NEUMANN) == pytest.approx(2.0, abs=1e-12)
+        assert boundary_length(mesh, NEUMANN) == pytest.approx(2.0, abs=1e-12)
         # every triangle on one closed side of the axis y = 0
         y = mesh.nodes[mesh.triangles, 1]
         assert ((y >= 0.0).all(axis=1) | (y <= 0.0).all(axis=1)).all()

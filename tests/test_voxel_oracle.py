@@ -8,6 +8,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from oracles import active_cell_corners, box_grid
 from test_grid3d import BOUND_ANGLES
 
 from polylayer.assembly import (
@@ -23,7 +24,6 @@ from polylayer.grid3d import (
     _CORNERS,
     BOUNDARY_TOL,
     _coordinate_bounds,
-    box_grid,
     free_node_orbits,
     voxelize,
 )
@@ -165,7 +165,7 @@ def test_voxel_path_keeps_every_bit_of_the_reference(name, R, h):
     layer = make_layer(BOUND_ANGLES[name]())
     grid = voxelize(layer, R, h)
     for got, want in zip(
-        (grid.origin, grid.active, grid.node_ids, grid.dirichlet, grid.active_cell_corners()),
+        (grid.origin, grid.active, grid.node_ids, grid.dirichlet, active_cell_corners(grid)),
         (*voxelize_reference(layer, R, h), corners_reference(grid)),
     ):
         assert _same(got, want)
@@ -196,5 +196,5 @@ def test_box_grid_products_keep_every_bit_of_the_reference(dirichlet_boundary):
     if dirichlet_boundary:
         dirichlet[node_ids[node_of_cell < 8]] = True
     assert _same(grid.dirichlet, dirichlet)
-    assert _same(grid.active_cell_corners(), corners_reference(grid))
+    assert _same(active_cell_corners(grid), corners_reference(grid))
     _check_products(grid)
