@@ -63,6 +63,16 @@ COMMANDS = [
     "hardy --case exp",
     "hardy --case invz",
     "alpha-star --star-tol 0.05 --h 0.25 --levels 2",
+    # one dry run per solving subcommand, each with its required flags only
+    "waveguide --theta 90deg --dry-run",
+    "scan-theta --thetas 0.8rad,1.2rad --dry-run",
+    "scan-R --theta 90deg --R-list 2,3 --dry-run",
+    "count --theta 90deg --dry-run",
+    f"certify {FICHERA} --dry-run",
+    f"certify-veps {REGULAR} --dry-run",
+    "absence --alpha 0.26rad --dry-run",
+    f"weyl {FICHERA} --dry-run",
+    "alpha-star --dry-run",
 ]
 PAYLOAD_MARK = b',\n"payload": '
 

@@ -9,10 +9,14 @@ non-proof (conforming computations only ever bound eigenvalues from above).
 
 A run fans out at most once, as its last solving step: ``certify_discrete``
 solves its threshold and each voxel level as a task of its own, and
-``absence_experiment`` the alpha_star bisection beside those.  Every
-check that reads no solve runs before the fan-out.  ``alpha_star`` runs
-serially: a fan-out of its two bracket ends costs more to start than it
+``absence_experiment`` the alpha_star bisection beside those.  ``alpha_star``
+runs serially: a fan-out of its two bracket ends costs more to start than it
 saves.
+
+Every check that reads no solve runs before the first solve, that is before
+the fan-out or the first waveguide chain.  A dry run relies on this rule: it
+is the run itself, stopped there (``fanout.planning``), so a check placed
+after that point would pass a dry run that the run then refuses.
 """
 
 from __future__ import annotations
@@ -252,23 +256,6 @@ def _veps_terms(mesh, v: np.ndarray, alpha: float, beta: float):
     return terms
 
 
-def veps_plan(layer: LayerGeometry, eps_grid, numerics: WaveguideNumerics) -> tuple:
-    """(alpha, beta, eps grid) of a V^eps certificate: the vertex and
-    dihedral angle of the regular ``layer`` and ``eps_grid`` (None: the
-    default grid), once every eps is found finite and > 0 and ``numerics``
-    has at least 3 levels; no solve."""
-    alpha, beta = _regular_layer_angles(layer)
-    if eps_grid is None:
-        eps_grid = np.geomspace(1e-3, 1.0, 13)
-    # V^eps is in L^2 only for eps > 0; negated, so that NaN fails it
-    bad = [float(e) for e in eps_grid if not 0.0 < e < math.inf]
-    if bad:
-        raise ConfigError(f"eps must be finite and > 0, got {bad}")
-    if numerics.levels < 3:
-        raise ConfigError("the 2D eigenfunction needs at least 3 levels")
-    return alpha, beta, eps_grid
-
-
 def veps_certificate(
     layer: LayerGeometry,
     eps_grid=None,
@@ -282,7 +269,15 @@ def veps_certificate(
     estimated by re-evaluating the terms on the previous refinement level;
     NONEMPTY requires the best value to be negative beyond that estimate.
     """
-    alpha, beta, eps_grid = veps_plan(layer, eps_grid, numerics)
+    alpha, beta = _regular_layer_angles(layer)
+    if eps_grid is None:
+        eps_grid = np.geomspace(1e-3, 1.0, 13)
+    # V^eps is in L^2 only for eps > 0; negated, so that NaN fails it
+    bad = [float(e) for e in eps_grid if not 0.0 < e < math.inf]
+    if bad:
+        raise ConfigError(f"eps must be finite and > 0, got {bad}")
+    if numerics.levels < 3:
+        raise ConfigError("the 2D eigenfunction needs at least 3 levels")
     # one pair: the mode on the half mesh, over which T2 integrates
     mode = solve_waveguide_mode(beta, replace(numerics, num_pairs=1))
 

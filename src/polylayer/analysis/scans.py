@@ -55,17 +55,6 @@ class ThetaScan:
         }
 
 
-def check_thetas(theta_list) -> list:
-    """The angles of a theta scan as floats, once found strictly ascending
-    and each an opening angle in (0, pi)."""
-    thetas = [float(t) for t in theta_list]
-    if any(b <= a for a, b in zip(thetas, thetas[1:])):
-        raise ConfigError("theta values must be strictly ascending")
-    for theta in thetas:
-        check_opening_angle(theta)
-    return thetas
-
-
 def scan_theta(
     theta_list, numerics: WaveguideNumerics = WaveguideNumerics()
 ) -> ThetaScan:
@@ -74,7 +63,11 @@ def scan_theta(
     Reports whether the values are strictly increasing and whether every
     value lies inside (pi^2/4, pi^2).  The angles are solved concurrently.
     """
-    thetas = check_thetas(theta_list)
+    thetas = [float(t) for t in theta_list]
+    if any(b <= a for a, b in zip(thetas, thetas[1:])):
+        raise ConfigError("theta values must be strictly ascending")
+    for theta in thetas:
+        check_opening_angle(theta)
     records = fan_out(partial(lambda1_waveguide, theta, numerics) for theta in thetas)
     values = np.array([r.extrapolated for r in records])
     return ThetaScan(
@@ -140,9 +133,18 @@ def _gap_indicators(records) -> np.ndarray:
     return np.abs(gap_last - gap_prev)
 
 
-def truncation_numerics(R_list, numerics: WaveguideNumerics) -> list:
-    """The numerics of each outlet length of a truncation scan, once the R
-    values are found strictly ascending, finite and multiples of h."""
+def scan_truncation(
+    theta: float, R_list, numerics: WaveguideNumerics = WaveguideNumerics()
+) -> TruncationScan:
+    """lambda_1 of the truncated waveguide over ascending outlet lengths.
+
+    The mesh family is nested in R (extending an outlet adds elements without
+    moving nodes), which requires every R to be an integer multiple of the
+    axial spacing.  The largest-R extrapolation serves as the asymptote for
+    the exponential-gap fit; fit points are restricted to gaps exceeding ten
+    times the error indicator.  The outlet lengths are solved concurrently.
+    """
+    check_opening_angle(theta)  # before the fan-out, not in each worker
     Rs = [float(R) for R in R_list]
     if any(b <= a for a, b in zip(Rs, Rs[1:])):
         raise ConfigError("R values must be strictly ascending")
@@ -155,22 +157,6 @@ def truncation_numerics(R_list, numerics: WaveguideNumerics) -> list:
                 f"R = {R} is not an integer multiple of h = {numerics.h}; "
                 "the outlet meshes would not be nested across R"
             )
-    return per_R
-
-
-def scan_truncation(
-    theta: float, R_list, numerics: WaveguideNumerics = WaveguideNumerics()
-) -> TruncationScan:
-    """lambda_1 of the truncated waveguide over ascending outlet lengths.
-
-    The mesh family is nested in R (extending an outlet adds elements without
-    moving nodes), which requires every R to be an integer multiple of the
-    axial spacing.  The largest-R extrapolation serves as the asymptote for
-    the exponential-gap fit; fit points are restricted to gaps exceeding ten
-    times the error indicator.  The outlet lengths are solved concurrently.
-    """
-    per_R = truncation_numerics(R_list, numerics)
-    Rs = [n.R for n in per_R]
     records = fan_out(partial(lambda1_waveguide, theta, n) for n in per_R)
     values = np.array([r.extrapolated for r in records])
     indicators = np.array([r.error_indicator for r in records])

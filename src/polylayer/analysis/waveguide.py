@@ -22,8 +22,9 @@ from ..assembly import assemble_p1
 from ..eigensolve import check_pairs, smallest_eigenpairs
 from ..errors import AnalysisError, ConfigError
 from ..extrapolate import richardson
+from ..fanout import begin_solving
 from ..geometry import LayerGeometry
-from ..mesh2d import TriMesh, mesh_lshape, mirrored, prolong, refine
+from ..mesh2d import TriMesh, check_opening_angle, mesh_lshape, mirrored, prolong, refine
 
 PI2 = math.pi**2
 
@@ -141,7 +142,11 @@ def _solve_chain(theta: float, numerics: WaveguideNumerics):
     sum of the last level's vectors, prolonged (nested P1 spaces keep the
     field), at the shift ``WARM_SHIFT * lambda_1`` of the last level, which
     the eigensolver lowers if it is not below this level's lambda_1.
+
+    Every waveguide solve starts here, so inside ``fanout.planning()`` this
+    raises ``Planned`` on entry, before any meshing.
     """
+    begin_solving()
     num_pairs, seed = numerics.num_pairs or 1, numerics.seed
     mesh = mesh_lshape(theta, numerics.R, numerics.h)
     scale = math.sqrt(0.5)
@@ -184,14 +189,6 @@ def auto_outlet_length(theta: float, numerics: WaveguideNumerics) -> float:
     return float(min(max(base, rule), R_CAP))
 
 
-def check_pair_count(theta: float, numerics: WaveguideNumerics) -> None:
-    """Refuse more pairs than level 0 gives at the longest outlet the run
-    could use (``numerics.R``, else ``R_CAP``), before any solve."""
-    if (numerics.num_pairs or 1) > 1:
-        mesh = mirrored(mesh_lshape(theta, numerics.R or R_CAP, numerics.h))
-        check_pairs(numerics.num_pairs, mesh.num_nodes - len(mesh.dirichlet_nodes()))
-
-
 def solve_waveguide_mode(
     theta: float, numerics: WaveguideNumerics = WaveguideNumerics()
 ) -> WaveguideMode:
@@ -200,7 +197,11 @@ def solve_waveguide_mode(
     Returns the Richardson-extrapolated eigenvalues together with the
     finest-level eigenfunctions (M-normalized nodal fields).
     """
-    check_pair_count(theta, numerics)
+    check_opening_angle(theta)  # before the automatic outlet rule's coarse chain
+    # no more pairs than level 0 gives at the longest outlet the run could use
+    if (numerics.num_pairs or 1) > 1:
+        mesh = mirrored(mesh_lshape(theta, numerics.R or R_CAP, numerics.h))
+        check_pairs(numerics.num_pairs, mesh.num_nodes - len(mesh.dirichlet_nodes()))
     R = numerics.R if numerics.R is not None else auto_outlet_length(theta, numerics)
     lams, meshes, vals = _solve_chain(theta, replace(numerics, R=R))
     ext_all, ind_all, _ = richardson(lams)

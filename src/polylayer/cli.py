@@ -34,7 +34,7 @@ import time
 
 from . import __version__
 from .errors import INCONCLUSIVE, AnalysisError, ConfigError, PolylayerError
-from .fanout import pin_blas
+from .fanout import pin_blas, planning
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,17 +76,6 @@ def parse_int_list(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(","))
 
 
-def _geometry_args(sub):
-    sub.add_argument("--kind", choices=("trihedral", "regular"), required=True)
-    sub.add_argument(
-        "--alpha",
-        type=parse_angle_list,
-        required=True,
-        help="vertex angle(s) with unit suffix, e.g. 90deg,45deg,90deg or 60deg",
-    )
-    sub.add_argument("--n", type=int, default=None, help="face count (regular)")
-
-
 # numerics flags by argparse name: (flag, type); ``build_parser`` gives each
 # subcommand only the ones its handler reads
 _NUMERICS_FLAGS = {
@@ -122,7 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
                 "--formats", default="json", help="comma list of " + ",".join(_FORMATS[name])
             )
         if geometry:
-            _geometry_args(sub)
+            sub.add_argument("--kind", choices=("trihedral", "regular"), required=True)
+            sub.add_argument(
+                "--alpha",
+                type=parse_angle_list,
+                required=True,
+                help="vertex angle(s) with unit suffix, e.g. 90deg,45deg,90deg or 60deg",
+            )
+            sub.add_argument("--n", type=int, default=None, help="face count (regular)")
         for dest, default in numerics.items():
             flag, kind = _NUMERICS_FLAGS[dest]
             sub.add_argument(flag, dest=dest, type=kind, default=default)
@@ -241,8 +237,10 @@ def _threshold_numerics(args):
 
 
 def _dry_run_payload(args) -> dict:
-    """Geometry validation, the checks the run makes before its first solve,
-    through the functions the run calls, and the solve plan; no eigensolves."""
+    """Geometry validation and the solve plan, with no solve: a subcommand
+    that solves runs its own handler inside ``fanout.planning()``, which
+    stops it where its first solve would begin, so the dry run refuses
+    exactly what the run refuses before that point."""
     payload: dict = {"dry_run": True, "plan": {}}
     if hasattr(args, "alpha"):
         layer = _build_layer(args)
@@ -254,31 +252,8 @@ def _dry_run_payload(args) -> dict:
                 "levels": getattr(args, "thr_levels", args.levels),
             }
     if hasattr(args, "levels"):  # every subcommand that solves
-        from .analysis import certificates, scans, waveguide
-        from .grid3d import check_plan
-        from .mesh2d import check_opening_angle
-
-        if hasattr(args, "thr_h"):  # certify and absence, in the runs' order
-            _threshold_numerics(args)
-            check_plan(args.R, args.h, args.levels)
-        else:  # the voxel --h and --levels are no waveguide numerics
-            numerics = _numerics(args)
-        if hasattr(args, "theta"):  # waveguide, scan-R and count
-            check_opening_angle(args.theta)
-        if hasattr(args, "thetas"):  # scan-theta
-            scans.check_thetas(args.thetas)
-        if args.subcommand == "certify-veps":
-            certificates.veps_plan(layer, args.eps, numerics)
-        if args.subcommand == "weyl":
-            _weyl_configs(args)
-        if args.subcommand == "absence":
-            certificates.check_below_star(args.alpha)
-        if hasattr(args, "star_tol"):  # absence and alpha-star
-            certificates.check_star_tol(args.star_tol)
-        if hasattr(args, "R_list"):  # scan-R
-            scans.truncation_numerics(args.R_list, numerics)
-        if hasattr(args, "num_pairs"):  # waveguide and count
-            waveguide.check_pair_count(args.theta, numerics)
+        with planning():
+            HANDLERS[args.subcommand](args, {})
     if hasattr(args, "theta"):
         payload["plan"]["waveguide"] = {
             "theta": args.theta,
@@ -419,17 +394,14 @@ def _hardy(args, files):
     }
 
 
-def _weyl_configs(args) -> list:
-    from .analysis import WeylConfig
-
-    return [WeylConfig(index=n, kappa=args.kappa, h_grid=args.h_grid) for n in args.indices]
-
-
 def _weyl(args, files):
-    from .analysis import solve_waveguide_mode, weyl_residual
+    from .analysis import WeylConfig, solve_waveguide_mode, weyl_residual
 
     layer = _build_layer(args)
-    numerics, configs = _numerics(args), _weyl_configs(args)  # checked before the solve
+    numerics = _numerics(args)
+    configs = [  # checked before the solve
+        WeylConfig(index=n, kappa=args.kappa, h_grid=args.h_grid) for n in args.indices
+    ]
     mode = solve_waveguide_mode(layer.beta_min, numerics)
     rows = [weyl_residual(layer, cfg, mode=mode).to_json() for cfg in configs]
     return {"elements": rows, "kappa": args.kappa}
@@ -501,10 +473,10 @@ def _write_outputs(args, payload: dict, files: dict, started: float, blas_pinned
     meta = make_meta(echo, started, __version__)
     meta["blas_pinned"] = blas_pinned
     meta["cpus"] = cpus()  # how many independent solves could run at once
-    write_bundle(bundle_path, payload, meta)
     writers = {".csv": write_csv, ".svg": write_svg_lines, ".pgm": write_pgm}
     for name, content in files.items():
         writers[os.path.splitext(name)[1]](os.path.join(args.out, name), *content)
+    write_bundle(bundle_path, payload, meta)  # last: written only once every side file is
     return bundle_path
 
 
@@ -519,6 +491,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
         started = time.time()
         payload, code, files = run(args)
+        try:
+            bundle_path = _write_outputs(args, payload, files, started, blas_pinned)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     except (PolylayerError, ValueError, MemoryError, ArithmeticError) as exc:
         # a ValueError from numpy/scipy is bad input as well; an allocation
         # that fails anywhere in the run is a numerical failure, as for the
@@ -531,7 +507,7 @@ def main(argv=None) -> int:
         label = "numerical failure" if code == EXIT_NONCONVERGED else "config error"
         print(f"{label}: {exc}", file=sys.stderr)
         return code
-    print(_write_outputs(args, payload, files, started, blas_pinned))
+    print(bundle_path)
     return code
 
 

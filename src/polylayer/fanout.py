@@ -35,10 +35,16 @@ affinity is never changed.  Each also pins OpenBLAS to one thread
 thread per CPU would spin against each other.  Peak memory grows with the
 number of tasks that run at once, each worker holding one task's meshes and
 factors.
+
+A dry run is the run itself, stopped where solving begins.  Every solve
+starts in ``fan_out`` or in ``waveguide._solve_chain``; inside ``planning()``
+both raise ``Planned`` on entry, so the block makes every check the run
+makes before its first solve, and no more.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import os
@@ -58,6 +64,30 @@ _OPENBLAS = (
 _TASKS: list = []  # the running fan-out's thunks, inherited by its workers
 _IN_WORKER = False
 _BATCH = select.PIPE_BUF // 4  # task indices that fit in any pipe's buffer
+_PLANNING = False  # set by ``planning()`` alone
+
+
+class Planned(BaseException):
+    """Where solving begins inside ``planning()``.  Control flow, not an
+    error: no ``except Exception`` on the way out can take it for one."""
+
+
+@contextlib.contextmanager
+def planning():
+    """Run the block up to its first solve, which ends it quietly."""
+    global _PLANNING
+    _PLANNING = True
+    try:
+        with contextlib.suppress(Planned):
+            yield
+    finally:
+        _PLANNING = False
+
+
+def begin_solving() -> None:
+    """Raise ``Planned`` inside ``planning()``; called where solving begins."""
+    if _PLANNING:
+        raise Planned
 
 
 def _allowed() -> list:
@@ -141,13 +171,15 @@ def _work(tasks: int, out: int, cpu, allowed) -> None:
 
 def fan_out(thunks) -> list:
     """``[thunk() for thunk in thunks]``, with the thunks run concurrently
-    in forked workers when more than one CPU is available.
+    in forked workers when more than one CPU is available.  Inside
+    ``planning()`` it raises ``Planned`` before calling any thunk.
 
     The first exception in input order is raised, as a serial run would
     raise it; a worker that dies raises ``AnalysisError``.  Every worker is
     reaped before this returns.
     """
     global _TASKS
+    begin_solving()
     thunks = list(thunks)
     allowed = _allowed()
     workers = min(len(thunks), len(allowed))

@@ -6,6 +6,7 @@ other run metadata live in a separate section excluded from that contract.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -38,10 +39,15 @@ def payload_bytes(payload: dict) -> bytes:
 
 
 def write_atomic(path: str, data: bytes) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.getpid()}.tmp"  # no concurrent run shares it; removed on failure
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_bundle(path: str, payload: dict, meta: dict) -> None:

@@ -709,7 +709,20 @@ _CHECKED_BEFORE_SOLVE = [
     ("certify-seed-negative", [*SMALL_CERTIFY, "--levels", "1", "--seed", "-1"],
      "--seed -1 must be >= 0"),
     ("hardy-seed-negative", ["hardy", "--seed", "-1"], "--seed -1 must be >= 0"),
+    # checked before the fan-out, not by each worker's mesher
+    ("scan-R-theta-200deg", ["scan-R", "--theta", "200deg", "--R-list", "2,3"],
+     "not in (0, pi)"),
 ]
+
+
+def _forbid_forks(monkeypatch):
+    """Make every fan-out of two or more tasks fork, and every fork fail,
+    whatever the host's CPU count."""
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(fanout, "_allowed", lambda: [0, 1])
+    monkeypatch.setattr(os, "fork", no_fork)
 
 
 @pytest.mark.parametrize(
@@ -732,6 +745,7 @@ def test_levels_checked_before_any_solve(argv, message, tmp_path, capsys, monkey
 
     for module in (certificates, waveguide):
         monkeypatch.setattr(module, "smallest_eigenpairs", must_not_run)
+    _forbid_forks(monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not marker.exists()
@@ -865,9 +879,51 @@ def test_dry_run_never_solves(name, tmp_path, monkeypatch):
     # waveguide or, for voxel grids, from certificates.voxel_level
     for module in (certificates, waveguide):
         monkeypatch.setattr(module, "smallest_eigenpairs", must_not_run)
+    # scan-theta, scan-R, certify and absence stop where they would fan out
+    _forbid_forks(monkeypatch)
     code, out = run_cli([name, *DRY_RUN_ARGV[name], "--dry-run"], tmp_path, name)
     assert code == EXIT_OK
     assert json.loads((out / f"{name}.json").read_text())["payload"]["dry_run"] is True
+
+
+def test_a_dry_run_stops_only_itself(tmp_path, monkeypatch):
+    # a refused dry run and a completed one, each followed by a run in the
+    # same process: the run still solves
+    solves = []
+    solve = waveguide.smallest_eigenpairs
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(waveguide, "smallest_eigenpairs", counting)
+    scan_R = ["scan-R", "--theta", "90deg", "--dry-run", "--R-list"]
+    for name, R_list, expected in (("refused", "4,3", EXIT_CONFIG), ("planned", "2,3", EXIT_OK)):
+        assert run_cli([*scan_R, R_list], tmp_path, name)[0] == expected
+        assert not solves
+        code, out = run_cli(SMALL_RUNS["waveguide"], tmp_path, f"run-after-{name}")
+        assert code == EXIT_OK
+        assert solves
+        assert json.loads((out / "waveguide.json").read_text())["payload"]["extrapolated"] > 0
+        solves.clear()
+
+
+@pytest.mark.parametrize(
+    "argv, blocked",
+    [
+        (["angle", *REGULAR], "angle.json"),
+        # a side file is written before the bundle, so no bundle is left either
+        ([*SMALL_RUNS["waveguide"], "--formats", "json,pgm"], "waveguide_mode.pgm"),
+    ],
+    ids=["bundle", "side-file"],
+)
+def test_unwritable_output_exits_2_without_a_temporary_file(argv, blocked, tmp_path, capsys):
+    (tmp_path / blocked).mkdir()  # a file cannot replace a directory
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
 
 
 @pytest.mark.parametrize(
