@@ -30,7 +30,7 @@ COMMANDS = [
     f"angle {REGULAR}",
     f"layer {REGULAR}",
     "waveguide --theta 90deg --h 0.25 --levels 2 --formats json,pgm",
-    # several pairs: the mirrored mesh's vectors, through the heat map
+    # several pairs: both mirror sectors' vectors, merged, through the heat map
     "waveguide --theta 90deg --h 0.25 --levels 2 --pairs 3 --formats json,pgm",
     # a sharp angle: the single-pair half-mesh chain on a graded mesh
     "waveguide --theta 0.15rad --h 0.4 --levels 2 --formats json,pgm",

@@ -278,8 +278,7 @@ def veps_certificate(
         raise ConfigError(f"eps must be finite and > 0, got {bad}")
     if numerics.levels < 3:
         raise ConfigError("the 2D eigenfunction needs at least 3 levels")
-    # one pair: the mode on the half mesh, over which T2 integrates
-    mode = solve_waveguide_mode(beta, replace(numerics, num_pairs=1))
+    mode = solve_waveguide_mode(beta, numerics)  # on the half mesh, over which T2 integrates
 
     terms = _veps_terms(mode.mesh, mode.values[:, 0], alpha, beta)
     rows = [terms(float(e)) for e in eps_grid]

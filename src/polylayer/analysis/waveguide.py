@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from ..assembly import assemble_p1
-from ..eigensolve import check_pairs, smallest_eigenpairs
+from ..eigensolve import smallest_eigenpairs
 from ..errors import AnalysisError, ConfigError
 from ..extrapolate import richardson
-from ..fanout import begin_solving
+from ..fanout import begin_solving, fan_out
 from ..geometry import LayerGeometry
-from ..mesh2d import TriMesh, check_opening_angle, mesh_lshape, mirrored, prolong, refine
+from ..mesh2d import DIRICHLET, TriMesh, check_opening_angle, mesh_lshape, prolong, refine
 
 PI2 = math.pi**2
 
@@ -103,9 +104,9 @@ class ThresholdResult:
 
 @dataclass(eq=False)
 class WaveguideMode:
-    """The extrapolation record plus every level's mesh and nodal
-    eigenfunctions (columns, M-normalized on the whole waveguide).  A
-    single-pair mode lives on the half mesh y >= 0 (``_solve_chain``)."""
+    """The extrapolation record plus every level's half mesh y >= 0 and
+    nodal eigenfunctions there (columns): the whole waveguide's
+    M-normalized modes, restricted to the half (``_solve_chain``)."""
 
     threshold: ThresholdResult
     meshes: list
@@ -122,53 +123,79 @@ class WaveguideMode:
         return self.values_per_level[-1]
 
 
-def _solve_chain(theta: float, numerics: WaveguideNumerics):
-    """Eigenvalues, meshes and nodal vectors of the nested levels, with the
-    outlet length ``numerics.R`` (not None here).
+def _check_pairs(num_pairs: int, mesh: TriMesh) -> None:
+    """Refuse ``num_pairs`` from a tenth of the equations of both mirror
+    sectors of the half mesh ``mesh`` on: the whole waveguide's count."""
+    free = np.isin(np.arange(mesh.num_nodes), mesh.dirichlet_nodes(), invert=True)
+    n = 2 * np.count_nonzero(free) - np.count_nonzero(free & (mesh.nodes[:, 1] == 0.0))
+    if num_pairs >= max(2, n // 10):
+        raise ConfigError(f"num_pairs = {num_pairs} too large for dimension {n}")
 
-    A single pair is solved on the half mesh with a natural (Neumann) axis
-    (``mesh2d.mesh_lshape``).  No triangle crosses the axis, so its P1 space
-    is the space of mirror-invariant functions, and the antisymmetric ones
-    are that of the same half mesh with a Dirichlet axis, a subspace of it.
-    The smallest antisymmetric eigenvalue is therefore no smaller than the
-    smallest invariant one, and lambda_1 lies in the invariant sector.
-    Perron-Frobenius does not give this, since the P1 stiffness can have
-    positive off-diagonal entries (+3.05 at theta = 0.3, h = 0.25).  The
-    stored half field is scaled by 1/sqrt(2): it is the M-normalized mode
-    of the whole waveguide, restricted to the half.  More pairs are solved
-    on the whole waveguide (``mesh2d.mirrored``).
+
+def _sector_chain(meshes: list, num_pairs: int, seed: int, odd: bool = False):
+    """Eigenvalues and nodal vectors of one mirror sector on the nested half
+    meshes ``meshes``: the invariant one, or with ``odd`` the antisymmetric
+    one, on the same meshes with their axis edges Dirichlet.
 
     Level 0 starts cold from the seed.  Each later level starts from the
     sum of the last level's vectors, prolonged (nested P1 spaces keep the
     field), at the shift ``WARM_SHIFT * lambda_1`` of the last level, which
-    the eigensolver lowers if it is not below this level's lambda_1.
+    the eigensolver lowers if it is not below this level's lambda_1.  The
+    stored half field is scaled by 1/sqrt(2): it is the M-normalized mode
+    of the whole waveguide, restricted to the half.
+    """
+    lams, vals_all = [], []
+    start, shift = None, 0.0
+    for lev, mesh in enumerate(meshes):
+        if lev:
+            start = prolong(meshes[lev - 1], vals_all[-1]).sum(axis=1)
+            shift = WARM_SHIFT * float(lams[-1][0])
+        if odd:
+            axis = (mesh.nodes[mesh.boundary_edges, 1] == 0.0).all(axis=1)
+            mesh = replace(mesh, boundary_tags=np.where(axis, DIRICHLET, mesh.boundary_tags))
+        problem = assemble_p1(mesh)
+        result = smallest_eigenpairs(problem, num_pairs, seed, start, shift)
+        lams.append(result.eigenvalues)
+        nodal = np.zeros((mesh.num_nodes, num_pairs))
+        nodal[problem.free_nodes] = math.sqrt(0.5) * result.eigenvectors
+        vals_all.append(nodal)
+    return np.array(lams), vals_all
+
+
+def _solve_chain(theta: float, numerics: WaveguideNumerics):
+    """Eigenvalues, half meshes and nodal vectors of the nested levels, with
+    the outlet length ``numerics.R`` (not None here).
+
+    No triangle of the half mesh (``mesh2d.mesh_lshape``) crosses the axis,
+    so its P1 space with a natural (Neumann) axis holds the mirror-invariant
+    functions, and with a Dirichlet axis the antisymmetric ones: a subspace
+    with the same forms, whose j-th eigenvalue is no smaller than the
+    invariant j-th.  (Perron-Frobenius does not give this: the P1 stiffness
+    can have positive off-diagonal entries, +3.05 at theta = 0.3, h = 0.25.)
+    So one pair is solved in the invariant sector alone.  More pairs are
+    solved in both, two chains through one ``fan_out``; each level keeps the
+    ``num_pairs`` smallest values with their columns, the invariant first on
+    a tie, of which at most half are antisymmetric, so that sector solves
+    ``num_pairs // 2``.  ``_check_pairs`` counts level 0, which has the
+    fewest equations: refinement only adds nodes.
 
     Every waveguide solve starts here, so inside ``fanout.planning()`` this
     raises ``Planned`` on entry, before any meshing.
     """
     begin_solving()
     num_pairs, seed = numerics.num_pairs or 1, numerics.seed
-    mesh = mesh_lshape(theta, numerics.R, numerics.h)
-    scale = math.sqrt(0.5)
+    meshes = [mesh_lshape(theta, numerics.R, numerics.h)]
+    _check_pairs(num_pairs, meshes[0])
+    while len(meshes) < numerics.levels:
+        meshes.append(refine(meshes[-1]))
+    sectors = [partial(_sector_chain, meshes, num_pairs, seed)]
     if num_pairs > 1:
-        mesh, scale = mirrored(mesh), 1.0
-    lams = []
-    meshes = []
-    vals_all = []
-    start, shift = None, 0.0
-    for lev in range(numerics.levels):
-        problem = assemble_p1(mesh)
-        result = smallest_eigenpairs(problem, num_pairs, seed, start, shift)
-        lams.append(result.eigenvalues)
-        meshes.append(mesh)
-        nodal = np.zeros((mesh.num_nodes, num_pairs))
-        nodal[problem.free_nodes] = scale * result.eigenvectors
-        vals_all.append(nodal)
-        if lev + 1 < numerics.levels:
-            mesh = refine(mesh)
-            start = prolong(mesh.parent, nodal).sum(axis=1)
-            shift = WARM_SHIFT * float(result.eigenvalues[0])
-    return np.array(lams), meshes, vals_all
+        sectors.append(partial(_sector_chain, meshes, num_pairs // 2, seed, odd=True))
+    lams, vals = zip(*(fan_out(sectors) if num_pairs > 1 else [sectors[0]()]))
+    lams = np.hstack(lams)
+    keep = np.argsort(lams, axis=1, kind="stable")[:, :num_pairs]
+    vals = [np.hstack(level)[:, k] for level, k in zip(zip(*vals), keep)]
+    return np.take_along_axis(lams, keep, axis=1), meshes, vals
 
 
 def auto_outlet_length(theta: float, numerics: WaveguideNumerics) -> float:
@@ -200,8 +227,7 @@ def solve_waveguide_mode(
     check_opening_angle(theta)  # before the automatic outlet rule's coarse chain
     # no more pairs than level 0 gives at the longest outlet the run could use
     if (numerics.num_pairs or 1) > 1:
-        mesh = mirrored(mesh_lshape(theta, numerics.R or R_CAP, numerics.h))
-        check_pairs(numerics.num_pairs, mesh.num_nodes - len(mesh.dirichlet_nodes()))
+        _check_pairs(numerics.num_pairs, mesh_lshape(theta, numerics.R or R_CAP, numerics.h))
     R = numerics.R if numerics.R is not None else auto_outlet_length(theta, numerics)
     lams, meshes, vals = _solve_chain(theta, replace(numerics, R=R))
     ext_all, ind_all, _ = richardson(lams)

@@ -117,7 +117,7 @@ def _transverse_fields(layer, mode, config, outlet_len):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
 
-    # the mode is even in y: the mesh may hold only the half y >= 0
+    # the mode is even in y: the mesh holds only the half y >= 0
     abs_ys, column = np.unique(np.abs(ys), return_inverse=True)
     V, IN = (a[:, column] for a in sample_grid(mode.mesh, mode.values[:, 0], xs, abs_ys))
 

@@ -446,8 +446,7 @@ def run(args: argparse.Namespace) -> tuple:
 
 def _mode_heatmap(mode):
     """|v_1| on a grid 400 samples wide over the whole waveguide's bounding
-    box; v_1 is even in y, so it is read at (x, |y|) (the mesh may hold only
-    the half y >= 0)."""
+    box; v_1 is even in y, so it is read at (x, |y|) on the half mesh y >= 0."""
     import numpy as np
 
     from .mesh2d import sample_grid

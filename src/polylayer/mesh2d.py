@@ -2,13 +2,13 @@
 
 The waveguide is symmetric about its bisector, the x axis, and no triangle
 crosses that axis, so ``mesh_lshape`` meshes only the half y >= 0, in rows
-across the strip, each graded to its own width.  The nodes on the axis have
-y = 0 exactly, so the axis from O' to O is a chain of mesh edges on every
-level (``axis_rule``).  ``mirrored`` appends the reflection for the full
-waveguide.  Nested refinement keeps the parent nodes as a prefix of the
-child nodes.  Boundary edges carry 'dirichlet' tags on the walls shared
-with the infinite waveguide and 'neumann' tags on the end cross-sections
-and on the half mesh's axis.
+across the strip, each graded to its own width.  Every waveguide solve runs
+on it: the whole waveguide's modes are its two mirror sectors.  The nodes on
+the axis have y = 0 exactly, so the axis from O' to O is a chain of mesh
+edges on every level (``axis_rule``).  Nested refinement keeps the parent
+nodes as a prefix of the child nodes.  Boundary edges carry 'dirichlet'
+tags on the walls shared with the infinite waveguide and 'neumann' tags on
+the end cross-sections and on the half mesh's axis.
 
 Meshes are treated as immutable after construction; what a mesh stores
 later is derived data: its edge table (``_edges``), which ``refine`` hands
@@ -133,8 +133,7 @@ def mesh_lshape(theta: float, R: float, h: float) -> TriMesh:
     has the area cot(theta/2) + 2R and the half one half of it.  The
     bisector is the +x axis, the outer vertex O' is the origin and outlet 1,
     the one meshed, points along (cos(theta/2), sin(theta/2)).  The axis
-    edges from O' to O are tagged 'neumann'; ``mirrored`` gives the whole
-    waveguide.
+    edges from O' to O are tagged 'neumann'.
 
     In wall coordinates (t along the outer wall from O', s toward the inner
     wall) the half is 0 <= s <= min(1, t / cot(theta/2)): n_k rows up to
@@ -206,27 +205,6 @@ def mesh_lshape(theta: float, R: float, h: float) -> TriMesh:
     if abs(mesh.total_area - area) > 1e-10 * max(1.0, area):
         raise MeshError("triangle areas do not sum to (cot(theta/2) + 2R) / 2")
     return mesh
-
-
-def mirrored(mesh: TriMesh) -> TriMesh:
-    """The half mesh together with its reflection y -> -y across the axis.
-
-    The axis nodes are those with y == 0 exactly; the images of the other
-    nodes are appended in order, the reflected triangles follow the
-    triangles, and every boundary edge off the axis is followed by its
-    image.  The axis edges are interior edges of the result and drop out.
-    """
-    off = np.flatnonzero(mesh.nodes[:, 1] != 0.0)
-    image = np.arange(mesh.num_nodes)
-    image[off] = mesh.num_nodes + np.arange(len(off))
-    keep = (mesh.nodes[mesh.boundary_edges, 1] != 0.0).any(axis=1)
-    edges = mesh.boundary_edges[keep]
-    return TriMesh(
-        nodes=np.vstack([mesh.nodes, mesh.nodes[off] * [1.0, -1.0]]),
-        triangles=np.vstack([mesh.triangles, image[mesh.triangles][:, [0, 2, 1]]]),
-        boundary_edges=np.stack([edges, image[edges]], axis=1).reshape(-1, 2),
-        boundary_tags=np.repeat(mesh.boundary_tags[keep], 2),
-    )
 
 
 # ``refine``'s child 4t + j of triangle t: its vertex i, and its side i (from

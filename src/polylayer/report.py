@@ -78,8 +78,8 @@ def write_csv(path: str, header: list, rows: Iterable[Iterable]) -> None:
 
 
 def _csv_cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, float):  # np.float64 too, whose repr names its type
+        return repr(float(x))
     return str(x)
 
 

@@ -1,8 +1,9 @@
 """Reference implementations and test fixtures that the package itself never
 calls: a uniform rectangle mesh and an all-active box grid with known
 spectra, exact membership and partition oracles for the layer, mesh
-conformity and shape checks, plain node and corner tables of a voxel grid,
-and the Rayleigh quotient of a vector on an assembled pencil."""
+conformity and shape checks, the whole waveguide mesh that a half mesh
+mirrors, plain node and corner tables of a voxel grid, and the Rayleigh
+quotient of a vector on an assembled pencil."""
 
 import math
 from typing import Optional
@@ -168,4 +169,25 @@ def mesh_rectangle(
         triangles=_block_quads(ids),
         boundary_edges=np.concatenate(edges),
         boundary_tags=np.concatenate(edge_tags),
+    )
+
+
+def mirrored(mesh: TriMesh) -> TriMesh:
+    """The half mesh together with its reflection y -> -y across the axis.
+
+    The axis nodes are those with y == 0 exactly; the images of the other
+    nodes are appended in order, the reflected triangles follow the
+    triangles, and every boundary edge off the axis is followed by its
+    image.  The axis edges are interior edges of the result and drop out.
+    """
+    off = np.flatnonzero(mesh.nodes[:, 1] != 0.0)
+    image = np.arange(mesh.num_nodes)
+    image[off] = mesh.num_nodes + np.arange(len(off))
+    keep = (mesh.nodes[mesh.boundary_edges, 1] != 0.0).any(axis=1)
+    edges = mesh.boundary_edges[keep]
+    return TriMesh(
+        nodes=np.vstack([mesh.nodes, mesh.nodes[off] * [1.0, -1.0]]),
+        triangles=np.vstack([mesh.triangles, image[mesh.triangles][:, [0, 2, 1]]]),
+        boundary_edges=np.stack([edges, image[edges]], axis=1).reshape(-1, 2),
+        boundary_tags=np.repeat(mesh.boundary_tags[keep], 2),
     )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mirrored
 
 from polylayer.analysis import (
     HardySample,
@@ -28,7 +29,6 @@ from polylayer.assembly import assemble_p1
 from polylayer.eigensolve import _verify, smallest_eigenpairs
 from polylayer.errors import AnalysisError, ConfigError
 from polylayer.geometry import build_regular, build_trihedral, fichera_angle, make_layer
-from polylayer.mesh2d import mirrored
 
 PI = math.pi
 PI2 = PI**2
@@ -342,6 +342,30 @@ def test_single_pair_chain_solved_on_mirror_sector(theta):
         assert lams[lev, 0] == pytest.approx(full.eigenvalues[0], rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("pairs", [2, 6])
+@pytest.mark.parametrize("theta", [0.15, PI / 2, 2.4])
+def test_multi_pair_chain_merges_the_whole_mesh_pairs(theta, pairs):
+    # the two mirror sectors' merged pairs are the whole waveguide's: each
+    # column, extended by its sector's parity (odd ones vanish on the axis),
+    # is an audited, M-orthonormal eigenvector of the full pencil
+    numerics = WaveguideNumerics(h=0.25, levels=3, R=2.3, num_pairs=pairs)
+    lams, meshes, vals = waveguide._solve_chain(theta, numerics)
+    odd_columns = 0
+    for lev, half in enumerate(meshes):
+        axis = half.nodes[:, 1] == 0.0
+        odd = (vals[lev][axis] == 0.0).all(axis=0)
+        odd_columns += odd.sum()
+        nodal = np.vstack([vals[lev], np.where(odd, -1.0, 1.0) * vals[lev][~axis]])
+        problem = assemble_p1(mirrored(half))
+        rq, residuals, defect = _verify(problem, nodal[problem.free_nodes])
+        assert (residuals <= 1e-8).all()
+        assert defect <= 1e-8
+        assert rq == pytest.approx(lams[lev], rel=1e-12, abs=0.0)
+        full = smallest_eigenpairs(problem, num_pairs=pairs, seed=0)
+        assert lams[lev] == pytest.approx(full.eigenvalues, rel=1e-12, abs=0.0)
+    assert odd_columns > 0 or pairs == 2  # six pairs reach both sectors at every angle
+
+
 def _recorded_solves(monkeypatch):
     """A list that collects (problem, start, shift, result) of every
     eigensolve a chain makes, and the unrecorded eigensolver."""
@@ -363,11 +387,14 @@ def test_warm_levels_match_cold_solves_in_fewer_inner_solves(num_pairs, monkeypa
     # the half-mesh chain and a six-pair chain: each refined level starts
     # from the last level's vectors, prolonged, at a shift below lambda_1
     calls, solve = _recorded_solves(monkeypatch)
+    # the two sectors of a multi-pair chain in this process, where they are recorded
+    monkeypatch.setattr(waveguide, "fan_out", lambda thunks: [thunk() for thunk in thunks])
     numerics = WaveguideNumerics(h=0.15, levels=3, R=4.0, num_pairs=num_pairs)
     waveguide._solve_chain(0.3, numerics)
-    assert [start is None for _, start, _, _ in calls] == [True, False, False]
+    sectors = 1 if num_pairs == 1 else 2
+    assert [start is None for _, start, _, _ in calls] == [True, False, False] * sectors
     for problem, start, shift, warm in calls:
-        cold = solve(problem, num_pairs)
+        cold = solve(problem, len(warm.eigenvalues))  # the antisymmetric sector solves half
         assert 0.0 <= shift < cold.eigenvalues[0]
         assert np.allclose(warm.eigenvalues, cold.eigenvalues, rtol=1e-12, atol=0.0)
         if start is not None:

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import active_cell_corners, box_grid, mesh_rectangle, node_positions, rayleigh_quotient
+from oracles import (
+    active_cell_corners,
+    box_grid,
+    mesh_rectangle,
+    mirrored,
+    node_positions,
+    rayleigh_quotient,
+)
 
 from polylayer.assembly import (
     AssemblyError,
@@ -15,7 +22,7 @@ from polylayer.assembly import (
 )
 from polylayer.geometry import build_regular, fichera_angle, make_layer
 from polylayer.grid3d import GridError, Orbits, free_node_orbits, voxelize
-from polylayer.mesh2d import NEUMANN, TriMesh, mesh_lshape, mirrored, refine
+from polylayer.mesh2d import NEUMANN, TriMesh, mesh_lshape, refine
 
 PI = math.pi
 ALL_NEUMANN = dict.fromkeys(("left", "right", "bottom", "top"), NEUMANN)

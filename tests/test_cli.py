@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
 from conftest import assert_no_child_left
+from oracles import mirrored
 
 from polylayer import fanout
 from polylayer.analysis import waveguide
+from polylayer.assembly import assemble_p1
 from polylayer.cli import (
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,
@@ -28,6 +30,7 @@ from polylayer.cli import (
     parse_angle,
 )
 from polylayer.fanout import cpus
+from polylayer.mesh2d import mesh_lshape
 
 PI = math.pi
 
@@ -448,6 +451,53 @@ SMALL_CERTIFY = ["certify", *FICHERA, "--R", "3", "--h", "0.25", "--thr-h", "0.2
                  "--thr-levels", "2"]
 SMALL_COUNT = ["count", "--theta", "90deg", "--h", "0.25", "--levels", "2"]
 REGULAR = ["--kind", "regular", "--n", "3", "--alpha", "60deg"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-theta", "--thetas", "0.8rad,1.2rad", "--h", "0.25", "--levels", "2", "--R", "4"],
+        ["scan-R", "--theta", "90deg", "--R-list", "2,3", "--h", "0.25", "--levels", "2"],
+        ["certify-veps", *REGULAR, "--h", "0.25"],
+    ],
+    ids=["scan-theta", "scan-R", "certify-veps"],
+)
+def test_csv_cells_are_the_payload_numbers(argv, tmp_path):
+    # every cell parses as a plain number, equal to the payload's value
+    code, out = run_cli([*argv, "--formats", "json,csv"], tmp_path, "csv")
+    assert code == EXIT_OK
+    payload = json.loads((out / f"{argv[0]}.json").read_text())["payload"]
+    (table,) = out.glob("*.csv")
+    header, *lines = table.read_text().splitlines()
+    columns = header.split(",")
+    cells = [[float(cell) for cell in line.split(",")] for line in lines]
+    if argv[0] == "certify-veps":
+        expected = [[term[c] for c in columns] for term in payload["evidence"]["terms"]]
+    else:
+        expected = [
+            [r["parameter"], r["eigenvalues"][0], r["error_indicators"][0]]
+            + [r[c] for c in columns[3:]]
+            for r in payload["records"]
+        ]
+    assert cells == expected
+
+
+def test_pair_guard_counts_both_mirror_sectors(tmp_path):
+    # each 90-degree sector's level 0 alone is too small for six pairs by
+    # the n // 10 rule; both together, the whole waveguide's equations, pass
+    code, out = run_cli(["count", "--theta", "90deg", "--h", "0.25", "--levels", "3"],
+                        tmp_path, "count")
+    assert code == EXIT_OK
+    payload = json.loads((out / "count.json").read_text())["payload"]
+    assert payload["count"] == 1
+    half = mesh_lshape(PI / 2, payload["record"]["R"], 0.25)
+    even = assemble_p1(half)
+    odd = even.n - np.count_nonzero(half.nodes[even.free_nodes, 1] == 0.0)
+    assert (even.n, odd) == (69, 66)
+    for n in (even.n, odd):
+        assert 6 >= max(2, n // 10)
+    assert assemble_p1(mirrored(half)).n == even.n + odd
+    assert 6 < (even.n + odd) // 10
 
 
 def _no_convergence(*args, **kwargs):

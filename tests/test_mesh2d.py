@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import boundary_length, check_conforming, mesh_rectangle, min_angle
+from oracles import boundary_length, check_conforming, mesh_rectangle, min_angle, mirrored
 
 from polylayer import mesh2d
 from polylayer.geometry import GeometryError
@@ -14,7 +14,6 @@ from polylayer.mesh2d import (
     _edges,
     axis_rule,
     mesh_lshape,
-    mirrored,
     prolong,
     refine,
     sample_grid,
